@@ -1,0 +1,85 @@
+"""Golden corpus: the README's CLI examples replay byte for byte.
+
+`tests/golden/cases.json` lists every recorded call: its name, its argv and
+its exit code, and the files it writes.  Each README example is recorded
+once per `--format` it accepts, plus calls that must fail.  Next to the
+manifest lie the recorded bytes: `<name>.stdout`, `<name>.stderr` and
+`<name>.<file>` for each file the call writes into its working directory.
+`search` prints its wall-clock time on stderr, so its stderr is not
+recorded.
+
+Calls run in-process through `fermatgroups.cli.main`, as the installed
+`fermatgroups` script runs them.  After an intended change of output,
+re-record the bytes of every listed call with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+from fermatgroups.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_case(argv, workdir: Path):
+    """Run one call in `workdir`; return (exit code, stdout, stderr, written files)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        # click names the program after sys.argv[0], unless __main__ is a
+        # package module (as under `python -m pytest`); pin both so usage
+        # lines read as the console script prints them.
+        patch.setattr(sys, "argv", ["fermatgroups"])
+        patch.setitem(sys.modules, "__main__", ModuleType("__main__"))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"), files
+
+
+def _records_stderr(argv) -> bool:
+    return argv[0] != "search"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
+def test_replays_byte_identically(case, tmp_path):
+    code, stdout, stderr, files = run_case(case["argv"], tmp_path)
+    name = case["name"]
+    assert code == case["exit"]
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    if _records_stderr(case["argv"]):
+        assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+    assert sorted(files) == case["files"]
+    for filename, data in files.items():
+        assert data == (GOLDEN / f"{name}.{filename}").read_bytes()
+
+
+def record() -> None:
+    """Re-run every call in the manifest and rewrite its exit code and bytes."""
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as scratch:
+            code, stdout, stderr, files = run_case(case["argv"], Path(scratch))
+        name = case["name"]
+        case["exit"] = code
+        case["files"] = sorted(files)
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+        if _records_stderr(case["argv"]):
+            (GOLDEN / f"{name}.stderr").write_bytes(stderr)
+        for filename, data in files.items():
+            (GOLDEN / f"{name}.{filename}").write_bytes(data)
+    manifest = json.dumps(CASES, indent=1) + "\n"
+    (GOLDEN / "cases.json").write_text(manifest, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()
