@@ -1,38 +1,15 @@
 """The rational rotation-reflection group of the unit circle x^2 + y^2 = 1.
 
-Rotations are parametrized by a single projective rational Delta through the
-half-angle matrix
-
-    L(Delta) = 1/(1 + Delta^2) * [[1 - Delta^2, -2*Delta],
-                                  [2*Delta,      1 - Delta^2]],
-    L(inf)   = -I.
-
-Composition never leaves the parameter line: L(d1)·L(d2) = L(d) with
-d = (d1 + d2)/(1 - d1*d2), extended to the poles in `compose_delta`.
-Reflections enter as one bit through R = diag(1, -1), which conjugates
-L(Delta) to L(-Delta).  The rotation subgroup acts simply transitively on the
-rational points of the circle; `solve_delta` recovers the connecting rotation
-through the stereographic chart y/(x + 1) and verifies it by exact action
-before returning.
+The names below are those of `conic.CIRCLE`, the s = 1 conic group, plus
+the primitive Pythagorean triples read off the rotation orbit of (1, 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
+from .conic import CIRCLE, REFLECTION, CircleElement, DeltaIdentityAudit
 from .errors import InvalidArgumentError
-from .rationals import (
-    INF,
-    Infinity,
-    Mat2,
-    ProjectiveRational,
-    as_projective,
-    format_point,
-    pr_neg,
-    projective_ratio,
-)
 
 __all__ = [
     "CircleElement",
@@ -48,217 +25,13 @@ __all__ = [
     "solve_delta",
 ]
 
-Point = tuple[Fraction, Fraction]
-
-#: The reflection coset representative diag(1, -1).
-REFLECTION = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
-
-
-def _as_point(point) -> Point:
-    try:
-        x, y = point
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"not a planar point: {point!r}") from None
-    return (Fraction(x), Fraction(y))
-
-
-def on_circle(point) -> bool:
-    """Exact membership test for x^2 + y^2 = 1."""
-    x, y = _as_point(point)
-    return x * x + y * y == 1
-
-
-def require_on_circle(point) -> Point:
-    x, y = _as_point(point)
-    if x * x + y * y != 1:
-        raise InvalidArgumentError(f"point {format_point((x, y))} is not on the unit circle")
-    return (x, y)
-
-
-def _negative_reciprocal(delta: Fraction) -> ProjectiveRational:
-    if delta == 0:
-        return INF
-    return Fraction(-1) / delta
-
-
-def compose_delta(d1, d2) -> ProjectiveRational:
-    """Parameter of the product rotation: L(result) = L(d1)·L(d2).
-
-    Total on the projective line.  The pole cases are the exact algebraic
-    limits of (d1 + d2)/(1 - d1*d2): parameters with d1*d2 = 1 compose to
-    inf, inf composes with a finite Delta to -1/Delta (so inf with 0 gives
-    inf again), and inf with inf gives 0 since L(inf)^2 = (-I)^2 = I.
-    """
-    d1 = as_projective(d1)
-    d2 = as_projective(d2)
-    if isinstance(d1, Infinity) and isinstance(d2, Infinity):
-        return Fraction(0)
-    if isinstance(d1, Infinity):
-        return _negative_reciprocal(d2)
-    if isinstance(d2, Infinity):
-        return _negative_reciprocal(d1)
-    if d1 * d2 == 1:
-        return INF
-    return (d1 + d2) / (1 - d1 * d2)
-
-
-def rotation_matrix(delta) -> Mat2:
-    """L(Delta) as an exact matrix; L(inf) = -I."""
-    delta = as_projective(delta)
-    if isinstance(delta, Infinity):
-        return -Mat2.identity()
-    den = 1 + delta * delta
-    cos = (1 - delta * delta) / den
-    sin = (2 * delta) / den
-    return Mat2(cos, -sin, sin, cos)
-
-
-@dataclass(frozen=True)
-class CircleElement:
-    """A group element: the rotation L(delta), reflected first when flagged.
-
-    The matrix realization is R^r · L(delta) with R = diag(1, -1), so the
-    two-component data (delta, reflected) covers the whole group: rotations
-    have determinant +1 and reflections -1.
-    """
-
-    delta: ProjectiveRational
-    reflected: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_projective(self.delta))
-        object.__setattr__(self, "reflected", bool(self.reflected))
-
-    @classmethod
-    def identity(cls) -> "CircleElement":
-        return cls(Fraction(0))
-
-    def to_matrix(self) -> Mat2:
-        matrix = rotation_matrix(self.delta)
-        if self.reflected:
-            matrix = REFLECTION * matrix
-        return matrix
-
-    def compose(self, other: "CircleElement") -> "CircleElement":
-        """Group product self·other, computed in parameter space.
-
-        Moving L(d1) past the reflection of `other` flips its sign:
-        L(d)·R = R·L(-d).  No matrices are built.
-        """
-        if not isinstance(other, CircleElement):
-            raise InvalidArgumentError(f"cannot compose with {other!r}")
-        left = pr_neg(self.delta) if other.reflected else self.delta
-        return CircleElement(
-            compose_delta(left, other.delta),
-            self.reflected != other.reflected,
-        )
-
-    def inverse(self) -> "CircleElement":
-        if self.reflected:
-            return self
-        return CircleElement(pr_neg(self.delta))
-
-    def act(self, point) -> Point:
-        """Exact image of a circle point; rejects points off the curve."""
-        x, y = require_on_circle(point)
-        return self.to_matrix().apply(x, y)
-
-
-def chart(point) -> ProjectiveRational:
-    """Stereographic half-angle parameter: the Delta with L(Delta)·(1,0) = point.
-
-    Equal to y/(x + 1) away from x = -1 and to (1 - x)/y when that ratio
-    degenerates; the antipode (-1, 0) maps to inf.
-    """
-    x, y = _as_point(point)
-    if x != -1:
-        return y / (x + 1)
-    if y != 0:
-        return (1 - x) / y
-    return INF
-
-
-def solve_delta(source, target) -> CircleElement:
-    """The unique rotation carrying one rational circle point to another.
-
-    Works through the chart: the rotation with parameter
-    compose_delta(chart(target), -chart(source)) sends source to target.
-    The result is verified by exact action before it is returned.
-    """
-    source = require_on_circle(source)
-    target = require_on_circle(target)
-    delta = compose_delta(chart(target), pr_neg(chart(source)))
-    element = CircleElement(delta)
-    if element.act(source) != target:
-        raise ArithmeticError(
-            f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
-        )
-    return element
-
-
-@dataclass(frozen=True)
-class DeltaIdentityAudit:
-    """Exact evaluation of two closed forms for the connecting parameter.
-
-    Each side is a ratio of polynomial expressions in the two points; a side
-    is None when its defining ratio is the indeterminate 0/0.  The
-    comparisons against the verified transitivity solver make the audit
-    self-contained: `sides_equal` and the match flags are None whenever the
-    corresponding side is undefined.
-    """
-
-    source: Point
-    target: Point
-    left: "ProjectiveRational | None"
-    right: "ProjectiveRational | None"
-    solver_delta: ProjectiveRational
-    excluded_case: bool
-
-    @property
-    def sides_equal(self) -> "bool | None":
-        if self.left is None or self.right is None:
-            return None
-        return self.left == self.right
-
-    @property
-    def left_matches_solver(self) -> "bool | None":
-        if self.left is None:
-            return None
-        return self.left == self.solver_delta
-
-    @property
-    def right_matches_solver(self) -> "bool | None":
-        if self.right is None:
-            return None
-        return self.right == self.solver_delta
-
-
-def delta_identity_audit(source, target) -> DeltaIdentityAudit:
-    """Evaluate both closed forms for the circle's connecting parameter.
-
-    For source (x0, y0) and target (x, y) on the circle the two forms are
-
-        left  = (x0*y - x*y0) / (x0*(x0 + x) + y0*(y0 + y))
-        right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + y0*(y0 + y) + x + x0)
-
-    both evaluated exactly and compared against the solver.  Pairs with
-    x = -x0 or y = -y0 are flagged as excluded; those are where one of the
-    ratios can degenerate.
-    """
-    x0, y0 = require_on_circle(source)
-    x, y = require_on_circle(target)
-    left_num = x0 * y - x * y0
-    left_den = x0 * (x0 + x) + y0 * (y0 + y)
-    right_num = left_num + y - y0
-    right_den = left_den + x + x0
-    return DeltaIdentityAudit(
-        source=(x0, y0),
-        target=(x, y),
-        left=projective_ratio(left_num, left_den),
-        right=projective_ratio(right_num, right_den),
-        solver_delta=solve_delta((x0, y0), (x, y)).delta,
-        excluded_case=(x == -x0) or (y == -y0),
-    )
+chart = CIRCLE.chart
+compose_delta = CIRCLE.compose_delta
+delta_identity_audit = CIRCLE.delta_identity_audit
+on_circle = CIRCLE.on_curve
+require_on_circle = CIRCLE.require_on_curve
+rotation_matrix = CIRCLE.rotation_matrix
+solve_delta = CIRCLE.solve_delta
 
 
 def primitive_triples(bound: int) -> list[tuple[int, int, int]]:

@@ -18,10 +18,10 @@ import click
 
 from . import audit as audit_lib
 from . import circle as circle_lib
-from . import hyperbola as hyper_lib
 from . import monomial, stroboscope
 from . import search as search_lib
 from .audit import run_audit_suite
+from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import (
@@ -84,70 +84,71 @@ def cli() -> None:
     """
 
 
-# ---------------------------------------------------------------- circle ----
+# ---------------------------------------------------------------- conics ----
 
 
-@cli.group(name="circle")
-def circle_group() -> None:
-    """Rational rotations and reflections of the unit circle."""
+def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
+    """Add one conic's command group; `sweep` is its identity sweep in the audit module."""
+    motion = curve.motion
+    group = click.Group(name=name, help=f"Rational {motion}s and reflections of the unit {curve.name}.")
+    cli.add_command(group)
 
+    @group.command(name="compose", help=f"Parameter of the product {motion} L(d1)·L(d2).")
+    @click.option("--d1", "d1_text", required=True, metavar="PR", help=f"First parameter ({domain}).")
+    @click.option("--d2", "d2_text", required=True, metavar="PR", help=f"Second parameter ({domain}).")
+    @_format_option("text", "json")
+    def compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
+        result = curve.compose_delta(parse_projective(d1_text), parse_projective(d2_text))
+        _echo_payload(format_projective(result), fmt, [format_projective(result)])
 
-@circle_group.command(name="compose")
-@click.option("--d1", "d1_text", required=True, metavar="PR", help="First parameter (p/q or inf).")
-@click.option("--d2", "d2_text", required=True, metavar="PR", help="Second parameter (p/q or inf).")
-@_format_option("text", "json")
-def circle_compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
-    """Parameter of the product rotation L(d1)·L(d2)."""
-    result = circle_lib.compose_delta(parse_projective(d1_text), parse_projective(d2_text))
-    _echo_payload(format_projective(result), fmt, [format_projective(result)])
+    @group.command(name="act", help=f"Exact image of a {curve.name} point under a group element.")
+    @click.option("--delta", "delta_text", required=True, metavar="PR", help=f"{motion.capitalize()} parameter.")
+    @click.option("--reflect", is_flag=True, help=f"Apply the reflection diag(1,-1) after the {motion}.")
+    @click.option("--point", "point_text", required=True, metavar="PT", help=f"{curve.name.capitalize()} point x,y.")
+    @_format_option("text", "json")
+    def act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
+        element = curve.element(parse_projective(delta_text), reflect)
+        image = element.act(parse_point(point_text))
+        _echo_payload([format_rational(c) for c in image], fmt, [format_point(image)])
 
-
-@circle_group.command(name="act")
-@click.option("--delta", "delta_text", required=True, metavar="PR", help="Rotation parameter.")
-@click.option("--reflect", is_flag=True, help="Apply the reflection diag(1,-1) after rotating.")
-@click.option("--point", "point_text", required=True, metavar="PT", help="Circle point x,y.")
-@_format_option("text", "json")
-def circle_act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
-    """Exact image of a circle point under a group element."""
-    element = circle_lib.CircleElement(parse_projective(delta_text), reflect)
-    image = element.act(parse_point(point_text))
-    _echo_payload([format_rational(c) for c in image], fmt, [format_point(image)])
-
-
-@circle_group.command(name="solve")
-@click.option("--from", "from_text", required=True, metavar="PT", help="Start point x,y.")
-@click.option("--to", "to_text", required=True, metavar="PT", help="Target point x,y.")
-@_format_option("text", "json")
-def circle_solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
-    """Rotation parameter carrying one circle point to another (verified)."""
-    source, target = _point_pair(from_text, to_text)
-    element = circle_lib.solve_delta(source, target)
-    payload = {"delta": format_projective(element.delta), "reflected": element.reflected}
-    _echo_payload(payload, fmt, [format_projective(element.delta)])
-
-
-@circle_group.command(name="audit-exy")
-@click.option("--height", "bound", type=int, default=None, metavar="H", help="Sweep all point pairs up to this height (default 12).")
-@click.option("--from", "from_text", default=None, metavar="PT", help="Audit a single pair: start point.")
-@click.option("--to", "to_text", default=None, metavar="PT", help="Audit a single pair: target point.")
-@_format_option("text", "json")
-def circle_audit_cmd(bound, from_text, to_text, fmt: str) -> None:
-    """Audit the two closed forms for the circle's connecting parameter.
-
-    Both forms are evaluated exactly on every pair of rational circle points
-    within the height bound (or on one explicit pair) and compared against
-    the verified transitivity solver.
-    """
-    if (from_text is None) != (to_text is None):
-        raise click.UsageError("--from and --to must be given together")
-    if from_text is not None:
-        if bound is not None:
-            raise click.UsageError("give either --height or a --from/--to pair, not both")
+    @group.command(name="solve", help=f"{motion.capitalize()} parameter carrying one {curve.name} point to another (verified).")
+    @click.option("--from", "from_text", required=True, metavar="PT", help="Start point x,y.")
+    @click.option("--to", "to_text", required=True, metavar="PT", help="Target point x,y.")
+    @_format_option("text", "json")
+    def solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
         source, target = _point_pair(from_text, to_text)
-        payload = audit_lib.render_identity_audit(circle_lib.delta_identity_audit(source, target))
-    else:
-        payload = audit_lib.circle_identity_sweep(12 if bound is None else bound)
-    _echo_payload(payload, fmt)
+        element = curve.solve_delta(source, target)
+        payload = {"delta": format_projective(element.delta), "reflected": element.reflected}
+        _echo_payload(payload, fmt, [format_projective(element.delta)])
+
+    @group.command(name=audit_verb, help=f"Audit the two closed forms for the {curve.name}'s connecting parameter.\n\n{audit_help}")
+    @click.option("--height", "bound", type=int, default=None, metavar="H", help="Sweep all point pairs up to this height (default 12).")
+    @click.option("--from", "from_text", default=None, metavar="PT", help="Audit a single pair: start point.")
+    @click.option("--to", "to_text", default=None, metavar="PT", help="Audit a single pair: target point.")
+    @_format_option("text", "json")
+    def audit_cmd(bound, from_text, to_text, fmt: str) -> None:
+        if (from_text is None) != (to_text is None):
+            raise click.UsageError("--from and --to must be given together")
+        if from_text is not None:
+            if bound is not None:
+                raise click.UsageError("give either --height or a --from/--to pair, not both")
+            source, target = _point_pair(from_text, to_text)
+            payload = audit_lib.render_identity_audit(curve.delta_identity_audit(source, target))
+        else:
+            payload = sweep(12 if bound is None else bound)
+        _echo_payload(payload, fmt)
+
+
+_conic_group(
+    "circle", CIRCLE, "audit-exy", audit_lib.circle_identity_sweep, "p/q or inf",
+    "Both forms are evaluated exactly on every pair of rational circle points within the height "
+    "bound (or on one explicit pair) and compared against the verified transitivity solver.",
+)
+_conic_group(
+    "hyper", HYPERBOLA, "audit", audit_lib.hyperbola_identity_sweep, "p/q or inf, |p/q| != 1",
+    "The right-hand form tracks the verified solver; the left-hand form is genuinely discrepant, "
+    "and the sweep preserves the disagreement with exact witnesses instead of reconciling it.",
+)
 
 
 @cli.command(name="triples")
@@ -160,72 +161,6 @@ def triples_cmd(bound: int, fmt: str) -> None:
         _echo_csv(("a", "b", "c"), triples)
     else:
         _echo_payload([list(t) for t in triples], fmt, [f"{a} {b} {c}" for a, b, c in triples])
-
-
-# ------------------------------------------------------------- hyperbola ----
-
-
-@cli.group(name="hyper")
-def hyper_group() -> None:
-    """Rational boosts and reflections of the unit hyperbola."""
-
-
-@hyper_group.command(name="compose")
-@click.option("--d1", "d1_text", required=True, metavar="PR", help="First parameter (p/q or inf, |p/q| != 1).")
-@click.option("--d2", "d2_text", required=True, metavar="PR", help="Second parameter.")
-@_format_option("text", "json")
-def hyper_compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
-    """Parameter of the product boost L~(d1)·L~(d2)."""
-    result = hyper_lib.compose_delta(parse_projective(d1_text), parse_projective(d2_text))
-    _echo_payload(format_projective(result), fmt, [format_projective(result)])
-
-
-@hyper_group.command(name="act")
-@click.option("--delta", "delta_text", required=True, metavar="PR", help="Boost parameter.")
-@click.option("--reflect", is_flag=True, help="Apply the reflection diag(1,-1) after boosting.")
-@click.option("--point", "point_text", required=True, metavar="PT", help="Hyperbola point x,y.")
-@_format_option("text", "json")
-def hyper_act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
-    """Exact image of a hyperbola point under a group element."""
-    element = hyper_lib.HyperbolicElement(parse_projective(delta_text), reflect)
-    image = element.act(parse_point(point_text))
-    _echo_payload([format_rational(c) for c in image], fmt, [format_point(image)])
-
-
-@hyper_group.command(name="solve")
-@click.option("--from", "from_text", required=True, metavar="PT", help="Start point x,y.")
-@click.option("--to", "to_text", required=True, metavar="PT", help="Target point x,y.")
-@_format_option("text", "json")
-def hyper_solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
-    """Boost parameter carrying one hyperbola point to another (verified)."""
-    source, target = _point_pair(from_text, to_text)
-    element = hyper_lib.solve_delta(source, target)
-    payload = {"delta": format_projective(element.delta), "reflected": element.reflected}
-    _echo_payload(payload, fmt, [format_projective(element.delta)])
-
-
-@hyper_group.command(name="audit")
-@click.option("--height", "bound", type=int, default=None, metavar="H", help="Sweep all point pairs up to this height (default 12).")
-@click.option("--from", "from_text", default=None, metavar="PT", help="Audit a single pair: start point.")
-@click.option("--to", "to_text", default=None, metavar="PT", help="Audit a single pair: target point.")
-@_format_option("text", "json")
-def hyper_audit_cmd(bound, from_text, to_text, fmt: str) -> None:
-    """Audit the two closed forms for the hyperbola's connecting parameter.
-
-    The right-hand form tracks the verified solver; the left-hand form is
-    genuinely discrepant, and the sweep preserves the disagreement with
-    exact witnesses instead of reconciling it.
-    """
-    if (from_text is None) != (to_text is None):
-        raise click.UsageError("--from and --to must be given together")
-    if from_text is not None:
-        if bound is not None:
-            raise click.UsageError("give either --height or a --from/--to pair, not both")
-        source, target = _point_pair(from_text, to_text)
-        payload = audit_lib.render_identity_audit(hyper_lib.delta_identity_audit(source, target))
-    else:
-        payload = audit_lib.hyperbola_identity_sweep(12 if bound is None else bound)
-    _echo_payload(payload, fmt)
 
 
 # ---------------------------------------------------------------- kgroup ----
@@ -514,7 +449,7 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
 @cli.command(name="audit")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the randomized law sweeps.")
 @click.option("--height", "bound", type=int, default=50, show_default=True, metavar="H", help="Height bound for the identity sweeps.")
-@click.option("--pairs", type=int, default=2000, show_default=True, help="Sampled pairs for the circle law sweep.")
+@click.option("--pairs", type=click.IntRange(min=0), default=2000, show_default=True, help="Pairs checked by the circle law sweep; the 16 special pairs of 0, 1, -1 and inf are always checked, the rest are sampled.")
 @_format_option("json", default="json")
 def audit_cmd(seed: int, bound: int, pairs: int, fmt: str) -> None:
     """Run every identity audit and print one deterministic JSON report."""

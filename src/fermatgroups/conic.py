@@ -1,0 +1,305 @@
+"""The rational symmetry group of the conic x^2 + s*y^2 = 1, for s = 1 or -1.
+
+At k = 2 the Fermat form is the quadratic form x^2 + s*y^2, so the unit
+circle (s = 1) and the unit hyperbola (s = -1) are one construction.  Its
+rotations (s = 1) or boosts (s = -1) are parametrized by one projective
+rational Delta through the half-angle matrix
+
+    L(Delta) = 1/(1 + s*Delta^2) * [[1 - s*Delta^2, -2*s*Delta],
+                                    [2*Delta,        1 - s*Delta^2]],
+    L(inf)   = -I,
+
+which for s = -1 degenerates at the excluded parameters |Delta| = 1 (the
+asymptotes).  An element is R^r · L(Delta): reflections enter as one bit
+through R = diag(1, -1), which conjugates L(Delta) to L(-Delta).  The
+rotations or boosts act simply transitively on the curve's rational points;
+on the hyperbola, |Delta| > 1 carries one branch to the other.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import InvalidArgumentError
+from .rationals import (
+    INF,
+    Infinity,
+    Mat2,
+    ProjectiveRational,
+    as_projective,
+    format_point,
+    format_projective,
+    pr_neg,
+    projective_ratio,
+)
+
+__all__ = [
+    "CIRCLE",
+    "CircleElement",
+    "Conic",
+    "DeltaIdentityAudit",
+    "HYPERBOLA",
+    "HyperbolicElement",
+    "REFLECTION",
+]
+
+Point = tuple[Fraction, Fraction]
+
+#: The reflection coset representative diag(1, -1).
+REFLECTION = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
+
+
+def _as_point(point) -> Point:
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"not a planar point: {point!r}") from None
+    return (Fraction(x), Fraction(y))
+
+
+@dataclass(frozen=True)
+class DeltaIdentityAudit:
+    """Exact evaluation of two closed forms for the connecting parameter.
+
+    Each side is a ratio of polynomial expressions in the two points; a side
+    is None when its defining ratio is the indeterminate 0/0.  The
+    comparisons against the verified transitivity solver make the audit
+    self-contained: `sides_equal` and the match flags are None whenever the
+    corresponding side is undefined.
+    """
+
+    source: Point
+    target: Point
+    left: "ProjectiveRational | None"
+    right: "ProjectiveRational | None"
+    solver_delta: ProjectiveRational
+    excluded_case: bool
+
+    @property
+    def sides_equal(self) -> "bool | None":
+        if self.left is None or self.right is None:
+            return None
+        return self.left == self.right
+
+    @property
+    def left_matches_solver(self) -> "bool | None":
+        if self.left is None:
+            return None
+        return self.left == self.solver_delta
+
+    @property
+    def right_matches_solver(self) -> "bool | None":
+        if self.right is None:
+            return None
+        return self.right == self.solver_delta
+
+
+class Conic:
+    """The group of x^2 + s*y^2 = 1: one set of formulas, with s the only difference.
+
+    `left_form` is the curve's own left-hand closed form for the connecting
+    parameter, kept as data: the form printed for the hyperbola is not the
+    circle's form with s = -1.  `element` is the curve's element class.
+    """
+
+    def __init__(self, s: int, name: str, motion: str, element_name: str, left_form) -> None:
+        self.s = s
+        self.name = name
+        self.motion = motion
+        self.left_form = left_form
+        self.element = _element_class(self, element_name)
+
+    def _on_curve(self, x: Fraction, y: Fraction) -> bool:
+        # x^2 + s*y^2 = 1 with both denominators cleared; every act and solve runs
+        # this test, and integer products cost far less than Fraction operations
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        return (xn * yd) ** 2 + self.s * (yn * xd) ** 2 == (xd * yd) ** 2
+
+    def on_curve(self, point) -> bool:
+        """Exact membership test for x^2 + s*y^2 = 1 (both hyperbola branches)."""
+        return self._on_curve(*_as_point(point))
+
+    def require_on_curve(self, point) -> Point:
+        x, y = _as_point(point)
+        if not self._on_curve(x, y):
+            raise InvalidArgumentError(f"point {format_point((x, y))} is not on the unit {self.name}")
+        return (x, y)
+
+    def require_valid_delta(self, delta) -> ProjectiveRational:
+        """Coerce onto the projective line; when s = -1, reject |Delta| = 1 (degenerate matrix)."""
+        delta = as_projective(delta)
+        if self.s < 0 and not isinstance(delta, Infinity) and (delta == 1 or delta == -1):
+            raise InvalidArgumentError(
+                f"hyperbolic parameter {format_projective(delta)} is excluded (|Delta| = 1)"
+            )
+        return delta
+
+    def compose_delta(self, d1, d2) -> ProjectiveRational:
+        """Parameter of the product: L(result) = L(d1)·L(d2).
+
+        Total on the projective line.  The pole cases are the exact algebraic
+        limits of (d1 + d2)/(1 - s*d1*d2): parameters with d1*d2 = s compose
+        to inf, inf composes with a finite Delta to -s/Delta (so inf with 0
+        gives inf again), and inf with inf gives 0 since L(inf)^2 = (-I)^2 = I.
+        On the hyperbola the result is always a valid parameter: |result| = 1
+        would force |d1| = 1 or |d2| = 1.
+        """
+        d1 = self.require_valid_delta(d1)
+        d2 = self.require_valid_delta(d2)
+        if isinstance(d1, Infinity):
+            d1, d2 = d2, d1  # the group is abelian
+        if isinstance(d2, Infinity):
+            if isinstance(d1, Infinity):
+                return Fraction(0)
+            return INF if d1 == 0 else Fraction(-self.s) / d1
+        product = d1 * d2
+        if product == self.s:
+            return INF
+        return (d1 + d2) / (1 - self.s * product)
+
+    def rotation_matrix(self, delta) -> Mat2:
+        """L(Delta) as an exact matrix; L(inf) = -I."""
+        delta = self.require_valid_delta(delta)
+        if isinstance(delta, Infinity):
+            return -Mat2.identity()
+        s_square = self.s * delta * delta
+        den = 1 + s_square
+        diagonal = (1 - s_square) / den
+        lower = (2 * delta) / den
+        return Mat2(diagonal, -self.s * lower, lower, diagonal)
+
+    def chart(self, point) -> ProjectiveRational:
+        """Half-angle parameter of a point: the Delta with L(Delta)·(1,0) = point.
+
+        Equal to y/(x + 1) away from x = -1 and to s*(1 - x)/y when that
+        ratio degenerates; (-1, 0), the circle's antipode and the vertex of
+        the hyperbola's other branch, maps to inf.  On the hyperbola the
+        chart never takes the excluded values |Delta| = 1.
+        """
+        x, y = _as_point(point)
+        if x != -1:
+            return y / (x + 1)
+        if y != 0:
+            return self.s * (1 - x) / y
+        return INF
+
+    def solve_delta(self, source, target):
+        """The unique rotation or boost carrying one rational point to another.
+
+        Works through the chart, across the hyperbola's branches too: the
+        element with parameter compose_delta(chart(target), -chart(source))
+        sends source to target.  The result is verified by exact action
+        before it is returned.
+        """
+        source = self.require_on_curve(source)
+        target = self.require_on_curve(target)
+        delta = self.compose_delta(self.chart(target), pr_neg(self.chart(source)))
+        element = self.element(delta)
+        if element.act(source) != target:
+            raise ArithmeticError(
+                f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
+            )
+        return element
+
+    def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
+        """Evaluate both closed forms for the connecting parameter.
+
+        For source (x0, y0) and target (x, y) the right-hand form is
+
+            right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0)
+
+        and the left-hand form is the curve's `left_form`.  Both are
+        evaluated exactly, never reconciled, and compared against the
+        verified solver.  Pairs with x = -x0 or y = -y0, where a ratio can
+        degenerate, are flagged as excluded.
+        """
+        x0, y0 = self.require_on_curve(source)
+        x, y = self.require_on_curve(target)
+        right_num = x0 * y - x * y0 + y - y0
+        right_den = x0 * (x0 + x) + self.s * y0 * (y0 + y) + x + x0
+        return DeltaIdentityAudit(
+            source=(x0, y0),
+            target=(x, y),
+            left=projective_ratio(*self.left_form(x0, y0, x, y)),
+            right=projective_ratio(right_num, right_den),
+            solver_delta=self.solve_delta((x0, y0), (x, y)).delta,
+            excluded_case=(x == -x0) or (y == -y0),
+        )
+
+
+def _element_class(conic: Conic, name: str) -> type:
+    """The element class (delta, reflected) of one conic group.
+
+    Each call defines the methods afresh: each curve's class holds them in
+    its own `__dict__`, where bench/tracer.py finds and wraps them.
+    """
+
+    @dataclass(frozen=True)
+    class Element:
+        delta: ProjectiveRational
+        reflected: bool = False
+
+        def __post_init__(self) -> None:
+            object.__setattr__(self, "delta", conic.require_valid_delta(self.delta))
+            object.__setattr__(self, "reflected", bool(self.reflected))
+
+        @classmethod
+        def identity(cls) -> "Element":
+            return cls(Fraction(0))
+
+        def to_matrix(self) -> Mat2:
+            matrix = conic.rotation_matrix(self.delta)
+            if self.reflected:
+                matrix = REFLECTION * matrix
+            return matrix
+
+        def compose(self, other: "Element") -> "Element":
+            """Group product self·other, computed in parameter space.
+
+            Moving L(d1) past the reflection of `other` flips its sign:
+            L(d)·R = R·L(-d).  No matrices are built.
+            """
+            if not isinstance(other, Element):
+                raise InvalidArgumentError(f"cannot compose with {other!r}")
+            left = pr_neg(self.delta) if other.reflected else self.delta
+            return Element(
+                conic.compose_delta(left, other.delta),
+                self.reflected != other.reflected,
+            )
+
+        def inverse(self) -> "Element":
+            if self.reflected:
+                return self
+            return Element(pr_neg(self.delta))
+
+        def act(self, point) -> Point:
+            """Exact image of a curve point; rejects points off the curve."""
+            x, y = conic.require_on_curve(point)
+            return self.to_matrix().apply(x, y)
+
+    Element.__name__ = Element.__qualname__ = name
+    Element.__doc__ = f"A group element: the {conic.motion} L(delta), reflected first when flagged."
+    return Element
+
+
+def _circle_left_form(x0, y0, x, y):
+    """left = (x0*y - x*y0) / (x0*(x0 + x) + y0*(y0 + y))."""
+    return x0 * y - x * y0, x0 * (x0 + x) + y0 * (y0 + y)
+
+
+def _hyperbola_left_form(x0, y0, x, y):
+    """left = (x*y0 - y*x0) / (x*(x0 + x) + y*(y0 + y)), exactly as printed.
+
+    Its sign convention contradicts the solved parameter, so it generally
+    disagrees with the solver: (5/4, 3/4) -> (5/3, 4/3) gives -3/55 where the
+    solver and the right-hand form give 1/5.  The audit keeps that
+    discrepancy as data and never reconciles it.
+    """
+    return x * y0 - y * x0, x * (x0 + x) + y * (y0 + y)
+
+
+CIRCLE = Conic(1, "circle", "rotation", "CircleElement", _circle_left_form)
+HYPERBOLA = Conic(-1, "hyperbola", "boost", "HyperbolicElement", _hyperbola_left_form)
+CircleElement = CIRCLE.element
+HyperbolicElement = HYPERBOLA.element

@@ -1,37 +1,13 @@
 """The rational symmetry group of the unit hyperbola x^2 - y^2 = 1.
 
-The hyperbolic analogue of the circle construction swaps a sign:
-
-    L~(Delta) = 1/(1 - Delta^2) * [[1 + Delta^2, 2*Delta],
-                                   [2*Delta,     1 + Delta^2]],
-    L~(inf)   = -I,
-
-defined for all projective rational Delta except |Delta| = 1, where the
-matrix degenerates (the excluded parameters correspond to the asymptotes).
-Composition is L~(d1)·L~(d2) = L~((d1 + d2)/(1 + d1*d2)) with pole cases in
-`compose_delta`; reflections again enter through diag(1, -1).  Unlike the
-circle, parameters with |Delta| > 1 reverse both signs of a point, carrying
-one branch of the hyperbola to the other.
+The names below are those of `conic.HYPERBOLA`, the s = -1 conic group,
+whose parameters exclude |Delta| = 1 and whose audit keeps the printed
+left-hand closed form as data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import InvalidArgumentError
-from .rationals import (
-    INF,
-    Infinity,
-    Mat2,
-    ProjectiveRational,
-    as_projective,
-    format_point,
-    format_projective,
-    pr_neg,
-    projective_ratio,
-)
-from .circle import REFLECTION, DeltaIdentityAudit
+from .conic import HYPERBOLA, HyperbolicElement
 
 __all__ = [
     "HyperbolicElement",
@@ -45,179 +21,11 @@ __all__ = [
     "solve_delta",
 ]
 
-Point = tuple[Fraction, Fraction]
-
-
-def _as_point(point) -> Point:
-    try:
-        x, y = point
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"not a planar point: {point!r}") from None
-    return (Fraction(x), Fraction(y))
-
-
-def on_hyperbola(point) -> bool:
-    """Exact membership test for x^2 - y^2 = 1 (both branches)."""
-    x, y = _as_point(point)
-    return x * x - y * y == 1
-
-
-def require_on_hyperbola(point) -> Point:
-    x, y = _as_point(point)
-    if x * x - y * y != 1:
-        raise InvalidArgumentError(f"point {format_point((x, y))} is not on the unit hyperbola")
-    return (x, y)
-
-
-def require_valid_delta(delta) -> ProjectiveRational:
-    """Parameters with |Delta| = 1 lie outside the group (degenerate matrix)."""
-    delta = as_projective(delta)
-    if not isinstance(delta, Infinity) and (delta == 1 or delta == -1):
-        raise InvalidArgumentError(
-            f"hyperbolic parameter {format_projective(delta)} is excluded (|Delta| = 1)"
-        )
-    return delta
-
-
-def _reciprocal(delta: Fraction) -> ProjectiveRational:
-    if delta == 0:
-        return INF
-    return Fraction(1) / delta
-
-
-def compose_delta(d1, d2) -> ProjectiveRational:
-    """Parameter of the product: L~(result) = L~(d1)·L~(d2).
-
-    The pole cases are the exact limits of (d1 + d2)/(1 + d1*d2): parameters
-    with d1*d2 = -1 compose to inf, inf with a finite Delta gives 1/Delta
-    (inf with 0 gives inf again), and inf with inf gives 0.  The result is
-    always a valid parameter: |result| = 1 would force |d1| = 1 or |d2| = 1.
-    """
-    d1 = require_valid_delta(d1)
-    d2 = require_valid_delta(d2)
-    if isinstance(d1, Infinity) and isinstance(d2, Infinity):
-        return Fraction(0)
-    if isinstance(d1, Infinity):
-        return _reciprocal(d2)
-    if isinstance(d2, Infinity):
-        return _reciprocal(d1)
-    if d1 * d2 == -1:
-        return INF
-    return (d1 + d2) / (1 + d1 * d2)
-
-
-def rotation_matrix(delta) -> Mat2:
-    """L~(Delta) as an exact matrix; L~(inf) = -I."""
-    delta = require_valid_delta(delta)
-    if isinstance(delta, Infinity):
-        return -Mat2.identity()
-    den = 1 - delta * delta
-    cosh = (1 + delta * delta) / den
-    sinh = (2 * delta) / den
-    return Mat2(cosh, sinh, sinh, cosh)
-
-
-@dataclass(frozen=True)
-class HyperbolicElement:
-    """A group element: the boost L~(delta), reflected first when flagged."""
-
-    delta: ProjectiveRational
-    reflected: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", require_valid_delta(self.delta))
-        object.__setattr__(self, "reflected", bool(self.reflected))
-
-    @classmethod
-    def identity(cls) -> "HyperbolicElement":
-        return cls(Fraction(0))
-
-    def to_matrix(self) -> Mat2:
-        matrix = rotation_matrix(self.delta)
-        if self.reflected:
-            matrix = REFLECTION * matrix
-        return matrix
-
-    def compose(self, other: "HyperbolicElement") -> "HyperbolicElement":
-        """Group product self·other; L~(d)·R = R·L~(-d) as on the circle."""
-        if not isinstance(other, HyperbolicElement):
-            raise InvalidArgumentError(f"cannot compose with {other!r}")
-        left = pr_neg(self.delta) if other.reflected else self.delta
-        return HyperbolicElement(
-            compose_delta(left, other.delta),
-            self.reflected != other.reflected,
-        )
-
-    def inverse(self) -> "HyperbolicElement":
-        if self.reflected:
-            return self
-        return HyperbolicElement(pr_neg(self.delta))
-
-    def act(self, point) -> Point:
-        """Exact image of a hyperbola point; rejects points off the curve."""
-        x, y = require_on_hyperbola(point)
-        return self.to_matrix().apply(x, y)
-
-
-def chart(point) -> ProjectiveRational:
-    """Half-parameter of a hyperbola point: the Delta with L~(Delta)·(1,0) = point.
-
-    Equal to y/(x + 1) away from x = -1 and to (x - 1)/y when that ratio
-    degenerates; the branch vertex (-1, 0) maps to inf.  On the curve the
-    chart never takes the excluded values |Delta| = 1.
-    """
-    x, y = _as_point(point)
-    if x != -1:
-        return y / (x + 1)
-    if y != 0:
-        return (x - 1) / y
-    return INF
-
-
-def solve_delta(source, target) -> HyperbolicElement:
-    """The unique boost carrying one rational hyperbola point to another.
-
-    Same chart mechanism as on the circle, including across branches: the
-    parameter is compose_delta(chart(target), -chart(source)), and the result
-    is verified by exact action before it is returned.
-    """
-    source = require_on_hyperbola(source)
-    target = require_on_hyperbola(target)
-    delta = compose_delta(chart(target), pr_neg(chart(source)))
-    element = HyperbolicElement(delta)
-    if element.act(source) != target:
-        raise ArithmeticError(
-            f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
-        )
-    return element
-
-
-def delta_identity_audit(source, target) -> DeltaIdentityAudit:
-    """Evaluate both closed forms for the hyperbola's connecting parameter.
-
-    For source (x0, y0) and target (x, y) on the hyperbola the two printed
-    forms are
-
-        left  = (x*y0 - y*x0) / (x*(x0 + x) + y*(y0 + y))
-        right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) - y0*(y0 + y) + x + x0)
-
-    evaluated exactly, never reconciled.  The right form agrees with the
-    verified solver wherever it is defined; the left one generally does not
-    (its sign convention contradicts the solved parameter), and the audit
-    preserves that discrepancy as data.  Pairs with x = -x0 or y = -y0 are
-    flagged as excluded.
-    """
-    x0, y0 = require_on_hyperbola(source)
-    x, y = require_on_hyperbola(target)
-    left_num = x * y0 - y * x0
-    left_den = x * (x0 + x) + y * (y0 + y)
-    right_num = x0 * y - x * y0 + y - y0
-    right_den = x0 * (x0 + x) - y0 * (y0 + y) + x + x0
-    return DeltaIdentityAudit(
-        source=(x0, y0),
-        target=(x, y),
-        left=projective_ratio(left_num, left_den),
-        right=projective_ratio(right_num, right_den),
-        solver_delta=solve_delta((x0, y0), (x, y)).delta,
-        excluded_case=(x == -x0) or (y == -y0),
-    )
+chart = HYPERBOLA.chart
+compose_delta = HYPERBOLA.compose_delta
+delta_identity_audit = HYPERBOLA.delta_identity_audit
+on_hyperbola = HYPERBOLA.on_curve
+require_on_hyperbola = HYPERBOLA.require_on_curve
+require_valid_delta = HYPERBOLA.require_valid_delta
+rotation_matrix = HYPERBOLA.rotation_matrix
+solve_delta = HYPERBOLA.solve_delta

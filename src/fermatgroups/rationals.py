@@ -11,11 +11,12 @@ line, the height measure that bounds searches, exact 2x2 matrices, and the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
     "Fraction",
@@ -128,9 +129,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: "Fraction | int") -> str:
-    """Canonical "p/q" text, denominator always present."""
+    """Canonical "p/q" text, denominator always present.
+
+    CPython refuses to print an integer longer than its int-to-str digit
+    limit (4300 digits by default, see `sys.set_int_max_str_digits`); such a
+    value raises ResourceLimitError instead of ValueError.
+    """
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ResourceLimitError(
+            f"cannot print a rational with more than {sys.get_int_max_str_digits()} digits"
+            " (Python's int-to-str conversion limit)"
+        ) from None
 
 
 def parse_projective(text: str) -> ProjectiveRational:

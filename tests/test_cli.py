@@ -294,3 +294,22 @@ class TestRoundTrips:
             runner, "circle", "solve", "--from", "1/1,0/1", "--to", acted.output.strip()
         )
         assert solved.output.strip() == "2/9"
+
+
+class TestLimitsAndRanges:
+    WIDE = "1" + "0" * 2201  # 2202 digits: the product of two has 4403
+
+    @pytest.mark.parametrize("group", ["circle", "hyper"])
+    def test_output_past_int_str_limit_exits_three(self, group, capsys):
+        assert main([group, "compose", "--d1", self.WIDE, "--d2", self.WIDE]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_negative_audit_pairs_exits_two(self):
+        assert main(["audit", "--pairs", "-5"]) == 2
+
+    def test_audit_help_names_the_special_pairs(self, runner):
+        result = run(runner, "audit", "--help")
+        assert "16 special pairs" in " ".join(result.output.split())
