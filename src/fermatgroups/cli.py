@@ -256,7 +256,7 @@ def _vector_sort_key(vector):
 def _component_payload(component: CyclotomicNumber):
     value = component.is_rational()
     if value is not None:
-        return f"{value.numerator}/{value.denominator}"
+        return format_rational(value)
     return component.as_dict()
 
 

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
+from .rationals import format_rational, parse_rational
 
 __all__ = [
     "CyclotomicNumber",
@@ -157,9 +158,7 @@ class CyclotomicNumber:
         """omega_k ** exponent (any integer exponent)."""
         if not isinstance(k, int) or k < 1:
             raise InvalidArgumentError(f"cyclotomic order must be an integer >= 1, got {k!r}")
-        coeffs = [Fraction(0)] * k
-        coeffs[exponent % k] = Fraction(1)
-        return cls(k, coeffs)
+        return cls(k, (0,) * (exponent % k) + (1,))
 
     def is_rational(self) -> "Fraction | None":
         """The value as a Fraction when it lies in Q, else None."""
@@ -265,18 +264,20 @@ class CyclotomicNumber:
         for exponent, c in enumerate(self._coeffs):
             if not c:
                 continue
+            # integer coefficients print bare, as in "-3 + 2*w"
+            text = format_rational(c).removesuffix("/1")
             if exponent == 0:
-                terms.append(str(c))
+                terms.append(text)
             else:
                 power = "w" if exponent == 1 else f"w^{exponent}"
-                terms.append(power if c == 1 else f"{c}*{power}")
+                terms.append(power if c == 1 else f"{text}*{power}")
         return " + ".join(terms)
 
     def as_dict(self) -> dict:
         """JSON form: {"k": k, "coeffs": ["p/q", ...]} on the canonical basis."""
         return {
             "k": self._k,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self._coeffs],
+            "coeffs": [format_rational(c) for c in self._coeffs],
         }
 
     @classmethod
@@ -286,14 +287,4 @@ class CyclotomicNumber:
             raw = payload["coeffs"]
         except (TypeError, KeyError):
             raise InvalidArgumentError(f"malformed cyclotomic payload: {payload!r}") from None
-        coeffs = []
-        for item in raw:
-            if isinstance(item, str):
-                num, _, den = item.partition("/")
-                try:
-                    coeffs.append(Fraction(int(num), int(den) if den else 1))
-                except (ValueError, ZeroDivisionError):
-                    raise InvalidArgumentError(f"malformed coefficient: {item!r}") from None
-            else:
-                coeffs.append(Fraction(item))
-        return cls(k, coeffs)
+        return cls(k, [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in raw])

@@ -113,8 +113,7 @@ class MonomialMatrix:
 
     @classmethod
     def identity(cls, k: int, n: int) -> "MonomialMatrix":
-        if not isinstance(n, int) or n < 1:
-            raise InvalidArgumentError(f"dimension must be an integer >= 1, got {n!r}")
+        group_order(k, n)
         return cls(k, tuple(range(n)), (0,) * n)
 
     def _require_compatible(self, other: "MonomialMatrix") -> None:
@@ -151,7 +150,12 @@ class MonomialMatrix:
         return MonomialMatrix(self._k, tuple(inv_perm), exps)
 
     def apply(self, vector: Sequence[CyclotomicNumber]) -> CyclotomicVector:
-        """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)]."""
+        """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
+
+        On the power basis, multiplying by omega^l moves every coefficient up
+        l places; the constructor folds exponents mod k and reduces by Phi_k,
+        so no field product is needed.
+        """
         vec = tuple(vector)
         if len(vec) != len(self._perm):
             raise InvalidArgumentError(
@@ -165,7 +169,7 @@ class MonomialMatrix:
                     f"order mismatch: element k={self._k}, component k={component.k}"
                 )
         return tuple(
-            CyclotomicNumber.root_of_unity(self._k, self._exps[i]) * vec[self._perm[i]]
+            CyclotomicNumber(self._k, (0,) * self._exps[i] + vec[self._perm[i]].coeffs)
             for i in range(len(vec))
         )
 
@@ -183,9 +187,6 @@ class MonomialMatrix:
 
     def __repr__(self) -> str:
         return f"MonomialMatrix(k={self._k}, perm={self._perm}, exponents={self._exps})"
-
-    def sort_key(self) -> tuple:
-        return (self._perm, self._exps)
 
     def as_dict(self) -> dict:
         """JSON form: {"perm": [...], "exp": [...]}."""
@@ -207,17 +208,25 @@ def group_order(k: int, n: int) -> int:
     return k**n * factorial(n)
 
 
-def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[MonomialMatrix]:
-    """Every element of the monomial group, in (perm, exponents) lexicographic order."""
-    order = group_order(k, n)
+def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
+    # every (perm, exps) with exps drawn from `exponents`, after the cap
+    # check; `exponents` must ascend for the list to be in (perm, exps)
+    # lexicographic order, which callers return without sorting
+    count = len(exponents) ** n * factorial(n)
     cap = element_limit(limit)
-    if order > cap:
-        raise ResourceLimitError(f"group order {order} exceeds the element cap {cap}")
+    if count > cap:
+        raise ResourceLimitError(f"{what} {count} exceeds the element cap {cap}")
     return [
         MonomialMatrix(k, perm, exps)
         for perm in itertools.permutations(range(n))
-        for exps in itertools.product(range(k), repeat=n)
+        for exps in itertools.product(exponents, repeat=n)
     ]
+
+
+def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[MonomialMatrix]:
+    """Every element of the monomial group, in (perm, exponents) lexicographic order."""
+    group_order(k, n)
+    return _elements(k, n, range(k), limit, "group order")
 
 
 def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
@@ -240,21 +249,7 @@ def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
 
 def form_value(vector: Sequence[CyclotomicNumber], k: "int | None" = None) -> CyclotomicNumber:
     """Exact value of x_1^k + ... + x_n^k on a cyclotomic vector."""
-    vec = tuple(vector)
-    if not vec:
-        raise InvalidArgumentError("form of an empty vector is undefined")
-    orders = {c.k for c in vec if isinstance(c, CyclotomicNumber)}
-    if len(orders) > 1:
-        raise InvalidArgumentError(f"mixed cyclotomic orders in vector: {sorted(orders)}")
-    if k is None:
-        if not orders:
-            raise InvalidArgumentError("form order k is required for rational vectors")
-        k = orders.pop()
-    else:
-        _check_order(k)
-        if orders and orders.pop() != k:
-            raise InvalidArgumentError("vector order does not match requested k")
-    vec = cyclo_vector(k, vec)
+    k, vec = _vector_with_order(vector, k)
     total = CyclotomicNumber.zero(k)
     for component in vec:
         total = total + component**k
@@ -262,16 +257,10 @@ def form_value(vector: Sequence[CyclotomicNumber], k: "int | None" = None) -> Cy
 
 
 def _vector_with_order(vector, k: "int | None") -> tuple[int, CyclotomicVector]:
+    # k defaults to the order of the first cyclotomic component
     components = tuple(vector)
-    if not components:
-        raise InvalidArgumentError("vector must have at least one component")
-    inferred = None
-    for component in components:
-        if isinstance(component, CyclotomicNumber):
-            inferred = component.k
-            break
     if k is None:
-        k = inferred
+        k = next((c.k for c in components if isinstance(c, CyclotomicNumber)), None)
     if k is None:
         raise InvalidArgumentError("order k is required for purely rational vectors")
     return k, cyclo_vector(k, components)
@@ -320,23 +309,10 @@ class RationalSubgroupReport:
 
 def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSubgroupReport:
     """Enumerate and certify the rational-entry subgroup."""
-    _check_order(k)
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"dimension must be an integer >= 1, got {n!r}")
-    rational_exps = [
-        l
-        for l in range(k)
-        if CyclotomicNumber.root_of_unity(k, l).is_rational() is not None
-    ]
-    count = len(rational_exps) ** n * factorial(n)
-    cap = element_limit(limit)
-    if count > cap:
-        raise ResourceLimitError(f"rational subgroup size {count} exceeds the element cap {cap}")
-    elements = tuple(
-        MonomialMatrix(k, perm, exps)
-        for perm in itertools.permutations(range(n))
-        for exps in itertools.product(rational_exps, repeat=n)
-    )
+    group_order(k, n)
+    # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
+    rational_exps = [l for l in range(k) if 2 * l % k == 0]
+    elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
     members = set(elements)
     closed_product = all(a * b in members for a in elements for b in elements)
     closed_inverse = all(element.inverse() in members for element in elements)
@@ -344,7 +320,7 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     return RationalSubgroupReport(
         k=k,
         n=n,
-        elements=tuple(sorted(elements, key=MonomialMatrix.sort_key)),
+        elements=tuple(elements),
         closed_under_product=closed_product,
         closed_under_inverse=closed_inverse,
         contains_identity=identity in members,

@@ -219,6 +219,3 @@ class Mat2:
         x = Fraction(x)
         y = Fraction(y)
         return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)
-
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.a11, self.a12), (self.a21, self.a22))

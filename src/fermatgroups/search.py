@@ -17,7 +17,7 @@ from time import perf_counter
 
 from . import circle
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, height
+from .rationals import ProjectiveRational, format_rational, height
 
 __all__ = [
     "CoverageReport",
@@ -117,10 +117,6 @@ class SearchReport:
     nontrivial_count: int
     elapsed: float = field(repr=False, default=0.0)
 
-    @property
-    def nontrivial_solutions(self) -> list[tuple[Fraction, ...]]:
-        return [s for s in self.solutions if not is_trivial_tuple(s)]
-
     def payload(self) -> dict:
         return {
             "k": self.k,
@@ -130,7 +126,7 @@ class SearchReport:
             "trivial": self.trivial_count,
             "nontrivial": self.nontrivial_count,
             "solutions": [
-                [f"{c.numerator}/{c.denominator}" for c in solution]
+                [format_rational(c) for c in solution]
                 for solution in self.solutions
             ],
         }
@@ -223,9 +219,10 @@ class CoverageReport:
 def verify_orbit_coverage(bound: int) -> CoverageReport:
     """Solve (1, 0) -> p for every circle point p of height <= bound.
 
-    The point list comes from the exhaustive quadratic search; each solve is
-    confirmed by exact action, so a full-coverage report is a machine check
-    that the rational rotations act transitively within the bound.
+    The point list comes from the exhaustive quadratic search; `solve_delta`
+    confirms each solve by exact action, so a full-coverage report is a
+    machine check that the rational rotations act transitively within the
+    bound.
     """
     report = search_solutions(2, bound)
     base = (Fraction(1), Fraction(0))
@@ -236,11 +233,8 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
             element = circle.solve_delta(base, point)
         except (InvalidArgumentError, ArithmeticError):
             unreachable.append(point)
-            continue
-        if element.act(base) == point:
-            entries.append((point, element.delta))
         else:
-            unreachable.append(point)
+            entries.append((point, element.delta))
     return CoverageReport(
         height_bound=bound,
         total=len(report.solutions),

@@ -307,6 +307,17 @@ class TestLimitsAndRanges:
         assert "4300" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_orbit_coefficient_past_int_str_limit_exits_three(self, fmt, capsys):
+        # omega * (N - N*omega) = N + 2N*omega, and 2N has 4301 digits
+        nines = "9" * 4300
+        argv = ["kgroup", "orbit", "--k", "3", "--point", f"[{nines},-{nines}]", "--format", fmt]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_negative_audit_pairs_exits_two(self):
         assert main(["audit", "--pairs", "-5"]) == 2
 

@@ -13,6 +13,13 @@ Calls run in-process through `fermatgroups.cli.main`, as the installed
 re-record the bytes of every listed call with
 
     PYTHONPATH=src python tests/test_golden.py
+
+To add a case, append an entry with its `name` and `argv` to `cases.json`
+(any `exit` and an empty `files` list; recording fills in both), then
+record it at a commit whose output is known good, before the change it
+is meant to pin, and commit the new files with the manifest.  Recording
+rewrites every listed case, so check that `git status` shows no other
+golden file changed.
 """
 
 import io

@@ -118,6 +118,21 @@ class TestProductLaw:
             )
             assert element.apply(vector) == dense_apply(dense(element), vector)
 
+    def test_shift_matches_field_product(self):
+        # multiplying by omega^l as a coefficient shift, against the full
+        # field product, for every order up to 12 and rational coefficients
+        rng = random.Random(3_112)
+        for k in range(3, 13):
+            for l in range(k):
+                omega_l = CyclotomicNumber.root_of_unity(k, l)
+                for _ in range(5):
+                    value = CyclotomicNumber(
+                        k, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                    )
+                    expected = omega_l * value
+                    assert CyclotomicNumber(k, (0,) * l + value.coeffs) == expected
+                    assert MonomialMatrix(k, (0,), (l,)).apply((value,)) == (expected,)
+
     def test_apply_hand_example(self):
         element = MonomialMatrix(3, (1, 0), (1, 0))
         omega = CyclotomicNumber.root_of_unity(3, 1)

@@ -225,6 +225,22 @@ class TestOrbitCoverage:
 
             assert circle.CircleElement(delta).act((1, 0)) == point
 
+    def test_each_point_is_acted_on_once(self, monkeypatch):
+        # solve_delta verifies its own action; the coverage loop must not repeat it
+        from fermatgroups import circle
+
+        calls = []
+        act = circle.CircleElement.act
+
+        def counting_act(self, point):
+            calls.append(point)
+            return act(self, point)
+
+        monkeypatch.setattr(circle.CircleElement, "act", counting_act)
+        report = search.verify_orbit_coverage(50)
+        assert report.total == 60
+        assert len(calls) == report.total
+
 
 class TestCurvePointEnumerators:
     def test_circle_points_matches_search(self):
