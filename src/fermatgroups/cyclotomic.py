@@ -110,6 +110,22 @@ def _reduce_mod_phi(k: int, folded: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(work[:deg])
 
 
+def _integer_repr(value: int) -> str:
+    # repr must not raise: past the int-to-str digit limit, print the digit count
+    try:
+        return str(value)
+    except ValueError:
+        digits = int((abs(value).bit_length() - 1) * 0.30102999566398120) + 1
+        digits += abs(value) >= 10**digits  # the estimate is low by at most one
+        return f"{'-' if value < 0 else ''}<{digits} digits>"
+
+
+def _coefficient_repr(c: Fraction) -> str:
+    if c.denominator == 1:
+        return _integer_repr(c.numerator)
+    return f"{_integer_repr(c.numerator)}/{_integer_repr(c.denominator)}"
+
+
 class CyclotomicNumber:
     """An element of Q(omega_k) on the canonical power basis.
 
@@ -255,7 +271,7 @@ class CyclotomicNumber:
         return hash((self._k, self._coeffs))
 
     def __repr__(self) -> str:
-        return f"CyclotomicNumber({self._k}, {[str(c) for c in self._coeffs]})"
+        return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self._coeffs]})"
 
     def __str__(self) -> str:
         if not any(self._coeffs):

@@ -115,13 +115,24 @@ def height(value) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (integers, q != 0) into a reduced fraction."""
+    """Parse "p" or "p/q" (integers, q != 0) into a reduced fraction.
+
+    CPython refuses to read an integer longer than its int-from-str digit
+    limit; such a token raises ResourceLimitError, naming the limit and
+    echoing only the token's head, instead of InvalidArgumentError.
+    """
     raw = text.strip()
     num_part, slash, den_part = raw.partition("/")
     try:
         num = int(num_part)
         den = int(den_part) if slash else 1
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and max(sum(ch.isdigit() for ch in part) for part in (num_part, den_part)) > limit:
+            raise ResourceLimitError(
+                f"cannot read a rational with more than {limit} digits"
+                f" (Python's int-from-str conversion limit): {raw[:20]!r}... ({len(raw)} characters)"
+            ) from None
         raise InvalidArgumentError(f"malformed rational: {text!r}") from None
     if den == 0:
         raise InvalidArgumentError(f"malformed rational (zero denominator): {text!r}")

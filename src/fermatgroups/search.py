@@ -1,10 +1,17 @@
 """Bounded-height exhaustive search for rational points of x_1^k + ... + x_n^k = 1.
 
 The search space for height bound H is the set of reduced fractions p/q with
-max(|p|, q) <= H; the scan fixes the first n - 1 coordinates there and
-decides the last one exactly through a rational k-th root.  Everything is
-Fraction arithmetic, so reported solutions are exact and exhaustiveness
-within the bound is structural rather than numerical.
+max(|p|, q) <= H.  The scans run over integers and build a Fraction only for
+a solution, so reported solutions are exact and exhaustiveness within the
+bound is structural rather than numerical.
+
+For n = 2 the common-denominator lemma applies: if a/c and b/d are in lowest
+terms and (a/c)^k + (b/d)^k = 1, then c^k divides a^k d^k, so c divides d,
+and by symmetry c = d.  The scan therefore decides a^k + b^k = c^k with a
+dict of k-th powers; x^2 - y^2 = 1 gives a^2 - b^2 = c^2 in the same way.
+For n >= 3 denominators differ (e.g. 1/2, 2/3, 5/6 for k = 3), so each
+prefix's remainder 1 - sum x_i^k is reduced and looked up in a table of the
+k-th powers (p^k, q^k) of every reduced p/q within the bound.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from time import perf_counter
 
 from . import circle
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, format_rational, height
+from .rationals import ProjectiveRational, format_rational
 
 __all__ = [
     "CoverageReport",
@@ -40,18 +47,55 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 Point = tuple[Fraction, Fraction]
 
 
-def reduced_fractions(bound: int) -> list[Fraction]:
-    """All reduced p/q with max(|p|, q) <= bound, in increasing order."""
+def _check_bound(bound) -> None:
     if not isinstance(bound, int) or bound < 1:
         raise InvalidArgumentError(f"height bound must be an integer >= 1, got {bound!r}")
-    values = [
-        Fraction(num, den)
+
+
+def _reduced_pairs(bound: int) -> list[tuple[int, int]]:
+    # (p, q) for every reduced p/q with max(|p|, q) <= bound, unordered
+    return [
+        (num, den)
         for den in range(1, bound + 1)
         for num in range(-bound, bound + 1)
-        if gcd(abs(num), den) == 1
+        if gcd(num, den) == 1
     ]
-    values.sort()
-    return values
+
+
+def reduced_fractions(bound: int) -> list[Fraction]:
+    """All reduced p/q with max(|p|, q) <= bound, in increasing order."""
+    _check_bound(bound)
+    return sorted(Fraction(num, den) for num, den in _reduced_pairs(bound))
+
+
+def _totient_sum(bound: int) -> int:
+    """Sum of Euler's phi(q) over 1 <= q <= bound, without a table of phi.
+
+    Phi(m) = m(m + 1)/2 - sum_{d=2}^{m} Phi(m // d), with the terms grouped
+    by equal quotients, needs only the O(sqrt(bound)) distinct values
+    bound // d, so counting a height far past the budget stays cheap.
+    """
+    memo: dict[int, int] = {}
+
+    def total(m: int) -> int:
+        if m not in memo:
+            result = m * (m + 1) // 2
+            d = 2
+            while d <= m:
+                quotient = m // d
+                last = m // quotient
+                result -= (last - d + 1) * total(quotient)
+                d = last + 1
+            memo[m] = result
+        return memo[m]
+
+    return total(bound)
+
+
+def _reduced_fraction_count(bound: int) -> int:
+    # Phi(bound) - 1 reduced p/q in (0, 1), as many reciprocals in (1, bound],
+    # then 1; the same negated; then 0
+    return 4 * _totient_sum(bound) - 1
 
 
 def _integer_root(value: int, k: int) -> tuple[int, bool]:
@@ -132,35 +176,82 @@ class SearchReport:
         }
 
 
+def _common_denominator_scan(k: int, bound: int, sign: int = 1) -> list[Point]:
+    """Every (a/c, b/c) of height <= bound with a^k + sign * b^k = c^k.
+
+    By the common-denominator lemma these are all rational points of
+    x^k + sign * y^k = 1 within the bound.  A hit with gcd(a, c) = 1 is in
+    lowest terms on both sides, since a prime dividing b and c divides a^k.
+    For even k the power dict holds b >= 0 and each hit also yields -b.
+    """
+    even = k % 2 == 0
+    roots = {b**k: b for b in range(0 if even else -bound, bound + 1)}
+    powers = [(a, a**k) for a in range(-bound, bound + 1)]
+    points = []
+    for c in range(1, bound + 1):
+        ck = c**k
+        for a, ak in powers:
+            b = roots.get(sign * (ck - ak))
+            if b is None or gcd(a, c) != 1:
+                continue
+            x, y = Fraction(a, c), Fraction(b, c)
+            points.append((x, y))
+            if even and b:
+                points.append((x, -y))
+    return points
+
+
+def _power_table_scan(k: int, n: int, bound: int) -> list[tuple[Fraction, ...]]:
+    """Every n-tuple of height <= bound, closing each (n - 1)-prefix by table.
+
+    The remainder 1 - sum x_i^k of a prefix stays an integer pair; reduced by
+    one gcd it is looked up among the k-th powers (p^k, q^k) of the reduced
+    p/q within the bound (p >= 0 for even k, whose hits also yield -p/q).
+    """
+    even = k % 2 == 0
+    powers = [(num, den, num**k, den**k) for num, den in _reduced_pairs(bound)]
+    roots = {(pk, qk): Fraction(num, den) for num, den, pk, qk in powers if not even or num >= 0}
+    solutions = []
+    for head in itertools.product(powers, repeat=n - 2):
+        head_num, head_den = 1, 1
+        for _, _, pk, qk in head:
+            head_num, head_den = head_num * qk - pk * head_den, head_den * qk
+        for num, den, pk, qk in powers:
+            rest_num = head_num * qk - pk * head_den
+            rest_den = head_den * qk
+            g = gcd(rest_num, rest_den)
+            root = roots.get((rest_num // g, rest_den // g))
+            if root is None:
+                continue
+            values = tuple(Fraction(a, b) for a, b, _, _ in head) + (Fraction(num, den),)
+            solutions.append(values + (root,))
+            if even and root:
+                solutions.append(values + (-root,))
+    return solutions
+
+
 def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
     """Every rational n-tuple of height <= bound summing to 1 in k-th powers.
 
-    The scan enumerates all height-bounded prefixes of length n - 1 and
-    closes each with an exact k-th root; a prefix count above `budget`
-    raises ResourceLimitError before any work is done.
+    The scan covers all height-bounded prefixes of length n - 1 and closes
+    each exactly (see the module docstring); a prefix count above `budget`
+    raises ResourceLimitError before any candidate is built.
     """
     if not isinstance(k, int) or k < 2:
         raise InvalidArgumentError(f"form degree k must be an integer >= 2, got {k!r}")
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"tuple length n must be an integer >= 2, got {n!r}")
+    _check_bound(bound)
     started = perf_counter()
-    candidates = reduced_fractions(bound)
-    prefix_count = len(candidates) ** (n - 1)
+    prefix_count = _reduced_fraction_count(bound) ** (n - 1)
     if prefix_count > budget:
         raise ResourceLimitError(
             f"scan of {prefix_count} coordinate prefixes exceeds the budget {budget}"
         )
-    powers = [(value, value**k) for value in candidates]
-    solutions = []
-    for prefix in itertools.product(powers, repeat=n - 1):
-        remainder = 1 - sum(p for _, p in prefix)
-        root = rational_kth_root(remainder, k)
-        if root is None or height(root) > bound:
-            continue
-        values = tuple(v for v, _ in prefix)
-        solutions.append(values + (root,))
-        if k % 2 == 0 and root != 0:
-            solutions.append(values + (-root,))
+    if n == 2:
+        solutions = _common_denominator_scan(k, bound)
+    else:
+        solutions = _power_table_scan(k, n, bound)
     solutions.sort()
     trivial = sum(1 for solution in solutions if is_trivial_tuple(solution))
     return SearchReport(
@@ -246,17 +337,8 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
 
 def hyperbola_points(bound: int) -> list[Point]:
     """All rational points of x^2 - y^2 = 1 with height <= bound, sorted."""
-    points = []
-    for x in reduced_fractions(bound):
-        y_squared = x * x - 1
-        if y_squared < 0:
-            continue
-        y = rational_kth_root(y_squared, 2)
-        if y is None or height(y) > bound:
-            continue
-        points.append((x, y))
-        if y != 0:
-            points.append((x, -y))
+    _check_bound(bound)
+    points = _common_denominator_scan(2, bound, sign=-1)
     points.sort()
     return points
 

@@ -318,6 +318,16 @@ class TestLimitsAndRanges:
         assert "4300" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_point_past_int_str_limit_exits_three(self, fmt, capsys):
+        argv = ["kgroup", "orbit", "--k", "3", "--point", f"{'9' * 5000},1", "--format", fmt]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300" in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err) < 200
+
     def test_negative_audit_pairs_exits_two(self):
         assert main(["audit", "--pairs", "-5"]) == 2
 

@@ -117,6 +117,13 @@ class TestCyclotomicNumber:
         with pytest.raises(InvalidArgumentError):
             CyclotomicNumber.one(3) * CyclotomicNumber.one(4)
 
+    def test_repr_never_raises_for_wide_coefficients(self):
+        # past the int-to-str digit limit a coefficient prints as its digit count
+        assert repr(CyclotomicNumber(3, [10**4400])) == "CyclotomicNumber(3, ['<4401 digits>', '0'])"
+        wide = CyclotomicNumber(3, [Fraction(-1, 10**5000), 10**4300 - 1])
+        assert repr(wide) == f"CyclotomicNumber(3, ['-1/<5001 digits>', '{'9' * 4300}'])"
+        assert repr(CyclotomicNumber(3, [Fraction(1, 2), -3])) == "CyclotomicNumber(3, ['1/2', '-3'])"
+
     def test_constructor_folds_exponents(self):
         # omega^5 = omega^2 in Q(omega_3)
         assert CyclotomicNumber(3, (0, 0, 0, 0, 0, 1)) == CyclotomicNumber.root_of_unity(3, 2)

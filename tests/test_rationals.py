@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermatgroups.errors import InvalidArgumentError
+from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
 from fermatgroups.rationals import (
     INF,
     Infinity,
@@ -141,6 +141,18 @@ class TestTextCodec:
     def test_malformed_rational_rejected(self, bad):
         with pytest.raises(InvalidArgumentError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("token", ["9" * 4301, "-" + "9" * 5000, "1/" + "7" * 4301])
+    def test_parse_past_int_str_limit_names_the_limit(self, token):
+        # CPython's int-from-str digit limit is a resource limit, not bad syntax
+        with pytest.raises(ResourceLimitError) as caught:
+            parse_rational(token)
+        message = str(caught.value)
+        assert "4300" in message
+        assert len(message) < 200
+
+    def test_parse_at_int_str_limit_succeeds(self):
+        assert parse_rational("9" * 4300) == 10**4300 - 1
 
     def test_projective_inf(self):
         assert parse_projective("inf") is INF

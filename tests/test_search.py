@@ -1,9 +1,11 @@
 """Bounded-height search: roots, exhaustive scans, coverage, counterexamples."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatgroups import search
@@ -11,6 +13,38 @@ from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
 from fermatgroups.rationals import INF, height
 
 fractions_st = st.fractions(max_denominator=30)
+
+
+def fraction_scan(k, n, bound):
+    """Differential oracle: the Fraction scan the integer kernels replaced.
+
+    Every height-bounded prefix of length n - 1 is closed by an exact
+    rational k-th root of its remainder, kept when within the bound.
+    """
+    powers = [(value, value**k) for value in search.reduced_fractions(bound)]
+    solutions = []
+    for prefix in itertools.product(powers, repeat=n - 1):
+        root = search.rational_kth_root(1 - sum(p for _, p in prefix), k)
+        if root is None or height(root) > bound:
+            continue
+        values = tuple(v for v, _ in prefix)
+        solutions.append(values + (root,))
+        if k % 2 == 0 and root != 0:
+            solutions.append(values + (-root,))
+    return sorted(solutions)
+
+
+def fraction_hyperbola_points(bound):
+    """Differential oracle for x^2 - y^2 = 1: a rational square root of x^2 - 1."""
+    points = []
+    for x in search.reduced_fractions(bound):
+        y = search.rational_kth_root(x * x - 1, 2)
+        if y is None or height(y) > bound:
+            continue
+        points.append((x, y))
+        if y != 0:
+            points.append((x, -y))
+    return sorted(points)
 
 
 class TestReducedFractions:
@@ -51,6 +85,11 @@ class TestReducedFractions:
     def test_rejects_bad_bound(self):
         with pytest.raises(InvalidArgumentError):
             search.reduced_fractions(0)
+
+    def test_count_formula(self):
+        # 4 * sum_{q <= H} phi(q) - 1, from the sieve behind the budget check
+        for bound in range(1, 81):
+            assert search._reduced_fraction_count(bound) == len(search.reduced_fractions(bound))
 
 
 class TestRationalKthRoot:
@@ -147,6 +186,18 @@ class TestSearchSolutions:
         with pytest.raises(ResourceLimitError):
             search.search_n(3, 3, 100, budget=1000)
 
+    def test_budget_checked_before_any_candidate(self):
+        # 5,363,287 reduced fractions of height <= 2100: counted, never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                search.search_n(3, 2, 2100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "scan of 5363287 coordinate prefixes exceeds the budget 5000000"
+        assert peak < 5 * 2**20
+
     def test_rejects_bad_degree_and_arity(self):
         with pytest.raises(InvalidArgumentError):
             search.search_solutions(1, 5)
@@ -181,6 +232,62 @@ class TestSearchN:
         for x, y, z in solutions:
             assert (y, x, z) in solutions
             assert (z, y, x) in solutions
+
+
+class TestIntegerKernelsAgainstFractionScan:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_two_variables(self, k):
+        for bound in range(1, 41):
+            assert search.search_n(k, 2, bound).solutions == fraction_scan(k, 2, bound)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_three_variables(self, k):
+        for bound in range(1, 7):
+            assert search.search_n(k, 3, bound).solutions == fraction_scan(k, 3, bound)
+
+    def test_hyperbola_points(self):
+        for bound in range(1, 31):
+            assert search.hyperbola_points(bound) == fraction_hyperbola_points(bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_small_searches(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=7), label="k")
+        n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+        bound = data.draw(st.integers(min_value=1, max_value={2: 25, 3: 5, 4: 2}[n]), label="bound")
+        report = search.search_n(k, n, bound)
+        assert report.solutions == fraction_scan(k, n, bound)
+        assert report.trivial_count == sum(map(search.is_trivial_tuple, report.solutions))
+
+    def test_against_sympy_roots(self):
+        # an oracle that shares no root code with the library: sympy's
+        # integer_nthroot on numerator and denominator of 1 - x^k
+        sympy = pytest.importorskip("sympy")
+
+        def sympy_root(value, k):
+            if value < 0 and k % 2 == 0:
+                return None
+            num, num_exact = sympy.integer_nthroot(abs(value.numerator), k)
+            den, den_exact = sympy.integer_nthroot(value.denominator, k)
+            if not (num_exact and den_exact):
+                return None
+            return Fraction(-int(num) if value < 0 else int(num), int(den))
+
+        for k, bound in [(2, 30), (3, 30), (4, 20), (5, 20)]:
+            expected = []
+            for x in search.reduced_fractions(bound):
+                y = sympy_root(1 - x**k, k)
+                if y is not None and height(y) <= bound:
+                    expected += [(x, y), (x, -y)] if k % 2 == 0 and y else [(x, y)]
+            assert search.search_n(k, 2, bound).solutions == sorted(expected)
+        for value in [0, 1, 2, 10**6, 3**40, 3**40 + 1, 7**35 - 1]:
+            for k in range(1, 8):
+                assert search._integer_root(value, k) == tuple(sympy.integer_nthroot(value, k))
+
+    def test_totient_sum_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        expected = list(itertools.accumulate(int(sympy.totient(q)) for q in range(1, 301)))
+        assert [search._totient_sum(q) for q in range(1, 301)] == expected
 
 
 class TestNCounterexample:
