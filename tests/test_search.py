@@ -87,7 +87,7 @@ class TestReducedFractions:
             search.reduced_fractions(0)
 
     def test_count_formula(self):
-        # 4 * sum_{q <= H} phi(q) - 1, from the sieve behind the budget check
+        # 4 * sum_{q <= H} phi(q) - 1, the count behind the budget check
         for bound in range(1, 81):
             assert search._reduced_fraction_count(bound) == len(search.reduced_fractions(bound))
 
