@@ -249,10 +249,6 @@ def _parse_vector(k: int, text: str):
     return monomial.cyclo_vector(k, components)
 
 
-def _vector_sort_key(vector):
-    return tuple(component.coeffs for component in vector)
-
-
 def _component_payload(component: CyclotomicNumber):
     value = component.is_rational()
     if value is not None:
@@ -268,20 +264,27 @@ def _component_payload(component: CyclotomicNumber):
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     """Full group orbit of a vector, with the orbit-stabilizer check."""
     vector = _parse_vector(k, point_text)
-    points = sorted(monomial.orbit(vector, limit=limit), key=_vector_sort_key)
+    points = monomial.orbit(vector, limit=limit)
     stabilizer_order = len(monomial.stabilizer(vector, limit=limit))
+    # points sort by their components' coefficient vectors, which are
+    # canonical: rank and format each distinct component once
+    components = sorted({c for point in points for c in point}, key=lambda c: c.coeffs)
+    rank = {c: i for i, c in enumerate(components)}
+    points = sorted(points, key=lambda point: tuple(map(rank.__getitem__, point)))
+    as_json = {c: _component_payload(c) for c in components}
+    as_text = {c: str(c) for c in components}
     payload = {
         "k": k,
         "n": len(vector),
         "orbit_size": len(points),
         "stabilizer_order": stabilizer_order,
         "group_order": monomial.group_order(k, len(vector)),
-        "points": [[_component_payload(c) for c in point] for point in points],
+        "points": [list(map(as_json.__getitem__, point)) for point in points],
     }
     lines = [
         f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {payload['group_order']}"
     ]
-    lines.extend(" | ".join(str(c) for c in point) for point in points)
+    lines.extend(" | ".join(map(as_text.__getitem__, point)) for point in points)
     _echo_payload(payload, fmt, lines)
 
 

@@ -136,7 +136,7 @@ class CyclotomicNumber:
     also compares equal to a plain int or Fraction when it is rational.
     """
 
-    __slots__ = ("_k", "_coeffs")
+    __slots__ = ("_k", "_coeffs", "_hash")
 
     def __init__(self, k: int, coeffs: Iterable = ()) -> None:
         if not isinstance(k, int) or k < 1:
@@ -265,10 +265,16 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
-        rational_value = self.is_rational()
-        if rational_value is not None:
-            return hash(rational_value)
-        return hash((self._k, self._coeffs))
+        # values never change once built, so the hash is computed on first use
+        try:
+            return self._hash
+        except AttributeError:
+            rational_value = self.is_rational()
+            if rational_value is not None:
+                self._hash = hash(rational_value)
+            else:
+                self._hash = hash((self._k, self._coeffs))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self._coeffs]})"

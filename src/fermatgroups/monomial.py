@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
@@ -208,14 +209,17 @@ def group_order(k: int, n: int) -> int:
     return k**n * factorial(n)
 
 
+def _check_cap(count: int, limit, what: str) -> None:
+    cap = element_limit(limit)
+    if count > cap:
+        raise ResourceLimitError(f"{what} {count} exceeds the element cap {cap}")
+
+
 def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
     # every (perm, exps) with exps drawn from `exponents`, after the cap
     # check; `exponents` must ascend for the list to be in (perm, exps)
     # lexicographic order, which callers return without sorting
-    count = len(exponents) ** n * factorial(n)
-    cap = element_limit(limit)
-    if count > cap:
-        raise ResourceLimitError(f"{what} {count} exceeds the element cap {cap}")
+    _check_cap(len(exponents) ** n * factorial(n), limit, what)
     return [
         MonomialMatrix(k, perm, exps)
         for perm in itertools.permutations(range(n))
@@ -266,16 +270,52 @@ def _vector_with_order(vector, k: "int | None") -> tuple[int, CyclotomicVector]:
     return k, cyclo_vector(k, components)
 
 
-def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[CyclotomicVector]:
-    """All images of a vector under the full monomial group (a finite set)."""
+def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVector]]:
+    # twisted[j][l] = omega^l * v_j by the coefficient shift `apply` uses;
+    # the group must pass the element cap before any of them is built
     k, vec = _vector_with_order(vector, k)
-    return {element.apply(vec) for element in enumerate_group(k, len(vec), limit)}
+    _check_cap(group_order(k, len(vec)), limit, "group order")
+    twisted = [
+        tuple(CyclotomicNumber(k, (0,) * l + component.coeffs) for l in range(k))
+        for component in vec
+    ]
+    return k, vec, twisted
+
+
+def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[CyclotomicVector]:
+    """All images of a vector under the full monomial group (a finite set).
+
+    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so the
+    orbit is the union over sigma of the products of the twisted components
+    in sigma's order: n*k field elements are built, not k^n * n! images.
+    """
+    _, vec, twisted = _twists(vector, k, limit)
+    # distinct twists only: a zero component has one, not k
+    rows = [tuple(dict.fromkeys(twists)) for twists in twisted]
+    return {
+        point
+        for perm in itertools.permutations(range(len(vec)))
+        for point in itertools.product(*(rows[j] for j in perm))
+    }
 
 
 def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> list[MonomialMatrix]:
-    """Every group element fixing the vector, in enumeration order."""
-    k, vec = _vector_with_order(vector, k)
-    return [element for element in enumerate_group(k, len(vec), limit) if element.apply(vec) == vec]
+    """Every group element fixing the vector, in (perm, exponents) lexicographic order.
+
+    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
+    position i, so the exponents allowed at position i depend only on i and
+    sigma(i) and are found once per pair.
+    """
+    k, vec, twisted = _twists(vector, k, limit)
+    fixing = [
+        [[l for l, image in enumerate(twists) if image == target] for twists in twisted]
+        for target in vec
+    ]
+    return [
+        MonomialMatrix(k, perm, exps)
+        for perm in itertools.permutations(range(len(vec)))
+        for exps in itertools.product(*(fixing[i][j] for i, j in enumerate(perm)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -307,6 +347,26 @@ class RationalSubgroupReport:
         return self.closed_under_product and self.closed_under_inverse and self.contains_identity
 
 
+def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
+    """Whether every product of two (perm, exponents) pairs is again one of them.
+
+    The product law of `MonomialMatrix.__mul__` on raw tuples:
+    (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k).  Members are
+    valid elements with exponents reduced mod k, so a product that matches
+    one is a valid element too.
+    """
+    members = set(pairs)
+    for perm, exps in pairs:
+        # itemgetter of one index returns the bare item, but the only
+        # permutation of one point is the identity
+        pick = itemgetter(*perm) if len(perm) > 1 else tuple
+        for other_perm, other_exps in pairs:
+            product = (pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))]))
+            if product not in members:
+                return False
+    return True
+
+
 def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSubgroupReport:
     """Enumerate and certify the rational-entry subgroup."""
     group_order(k, n)
@@ -314,7 +374,7 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     rational_exps = [l for l in range(k) if 2 * l % k == 0]
     elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
     members = set(elements)
-    closed_product = all(a * b in members for a in elements for b in elements)
+    closed_product = _closed_under_product(k, [(e.perm, e.exponents) for e in elements])
     closed_inverse = all(element.inverse() in members for element in elements)
     identity = MonomialMatrix.identity(k, n)
     return RationalSubgroupReport(

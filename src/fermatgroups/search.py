@@ -243,6 +243,12 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
         raise InvalidArgumentError(f"tuple length n must be an integer >= 2, got {n!r}")
     _check_bound(bound)
     started = perf_counter()
+    # the count is at least 4 * bound - 1 and at least 3^(n - 1): refuse a
+    # scan past the budget on either bound before counting it exactly
+    if bound > budget or n - 1 >= budget.bit_length():
+        raise ResourceLimitError(
+            f"scan at height {bound} with n = {n} has more coordinate prefixes than the budget {budget}"
+        )
     prefix_count = _reduced_fraction_count(bound) ** (n - 1)
     if prefix_count > budget:
         raise ResourceLimitError(

@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 from click.testing import CliRunner
 
+import fermatgroups
 from fermatgroups.cli import cli, dispatch, main
 
 
@@ -37,6 +43,17 @@ class TestDispatchExamples:
 
     def test_dispatch_alias(self):
         assert dispatch(("kgroup", "order", "--k", "3", "--n", "2")) == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        source = Path(fermatgroups.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "fermatgroups", "kgroup", "order", "--k", "3", "--n", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "18\n", "")
 
 
 class TestExitCodes:
@@ -234,6 +251,23 @@ class TestSearchCommands:
 
     def test_counterexample_even_k_rejected(self):
         assert main(["counterexample", "--k", "4", "--x1", "2/1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "10000", "--height", "1"], "scan at height 1 with n = 10000"),
+            (["--height", str(10**12)], "scan at height 1000000000000 with n = 2"),
+            (["--height", "50", "--n", "4"], "scan of 29647082375 coordinate prefixes"),
+        ],
+    )
+    def test_search_past_the_budget_exits_three(self, argv, message, capsys):
+        started = perf_counter()
+        assert main(["search", "--k", "3", *argv]) == 3
+        assert perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.endswith("the budget 5000000\n")
 
 
 class TestIterate:

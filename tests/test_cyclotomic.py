@@ -145,6 +145,28 @@ class TestCyclotomicNumber:
         irrational = CyclotomicNumber.root_of_unity(6, 1)
         assert irrational != 1
 
+    def test_cached_hash_matches_a_fresh_equal_value(self):
+        value = CyclotomicNumber(5, [1, Fraction(2, 3), -4])
+        first = hash(value)
+        assert hash(value) == first == hash(CyclotomicNumber(5, [1, Fraction(2, 3), -4]))
+        # equal after reduction: 1 + w + w^2 + w^3 + w^4 = 0 for k = 5
+        assert hash(CyclotomicNumber(5, [2, Fraction(5, 3), -3, 1, 1])) == first
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(5), Fraction(-7, 3)])
+    def test_rational_value_hashes_like_its_fraction(self, value):
+        assert hash(CyclotomicNumber.from_rational(6, value)) == hash(value)
+        # 1 + w + w^2 = 0 for k = 3, so this value is rational once reduced
+        assert hash(CyclotomicNumber(3, [value + 1, 1, 1])) == hash(value)
+
+    def test_sum_and_negation_hash_as_fresh_values(self):
+        a = CyclotomicNumber(7, [1, 2, Fraction(1, 2)])
+        b = CyclotomicNumber(7, [Fraction(-1, 3), 0, 5])
+        hash(a), hash(b)  # operands with their hashes cached
+        assert hash(a + b) == hash(CyclotomicNumber(7, [Fraction(2, 3), 2, Fraction(11, 2)]))
+        assert hash(-a) == hash(CyclotomicNumber(7, [-1, -2, Fraction(-1, 2)]))
+        assert hash(a - a) == hash(0)
+        assert len({a + b, b + a, -(-(a + b))}) == 1
+
     def test_cross_order_equality_only_for_rationals(self):
         assert CyclotomicNumber.from_rational(3, 2) == CyclotomicNumber.from_rational(4, 2)
         assert CyclotomicNumber.root_of_unity(3, 1) != CyclotomicNumber.root_of_unity(4, 1)

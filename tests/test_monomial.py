@@ -1,10 +1,13 @@
 """Monomial groups: product law vs dense matrices, orbits, rational subgroups."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatgroups import monomial
 from fermatgroups.cyclotomic import CyclotomicNumber
@@ -39,6 +42,53 @@ def dense_apply(matrix, vector):
         sum((matrix[i][j] * vector[j] for j in range(n)), start=matrix[0][0] * 0)
         for i in range(n)
     )
+
+
+def orbit_and_stabilizer_oracle(vector):
+    # oracle: apply every element of the group to the vector
+    k = vector[0].k
+    orbit, stabilizer = set(), []
+    for element in monomial.enumerate_group(k, len(vector)):
+        image = element.apply(vector)
+        orbit.add(image)
+        if image == vector:
+            stabilizer.append(element)
+    return orbit, stabilizer
+
+
+def closure_oracle(elements):
+    # oracle: every product of validated elements, looked up among them
+    members = set(elements)
+    return all(a * b in members for a in elements for b in elements)
+
+
+def pairs(elements):
+    return [(element.perm, element.exponents) for element in elements]
+
+
+def twist(value, l):
+    # omega^l * value as a field product, independent of the shift in `apply`
+    return CyclotomicNumber.root_of_unity(value.k, l) * value
+
+
+def shaped_vectors(k, n):
+    """Vectors with zero, repeated, negated, omega-multiple and cyclotomic components."""
+    two = CyclotomicNumber.from_rational(k, 2)
+    other = CyclotomicNumber.from_rational(k, Fraction(-3, 2))
+    zero = CyclotomicNumber.zero(k)
+    cyc = CyclotomicNumber(k, [Fraction(1, 2), -1])
+    shapes = [
+        (two, zero, other, zero),
+        (two, two, two, other),
+        (two, -two, other, -other),
+        (two, twist(two, 1), twist(two, k - 1), twist(two, 2)),
+        (cyc, twist(cyc, 2), two, -cyc),
+        (zero, zero, cyc, zero),
+    ]
+    return list(dict.fromkeys(shape[:n] for shape in shapes))
+
+
+ORBIT_CASES = [(k, n) for k in range(3, 9) for n in (1, 2, 3)] + [(3, 4)]
 
 
 def random_element(rng, k, n):
@@ -266,6 +316,103 @@ class TestOrbits:
     def test_orbit_respects_cap(self):
         with pytest.raises(ResourceLimitError):
             monomial.orbit(monomial.cyclo_vector(3, (2, 3)), limit=5)
+
+    @pytest.mark.parametrize("k,n", ORBIT_CASES)
+    def test_orbit_and_stabilizer_match_every_element_applied(self, k, n):
+        for vector in shaped_vectors(k, n):
+            orbit, stabilizer = orbit_and_stabilizer_oracle(vector)
+            assert monomial.orbit(vector) == orbit
+            assert monomial.stabilizer(vector) == stabilizer
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_orbit_and_stabilizer_property(self, data):
+        k, n = data.draw(st.sampled_from(ORBIT_CASES))
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        bases = data.draw(
+            st.lists(st.lists(small, min_size=1, max_size=k), min_size=1, max_size=2)
+        )
+        bases = [CyclotomicNumber(k, coeffs) for coeffs in bases]
+        component = st.tuples(
+            st.sampled_from(bases), st.integers(0, k - 1), st.booleans(), st.booleans()
+        ).map(lambda c: CyclotomicNumber.zero(k) if c[3] else (-1 if c[2] else 1) * twist(c[0], c[1]))
+        vector = tuple(data.draw(st.lists(component, min_size=n, max_size=n)))
+        orbit, stabilizer = orbit_and_stabilizer_oracle(vector)
+        assert monomial.orbit(vector) == orbit
+        assert monomial.stabilizer(vector) == stabilizer
+
+
+class TestCaps:
+    @pytest.mark.parametrize("kernel", [monomial.orbit, monomial.stabilizer])
+    def test_limit_argument(self, kernel):
+        vector = monomial.cyclo_vector(3, (2, 3))
+        with pytest.raises(ResourceLimitError, match=r"^group order 18 exceeds the element cap 17$"):
+            kernel(vector, limit=17)
+        assert kernel(vector, limit=18)
+
+    @pytest.mark.parametrize("kernel", [monomial.orbit, monomial.stabilizer])
+    def test_env_limit(self, kernel, monkeypatch):
+        vector = monomial.cyclo_vector(3, (2, 3))
+        monkeypatch.setenv(monomial.ENV_LIMIT, "17")
+        with pytest.raises(ResourceLimitError, match=r"^group order 18 exceeds the element cap 17$"):
+            kernel(vector)
+        monkeypatch.setenv(monomial.ENV_LIMIT, "18")
+        assert kernel(vector)
+
+    @pytest.mark.parametrize("kernel", [monomial.orbit, monomial.stabilizer])
+    def test_refused_before_any_work(self, kernel, monkeypatch):
+        # 3^8 * 8! = 264,539,520 elements: refused before one twist is built
+        monkeypatch.delenv(monomial.ENV_LIMIT, raising=False)
+        vector = monomial.cyclo_vector(3, range(1, 9))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                kernel(vector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "group order 264539520 exceeds the element cap 1000000"
+        assert peak < 2**20
+
+
+# the rational subgroups, the stabilizers of the shaped vectors (whose
+# exponents depend on the permutation) and, where the all-pairs oracle stays
+# fast, the full groups
+CLOSURE_CASES = list(
+    dict.fromkeys(
+        (k, group)
+        for k in range(3, 9)
+        for n in (1, 2, 3)
+        for group in (
+            monomial.rational_elements(k, n).elements,
+            *(tuple(monomial.stabilizer(vector)) for vector in shaped_vectors(k, n)),
+            tuple(monomial.enumerate_group(k, n)) if n <= 2 or k == 3 else None,
+        )
+        if group is not None
+    )
+)
+
+
+class TestClosureKernel:
+    @pytest.mark.parametrize("k,elements", CLOSURE_CASES)
+    def test_matches_product_oracle(self, k, elements):
+        assert monomial._closed_under_product(k, pairs(elements)) is closure_oracle(elements) is True
+
+    # a group of order 1 or 2 stays closed without its non-identity element
+    @pytest.mark.parametrize("k,elements", [case for case in CLOSURE_CASES if len(case[1]) >= 3])
+    def test_dropping_an_element_breaks_closure(self, k, elements):
+        # elements[0] is the identity, and every other element is a product
+        # of two elements other than itself
+        for dropped in (elements[1:], elements[:-1]):
+            assert monomial._closed_under_product(k, pairs(dropped)) is closure_oracle(dropped) is False
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_adding_a_non_member_breaks_closure(self, k, n):
+        # omega on the first axis is irrational, so outside the rational subgroup
+        stranger = MonomialMatrix(k, range(n), (1,) + (0,) * (n - 1))
+        grown = monomial.rational_elements(k, n).elements + (stranger,)
+        assert monomial._closed_under_product(k, pairs(grown)) is closure_oracle(grown) is False
 
 
 class TestRationalSubgroup:

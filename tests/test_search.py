@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,19 @@ class TestSearchSolutions:
             tracemalloc.stop()
         assert str(caught.value) == "scan of 5363287 coordinate prefixes exceeds the budget 5000000"
         assert peak < 5 * 2**20
+
+    def test_count_past_the_budget_is_refused_uncounted(self):
+        # 3^9999 prefixes would have 4771 digits, past the int-to-str limit
+        with pytest.raises(ResourceLimitError) as caught:
+            search.search_n(3, 10_000, 1)
+        assert str(caught.value) == (
+            "scan at height 1 with n = 10000 has more coordinate prefixes than the budget 5000000"
+        )
+        started = perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            search.search_n(3, 2, 10**12)
+        assert perf_counter() - started < 1
+        assert "height 1000000000000" in str(caught.value)
 
     def test_rejects_bad_degree_and_arity(self):
         with pytest.raises(InvalidArgumentError):
