@@ -14,10 +14,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
-from . import circle, hyperbola, monomial, search
+from . import circle, monomial, search
+from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
-from .rationals import INF, format_point, format_projective
+from .rationals import INF, format_point, format_projective, projective_pair
 
 __all__ = [
     "circle_identity_sweep",
@@ -56,22 +58,37 @@ def _random_delta(rng: random.Random, span: int = 30):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
+def _integer_matrix(delta):
+    return CIRCLE.matrix_pair(*projective_pair(delta))
+
+
 def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
     """Check L(d1)·L(d2) = L(compose(d1, d2)) on sampled and special pairs.
 
     Every pair of the four special parameters {0, 1, -1, inf} is always
     included, so all pole cases of the composition law are exercised on each
-    run; the remaining pairs are drawn from the seeded generator.
+    run; the remaining pairs are drawn from the seeded generator.  The
+    library's `compose_delta` gives the law; the matrices are integer
+    entries over a scale, and two of them are equal when their entries
+    cross-multiplied by the other's scale are.
     """
     checked = 0
     mismatches = []
     special_pairs = [(d1, d2) for d1 in SPECIAL_DELTAS for d2 in SPECIAL_DELTAS]
     sampled = [(_random_delta(rng), _random_delta(rng)) for _ in range(max(0, pairs - len(special_pairs)))]
     for d1, d2 in special_pairs + sampled:
-        law = circle.rotation_matrix(circle.compose_delta(d1, d2))
-        product = circle.rotation_matrix(d1) * circle.rotation_matrix(d2)
+        law, law_scale = _integer_matrix(circle.compose_delta(d1, d2))
+        (p11, p12, p21, p22), p_scale = _integer_matrix(d1)
+        (q11, q12, q21, q22), q_scale = _integer_matrix(d2)
+        product = (
+            p11 * q11 + p12 * q21,
+            p11 * q12 + p12 * q22,
+            p21 * q11 + p22 * q21,
+            p21 * q12 + p22 * q22,
+        )
+        scale = p_scale * q_scale
         checked += 1
-        if law != product:
+        if any(entry * law_scale != law_entry * scale for entry, law_entry in zip(product, law)):
             mismatches.append((format_projective(d1), format_projective(d2)))
     return {
         "pairs_checked": checked,
@@ -138,6 +155,67 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     }
 
 
+class _PairFlags(NamedTuple):
+    """What the identity audit of one pair says, without its values.
+
+    The fields mean what the `DeltaIdentityAudit` properties of the same
+    names mean; `sides_equal` and the match flags are None where a side is
+    undefined.
+    """
+
+    source: tuple
+    target: tuple
+    left_defined: bool
+    right_defined: bool
+    sides_equal: "bool | None"
+    left_matches_solver: "bool | None"
+    right_matches_solver: "bool | None"
+    solver_nonzero: bool
+    excluded_case: bool
+
+
+def _pair_sweep(curve, points):
+    """Stream the identity-audit flags of every ordered pair of curve points.
+
+    This is `curve.delta_identity_audit` on the integer kernel: each point
+    becomes its triple and its chart pair once, the solver composes two
+    charts, and every projective value is compared by cross-products.  Each
+    solved parameter is checked to carry its source to its target by exact
+    action, and a failure raises ArithmeticError as `solve_delta` does.
+    """
+    charted = [(point, curve.triple(point)) for point in points]
+    charted = [(point, triple, curve.chart_pair(*triple)) for point, triple in charted]
+    for source, source_triple, (n0, m0) in charted:
+        a0, b0, c0 = source_triple
+        for target, target_triple, chart in charted:
+            n, m = solver = curve.compose_pair(chart, (-n0, m0))
+            if not curve.carries_pair(solver, source_triple, target_triple):
+                raise ArithmeticError(
+                    f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
+                )
+            ln, ld = curve.left_form(a0, b0, c0, *target_triple)
+            rn, rd = curve.right_pair(source_triple, target_triple)
+            left_defined = bool(ln or ld)
+            right_defined = bool(rn or rd)
+            a, b, c = target_triple
+            yield _PairFlags(
+                source,
+                target,
+                left_defined,
+                right_defined,
+                ln * rd == rn * ld if left_defined and right_defined else None,
+                ln * m == n * ld if left_defined else None,
+                rn * m == n * rd if right_defined else None,
+                n != 0,
+                a * c0 == -a0 * c or b * c0 == -b0 * c,
+            )
+
+
+def _render_pair(curve, flags) -> dict:
+    # witnesses and mismatches are printed from the Fraction audit
+    return render_identity_audit(curve.delta_identity_audit(flags.source, flags.target))
+
+
 def circle_identity_sweep(bound: int = 50) -> dict:
     """Evaluate both circle closed forms on every pair of bounded points.
 
@@ -148,33 +226,29 @@ def circle_identity_sweep(bound: int = 50) -> dict:
     """
     points = search.circle_points(bound)
     pairs = both_defined = agree = 0
-    undefined = 0
     side_mismatches: list[dict] = []
     solver_mismatches: list[dict] = []
     witness = None
-    for source in points:
-        for target in points:
-            audit = circle.delta_identity_audit(source, target)
-            pairs += 1
-            if audit.left is None or audit.right is None:
-                undefined += 1
-            else:
-                both_defined += 1
-                if audit.sides_equal:
-                    agree += 1
-                else:
-                    side_mismatches.append(render_identity_audit(audit))
-                if not (audit.left_matches_solver and audit.right_matches_solver):
-                    solver_mismatches.append(render_identity_audit(audit))
-                if witness is None and audit.solver_delta != 0:
-                    witness = render_identity_audit(audit)
+    for flags in _pair_sweep(CIRCLE, points):
+        pairs += 1
+        if not (flags.left_defined and flags.right_defined):
+            continue
+        both_defined += 1
+        if flags.sides_equal:
+            agree += 1
+        else:
+            side_mismatches.append(_render_pair(CIRCLE, flags))
+        if not (flags.left_matches_solver and flags.right_matches_solver):
+            solver_mismatches.append(_render_pair(CIRCLE, flags))
+        if witness is None and flags.solver_nonzero:
+            witness = _render_pair(CIRCLE, flags)
     return {
         "height": bound,
         "points": len(points),
         "pairs": pairs,
         "both_defined": both_defined,
         "sides_agree": agree,
-        "undefined_pairs": undefined,
+        "undefined_pairs": pairs - both_defined,
         "side_mismatches": side_mismatches,
         "solver_mismatches": solver_mismatches,
         "identity_holds": both_defined == agree and not solver_mismatches,
@@ -192,33 +266,27 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
     """
     points = search.hyperbola_points(bound)
     pairs = both_defined = agree = 0
-    undefined = 0
     right_defined = right_agrees_solver = 0
     disagreement_witnesses: list[dict] = []
     right_solver_mismatches: list[dict] = []
     witness = render_identity_audit(
-        hyperbola.delta_identity_audit(
-            (Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3))
-        )
+        HYPERBOLA.delta_identity_audit((Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3)))
     )
-    for source in points:
-        for target in points:
-            audit = hyperbola.delta_identity_audit(source, target)
-            pairs += 1
-            if audit.right is not None:
-                right_defined += 1
-                if audit.right_matches_solver:
-                    right_agrees_solver += 1
-                else:
-                    right_solver_mismatches.append(render_identity_audit(audit))
-            if audit.left is None or audit.right is None:
-                undefined += 1
-                continue
-            both_defined += 1
-            if audit.sides_equal:
-                agree += 1
-            elif len(disagreement_witnesses) < 5:
-                disagreement_witnesses.append(render_identity_audit(audit))
+    for flags in _pair_sweep(HYPERBOLA, points):
+        pairs += 1
+        if flags.right_defined:
+            right_defined += 1
+            if flags.right_matches_solver:
+                right_agrees_solver += 1
+            else:
+                right_solver_mismatches.append(_render_pair(HYPERBOLA, flags))
+        if not (flags.left_defined and flags.right_defined):
+            continue
+        both_defined += 1
+        if flags.sides_equal:
+            agree += 1
+        elif len(disagreement_witnesses) < 5:
+            disagreement_witnesses.append(_render_pair(HYPERBOLA, flags))
     return {
         "height": bound,
         "points": len(points),
@@ -226,7 +294,7 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
         "both_defined": both_defined,
         "sides_agree": agree,
         "sides_disagree": both_defined - agree,
-        "undefined_pairs": undefined,
+        "undefined_pairs": pairs - both_defined,
         "right_defined": right_defined,
         "right_agrees_solver": right_agrees_solver,
         "right_solver_mismatches": right_solver_mismatches,

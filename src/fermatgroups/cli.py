@@ -25,6 +25,7 @@ from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import (
+    format_components,
     format_point,
     format_projective,
     format_rational,
@@ -422,8 +423,9 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     """Iterate a rational rotation exactly, recording points and heights."""
     trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
+    # each coordinate is printed once, with its shared denominator printed once
     rows = [
-        (str(step), format_rational(point[0]), format_rational(point[1]), str(h))
+        (str(step), *format_components(point), str(h))
         for step, (point, h) in enumerate(zip(trajectory.points, trajectory.heights), start=1)
     ]
     if csv_path is not None:
@@ -438,7 +440,7 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
         "delta": format_projective(trajectory.delta),
         "start": format_point(trajectory.start),
         "period": trajectory.period,
-        "points": [[format_rational(x), format_rational(y)] for x, y in trajectory.points],
+        "points": [[x, y] for _, x, y, _ in rows],
         "heights": trajectory.heights,
     }
     lines = [f"step {step}: {x},{y} height {h}" for step, x, y, h in rows]

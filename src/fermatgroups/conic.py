@@ -14,6 +14,13 @@ asymptotes).  An element is R^r · L(Delta): reflections enter as one bit
 through R = diag(1, -1), which conjugates L(Delta) to L(-Delta).  The
 rotations or boosts act simply transitively on the curve's rational points;
 on the hyperbola, |Delta| > 1 carries one branch to the other.
+
+Besides the Fraction methods, which serve single calls, a `Conic` has an
+integer kernel for bulk work.  By the common-denominator lemma every curve
+point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the reduced triple
+(a, b, c) with c > 0; a parameter n/m is the homogeneous pair (n : m), with
+inf = (1 : 0).  Two pairs are equal when their cross-products are, so no
+quantity of the kernel is ever divided or reduced.
 """
 
 from __future__ import annotations
@@ -100,7 +107,11 @@ class Conic:
 
     `left_form` is the curve's own left-hand closed form for the connecting
     parameter, kept as data: the form printed for the hyperbola is not the
-    circle's form with s = -1.  `element` is the curve's element class.
+    circle's form with s = -1.  It takes both points in homogeneous
+    coordinates (x0 : y0 : z0) and (x : y : z) and returns the numerator and
+    denominator with the denominators of the points cleared, so the Fraction
+    audit evaluates it at z0 = z = 1 and the integer kernel on triples.
+    `element` is the curve's element class.
     """
 
     def __init__(self, s: int, name: str, motion: str, element_name: str, left_form) -> None:
@@ -202,6 +213,53 @@ class Conic:
             )
         return element
 
+    def triple(self, point) -> tuple[int, int, int]:
+        """The reduced triple (a, b, c) of the curve point (a/c, b/c).
+
+        Both coordinates of a rational curve point share their denominator
+        (the common-denominator lemma), so it is read off directly.
+        """
+        x, y = self.require_on_curve(point)
+        return x.numerator, y.numerator, x.denominator
+
+    def chart_pair(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """`chart` of the curve point (a/c, b/c) as a pair: (b : a + c), inf at (-1, 0).
+
+        On the curve a = -c forces b = 0, so (-1, 0) is the only point where
+        y/(x + 1) degenerates.
+        """
+        if a != -c:
+            return b, a + c
+        return 1, 0
+
+    def compose_pair(self, first: tuple[int, int], second: tuple[int, int]) -> tuple[int, int]:
+        """`compose_delta` as a pair; the one formula covers every pole case."""
+        (n1, m1), (n2, m2) = first, second
+        return n1 * m2 + n2 * m1, m1 * m2 - self.s * n1 * n2
+
+    def matrix_pair(self, n: int, m: int) -> tuple[tuple[int, int, int, int], int]:
+        """L(n : m) as integer entries (a11, a12, a21, a22) and their scale m^2 + s*n^2."""
+        diagonal = m * m - self.s * n * n
+        lower = 2 * n * m
+        return (diagonal, -self.s * lower, lower, diagonal), m * m + self.s * n * n
+
+    def carries_pair(self, delta: tuple[int, int], source, target) -> bool:
+        """Whether L(delta) sends the triple `source` to the triple `target`, by exact action."""
+        (a11, a12, a21, a22), scale = self.matrix_pair(*delta)
+        a0, b0, c0 = source
+        a, b, c = target
+        scale *= c0
+        return scale != 0 and (a11 * a0 + a12 * b0) * c == a * scale and (a21 * a0 + a22 * b0) * c == b * scale
+
+    def right_pair(self, source, target) -> tuple[int, int]:
+        """The right-hand closed form on two triples, its ratio scaled by c0^2*c."""
+        a0, b0, c0 = source
+        a, b, c = target
+        return (
+            (a0 * b - a * b0 + b * c0 - b0 * c) * c0,
+            a0 * (a0 * c + a * c0) + self.s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
+        )
+
     def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
         """Evaluate both closed forms for the connecting parameter.
 
@@ -221,7 +279,7 @@ class Conic:
         return DeltaIdentityAudit(
             source=(x0, y0),
             target=(x, y),
-            left=projective_ratio(*self.left_form(x0, y0, x, y)),
+            left=projective_ratio(*self.left_form(x0, y0, 1, x, y, 1)),
             right=projective_ratio(right_num, right_den),
             solver_delta=self.solve_delta((x0, y0), (x, y)).delta,
             excluded_case=(x == -x0) or (y == -y0),
@@ -283,20 +341,20 @@ def _element_class(conic: Conic, name: str) -> type:
     return Element
 
 
-def _circle_left_form(x0, y0, x, y):
-    """left = (x0*y - x*y0) / (x0*(x0 + x) + y0*(y0 + y))."""
-    return x0 * y - x * y0, x0 * (x0 + x) + y0 * (y0 + y)
+def _circle_left_form(x0, y0, z0, x, y, z):
+    """left = (x0*y - x*y0) / (x0*(x0 + x) + y0*(y0 + y)), scaled by z0^2*z."""
+    return (x0 * y - x * y0) * z0, x0 * (x0 * z + x * z0) + y0 * (y0 * z + y * z0)
 
 
-def _hyperbola_left_form(x0, y0, x, y):
-    """left = (x*y0 - y*x0) / (x*(x0 + x) + y*(y0 + y)), exactly as printed.
+def _hyperbola_left_form(x0, y0, z0, x, y, z):
+    """left = (x*y0 - y*x0) / (x*(x0 + x) + y*(y0 + y)), exactly as printed; scaled by z0*z^2.
 
     Its sign convention contradicts the solved parameter, so it generally
     disagrees with the solver: (5/4, 3/4) -> (5/3, 4/3) gives -3/55 where the
     solver and the right-hand form give 1/5.  The audit keeps that
     discrepancy as data and never reconciles it.
     """
-    return x * y0 - y * x0, x * (x0 + x) + y * (y0 + y)
+    return (x * y0 - y * x0) * z, x * (x0 * z + x * z0) + y * (y0 * z + y * z0)
 
 
 CIRCLE = Conic(1, "circle", "rotation", "CircleElement", _circle_left_form)

@@ -25,6 +25,7 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
+    "format_components",
     "format_point",
     "format_projective",
     "format_rational",
@@ -33,6 +34,7 @@ __all__ = [
     "parse_projective",
     "parse_rational",
     "pr_neg",
+    "projective_pair",
     "projective_ratio",
     "rational",
 ]
@@ -80,6 +82,13 @@ def pr_neg(value: ProjectiveRational) -> ProjectiveRational:
     if isinstance(value, Infinity):
         return value
     return -value
+
+
+def projective_pair(value: ProjectiveRational) -> tuple[int, int]:
+    """Homogeneous integer coordinates (n : m) of n/m; inf is (1 : 0)."""
+    if isinstance(value, Infinity):
+        return 1, 0
+    return value.numerator, value.denominator
 
 
 def projective_ratio(num: Fraction, den: Fraction) -> "ProjectiveRational | None":
@@ -150,10 +159,31 @@ def format_rational(value: "Fraction | int") -> str:
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise ResourceLimitError(
-            f"cannot print a rational with more than {sys.get_int_max_str_digits()} digits"
-            " (Python's int-to-str conversion limit)"
-        ) from None
+        raise _print_limit_error() from None
+
+
+def format_components(values) -> list[str]:
+    """`format_rational` of each value; a denominator they all share is printed once.
+
+    The coordinates of a conic point share their denominator, and printing
+    a wide integer costs time quadratic in its digits.
+    """
+    values = [Fraction(value) for value in values]
+    den = values[0].denominator if values else 1
+    try:
+        if all(value.denominator == den for value in values):
+            den_text = str(den)
+            return [f"{value.numerator}/{den_text}" for value in values]
+        return [f"{value.numerator}/{value.denominator}" for value in values]
+    except ValueError:
+        raise _print_limit_error() from None
+
+
+def _print_limit_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"cannot print a rational with more than {sys.get_int_max_str_digits()} digits"
+        " (Python's int-to-str conversion limit)"
+    )
 
 
 def parse_projective(text: str) -> ProjectiveRational:
@@ -178,7 +208,7 @@ def parse_point(text: str) -> tuple[Fraction, Fraction]:
 
 
 def format_point(point) -> str:
-    return ",".join(format_rational(component) for component in point)
+    return ",".join(format_components(point))
 
 
 @dataclass(frozen=True)

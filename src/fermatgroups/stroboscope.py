@@ -17,8 +17,9 @@ from fractions import Fraction
 from math import log
 
 from . import circle
+from .conic import CIRCLE
 from .errors import InvalidArgumentError
-from .rationals import Infinity, ProjectiveRational, as_projective, height
+from .rationals import Infinity, ProjectiveRational, as_projective, projective_pair
 
 __all__ = [
     "HeightProfile",
@@ -48,21 +49,31 @@ class Trajectory:
 
 
 def iterate(delta, start, steps: int) -> Trajectory:
-    """Record `steps` exact images of a circle point under L(delta)."""
+    """Record `steps` exact images of a circle point under L(delta).
+
+    The point is stepped as its reduced triple (a, b, c), the integer matrix
+    of L(delta) times (a, b) over its scale times c.  Building x = a/c
+    reduces the new triple by its one gcd: a prime dividing a and c divides
+    b^2 = c^2 - a^2, so gcd(a, c) divides b.  The height of a circle point
+    is its denominator c.
+    """
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"step count must be an integer >= 0, got {steps!r}")
     delta = as_projective(delta)
     start = circle.require_on_circle(start)
-    matrix = circle.rotation_matrix(delta)
+    (a11, a12, a21, a22), scale = CIRCLE.matrix_pair(*projective_pair(delta))
     points: list[Point] = []
     heights: list[int] = []
     period = None
-    current = start
+    a, b, c = start_triple = CIRCLE.triple(start)
     for step in range(1, steps + 1):
-        current = matrix.apply(*current)
-        points.append(current)
-        heights.append(height(current))
-        if period is None and current == start:
+        a, b, c = a11 * a + a12 * b, a21 * a + a22 * b, scale * c
+        x = Fraction(a, c)
+        b //= c // x.denominator
+        a, c = x.numerator, x.denominator
+        points.append((x, Fraction(b, c)))
+        heights.append(c)
+        if period is None and (a, b, c) == start_triple:
             period = step
     return Trajectory(delta=delta, start=start, points=points, heights=heights, period=period)
 

@@ -2,10 +2,16 @@
 
 import json
 import random
+import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from fermatgroups import audit
+from fermatgroups import audit, search
+from fermatgroups.conic import CIRCLE, HYPERBOLA, Conic, _hyperbola_left_form
+from fermatgroups.errors import InvalidArgumentError
+from fermatgroups.rationals import INF, Mat2, projective_pair
 
 
 class TestCircleLawSample:
@@ -105,3 +111,145 @@ class TestRunAuditSuite:
         text = json.dumps(small_report)
         assert no_floats(small_report)
         assert json.loads(text) == small_report
+
+
+CURVES = [(CIRCLE, search.circle_points), (HYPERBOLA, search.hyperbola_points)]
+
+
+def _oracle_flags(curve, source, target):
+    oracle = curve.delta_identity_audit(source, target)
+    return (
+        source,
+        target,
+        oracle.left is not None,
+        oracle.right is not None,
+        oracle.sides_equal,
+        oracle.left_matches_solver,
+        oracle.right_matches_solver,
+        oracle.solver_delta != 0,
+        oracle.excluded_case,
+    )
+
+
+class TestPairSweepAgainstFractionAudit:
+    @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
+    def test_every_pair_up_to_height_20(self, curve, points):
+        points = points(20)
+        flags = list(audit._pair_sweep(curve, points))
+        assert len(flags) == len(points) ** 2
+        expected = [_oracle_flags(curve, source, target) for source in points for target in points]
+        assert [tuple(pair) for pair in flags] == expected
+
+    def test_sweep_counts_at_height_50(self):
+        started = time.perf_counter()
+        circle_report = audit.circle_identity_sweep(50)
+        hyperbola_report = audit.hyperbola_identity_sweep(50)
+        elapsed = time.perf_counter() - started
+        assert (
+            circle_report["points"],
+            circle_report["pairs"],
+            circle_report["both_defined"],
+            circle_report["sides_agree"],
+            circle_report["undefined_pairs"],
+            len(circle_report["solver_mismatches"]),
+        ) == (60, 3600, 3423, 3423, 177, 0)
+        assert (
+            hyperbola_report["points"],
+            hyperbola_report["pairs"],
+            hyperbola_report["both_defined"],
+            hyperbola_report["sides_agree"],
+            hyperbola_report["undefined_pairs"],
+            hyperbola_report["right_defined"],
+            hyperbola_report["right_agrees_solver"],
+        ) == (58, 3364, 3193, 113, 171, 3249, 3249)
+        # the Fraction route took about 1.6 s here; the integer kernel about 0.04 s
+        assert elapsed < 1.0
+
+
+class TestPathsRealDataNeverReaches:
+    def test_wrong_left_form_is_reported(self, monkeypatch):
+        curve = Conic(1, "circle", "rotation", "CircleElement", _hyperbola_left_form)
+        monkeypatch.setattr(audit, "CIRCLE", curve)
+        report = audit.circle_identity_sweep(10)
+        assert report["identity_holds"] is False
+        assert report["side_mismatches"]
+        assert report["both_defined"] > report["sides_agree"]
+        for entry in report["side_mismatches"] + report["solver_mismatches"]:
+            source, _, target = entry["pair"][1:-1].partition(") -> (")
+            source = tuple(map(Fraction, source.split(",")))
+            target = tuple(map(Fraction, target.split(",")))
+            assert entry == audit.render_identity_audit(curve.delta_identity_audit(source, target))
+
+    @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
+    def test_failed_action_check_raises(self, curve, points):
+        class Broken(Conic):
+            def compose_pair(self, first, second):
+                n, m = super().compose_pair(first, second)
+                return -n, m
+
+        broken = Broken(curve.s, curve.name, curve.motion, "Broken", curve.left_form)
+        with pytest.raises(ArithmeticError, match="transitivity solve failed"):
+            list(audit._pair_sweep(broken, points(10)))
+
+    def test_sweep_keeps_no_per_pair_list(self):
+        audit.circle_identity_sweep(40)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            report = audit.circle_identity_sweep(40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["pairs"] == 2704
+        # holding the flags of all pairs at once takes about 350 kB
+        assert peak < 100_000
+
+    def test_off_curve_point_is_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            list(audit._pair_sweep(CIRCLE, [(Fraction(1), Fraction(1))]))
+
+
+SPECIAL_PAIRS = [(d1, d2) for d1 in audit.SPECIAL_DELTAS for d2 in audit.SPECIAL_DELTAS]
+
+
+def _sampled_pairs(count, seed):
+    rng = random.Random(seed)
+    return [(audit._random_delta(rng), audit._random_delta(rng)) for _ in range(count)]
+
+
+def _as_mat2(entries, scale):
+    return Mat2(*(Fraction(entry, scale) for entry in entries))
+
+
+class TestIntegerMatrices:
+    @pytest.mark.parametrize("delta", [*audit.SPECIAL_DELTAS, Fraction(1, 2), Fraction(-7, 4), Fraction(30, 29)])
+    def test_matrix_pair_is_the_rotation_matrix(self, delta):
+        assert _as_mat2(*CIRCLE.matrix_pair(*projective_pair(delta))) == CIRCLE.rotation_matrix(delta)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), INF, Fraction(1, 2), Fraction(-7, 4), Fraction(3)])
+    def test_hyperbola_matrix_pair_is_the_boost_matrix(self, delta):
+        assert _as_mat2(*HYPERBOLA.matrix_pair(*projective_pair(delta))) == HYPERBOLA.rotation_matrix(delta)
+
+    def test_law_against_mat2_products(self):
+        for d1, d2 in SPECIAL_PAIRS + _sampled_pairs(300, 3):
+            product = CIRCLE.rotation_matrix(d1) * CIRCLE.rotation_matrix(d2)
+            law = CIRCLE.compose_pair(projective_pair(d1), projective_pair(d2))
+            assert _as_mat2(*CIRCLE.matrix_pair(*law)) == product
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_law_sample_verdicts_match_mat2(self, seed):
+        # the sample draws its pairs from the same seeded generator
+        report = audit.circle_law_sample(random.Random(seed), 400)
+        expected = [
+            (audit.format_projective(d1), audit.format_projective(d2))
+            for d1, d2 in SPECIAL_PAIRS + _sampled_pairs(400 - len(SPECIAL_PAIRS), seed)
+            if CIRCLE.rotation_matrix(CIRCLE.compose_delta(d1, d2))
+            != CIRCLE.rotation_matrix(d1) * CIRCLE.rotation_matrix(d2)
+        ]
+        assert report["mismatches"] == expected == []
+        assert report["pairs_checked"] == 400
+
+    def test_law_sample_reports_a_broken_law(self, monkeypatch):
+        monkeypatch.setattr(audit.circle, "compose_delta", lambda d1, d2: CIRCLE.compose_delta(d1, 0))
+        report = audit.circle_law_sample(random.Random(0), 40)
+        assert report["holds"] is False
+        assert ("0/1", "1/1") in [tuple(pair) for pair in report["mismatches"]]

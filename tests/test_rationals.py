@@ -13,6 +13,7 @@ from fermatgroups.rationals import (
     Infinity,
     Mat2,
     as_projective,
+    format_components,
     format_point,
     format_projective,
     format_rational,
@@ -21,6 +22,7 @@ from fermatgroups.rationals import (
     parse_projective,
     parse_rational,
     pr_neg,
+    projective_pair,
     projective_ratio,
     rational,
 )
@@ -169,6 +171,31 @@ class TestTextCodec:
             assert parsed is INF
         else:
             assert parsed == value
+
+    @given(st.lists(fractions_st, max_size=4))
+    def test_components_format_each_value(self, values):
+        assert format_components(values) == [format_rational(v) for v in values]
+
+    def test_components_share_a_denominator(self):
+        assert format_components([Fraction(-3, 5), Fraction(4, 5)]) == ["-3/5", "4/5"]
+        assert format_components([Fraction(1, 2), 3]) == ["1/2", "3/1"]
+
+    @pytest.mark.parametrize(
+        "values", [[Fraction(1, 10**4400)], [Fraction(10**4400 - 1, 10**4400), Fraction(1, 10**4400)], [1, 10**4400]]
+    )
+    def test_components_past_int_str_limit_name_the_limit(self, values):
+        with pytest.raises(ResourceLimitError, match="4300"):
+            format_components(values)
+        with pytest.raises(ResourceLimitError, match="4300"):
+            format_point(values)
+
+    @given(projective_st)
+    def test_projective_pair(self, value):
+        n, m = projective_pair(value)
+        if isinstance(value, Infinity):
+            assert (n, m) == (1, 0)
+        else:
+            assert Fraction(n, m) == value and m > 0
 
     def test_point_round_trip(self):
         point = (Fraction(-3, 5), Fraction(4, 5))

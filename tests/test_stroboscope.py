@@ -45,6 +45,29 @@ class TestIterate:
         with pytest.raises(InvalidArgumentError):
             stroboscope.iterate(Fraction(1, 2), (1, 0), -1)
 
+    @pytest.mark.parametrize(
+        "delta", [Fraction(0), Fraction(1), Fraction(-1), INF, Fraction(1, 2), Fraction(4, 7), Fraction(-7, 4)]
+    )
+    @pytest.mark.parametrize(
+        "start", [(1, 0), (Fraction(3, 5), Fraction(-4, 5)), (-1, 0), (0, 1)]
+    )
+    def test_matches_repeated_mat2_apply(self, delta, start):
+        # the Fraction route: one Mat2.apply per step, height and period recomputed
+        trajectory = stroboscope.iterate(delta, start, 12)
+        matrix = circle.rotation_matrix(delta)
+        start = (Fraction(start[0]), Fraction(start[1]))
+        current, points, period = start, [], None
+        for step in range(1, 13):
+            current = matrix.apply(*current)
+            points.append(current)
+            if period is None and current == start:
+                period = step
+        assert trajectory.points == points
+        assert trajectory.heights == [height(point) for point in points]
+        assert trajectory.period == period
+        assert all(type(c) is Fraction for point in trajectory.points for c in point)
+        assert all(type(h) is int for h in trajectory.heights)
+
     def test_matches_matrix_power(self):
         # independent route: a single exact matrix power per step count
         delta = Fraction(2, 7)
