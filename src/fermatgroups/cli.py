@@ -423,7 +423,7 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     """Iterate a rational rotation exactly, recording points and heights."""
     trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
-    # each coordinate is printed once, with its shared denominator printed once
+    # the payloads reuse these strings; a point's shared denominator is printed once
     rows = [
         (str(step), *format_components(point), str(h))
         for step, (point, h) in enumerate(zip(trajectory.points, trajectory.heights), start=1)

@@ -19,8 +19,8 @@ Besides the Fraction methods, which serve single calls, a `Conic` has an
 integer kernel for bulk work.  By the common-denominator lemma every curve
 point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the reduced triple
 (a, b, c) with c > 0; a parameter n/m is the homogeneous pair (n : m), with
-inf = (1 : 0).  Two pairs are equal when their cross-products are, so no
-quantity of the kernel is ever divided or reduced.
+inf = (1 : 0).  Two pairs are equal when their cross-products are, so the
+kernel never divides.
 """
 
 from __future__ import annotations
@@ -249,7 +249,11 @@ class Conic:
         a0, b0, c0 = source
         a, b, c = target
         scale *= c0
-        return scale != 0 and (a11 * a0 + a12 * b0) * c == a * scale and (a21 * a0 + a22 * b0) * c == b * scale
+        return (
+            scale != 0
+            and (a11 * a0 + a12 * b0) * c == a * scale
+            and (a21 * a0 + a22 * b0) * c == b * scale
+        )
 
     def right_pair(self, source, target) -> tuple[int, int]:
         """The right-hand closed form on two triples, its ratio scaled by c0^2*c."""
