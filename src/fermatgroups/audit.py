@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 from . import circle, monomial, search
 from .conic import CIRCLE, HYPERBOLA
@@ -155,65 +154,16 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     }
 
 
-class _PairFlags(NamedTuple):
-    """What the identity audit of one pair says, without its values.
-
-    The fields mean what the `DeltaIdentityAudit` properties of the same
-    names mean; `sides_equal` and the match flags are None where a side is
-    undefined.
-    """
-
-    source: tuple
-    target: tuple
-    left_defined: bool
-    right_defined: bool
-    sides_equal: "bool | None"
-    left_matches_solver: "bool | None"
-    right_matches_solver: "bool | None"
-    solver_nonzero: bool
-    excluded_case: bool
-
-
 def _pair_sweep(curve, points):
-    """Stream the identity-audit flags of every ordered pair of curve points.
+    """Stream `curve.audit_pair` over every ordered pair of curve points.
 
-    This is `curve.delta_identity_audit` on the integer kernel: each point
-    becomes its triple and its chart pair once, the solver composes two
-    charts, and every projective value is compared by cross-products.  Each
-    solved parameter is checked to carry its source to its target by exact
-    action, and a failure raises ArithmeticError as `solve_delta` does.
+    Each point becomes its triple once; the records are yielded one at a
+    time, so no per-pair list is held.
     """
-    charted = [(point, curve.triple(point)) for point in points]
-    charted = [(point, triple, curve.chart_pair(*triple)) for point, triple in charted]
-    for source, source_triple, (n0, m0) in charted:
-        a0, b0, c0 = source_triple
-        for target, target_triple, chart in charted:
-            n, m = solver = curve.compose_pair(chart, (-n0, m0))
-            if not curve.carries_pair(solver, source_triple, target_triple):
-                raise ArithmeticError(
-                    f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
-                )
-            ln, ld = curve.left_form(a0, b0, c0, *target_triple)
-            rn, rd = curve.right_pair(source_triple, target_triple)
-            left_defined = bool(ln or ld)
-            right_defined = bool(rn or rd)
-            a, b, c = target_triple
-            yield _PairFlags(
-                source,
-                target,
-                left_defined,
-                right_defined,
-                ln * rd == rn * ld if left_defined and right_defined else None,
-                ln * m == n * ld if left_defined else None,
-                rn * m == n * rd if right_defined else None,
-                n != 0,
-                a * c0 == -a0 * c or b * c0 == -b0 * c,
-            )
-
-
-def _render_pair(curve, flags) -> dict:
-    # witnesses and mismatches are printed from the Fraction audit
-    return render_identity_audit(curve.delta_identity_audit(flags.source, flags.target))
+    tripled = [(point, curve.triple(point)) for point in points]
+    for source, source_triple in tripled:
+        for target, target_triple in tripled:
+            yield curve.audit_pair(source, target, source_triple, target_triple)
 
 
 def circle_identity_sweep(bound: int = 50) -> dict:
@@ -229,19 +179,20 @@ def circle_identity_sweep(bound: int = 50) -> dict:
     side_mismatches: list[dict] = []
     solver_mismatches: list[dict] = []
     witness = None
-    for flags in _pair_sweep(CIRCLE, points):
+    for record in _pair_sweep(CIRCLE, points):
         pairs += 1
-        if not (flags.left_defined and flags.right_defined):
+        sides_equal = record.sides_equal
+        if sides_equal is None:
             continue
         both_defined += 1
-        if flags.sides_equal:
+        if sides_equal:
             agree += 1
         else:
-            side_mismatches.append(_render_pair(CIRCLE, flags))
-        if not (flags.left_matches_solver and flags.right_matches_solver):
-            solver_mismatches.append(_render_pair(CIRCLE, flags))
-        if witness is None and flags.solver_nonzero:
-            witness = _render_pair(CIRCLE, flags)
+            side_mismatches.append(render_identity_audit(record))
+        if not (record.left_matches_solver and record.right_matches_solver):
+            solver_mismatches.append(render_identity_audit(record))
+        if witness is None and record.solver_delta != 0:
+            witness = render_identity_audit(record)
     return {
         "height": bound,
         "points": len(points),
@@ -272,21 +223,23 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
     witness = render_identity_audit(
         HYPERBOLA.delta_identity_audit((Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3)))
     )
-    for flags in _pair_sweep(HYPERBOLA, points):
+    for record in _pair_sweep(HYPERBOLA, points):
         pairs += 1
-        if flags.right_defined:
+        right_matches_solver = record.right_matches_solver
+        if right_matches_solver is not None:
             right_defined += 1
-            if flags.right_matches_solver:
+            if right_matches_solver:
                 right_agrees_solver += 1
             else:
-                right_solver_mismatches.append(_render_pair(HYPERBOLA, flags))
-        if not (flags.left_defined and flags.right_defined):
+                right_solver_mismatches.append(render_identity_audit(record))
+        sides_equal = record.sides_equal
+        if sides_equal is None:
             continue
         both_defined += 1
-        if flags.sides_equal:
+        if sides_equal:
             agree += 1
         elif len(disagreement_witnesses) < 5:
-            disagreement_witnesses.append(_render_pair(HYPERBOLA, flags))
+            disagreement_witnesses.append(render_identity_audit(record))
     return {
         "height": bound,
         "points": len(points),

@@ -9,8 +9,6 @@ diagnostics go to stderr only.  Exit codes: 0 success, 2 invalid argument,
 
 from __future__ import annotations
 
-import csv as csv_module
-import io
 import json
 import sys
 
@@ -51,13 +49,14 @@ def _echo_payload(payload, fmt: str, text_lines=None) -> None:
             click.echo(line)
 
 
+def _csv_text(header, rows) -> str:
+    # every field is an integer, p/q, inf or space-separated integers, none of
+    # which CSV quotes, so the fields are joined as they are
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def _echo_csv(header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv_module.writer(buffer, lineterminator="\n")
-    if header:
-        writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buffer.getvalue(), nl=False)
+    click.echo(_csv_text(header, rows), nl=False)
 
 
 def _format_option(*choices, default="text"):
@@ -430,9 +429,7 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     ]
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv_module.writer(handle, lineterminator="\n")
-            writer.writerow(("step", "x", "y", "height"))
-            writer.writerows(rows)
+            handle.write(_csv_text(("step", "x", "y", "height"), rows))
     if fmt == "csv":
         _echo_csv(("step", "x", "y", "height"), rows)
         return

@@ -15,22 +15,22 @@ through R = diag(1, -1), which conjugates L(Delta) to L(-Delta).  The
 rotations or boosts act simply transitively on the curve's rational points;
 on the hyperbola, |Delta| > 1 carries one branch to the other.
 
-Besides the Fraction methods, which serve single calls, a `Conic` has an
-integer kernel for bulk work.  By the common-denominator lemma every curve
-point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the reduced triple
-(a, b, c) with c > 0; a parameter n/m is the homogeneous pair (n : m), with
-inf = (1 : 0).  Two pairs are equal when their cross-products are, so the
-kernel never divides.
+Every formula lives in one integer kernel.  By the common-denominator
+lemma every curve point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the
+reduced triple (a, b, c) with c > 0; a parameter n/m is the homogeneous pair
+(n : m), with inf = (1 : 0).  Two pairs are equal when their cross-products
+are, so the kernel never divides.  The Fraction methods convert their
+arguments to triples and pairs, call the kernel, and convert back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .rationals import (
-    INF,
     Infinity,
     Mat2,
     ProjectiveRational,
@@ -38,6 +38,7 @@ from .rationals import (
     format_point,
     format_projective,
     pr_neg,
+    projective_pair,
     projective_ratio,
 )
 
@@ -65,41 +66,56 @@ def _as_point(point) -> Point:
     return (Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class DeltaIdentityAudit:
+def _same(first: tuple[int, int], second: tuple[int, int]) -> "bool | None":
+    """Whether two pairs name one projective value; None when either is the indeterminate (0 : 0)."""
+    (n1, m1), (n2, m2) = first, second
+    if not (n1 or m1) or not (n2 or m2):
+        return None
+    return n1 * m2 == n2 * m1
+
+
+class DeltaIdentityAudit(NamedTuple):
     """Exact evaluation of two closed forms for the connecting parameter.
 
-    Each side is a ratio of polynomial expressions in the two points; a side
-    is None when its defining ratio is the indeterminate 0/0.  The
-    comparisons against the verified transitivity solver make the audit
-    self-contained: `sides_equal` and the match flags are None whenever the
-    corresponding side is undefined.
+    Each side is a ratio of polynomial expressions in the two points, kept
+    as the integer pair of the kernel; a side is None when its pair is the
+    indeterminate (0 : 0).  The comparisons against the verified
+    transitivity solver make the audit self-contained: `sides_equal` and the
+    match flags are None whenever the corresponding side is undefined.  The
+    sweeps build one record per pair, so it is a tuple: a frozen dataclass
+    takes longer to build than the kernel takes to fill it.
     """
 
     source: Point
     target: Point
-    left: "ProjectiveRational | None"
-    right: "ProjectiveRational | None"
-    solver_delta: ProjectiveRational
+    left_pair: tuple[int, int]
+    right_pair: tuple[int, int]
+    solver_pair: tuple[int, int]
     excluded_case: bool
 
     @property
+    def left(self) -> "ProjectiveRational | None":
+        return projective_ratio(*self.left_pair)
+
+    @property
+    def right(self) -> "ProjectiveRational | None":
+        return projective_ratio(*self.right_pair)
+
+    @property
+    def solver_delta(self) -> ProjectiveRational:
+        return projective_ratio(*self.solver_pair)
+
+    @property
     def sides_equal(self) -> "bool | None":
-        if self.left is None or self.right is None:
-            return None
-        return self.left == self.right
+        return _same(self.left_pair, self.right_pair)
 
     @property
     def left_matches_solver(self) -> "bool | None":
-        if self.left is None:
-            return None
-        return self.left == self.solver_delta
+        return _same(self.left_pair, self.solver_pair)
 
     @property
     def right_matches_solver(self) -> "bool | None":
-        if self.right is None:
-            return None
-        return self.right == self.solver_delta
+        return _same(self.right_pair, self.solver_pair)
 
 
 class Conic:
@@ -109,9 +125,8 @@ class Conic:
     parameter, kept as data: the form printed for the hyperbola is not the
     circle's form with s = -1.  It takes both points in homogeneous
     coordinates (x0 : y0 : z0) and (x : y : z) and returns the numerator and
-    denominator with the denominators of the points cleared, so the Fraction
-    audit evaluates it at z0 = z = 1 and the integer kernel on triples.
-    `element` is the curve's element class.
+    denominator with the denominators of the points cleared, so the kernel
+    evaluates it on triples.  `element` is the curve's element class.
     """
 
     def __init__(self, s: int, name: str, motion: str, element_name: str, left_form) -> None:
@@ -149,69 +164,42 @@ class Conic:
     def compose_delta(self, d1, d2) -> ProjectiveRational:
         """Parameter of the product: L(result) = L(d1)·L(d2).
 
-        Total on the projective line.  The pole cases are the exact algebraic
-        limits of (d1 + d2)/(1 - s*d1*d2): parameters with d1*d2 = s compose
-        to inf, inf composes with a finite Delta to -s/Delta (so inf with 0
-        gives inf again), and inf with inf gives 0 since L(inf)^2 = (-I)^2 = I.
-        On the hyperbola the result is always a valid parameter: |result| = 1
-        would force |d1| = 1 or |d2| = 1.
+        Total on the projective line: `compose_pair` holds the exact
+        algebraic limits of (d1 + d2)/(1 - s*d1*d2) in one formula.
+        Parameters with d1*d2 = s compose to inf, inf composes with a finite
+        Delta to -s/Delta (so inf with 0 gives inf again), and inf with inf
+        gives 0 since L(inf)^2 = (-I)^2 = I.  On the hyperbola the result is
+        always a valid parameter: |result| = 1 would force |d1| = 1 or
+        |d2| = 1.
         """
-        d1 = self.require_valid_delta(d1)
-        d2 = self.require_valid_delta(d2)
-        if isinstance(d1, Infinity):
-            d1, d2 = d2, d1  # the group is abelian
-        if isinstance(d2, Infinity):
-            if isinstance(d1, Infinity):
-                return Fraction(0)
-            return INF if d1 == 0 else Fraction(-self.s) / d1
-        product = d1 * d2
-        if product == self.s:
-            return INF
-        return (d1 + d2) / (1 - self.s * product)
+        first = projective_pair(self.require_valid_delta(d1))
+        second = projective_pair(self.require_valid_delta(d2))
+        return projective_ratio(*self.compose_pair(first, second))
 
     def rotation_matrix(self, delta) -> Mat2:
-        """L(Delta) as an exact matrix; L(inf) = -I."""
-        delta = self.require_valid_delta(delta)
-        if isinstance(delta, Infinity):
-            return -Mat2.identity()
-        s_square = self.s * delta * delta
-        den = 1 + s_square
-        diagonal = (1 - s_square) / den
-        lower = (2 * delta) / den
-        return Mat2(diagonal, -self.s * lower, lower, diagonal)
+        """L(Delta) as an exact matrix: `matrix_pair` over its scale; L(inf) = -I."""
+        entries, scale = self.matrix_pair(*projective_pair(self.require_valid_delta(delta)))
+        return Mat2(*(Fraction(entry, scale) for entry in entries))
 
     def chart(self, point) -> ProjectiveRational:
-        """Half-angle parameter of a point: the Delta with L(Delta)·(1,0) = point.
+        """Half-angle parameter of a curve point: the Delta with L(Delta)·(1,0) = point.
 
-        Equal to y/(x + 1) away from x = -1 and to s*(1 - x)/y when that
-        ratio degenerates; (-1, 0), the circle's antipode and the vertex of
+        Equal to y/(x + 1); (-1, 0), the circle's antipode and the vertex of
         the hyperbola's other branch, maps to inf.  On the hyperbola the
-        chart never takes the excluded values |Delta| = 1.
+        chart never takes the excluded values |Delta| = 1.  Points off the
+        curve are rejected.
         """
-        x, y = _as_point(point)
-        if x != -1:
-            return y / (x + 1)
-        if y != 0:
-            return self.s * (1 - x) / y
-        return INF
+        return projective_ratio(*self.chart_pair(*self.triple(point)))
 
     def solve_delta(self, source, target):
         """The unique rotation or boost carrying one rational point to another.
 
-        Works through the chart, across the hyperbola's branches too: the
-        element with parameter compose_delta(chart(target), -chart(source))
-        sends source to target.  The result is verified by exact action
-        before it is returned.
+        Works through the chart, across the hyperbola's branches too (see
+        `solve_pair`); the result is verified by exact action before it is
+        returned.
         """
-        source = self.require_on_curve(source)
-        target = self.require_on_curve(target)
-        delta = self.compose_delta(self.chart(target), pr_neg(self.chart(source)))
-        element = self.element(delta)
-        if element.act(source) != target:
-            raise ArithmeticError(
-                f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
-            )
-        return element
+        solver = self.solve_pair(self.triple(source), self.triple(target))
+        return self.element(projective_ratio(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
         """The reduced triple (a, b, c) of the curve point (a/c, b/c).
@@ -255,8 +243,29 @@ class Conic:
             and (a21 * a0 + a22 * b0) * c == b * scale
         )
 
+    def solve_pair(self, source, target) -> tuple[int, int]:
+        """The parameter pair carrying the triple `source` to the triple `target`.
+
+        The element with parameter compose(chart(target), -chart(source))
+        sends source to target; this is checked by exact action, and a
+        failure raises ArithmeticError.
+        """
+        n0, m0 = self.chart_pair(*source)
+        solver = self.compose_pair(self.chart_pair(*target), (-n0, m0))
+        if not self.carries_pair(solver, source, target):
+            source, target = ((Fraction(a, c), Fraction(b, c)) for a, b, c in (source, target))
+            raise ArithmeticError(
+                f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
+            )
+        return solver
+
     def right_pair(self, source, target) -> tuple[int, int]:
-        """The right-hand closed form on two triples, its ratio scaled by c0^2*c."""
+        """The right-hand closed form on two triples, its ratio scaled by c0^2*c.
+
+        For source (x0, y0) and target (x, y) the form is
+
+            right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0)
+        """
         a0, b0, c0 = source
         a, b, c = target
         return (
@@ -264,30 +273,30 @@ class Conic:
             a0 * (a0 * c + a * c0) + self.s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
         )
 
-    def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
-        """Evaluate both closed forms for the connecting parameter.
+    def audit_pair(self, source: Point, target: Point, source_triple, target_triple) -> DeltaIdentityAudit:
+        """The identity audit of one pair of curve points, given with their triples.
 
-        For source (x0, y0) and target (x, y) the right-hand form is
-
-            right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0)
-
-        and the left-hand form is the curve's `left_form`.  Both are
+        Both closed forms, the curve's `left_form` and `right_pair`, are
         evaluated exactly, never reconciled, and compared against the
         verified solver.  Pairs with x = -x0 or y = -y0, where a ratio can
         degenerate, are flagged as excluded.
         """
-        x0, y0 = self.require_on_curve(source)
-        x, y = self.require_on_curve(target)
-        right_num = x0 * y - x * y0 + y - y0
-        right_den = x0 * (x0 + x) + self.s * y0 * (y0 + y) + x + x0
+        a0, b0, c0 = source_triple
+        a, b, c = target_triple
         return DeltaIdentityAudit(
-            source=(x0, y0),
-            target=(x, y),
-            left=projective_ratio(*self.left_form(x0, y0, 1, x, y, 1)),
-            right=projective_ratio(right_num, right_den),
-            solver_delta=self.solve_delta((x0, y0), (x, y)).delta,
-            excluded_case=(x == -x0) or (y == -y0),
+            source,
+            target,
+            self.left_form(a0, b0, c0, a, b, c),
+            self.right_pair(source_triple, target_triple),
+            self.solve_pair(source_triple, target_triple),
+            a * c0 == -a0 * c or b * c0 == -b0 * c,
         )
+
+    def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
+        """Evaluate both closed forms for the parameter connecting two curve points (see `audit_pair`)."""
+        source = self.require_on_curve(source)
+        target = self.require_on_curve(target)
+        return self.audit_pair(source, target, self.triple(source), self.triple(target))
 
 
 def _element_class(conic: Conic, name: str) -> type:

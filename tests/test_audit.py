@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import conic_oracle as oracle
 import pytest
 
 from fermatgroups import audit, search
@@ -116,29 +117,18 @@ class TestRunAuditSuite:
 CURVES = [(CIRCLE, search.circle_points), (HYPERBOLA, search.hyperbola_points)]
 
 
-def _oracle_flags(curve, source, target):
-    oracle = curve.delta_identity_audit(source, target)
-    return (
-        source,
-        target,
-        oracle.left is not None,
-        oracle.right is not None,
-        oracle.sides_equal,
-        oracle.left_matches_solver,
-        oracle.right_matches_solver,
-        oracle.solver_delta != 0,
-        oracle.excluded_case,
-    )
+def _oracle_rendering(curve, source, target):
+    return audit.render_identity_audit(oracle.delta_identity_audit(curve, source, target))
 
 
 class TestPairSweepAgainstFractionAudit:
     @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
     def test_every_pair_up_to_height_20(self, curve, points):
         points = points(20)
-        flags = list(audit._pair_sweep(curve, points))
-        assert len(flags) == len(points) ** 2
-        expected = [_oracle_flags(curve, source, target) for source in points for target in points]
-        assert [tuple(pair) for pair in flags] == expected
+        records = list(audit._pair_sweep(curve, points))
+        assert len(records) == len(points) ** 2
+        expected = [_oracle_rendering(curve, source, target) for source in points for target in points]
+        assert [audit.render_identity_audit(record) for record in records] == expected
 
     def test_sweep_counts_at_height_50(self):
         started = time.perf_counter()
@@ -178,7 +168,7 @@ class TestPathsRealDataNeverReaches:
             source, _, target = entry["pair"][1:-1].partition(") -> (")
             source = tuple(map(Fraction, source.split(",")))
             target = tuple(map(Fraction, target.split(",")))
-            assert entry == audit.render_identity_audit(curve.delta_identity_audit(source, target))
+            assert entry == _oracle_rendering(curve, source, target)
 
     @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
     def test_failed_action_check_raises(self, curve, points):
@@ -223,15 +213,15 @@ def _as_mat2(entries, scale):
 class TestIntegerMatrices:
     @pytest.mark.parametrize("delta", [*audit.SPECIAL_DELTAS, Fraction(1, 2), Fraction(-7, 4), Fraction(30, 29)])
     def test_matrix_pair_is_the_rotation_matrix(self, delta):
-        assert _as_mat2(*CIRCLE.matrix_pair(*projective_pair(delta))) == CIRCLE.rotation_matrix(delta)
+        assert _as_mat2(*CIRCLE.matrix_pair(*projective_pair(delta))) == oracle.rotation_matrix(CIRCLE, delta)
 
     @pytest.mark.parametrize("delta", [Fraction(0), INF, Fraction(1, 2), Fraction(-7, 4), Fraction(3)])
     def test_hyperbola_matrix_pair_is_the_boost_matrix(self, delta):
-        assert _as_mat2(*HYPERBOLA.matrix_pair(*projective_pair(delta))) == HYPERBOLA.rotation_matrix(delta)
+        assert _as_mat2(*HYPERBOLA.matrix_pair(*projective_pair(delta))) == oracle.rotation_matrix(HYPERBOLA, delta)
 
     def test_law_against_mat2_products(self):
         for d1, d2 in SPECIAL_PAIRS + _sampled_pairs(300, 3):
-            product = CIRCLE.rotation_matrix(d1) * CIRCLE.rotation_matrix(d2)
+            product = oracle.rotation_matrix(CIRCLE, d1) * oracle.rotation_matrix(CIRCLE, d2)
             law = CIRCLE.compose_pair(projective_pair(d1), projective_pair(d2))
             assert _as_mat2(*CIRCLE.matrix_pair(*law)) == product
 
@@ -242,8 +232,8 @@ class TestIntegerMatrices:
         expected = [
             (audit.format_projective(d1), audit.format_projective(d2))
             for d1, d2 in SPECIAL_PAIRS + _sampled_pairs(400 - len(SPECIAL_PAIRS), seed)
-            if CIRCLE.rotation_matrix(CIRCLE.compose_delta(d1, d2))
-            != CIRCLE.rotation_matrix(d1) * CIRCLE.rotation_matrix(d2)
+            if oracle.rotation_matrix(CIRCLE, oracle.compose_delta(CIRCLE, d1, d2))
+            != oracle.rotation_matrix(CIRCLE, d1) * oracle.rotation_matrix(CIRCLE, d2)
         ]
         assert report["mismatches"] == expected == []
         assert report["pairs_checked"] == 400

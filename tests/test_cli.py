@@ -1,6 +1,7 @@
 """CLI: dispatch, exact payloads, file outputs, exit codes, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import fermatgroups
+from fermatgroups import cli as cli_module
 from fermatgroups.cli import cli, dispatch, main
 
 
@@ -368,3 +370,33 @@ class TestLimitsAndRanges:
     def test_audit_help_names_the_special_pairs(self, runner):
         result = run(runner, "audit", "--help")
         assert "16 special pairs" in " ".join(result.output.split())
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8"))
+# every recorded call that prints CSV or writes a CSV file
+CSV_ARGVS = sorted({tuple(case["argv"]) for case in GOLDEN_CASES if {"csv", "--csv"} & set(case["argv"])})
+
+
+def _csv_writer_text(header, rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows((header, *rows))
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("argv", CSV_ARGVS, ids=" ".join)
+def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path):
+    # the CLI joins CSV fields itself; csv.writer would quote none of them
+    calls = []
+    csv_text = cli_module._csv_text
+
+    def recording_csv_text(header, rows):
+        rows = list(rows)
+        calls.append((header, rows))
+        return csv_text(header, rows)
+
+    monkeypatch.setattr(cli_module, "_csv_text", recording_csv_text)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    assert calls
+    for header, rows in calls:
+        assert csv_text(header, rows) == _csv_writer_text(header, rows)

@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
+import conic_oracle as oracle
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermatgroups import circle, conic, hyperbola, search
+from fermatgroups.audit import render_identity_audit
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.rationals import INF, projective_pair
 
@@ -60,7 +64,7 @@ def test_compose_pair_is_compose_delta(curve):
     for d1 in PARAMETERS[curve.name]:
         for d2 in PARAMETERS[curve.name]:
             n, m = curve.compose_pair(projective_pair(d1), projective_pair(d2))
-            expected = curve.compose_delta(d1, d2)
+            expected = oracle.compose_delta(curve, d1, d2)
             assert (n, m) != (0, 0)
             assert (INF if m == 0 else Fraction(n, m)) == expected
 
@@ -73,4 +77,35 @@ def test_compose_pair_is_compose_delta(curve):
 def test_chart_pair_is_chart(curve, points):
     for point in points(30):
         n, m = curve.chart_pair(*curve.triple(point))
-        assert (INF if m == 0 else Fraction(n, m)) == curve.chart(point)
+        assert (INF if m == 0 else Fraction(n, m)) == oracle.chart(curve, point)
+
+
+CURVES = [conic.CIRCLE, conic.HYPERBOLA]
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=["circle", "hyperbola"])
+def test_chart_rejects_off_curve_points(curve):
+    with pytest.raises(InvalidArgumentError, match=f"not on the unit {curve.name}"):
+        curve.chart((Fraction(1, 2), Fraction(1, 2)))
+
+
+def _parameters(curve):
+    finite = st.fractions(max_denominator=40)
+    if curve.s < 0:
+        finite = finite.filter(lambda delta: abs(delta) != 1)
+    return st.one_of(st.just(INF), finite)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=["circle", "hyperbola"])
+@given(data=st.data())
+def test_fraction_api_equals_the_oracle(curve, data):
+    d1, d2, p1, p2 = (data.draw(_parameters(curve)) for _ in range(4))
+    # the oracle's matrices reach every rational point of the curve from (1, 0)
+    source, target = (oracle.rotation_matrix(curve, delta).apply(1, 0) for delta in (p1, p2))
+    assert curve.compose_delta(d1, d2) == oracle.compose_delta(curve, d1, d2)
+    assert curve.rotation_matrix(d1) == oracle.rotation_matrix(curve, d1)
+    assert curve.chart(target) == oracle.chart(curve, target)
+    assert curve.solve_delta(source, target).delta == oracle.solve_delta(curve, source, target)
+    assert render_identity_audit(curve.delta_identity_audit(source, target)) == render_identity_audit(
+        oracle.delta_identity_audit(curve, source, target)
+    )

@@ -348,16 +348,16 @@ class TestOrbitCoverage:
 
     def test_each_point_is_acted_on_once(self, monkeypatch):
         # solve_delta verifies its own action; the coverage loop must not repeat it
-        from fermatgroups import circle
+        from fermatgroups.conic import CIRCLE
 
         calls = []
-        act = circle.CircleElement.act
+        carries_pair = CIRCLE.carries_pair
 
-        def counting_act(self, point):
-            calls.append(point)
-            return act(self, point)
+        def counting_carries_pair(delta, source, target):
+            calls.append(target)
+            return carries_pair(delta, source, target)
 
-        monkeypatch.setattr(circle.CircleElement, "act", counting_act)
+        monkeypatch.setattr(CIRCLE, "carries_pair", counting_carries_pair)
         report = search.verify_orbit_coverage(50)
         assert report.total == 60
         assert len(calls) == report.total
