@@ -157,13 +157,13 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
 def _pair_sweep(curve, points):
     """Stream `curve.audit_pair` over every ordered pair of curve points.
 
-    Each point becomes its triple once; the records are yielded one at a
-    time, so no per-pair list is held.
+    Each point is charted once, into its triple and chart pair; the records
+    are yielded one at a time, so no per-pair list is held.
     """
-    tripled = [(point, curve.triple(point)) for point in points]
-    for source, source_triple in tripled:
-        for target, target_triple in tripled:
-            yield curve.audit_pair(source, target, source_triple, target_triple)
+    charted = [curve.charted(point) for point in points]
+    for source in charted:
+        for target in charted:
+            yield curve.audit_pair(source, target)
 
 
 def circle_identity_sweep(bound: int = 50) -> dict:

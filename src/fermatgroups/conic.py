@@ -250,8 +250,12 @@ class Conic:
         sends source to target; this is checked by exact action, and a
         failure raises ArithmeticError.
         """
-        n0, m0 = self.chart_pair(*source)
-        solver = self.compose_pair(self.chart_pair(*target), (-n0, m0))
+        return self._solve_charted(source, target, self.chart_pair(*source), self.chart_pair(*target))
+
+    def _solve_charted(self, source, target, source_chart, target_chart) -> tuple[int, int]:
+        # `solve_pair` with the chart pairs of both triples already computed
+        n0, m0 = source_chart
+        solver = self.compose_pair(target_chart, (-n0, m0))
         if not self.carries_pair(solver, source, target):
             source, target = ((Fraction(a, c), Fraction(b, c)) for a, b, c in (source, target))
             raise ArithmeticError(
@@ -273,30 +277,37 @@ class Conic:
             a0 * (a0 * c + a * c0) + self.s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
         )
 
-    def audit_pair(self, source: Point, target: Point, source_triple, target_triple) -> DeltaIdentityAudit:
-        """The identity audit of one pair of curve points, given with their triples.
+    def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
+        """A curve point with its reduced triple and its chart pair: one operand of `audit_pair`."""
+        point = self.require_on_curve(point)
+        triple = self.triple(point)
+        return point, triple, self.chart_pair(*triple)
+
+    def audit_pair(self, source, target) -> DeltaIdentityAudit:
+        """The identity audit of one pair of curve points, each given as `charted` returns it.
 
         Both closed forms, the curve's `left_form` and `right_pair`, are
         evaluated exactly, never reconciled, and compared against the
         verified solver.  Pairs with x = -x0 or y = -y0, where a ratio can
-        degenerate, are flagged as excluded.
+        degenerate, are flagged as excluded.  A sweep charts each point once
+        and pairs the results, so no point is charted once per pair.
         """
+        source_point, source_triple, source_chart = source
+        target_point, target_triple, target_chart = target
         a0, b0, c0 = source_triple
         a, b, c = target_triple
         return DeltaIdentityAudit(
-            source,
-            target,
+            source_point,
+            target_point,
             self.left_form(a0, b0, c0, a, b, c),
             self.right_pair(source_triple, target_triple),
-            self.solve_pair(source_triple, target_triple),
+            self._solve_charted(source_triple, target_triple, source_chart, target_chart),
             a * c0 == -a0 * c or b * c0 == -b0 * c,
         )
 
     def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
         """Evaluate both closed forms for the parameter connecting two curve points (see `audit_pair`)."""
-        source = self.require_on_curve(source)
-        target = self.require_on_curve(target)
-        return self.audit_pair(source, target, self.triple(source), self.triple(target))
+        return self.audit_pair(self.charted(source), self.charted(target))
 
 
 def _element_class(conic: Conic, name: str) -> type:

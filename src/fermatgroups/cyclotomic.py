@@ -1,11 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(omega), omega = exp(2*pi*i/k).
 
 Values are canonical residues modulo the k-th cyclotomic polynomial, stored
-on the power basis {1, omega, ..., omega^(phi(k) - 1)} with Fraction
-coefficients.  Reduction mod x^k - 1 alone would not give a field (that
-quotient has zero divisors), so exponent folding mod k is only a transient
-first step and every visible value is divided down by Phi_k.  Equality and
-hashing are structural on the reduced coefficient vector.
+on the power basis {1, omega, ..., omega^(phi(k) - 1)} as integer
+numerators over one common denominator in lowest terms.  Reduction mod
+x^k - 1 alone would not give a field (that quotient has zero divisors), so
+exponent folding mod k is only a transient first step and every visible
+value is divided down by Phi_k; Phi_k is monic with integer coefficients,
+so the division never leaves the integers.  Fractions are built only when
+a caller reads `coeffs`.  Equality is structural on the reduced numerators
+and denominator; hashing agrees with Fraction for rational values.
 """
 
 from __future__ import annotations
@@ -94,20 +97,26 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return quotient
 
 
-def _reduce_mod_phi(k: int, folded: list[Fraction]) -> tuple[Fraction, ...]:
-    # folded has length k (exponents already taken mod k); divide by Phi_k
+def _reduce_mod_phi(k: int, folded: list[int]) -> list[int]:
+    # folded has length k (exponents already taken mod k) and is reduced in
+    # place; Phi_k is monic with integer coefficients, so long division
+    # stays in the integers
     phi = cyclotomic_polynomial(k)
     deg = len(phi) - 1
-    work = list(folded)
-    if len(work) < deg:
-        work.extend([Fraction(0)] * (deg - len(work)))
-    for e in range(len(work) - 1, deg - 1, -1):
-        c = work[e]
+    for e in range(k - 1, deg - 1, -1):
+        c = folded[e]
         if c:
             for i in range(deg):
-                work[e - deg + i] -= c * phi[i]
-            work[e] = Fraction(0)
-    return tuple(work[:deg])
+                folded[e - deg + i] -= c * phi[i]
+    return folded[:deg]
+
+
+def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    # divide numerators and a positive denominator by their common gcd
+    common = gcd(den, *nums)
+    if common == 1:
+        return tuple(nums), den
+    return tuple(c // common for c in nums), den // common
 
 
 def _integer_repr(value: int) -> str:
@@ -131,22 +140,40 @@ class CyclotomicNumber:
 
     The constructor accepts a polynomial in omega of any degree (rational
     coefficients, lowest degree first) and reduces it: exponents fold mod k
-    since omega^k = 1, then the result is reduced mod Phi_k.  Two values are
-    equal exactly when their reduced coefficient vectors are equal; a value
-    also compares equal to a plain int or Fraction when it is rational.
+    since omega^k = 1, then the result is reduced mod Phi_k.  The value is
+    stored as integer numerators `nums` over one denominator `den` in
+    lowest terms: len(nums) = phi(k), den > 0 and gcd(*nums, den) = 1.
+    Two values are equal exactly when these are equal; a value also
+    compares equal to a plain int or Fraction when it is rational.
     """
 
-    __slots__ = ("_k", "_coeffs", "_hash")
+    __slots__ = ("_k", "_nums", "_den", "_coeffs", "_hash")
 
     def __init__(self, k: int, coeffs: Iterable = ()) -> None:
         if not isinstance(k, int) or k < 1:
             raise InvalidArgumentError(f"cyclotomic order must be an integer >= 1, got {k!r}")
-        folded = [Fraction(0)] * k
+        # fold over one common denominator, kept as the lcm of those seen
+        folded = [0] * k
+        den = 1
         for exponent, c in enumerate(coeffs):
             if c:
-                folded[exponent % k] += Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
+                num, q = c.numerator, c.denominator
+                if den % q:
+                    scale = q // gcd(den, q)
+                    folded = [x * scale for x in folded]
+                    den *= scale
+                folded[exponent % k] += num * (den // q)
         self._k = k
-        self._coeffs = _reduce_mod_phi(k, folded)
+        self._nums, self._den = _lowest_terms(_reduce_mod_phi(k, folded), den)
+
+    @classmethod
+    def _make(cls, k: int, nums: tuple[int, ...], den: int) -> "CyclotomicNumber":
+        # wrap a vector already in canonical form, bypassing the constructor
+        out = object.__new__(cls)
+        out._k, out._nums, out._den = k, nums, den
+        return out
 
     @property
     def k(self) -> int:
@@ -154,8 +181,13 @@ class CyclotomicNumber:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Reduced coefficients on {1, omega, ..., omega^(phi(k)-1)}."""
-        return self._coeffs
+        """Reduced coefficients on {1, omega, ..., omega^(phi(k)-1)}, built once on first use."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self._den
+            self._coeffs = tuple(Fraction(c, den) for c in self._nums)
+            return self._coeffs
 
     @classmethod
     def zero(cls, k: int) -> "CyclotomicNumber":
@@ -178,9 +210,9 @@ class CyclotomicNumber:
 
     def is_rational(self) -> "Fraction | None":
         """The value as a Fraction when it lies in Q, else None."""
-        if any(self._coeffs[1:]):
+        if any(self._nums[1:]):
             return None
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return self.coeffs[0]
 
     def _coerce(self, other) -> "CyclotomicNumber | None":
         if isinstance(other, CyclotomicNumber):
@@ -192,23 +224,42 @@ class CyclotomicNumber:
         if isinstance(other, bool):
             return None
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(self._k, other)
+            # an int or Fraction is already in lowest terms with a positive denominator
+            zeros = (0,) * (len(self._nums) - 1)
+            return CyclotomicNumber._make(self._k, (other.numerator, *zeros), other.denominator)
         return None
+
+    def _rotated(self, shift: int) -> "CyclotomicNumber":
+        """omega^shift times this value, for 0 <= shift < k, without a field product.
+
+        On the power basis the numerators move up `shift` places, wrap
+        around mod k and are reduced by Phi_k.  omega^shift is a unit of the
+        ring Z[omega], whose integer basis is the power basis, so the
+        numerators keep their gcd with den and need no new reduction.
+        """
+        k = self._k
+        padded = list(self._nums) + [0] * (k - len(self._nums))
+        folded = padded[k - shift:] + padded[:k - shift]
+        return CyclotomicNumber._make(k, tuple(_reduce_mod_phi(k, folded)), self._den)
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = CyclotomicNumber.zero(self._k)
-        out._coeffs = tuple(a + b for a, b in zip(self._coeffs, rhs._coeffs))
-        return out
+        den, rhs_den = self._den, rhs._den
+        if den == rhs_den:
+            total = [a + b for a, b in zip(self._nums, rhs._nums)]
+        else:
+            common = gcd(den, rhs_den)
+            scale, rhs_scale = rhs_den // common, den // common
+            total = [a * scale + b * rhs_scale for a, b in zip(self._nums, rhs._nums)]
+            den *= scale
+        return CyclotomicNumber._make(self._k, *_lowest_terms(total, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        out = CyclotomicNumber.zero(self._k)
-        out._coeffs = tuple(-a for a in self._coeffs)
-        return out
+        return CyclotomicNumber._make(self._k, tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -226,13 +277,18 @@ class CyclotomicNumber:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        conv = [Fraction(0)] * (2 * max(len(self._coeffs), 1))
-        for i, a in enumerate(self._coeffs):
+        # integer convolution, then exponents past k - 1 fold back since omega^k = 1
+        k = self._k
+        conv = [0] * max(k, 2 * len(self._nums) - 1)
+        for i, a in enumerate(self._nums):
             if a:
-                for j, b in enumerate(rhs._coeffs):
+                for j, b in enumerate(rhs._nums):
                     if b:
                         conv[i + j] += a * b
-        return CyclotomicNumber(self._k, conv)
+        for e in range(len(conv) - 1, k - 1, -1):
+            conv[e - k] += conv[e]
+        nums = _reduce_mod_phi(k, conv[:k])
+        return CyclotomicNumber._make(k, *_lowest_terms(nums, self._den * rhs._den))
 
     __rmul__ = __mul__
 
@@ -249,19 +305,22 @@ class CyclotomicNumber:
         return result
 
     def __bool__(self) -> bool:
-        return any(self._coeffs)
+        return any(self._nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicNumber):
             if other._k == self._k:
-                return self._coeffs == other._coeffs
+                return self._nums == other._nums and self._den == other._den
             mine, theirs = self.is_rational(), other.is_rational()
             return mine is not None and mine == theirs
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            mine = self.is_rational()
-            return mine is not None and mine == other
+            return (
+                not any(self._nums[1:])
+                and self._nums[0] == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -273,17 +332,17 @@ class CyclotomicNumber:
             if rational_value is not None:
                 self._hash = hash(rational_value)
             else:
-                self._hash = hash((self._k, self._coeffs))
+                self._hash = hash((self._k, self.coeffs))
             return self._hash
 
     def __repr__(self) -> str:
-        return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self._coeffs]})"
+        return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if not any(self._coeffs):
+        if not any(self._nums):
             return "0"
         terms = []
-        for exponent, c in enumerate(self._coeffs):
+        for exponent, c in enumerate(self.coeffs):
             if not c:
                 continue
             # integer coefficients print bare, as in "-3 + 2*w"
@@ -299,7 +358,7 @@ class CyclotomicNumber:
         """JSON form: {"k": k, "coeffs": ["p/q", ...]} on the canonical basis."""
         return {
             "k": self._k,
-            "coeffs": [format_rational(c) for c in self._coeffs],
+            "coeffs": [format_rational(c) for c in self.coeffs],
         }
 
     @classmethod

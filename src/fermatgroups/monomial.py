@@ -154,8 +154,8 @@ class MonomialMatrix:
         """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
 
         On the power basis, multiplying by omega^l moves every coefficient up
-        l places; the constructor folds exponents mod k and reduces by Phi_k,
-        so no field product is needed.
+        l places, folded mod k and reduced by Phi_k on the integer
+        numerators, so no field product is needed.
         """
         vec = tuple(vector)
         if len(vec) != len(self._perm):
@@ -169,10 +169,7 @@ class MonomialMatrix:
                 raise InvalidArgumentError(
                     f"order mismatch: element k={self._k}, component k={component.k}"
                 )
-        return tuple(
-            CyclotomicNumber(self._k, (0,) * self._exps[i] + vec[self._perm[i]].coeffs)
-            for i in range(len(vec))
-        )
+        return tuple(vec[self._perm[i]]._rotated(self._exps[i]) for i in range(len(vec)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialMatrix):
@@ -275,10 +272,7 @@ def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVec
     # the group must pass the element cap before any of them is built
     k, vec = _vector_with_order(vector, k)
     _check_cap(group_order(k, len(vec)), limit, "group order")
-    twisted = [
-        tuple(CyclotomicNumber(k, (0,) * l + component.coeffs) for l in range(k))
-        for component in vec
-    ]
+    twisted = [tuple(component._rotated(l) for l in range(k)) for component in vec]
     return k, vec, twisted
 
 
@@ -325,7 +319,9 @@ class RationalSubgroupReport:
     An entry omega^l is rational only for l = 0 (value 1) and, when k is
     even, l = k/2 (value -1); the elements listed here are exactly those
     built from such exponents.  The closure flags certify the subgroup
-    property by exhaustive check, and `permutations_only` records whether
+    property: closure under product by growing the subgroup the listed
+    elements generate and checking that it is exactly the list, closure
+    under inverse element by element.  `permutations_only` records whether
     the subgroup is just the plain permutation matrices (true for odd k;
     even k admits all sign changes as well).
     """
@@ -350,20 +346,50 @@ class RationalSubgroupReport:
 def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
     """Whether every product of two (perm, exponents) pairs is again one of them.
 
-    The product law of `MonomialMatrix.__mul__` on raw tuples:
+    A nonempty finite set closed under product is a group, so it holds the
+    identity; with the identity, the set is grown from it one generator at
+    a time.  Each member not yet reached becomes a generator, and `reached`
+    is extended until right multiplication by every generator stays inside
+    it, so it is the subgroup the generators span.  A product outside the
+    set refutes closure at once; otherwise every member ends up reached and
+    the set is that subgroup.  By Lagrange each generator at least doubles
+    `reached`, so this takes about |S|·log2|S| products, not |S|^2.
+
+    Products follow the law of `MonomialMatrix.__mul__` on raw tuples:
     (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k).  Members are
     valid elements with exponents reduced mod k, so a product that matches
     one is a valid element too.
     """
     members = set(pairs)
-    for perm, exps in pairs:
-        # itemgetter of one index returns the bare item, but the only
-        # permutation of one point is the identity
-        pick = itemgetter(*perm) if len(perm) > 1 else tuple
-        for other_perm, other_exps in pairs:
-            product = (pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))]))
-            if product not in members:
-                return False
+    if not members:
+        return True
+    n = len(pairs[0][0])
+    identity = (tuple(range(n)), (0,) * n)
+    if identity not in members:
+        return False
+    reached = {identity}
+    generators = []
+    for member in pairs:
+        if member in reached:
+            continue
+        generators.append(member)
+        # `reached` is closed under the earlier generators already, so its
+        # elements need only the new one; each element found needs them all
+        frontier, multipliers = list(reached), [member]
+        while frontier:
+            found = []
+            for perm, exps in frontier:
+                # itemgetter of one index returns the bare item, but the only
+                # permutation of one point is the identity
+                pick = itemgetter(*perm) if len(perm) > 1 else tuple
+                for other_perm, other_exps in multipliers:
+                    product = (pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))]))
+                    if product not in reached:
+                        if product not in members:
+                            return False
+                        reached.add(product)
+                        found.append(product)
+            frontier, multipliers = found, generators
     return True
 
 

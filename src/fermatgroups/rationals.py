@@ -91,10 +91,10 @@ def projective_pair(value: ProjectiveRational) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def projective_ratio(num: Fraction, den: Fraction) -> "ProjectiveRational | None":
+def projective_ratio(num: "int | Fraction", den: "int | Fraction") -> "ProjectiveRational | None":
     """Exact num/den as a projective value; None encodes the indeterminate 0/0."""
     if den != 0:
-        return Fraction(num) / Fraction(den)
+        return Fraction(num, den)
     if num == 0:
         return None
     return INF

@@ -155,6 +155,22 @@ class TestPairSweepAgainstFractionAudit:
         # the Fraction route took about 1.6 s here; the integer kernel about 0.04 s
         assert elapsed < 1.0
 
+    def test_sweeps_chart_each_point_once(self, monkeypatch):
+        calls = []
+        chart_pair = Conic.chart_pair
+
+        def counted(self, a, b, c):
+            calls.append((self.s, a, b, c))
+            return chart_pair(self, a, b, c)
+
+        monkeypatch.setattr(Conic, "chart_pair", counted)
+        audit.circle_identity_sweep(50)
+        audit.hyperbola_identity_sweep(50)
+        # 60 + 58 points charted once each, plus the two points of the fixed
+        # hyperbola witness, which the report solves on its own
+        assert len(calls) == 60 + 58 + 2
+        assert len(set(calls)) == 118
+
 
 class TestPathsRealDataNeverReaches:
     def test_wrong_left_form_is_reported(self, monkeypatch):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import cyclotomic_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatgroups.cyclotomic import (
     CyclotomicNumber,
@@ -208,3 +211,121 @@ class TestCyclotomicNumber:
             for exponent, coefficient in enumerate(cyclotomic_polynomial(k)):
                 total = total + coefficient * omega**exponent
             assert total == 0
+
+
+# differential: the integer field elements against the former Fraction class
+
+coefficient_st = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def value_pairs(draw, count=2):
+    """`count` coefficient lists for one k, up to 2k long so exponents fold."""
+    k = draw(st.integers(1, 12))
+    lists = [draw(st.lists(coefficient_st, max_size=2 * k)) for _ in range(count)]
+    return k, lists
+
+
+def both(k, coeffs):
+    return CyclotomicNumber(k, coeffs), oracle.CyclotomicNumber(k, coeffs)
+
+
+def assert_same(value, expected):
+    """Every observable of one integer value against its oracle value."""
+    nums, den = value._nums, value._den
+    assert len(nums) == euler_phi(value.k)
+    assert den > 0 and gcd(den, *nums) == 1
+    assert value.coeffs == expected.coeffs
+    assert all(type(c) is Fraction for c in value.coeffs)
+    assert value.is_rational() == expected.is_rational()
+    assert hash(value) == hash(expected)
+    assert bool(value) == bool(expected)
+    assert value.as_dict() == expected.as_dict()
+    assert str(value) == str(expected)
+    assert repr(value) == repr(expected)
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(value_pairs(count=2), st.integers(0, 5))
+    def test_arithmetic(self, case, exponent):
+        k, (first, second) = case
+        a, a_oracle = both(k, first)
+        b, b_oracle = both(k, second)
+        assert_same(a, a_oracle)
+        assert_same(a + b, a_oracle + b_oracle)
+        assert_same(a - b, a_oracle - b_oracle)
+        assert_same(-a, -a_oracle)
+        assert_same(a * b, a_oracle * b_oracle)
+        assert_same(a**exponent, a_oracle**exponent)
+        assert (a == b) is (a_oracle == b_oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value_pairs(count=1), st.one_of(st.integers(-9, 9), coefficient_st))
+    def test_mixed_with_rationals(self, case, scalar):
+        k, (coeffs,) = case
+        a, a_oracle = both(k, coeffs)
+        assert_same(a + scalar, a_oracle + scalar)
+        assert_same(scalar + a, scalar + a_oracle)
+        assert_same(a - scalar, a_oracle - scalar)
+        assert_same(scalar - a, scalar - a_oracle)
+        assert_same(a * scalar, a_oracle * scalar)
+        assert_same(scalar * a, scalar * a_oracle)
+        assert (a == scalar) is (a_oracle == scalar)
+        assert (a == Fraction(scalar)) is (a_oracle == Fraction(scalar))
+        rational, rational_oracle = both(k, [scalar])
+        assert (rational == scalar) is (rational_oracle == scalar) is True
+        assert hash(rational) == hash(Fraction(scalar))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value_pairs(count=1), st.integers(0, 40))
+    def test_rotation_is_the_root_of_unity_product(self, case, shift):
+        k, (coeffs,) = case
+        a, a_oracle = both(k, coeffs)
+        shift %= k
+        expected = oracle.CyclotomicNumber.root_of_unity(k, shift) * a_oracle
+        assert_same(a._rotated(shift), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value_pairs(count=1), st.integers(1, 12))
+    def test_cross_order_equality(self, case, other_k):
+        k, (coeffs,) = case
+        a, a_oracle = both(k, coeffs)
+        b, b_oracle = both(other_k, coeffs[:1])
+        assert (a == b) is (a_oracle == b_oracle)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equal_values_share_one_representation(self, k):
+        # (2/6) + (1/6)*omega^k folds onto the constant term: (1/2) in lowest terms
+        value = CyclotomicNumber(k, [Fraction(2, 6)] + [0] * (k - 1) + [Fraction(1, 6)])
+        assert value._nums == (1,) + (0,) * (euler_phi(k) - 1)
+        assert value._den == 2
+        assert value == Fraction(1, 2)
+
+    def test_zero_is_over_one(self):
+        for k in range(1, 13):
+            # 3/7 - (3/7)*omega^k = 0
+            zero = CyclotomicNumber(k, [Fraction(3, 7)] + [0] * (k - 1) + [Fraction(-3, 7)])
+            assert zero._nums == (0,) * euler_phi(k) and zero._den == 1
+            assert (CyclotomicNumber(k, [Fraction(1, 3)]) * 0)._den == 1
+
+    def test_product_divides_out_the_common_factor(self):
+        half = CyclotomicNumber(5, [Fraction(1, 2), Fraction(1, 2)])
+        two = CyclotomicNumber(5, [2])
+        product = half * two
+        assert (product._nums, product._den) == ((1, 1, 0, 0), 1)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_cyclotomic_polynomial(self, k):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        expected = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(k) == tuple(int(c) for c in expected)

@@ -1,9 +1,11 @@
 """Monomial groups: product law vs dense matrices, orbits, rational subgroups."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial, log2
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,22 @@ def closure_oracle(elements):
 
 def pairs(elements):
     return [(element.perm, element.exponents) for element in elements]
+
+
+def all_pairs_closed(k, pairs):
+    """Oracle: the former closure check, every product of two pairs looked up among them.
+
+    Uses the tuple law of `monomial._closed_under_product`,
+    (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k), over all |S|^2 pairs.
+    """
+    members = set(pairs)
+    for perm, exps in pairs:
+        pick = itemgetter(*perm) if len(perm) > 1 else tuple
+        for other_perm, other_exps in pairs:
+            product = (pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))]))
+            if product not in members:
+                return False
+    return True
 
 
 def twist(value, l):
@@ -413,6 +431,75 @@ class TestClosureKernel:
         stranger = MonomialMatrix(k, range(n), (1,) + (0,) * (n - 1))
         grown = monomial.rational_elements(k, n).elements + (stranger,)
         assert monomial._closed_under_product(k, pairs(grown)) is closure_oracle(grown) is False
+
+
+class TestClosureCertificate:
+    @pytest.mark.parametrize("k,elements", CLOSURE_CASES)
+    def test_matches_all_pairs_oracle(self, k, elements):
+        listed = pairs(elements)
+        assert monomial._closed_under_product(k, listed) is all_pairs_closed(k, listed) is True
+        for variant in (listed[1:], listed[:-1], listed[::-1], listed[1:] + listed[:1]):
+            assert monomial._closed_under_product(k, variant) is all_pairs_closed(k, variant)
+
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_rational_subgroups_at_n_4(self, k):
+        listed = pairs(monomial.rational_elements(k, 4).elements)
+        assert len(listed) == 384
+        assert monomial._closed_under_product(k, listed) is all_pairs_closed(k, listed) is True
+        assert monomial._closed_under_product(k, listed[:-1]) is all_pairs_closed(k, listed[:-1]) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_subsets_match_oracle(self, data):
+        # subsets of a small full group, and the subgroups they span
+        k = data.draw(st.sampled_from((3, 4)))
+        group = pairs(monomial.enumerate_group(k, 2))
+        subset = data.draw(st.lists(st.sampled_from(group), unique=True))
+        assert monomial._closed_under_product(k, subset) is all_pairs_closed(k, subset)
+        generators = [MonomialMatrix(k, *pair) for pair in subset]
+        spanned = frontier = {MonomialMatrix.identity(k, 2)}
+        while frontier:
+            frontier = {element * generator for element in frontier for generator in generators} - spanned
+            spanned = spanned | frontier
+        order = data.draw(st.permutations(sorted(pairs(spanned))))
+        assert monomial._closed_under_product(k, order) is True
+
+    def test_empty_and_identity_free_sets(self):
+        identity = ((0, 1), (0, 0))
+        swap = ((1, 0), (0, 0))
+        assert monomial._closed_under_product(3, []) is all_pairs_closed(3, []) is True
+        assert monomial._closed_under_product(3, [swap]) is all_pairs_closed(3, [swap]) is False
+        assert monomial._closed_under_product(3, [identity, swap]) is True
+
+    def test_products_grow_as_s_log_s(self, monkeypatch):
+        # each product picks from two tuples with the first factor's permutation
+        picks = []
+
+        def counting_itemgetter(*indices):
+            getter = itemgetter(*indices)
+
+            def pick(sequence):
+                picks.append(None)
+                return getter(sequence)
+
+            return pick
+
+        monkeypatch.setattr(monomial, "itemgetter", counting_itemgetter)
+        listed = pairs(monomial.rational_elements(4, 4).elements)
+        picks.clear()
+        assert monomial._closed_under_product(4, listed) is True
+        products = len(picks) // 2
+        # the all-pairs check made len(listed) ** 2 = 147,456
+        assert 0 < products <= 2 * len(listed) * ceil(log2(len(listed)))
+
+    def test_k6_n5_certifies_quickly(self):
+        started = time.perf_counter()
+        report = monomial.rational_elements(6, 5)
+        elapsed = time.perf_counter() - started
+        assert report.order == 2**5 * factorial(5) == 3840
+        assert report.is_group
+        # the all-pairs check needed 14.7 M products here
+        assert elapsed < 2.0
 
 
 class TestRationalSubgroup:

@@ -103,6 +103,26 @@ class TestProjectiveRatio:
     def test_indeterminate_is_none(self):
         assert projective_ratio(Fraction(0), Fraction(0)) is None
 
+    def test_matches_fraction_division_on_integer_pairs(self):
+        rng = random.Random(22)
+        pairs = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(2000)]
+        pairs += [(3, -6), (-4, -8), (0, -5), (7, 1), (10**40 + 1, -(10**20))]
+        for num, den in pairs:
+            if den == 0:
+                continue
+            result = projective_ratio(num, den)
+            assert type(result) is Fraction
+            assert result == Fraction(num) / Fraction(den)
+            assert result.denominator > 0
+
+    def test_integer_poles(self):
+        assert projective_ratio(0, 0) is None
+        for num in (1, -1, 5, -10**30):
+            assert projective_ratio(num, 0) is INF
+
+    def test_fraction_arguments(self):
+        assert projective_ratio(Fraction(3, 4), Fraction(-9, 2)) == Fraction(-1, 6)
+
 
 class TestHeight:
     def test_examples(self):
