@@ -23,10 +23,10 @@ from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import (
-    format_components,
     format_point,
     format_projective,
     format_rational,
+    format_triple,
     parse_point,
     parse_projective,
     parse_rational,
@@ -422,11 +422,8 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     """Iterate a rational rotation exactly, recording points and heights."""
     trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
-    # the payloads reuse these strings; a point's shared denominator is printed once
-    rows = [
-        (str(step), *format_components(point), str(h))
-        for step, (point, h) in enumerate(zip(trajectory.points, trajectory.heights), start=1)
-    ]
+    # the payloads reuse these strings; a point's shared denominator, its height, is printed once
+    rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.triples, start=1)]
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(_csv_text(("step", "x", "y", "height"), rows))

@@ -19,8 +19,9 @@ Every formula lives in one integer kernel.  By the common-denominator
 lemma every curve point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the
 reduced triple (a, b, c) with c > 0; a parameter n/m is the homogeneous pair
 (n : m), with inf = (1 : 0).  Two pairs are equal when their cross-products
-are, so the kernel never divides.  The Fraction methods convert their
-arguments to triples and pairs, call the kernel, and convert back.
+are, so the kernel never divides; `act_pair` is the one action of L(n : m)
+on a point.  The Fraction methods convert their arguments to triples and
+pairs, call the kernel, and convert back.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ class Conic:
         self.element = _element_class(self, element_name)
 
     def _on_curve(self, x: Fraction, y: Fraction) -> bool:
-        # x^2 + s*y^2 = 1 with both denominators cleared; every act and solve runs
-        # this test, and integer products cost far less than Fraction operations
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        return (xn * yd) ** 2 + self.s * (yn * xd) ** 2 == (xd * yd) ** 2
+        # the common-denominator lemma: for s = 1 or -1, (a/c, b/d) in lowest
+        # terms lies on the curve exactly when d = c and a^2 + s*b^2 = c^2
+        c = x.denominator
+        return y.denominator == c and x.numerator**2 + self.s * y.numerator**2 == c * c
 
     def on_curve(self, point) -> bool:
         """Exact membership test for x^2 + s*y^2 = 1 (both hyperbola branches)."""
@@ -194,11 +195,10 @@ class Conic:
     def solve_delta(self, source, target):
         """The unique rotation or boost carrying one rational point to another.
 
-        Works through the chart, across the hyperbola's branches too (see
-        `solve_pair`); the result is verified by exact action before it is
-        returned.
+        Works through the chart, across the hyperbola's branches too; the
+        result is verified by exact action before it is returned.
         """
-        solver = self.solve_pair(self.triple(source), self.triple(target))
+        solver = self._solve(self.charted(source), self.charted(target))
         return self.element(projective_ratio(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
@@ -231,35 +231,30 @@ class Conic:
         lower = 2 * n * m
         return (diagonal, -self.s * lower, lower, diagonal), m * m + self.s * n * n
 
+    def act_pair(self, delta: tuple[int, int], triple) -> tuple[int, int, int]:
+        """L(delta) applied to the triple (a, b, c): the image (A/C, B/C), unreduced.
+
+        C, the scale of L(delta) times c, is negative for a hyperbola boost with |Delta| > 1.
+        """
+        (a11, a12, a21, a22), scale = self.matrix_pair(*delta)
+        a, b, c = triple
+        return a11 * a + a12 * b, a21 * a + a22 * b, scale * c
+
     def carries_pair(self, delta: tuple[int, int], source, target) -> bool:
         """Whether L(delta) sends the triple `source` to the triple `target`, by exact action."""
-        (a11, a12, a21, a22), scale = self.matrix_pair(*delta)
-        a0, b0, c0 = source
+        image_a, image_b, image_c = self.act_pair(delta, source)
         a, b, c = target
-        scale *= c0
-        return (
-            scale != 0
-            and (a11 * a0 + a12 * b0) * c == a * scale
-            and (a21 * a0 + a22 * b0) * c == b * scale
-        )
+        return image_c != 0 and image_a * c == a * image_c and image_b * c == b * image_c
 
-    def solve_pair(self, source, target) -> tuple[int, int]:
-        """The parameter pair carrying the triple `source` to the triple `target`.
-
-        The element with parameter compose(chart(target), -chart(source))
-        sends source to target; this is checked by exact action, and a
-        failure raises ArithmeticError.
-        """
-        return self._solve_charted(source, target, self.chart_pair(*source), self.chart_pair(*target))
-
-    def _solve_charted(self, source, target, source_chart, target_chart) -> tuple[int, int]:
-        # `solve_pair` with the chart pairs of both triples already computed
-        n0, m0 = source_chart
+    def _solve(self, source, target) -> tuple[int, int]:
+        # the pair compose(chart(target), -chart(source)) carries one `charted`
+        # point to the other; exact action checks it, and a failure raises
+        source_point, source_triple, (n0, m0) = source
+        target_point, target_triple, target_chart = target
         solver = self.compose_pair(target_chart, (-n0, m0))
-        if not self.carries_pair(solver, source, target):
-            source, target = ((Fraction(a, c), Fraction(b, c)) for a, b, c in (source, target))
+        if not self.carries_pair(solver, source_triple, target_triple):
             raise ArithmeticError(
-                f"transitivity solve failed for {format_point(source)} -> {format_point(target)}"
+                f"transitivity solve failed for {format_point(source_point)} -> {format_point(target_point)}"
             )
         return solver
 
@@ -279,8 +274,8 @@ class Conic:
 
     def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
         """A curve point with its reduced triple and its chart pair: one operand of `audit_pair`."""
-        point = self.require_on_curve(point)
-        triple = self.triple(point)
+        x, y = point = self.require_on_curve(point)
+        triple = x.numerator, y.numerator, x.denominator
         return point, triple, self.chart_pair(*triple)
 
     def audit_pair(self, source, target) -> DeltaIdentityAudit:
@@ -292,8 +287,8 @@ class Conic:
         degenerate, are flagged as excluded.  A sweep charts each point once
         and pairs the results, so no point is charted once per pair.
         """
-        source_point, source_triple, source_chart = source
-        target_point, target_triple, target_chart = target
+        source_point, source_triple, _ = source
+        target_point, target_triple, _ = target
         a0, b0, c0 = source_triple
         a, b, c = target_triple
         return DeltaIdentityAudit(
@@ -301,7 +296,7 @@ class Conic:
             target_point,
             self.left_form(a0, b0, c0, a, b, c),
             self.right_pair(source_triple, target_triple),
-            self._solve_charted(source_triple, target_triple, source_chart, target_chart),
+            self._solve(source, target),
             a * c0 == -a0 * c or b * c0 == -b0 * c,
         )
 
@@ -357,8 +352,9 @@ def _element_class(conic: Conic, name: str) -> type:
 
         def act(self, point) -> Point:
             """Exact image of a curve point; rejects points off the curve."""
-            x, y = conic.require_on_curve(point)
-            return self.to_matrix().apply(x, y)
+            # R = diag(1, -1) negates B; Fraction normalises a negative scale
+            a, b, c = conic.act_pair(projective_pair(self.delta), conic.triple(point))
+            return Fraction(a, c), Fraction(-b if self.reflected else b, c)
 
     Element.__name__ = Element.__qualname__ = name
     Element.__doc__ = f"A group element: the {conic.motion} L(delta), reflected first when flagged."

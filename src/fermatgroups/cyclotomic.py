@@ -368,4 +368,7 @@ class CyclotomicNumber:
             raw = payload["coeffs"]
         except (TypeError, KeyError):
             raise InvalidArgumentError(f"malformed cyclotomic payload: {payload!r}") from None
-        return cls(k, [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in raw])
+        # exact values only: a JSON float or bool is not a coefficient
+        if any(type(c) not in (int, str) for c in raw):
+            raise InvalidArgumentError(f'cyclotomic coefficients must be integers or "p/q" text: {raw!r}')
+        return cls(k, [parse_rational(c) if type(c) is str else c for c in raw])

@@ -84,11 +84,15 @@ class MonomialMatrix:
 
     def __init__(self, k: int, perm: Sequence[int], exponents: Sequence[int]) -> None:
         self._k = _check_order(k)
-        perm = tuple(perm)
+        perm, exps = tuple(perm), tuple(exponents)
+        # a cheap type test, not int(): that truncated 0.5 and 7/2, and a float
+        # or bool passed the permutation test and reached the payloads
+        if not {*map(type, perm), *map(type, exps)} <= {int}:
+            raise InvalidArgumentError(f"permutation entries and exponents must be integers: {perm!r}, {exps!r}")
         n = len(perm)
         if n < 1 or sorted(perm) != list(range(n)):
             raise InvalidArgumentError(f"not a permutation of 0..{n - 1}: {perm!r}")
-        exps = tuple(int(e) % k for e in exponents)
+        exps = tuple([e % k for e in exps])
         if len(exps) != n:
             raise InvalidArgumentError(
                 f"need one exponent per row: {n} rows, {len(exps)} exponents"

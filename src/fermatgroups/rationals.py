@@ -25,10 +25,10 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
-    "format_components",
     "format_point",
     "format_projective",
     "format_rational",
+    "format_triple",
     "height",
     "parse_point",
     "parse_projective",
@@ -162,19 +162,14 @@ def format_rational(value: "Fraction | int") -> str:
         raise _print_limit_error() from None
 
 
-def format_components(values) -> list[str]:
-    """`format_rational` of each value; a denominator they all share is printed once.
+def format_triple(a: int, b: int, c: int) -> tuple[str, str, str]:
+    """`format_rational` of a/c and b/c for a reduced triple (c > 0), and c, with c printed once.
 
-    The coordinates of a conic point share their denominator, and printing
-    a wide integer costs time quadratic in its digits.
+    Printing a wide integer costs time quadratic in its digits.
     """
-    values = [Fraction(value) for value in values]
-    den = values[0].denominator if values else 1
     try:
-        if all(value.denominator == den for value in values):
-            den_text = str(den)
-            return [f"{value.numerator}/{den_text}" for value in values]
-        return [f"{value.numerator}/{value.denominator}" for value in values]
+        c_text = str(c)
+        return f"{a}/{c_text}", f"{b}/{c_text}", c_text
     except ValueError:
         raise _print_limit_error() from None
 
@@ -208,7 +203,7 @@ def parse_point(text: str) -> tuple[Fraction, Fraction]:
 
 
 def format_point(point) -> str:
-    return ",".join(format_components(point))
+    return ",".join(map(format_rational, point))
 
 
 @dataclass(frozen=True)

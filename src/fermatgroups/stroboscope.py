@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import gcd, log
 
 from . import circle
 from .conic import CIRCLE
@@ -35,47 +35,50 @@ Point = tuple[Fraction, Fraction]
 
 @dataclass
 class Trajectory:
-    """Exact orbit samples: points after 1..steps applications of L(delta).
+    """Exact orbit samples after 1..steps applications of L(delta), as reduced triples.
 
+    `points` (a/c, b/c) and `heights` c are read off the triples (c > 0).
     `period` is the smallest step index returning exactly to the start, or
     None if no return happens within the recorded steps.
     """
 
     delta: ProjectiveRational
     start: Point
-    points: list[Point]
-    heights: list[int]
+    triples: list[tuple[int, int, int]]
     period: "int | None" = None
+
+    @property
+    def points(self) -> list[Point]:
+        return [(Fraction(a, c), Fraction(b, c)) for a, b, c in self.triples]
+
+    @property
+    def heights(self) -> list[int]:
+        return [c for _, _, c in self.triples]
 
 
 def iterate(delta, start, steps: int) -> Trajectory:
     """Record `steps` exact images of a circle point under L(delta).
 
-    The point is stepped as its reduced triple (a, b, c), the integer matrix
-    of L(delta) times (a, b) over its scale times c.  Building x = a/c
-    reduces the new triple by its one gcd: a prime dividing a and c divides
-    b^2 = c^2 - a^2, so gcd(a, c) divides b.  The height of a circle point
-    is its denominator c.
+    The reduced triple is stepped by `Conic.act_pair` and reduced by one
+    gcd, with no Fraction: a prime dividing a and c divides b^2 = c^2 - a^2,
+    so gcd(a, c) divides b.  The circle's scale m^2 + n^2 keeps c > 0.
     """
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"step count must be an integer >= 0, got {steps!r}")
     delta = as_projective(delta)
     start = circle.require_on_circle(start)
-    (a11, a12, a21, a22), scale = CIRCLE.matrix_pair(*projective_pair(delta))
-    points: list[Point] = []
-    heights: list[int] = []
+    delta_pair = projective_pair(delta)
+    triples: list[tuple[int, int, int]] = []
     period = None
-    a, b, c = start_triple = CIRCLE.triple(start)
+    triple = start_triple = CIRCLE.triple(start)
     for step in range(1, steps + 1):
-        a, b, c = a11 * a + a12 * b, a21 * a + a22 * b, scale * c
-        x = Fraction(a, c)
-        b //= c // x.denominator
-        a, c = x.numerator, x.denominator
-        points.append((x, Fraction(b, c)))
-        heights.append(c)
-        if period is None and (a, b, c) == start_triple:
+        a, b, c = CIRCLE.act_pair(delta_pair, triple)
+        g = gcd(a, c)
+        triple = a // g, b // g, c // g
+        triples.append(triple)
+        if period is None and triple == start_triple:
             period = step
-    return Trajectory(delta=delta, start=start, points=points, heights=heights, period=period)
+    return Trajectory(delta=delta, start=start, triples=triples, period=period)
 
 
 def power_parameter(delta, m: int) -> ProjectiveRational:

@@ -2,8 +2,9 @@
 
 These are the library's former Fraction implementations, kept verbatim in
 substance: composition with its pole cases spelled out, L(Delta) from
-Fraction entries, the two-branch chart, a solver verified through
-`Mat2.apply`, and the identity audit evaluated at z0 = z = 1.  Each takes
+Fraction entries, the action through `Mat2.apply`, the two-branch chart,
+a solver verified through `Mat2.apply`, and the identity audit evaluated
+at z0 = z = 1.  Each takes
 the curve (`conic.CIRCLE` or `conic.HYPERBOLA`) for its sign s and its
 left-hand form, and shares no arithmetic with the kernel.
 """
@@ -40,6 +41,14 @@ def rotation_matrix(curve, delta) -> Mat2:
     diagonal = (1 - s_square) / den
     lower = (2 * delta) / den
     return Mat2(diagonal, -curve.s * lower, lower, diagonal)
+
+
+def act(curve, delta, reflected, point):
+    """The image of a curve point: `rotation_matrix`, times R = diag(1, -1) when reflected, then `Mat2.apply`."""
+    matrix = rotation_matrix(curve, delta)
+    if reflected:
+        matrix = Mat2(1, 0, 0, -1) * matrix
+    return matrix.apply(*curve.require_on_curve(point))
 
 
 def chart(curve, point):

@@ -171,6 +171,21 @@ class TestPairSweepAgainstFractionAudit:
         assert len(calls) == 60 + 58 + 2
         assert len(set(calls)) == 118
 
+    def test_sweeps_check_each_point_on_the_curve_once(self, monkeypatch):
+        calls = []
+        on_curve = Conic._on_curve
+
+        def counted(self, x, y):
+            calls.append((self.s, x, y))
+            return on_curve(self, x, y)
+
+        monkeypatch.setattr(Conic, "_on_curve", counted)
+        audit.circle_identity_sweep(50)
+        audit.hyperbola_identity_sweep(50)
+        # `charted` validates each of the 60 + 58 points, and the two points of
+        # the fixed hyperbola witness, once
+        assert len(calls) == 60 + 58 + 2
+
 
 class TestPathsRealDataNeverReaches:
     def test_wrong_left_form_is_reported(self, monkeypatch):

@@ -1,6 +1,7 @@
 """The seams of the conic group: one construction, two distinct curves."""
 
 from fractions import Fraction
+from math import gcd
 
 import conic_oracle as oracle
 import pytest
@@ -109,3 +110,41 @@ def test_fraction_api_equals_the_oracle(curve, data):
     assert render_identity_audit(curve.delta_identity_audit(source, target)) == render_identity_audit(
         oracle.delta_identity_audit(curve, source, target)
     )
+
+
+ACT_PARAMETERS = {
+    "circle": [Fraction(0), Fraction(1), Fraction(-1), INF, Fraction(3), Fraction(7, 3), Fraction(-1, 2)],
+    "hyperbola": [Fraction(0), INF, Fraction(3), Fraction(7, 3), Fraction(-1, 2)],
+}
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["rotation", "reflected"])
+@pytest.mark.parametrize(
+    "curve, points",
+    [(conic.CIRCLE, search.circle_points), (conic.HYPERBOLA, search.hyperbola_points)],
+    ids=["circle", "hyperbola"],
+)
+def test_act_is_the_fraction_action(curve, points, reflected):
+    # |Delta| > 1 gives the hyperbola a negative scale, which Fraction normalises
+    for delta in ACT_PARAMETERS[curve.name]:
+        element = curve.element(delta, reflected)
+        for point in points(20):
+            image = element.act(point)
+            assert image == oracle.act(curve, delta, reflected, point)
+            assert all(type(c) is Fraction for c in image)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=["circle", "hyperbola"])
+@given(data=st.data())
+def test_act_pair_stays_on_the_curve_and_agrees_with_carries_pair(curve, data):
+    delta, p, q = (data.draw(_parameters(curve)) for _ in range(3))
+    source, other = (oracle.rotation_matrix(curve, d).apply(1, 0) for d in (p, q))
+    pair, triple = projective_pair(delta), curve.triple(source)
+    a, b, c = curve.act_pair(pair, triple)
+    assert c != 0 and a * a + curve.s * b * b == c * c
+    g = gcd(a, c) if c > 0 else -gcd(a, c)
+    image = (a // g, b // g, c // g)
+    assert image == curve.triple((Fraction(a, c), Fraction(b, c)))
+    assert curve.carries_pair(pair, triple, image)
+    other = curve.triple(other)
+    assert curve.carries_pair(pair, triple, other) == (other == image)

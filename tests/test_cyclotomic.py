@@ -203,6 +203,16 @@ class TestCyclotomicNumber:
         with pytest.raises(InvalidArgumentError):
             CyclotomicNumber.from_dict({"k": 3, "coeffs": ["1/0"]})
 
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, True, None, Fraction(1, 3), [1]])
+    def test_from_dict_rejects_inexact_coefficients(self, coeff):
+        # 0.1 used to become 3602879701896397/36028797018963968
+        with pytest.raises(InvalidArgumentError, match='integers or "p/q" text'):
+            CyclotomicNumber.from_dict({"k": 3, "coeffs": [coeff]})
+
+    def test_from_dict_reads_integers_and_text(self):
+        value = CyclotomicNumber.from_dict({"k": 3, "coeffs": [2, "-1/3", 0]})
+        assert value == CyclotomicNumber(3, (2, Fraction(-1, 3)))
+
     def test_minimal_polynomial_annihilates_root(self):
         # Phi_k(omega_k) = 0: the defining relation of the canonical basis
         for k in range(1, 16):

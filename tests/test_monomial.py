@@ -564,3 +564,19 @@ class TestSerialization:
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InvalidArgumentError):
             MonomialMatrix.from_dict(3, {"perm": [0, 1]})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"perm": [0, 1], "exp": [0.5, 1.9]},  # was truncated to (0, 1)
+            {"perm": [0, 1], "exp": [Fraction(7, 2), 0]},  # was truncated to 3
+            {"perm": [1.0, 0.0], "exp": [0, 0]},  # printed floats in as_dict; m * m raised TypeError
+            {"perm": [True, False], "exp": [0, 0]},
+            {"perm": [0, 1], "exp": [False, 1]},
+            {"perm": [0, 1], "exp": [0, 1.0]},
+            {"perm": [0, 1], "exp": ["x", 0]},  # was a bare ValueError
+        ],
+    )
+    def test_from_dict_rejects_non_integer_entries(self, payload):
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            MonomialMatrix.from_dict(3, payload)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
@@ -13,10 +14,10 @@ from fermatgroups.rationals import (
     Infinity,
     Mat2,
     as_projective,
-    format_components,
     format_point,
     format_projective,
     format_rational,
+    format_triple,
     height,
     parse_point,
     parse_projective,
@@ -192,22 +193,34 @@ class TestTextCodec:
         else:
             assert parsed == value
 
-    @given(st.lists(fractions_st, max_size=4))
+    @given(st.lists(fractions_st, min_size=1, max_size=4))
     def test_components_format_each_value(self, values):
-        assert format_components(values) == [format_rational(v) for v in values]
+        assert format_point(values).split(",") == [format_rational(v) for v in values]
 
     def test_components_share_a_denominator(self):
-        assert format_components([Fraction(-3, 5), Fraction(4, 5)]) == ["-3/5", "4/5"]
-        assert format_components([Fraction(1, 2), 3]) == ["1/2", "3/1"]
+        assert format_triple(-3, 4, 5) == ("-3/5", "4/5", "5")
+        assert format_point([Fraction(-3, 5), Fraction(4, 5)]) == "-3/5,4/5"
+        assert format_point([Fraction(1, 2), 3]) == "1/2,3/1"
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    def test_triple_matches_format_rational(self, a, b, c):
+        # a reduced triple: both coordinates in lowest terms over c > 0
+        assume(gcd(a, c) == 1 and gcd(b, c) == 1)
+        x, y, c_text = format_triple(a, b, c)
+        assert (x, y) == (format_rational(Fraction(a, c)), format_rational(Fraction(b, c)))
+        assert c_text == str(c)
 
     @pytest.mark.parametrize(
         "values", [[Fraction(1, 10**4400)], [Fraction(10**4400 - 1, 10**4400), Fraction(1, 10**4400)], [1, 10**4400]]
     )
     def test_components_past_int_str_limit_name_the_limit(self, values):
         with pytest.raises(ResourceLimitError, match="4300"):
-            format_components(values)
-        with pytest.raises(ResourceLimitError, match="4300"):
             format_point(values)
+
+    @pytest.mark.parametrize("triple", [(1, 0, 10**4400), (10**4400 - 1, 1, 10**4400), (10**4400, 1, 1)])
+    def test_triple_past_int_str_limit_names_the_limit(self, triple):
+        with pytest.raises(ResourceLimitError, match="4300"):
+            format_triple(*triple)
 
     @given(projective_st)
     def test_projective_pair(self, value):

@@ -1,5 +1,6 @@
 """Exact iteration: invariant preservation, periods, height growth."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,32 @@ class TestIterate:
         assert trajectory.period == period
         assert all(type(c) is Fraction for point in trajectory.points for c in point)
         assert all(type(h) is int for h in trajectory.heights)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), INF, Fraction(4, 7), Fraction(-7, 4)])
+    @pytest.mark.parametrize("start", [(1, 0), (Fraction(3, 5), Fraction(-4, 5)), (-1, 0)])
+    def test_triples_are_reduced_with_positive_denominator(self, delta, start):
+        trajectory = stroboscope.iterate(delta, start, 12)
+        assert len(trajectory.triples) == 12
+        for (a, b, c), point in zip(trajectory.triples, trajectory.points):
+            assert c > 0 and math.gcd(a, c) == 1 and math.gcd(b, c) == 1
+            assert a * a + b * b == c * c
+            assert point == (Fraction(a, c), Fraction(b, c))
+        assert trajectory.heights == [c for _, _, c in trajectory.triples]
+
+    def test_one_gcd_per_step(self, monkeypatch):
+        # the stepping builds no Fraction: one gcd reduces each new triple
+        calls = []
+        gcd = math.gcd
+
+        def counted(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)  # Fraction's constructor
+        monkeypatch.setattr(stroboscope, "gcd", counted)
+        trajectory = stroboscope.iterate(Fraction(4, 7), (1, 0), 100)
+        assert len(trajectory.triples) == 100
+        assert len(calls) <= 101
 
     def test_matches_matrix_power(self):
         # independent route: a single exact matrix power per step count
