@@ -59,6 +59,15 @@ def _echo_csv(header, rows) -> None:
     click.echo(_csv_text(header, rows), nl=False)
 
 
+def _write_file(path, text: str) -> None:
+    """Write the text of a --csv or --json file; a path that cannot be written is an invalid argument."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _format_option(*choices, default="text"):
     return click.option(
         "--format",
@@ -345,8 +354,7 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     report = search_lib.search_n(k, n, bound)
     payload = report.payload()
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(_compact_json(payload) + "\n")
+        _write_file(json_path, _compact_json(payload) + "\n")
     click.echo(f"elapsed: {report.elapsed:.3f}s", err=True)
     if fmt == "csv":
         _echo_csv(
@@ -422,24 +430,39 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     """Iterate a rational rotation exactly, recording points and heights."""
     trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
-    # the payloads reuse these strings; a point's shared denominator, its height, is printed once
+    # every payload is built from these strings: each integer is converted to decimal
+    # once, and a point's shared denominator, its height, is printed once
     rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.triples, start=1)]
+    if csv_path is not None or fmt == "csv":
+        csv_text = _csv_text(("step", "x", "y", "height"), rows)
     if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_csv_text(("step", "x", "y", "height"), rows))
+        _write_file(csv_path, csv_text)
     if fmt == "csv":
-        _echo_csv(("step", "x", "y", "height"), rows)
-        return
-    payload = {
-        "delta": format_projective(trajectory.delta),
-        "start": format_point(trajectory.start),
-        "period": trajectory.period,
-        "points": [[x, y] for _, x, y, _ in rows],
-        "heights": trajectory.heights,
-    }
-    lines = [f"step {step}: {x},{y} height {h}" for step, x, y, h in rows]
-    lines.append(f"period: {trajectory.period if trajectory.period is not None else 'none'}")
-    _echo_payload(payload, fmt, lines)
+        click.echo(csv_text, nl=False)
+    elif fmt == "json":
+        click.echo(_iterate_json(trajectory, rows))
+    else:
+        lines = [f"step {step}: {x},{y} height {h}" for step, x, y, h in rows]
+        lines.append(f"period: {trajectory.period if trajectory.period is not None else 'none'}")
+        click.echo("\n".join(lines))
+
+
+def _iterate_json(trajectory, rows) -> str:
+    """`_compact_json` of the iterate payload, with `points` and `heights` joined from the row strings.
+
+    A p/q string and a decimal integer need no JSON escaping, so joining them
+    gives json.dumps's bytes without converting each height to decimal again.
+    """
+    head = _compact_json(
+        {
+            "delta": format_projective(trajectory.delta),
+            "start": format_point(trajectory.start),
+            "period": trajectory.period,
+        }
+    )
+    points = ",".join(f'["{x}","{y}"]' for _, x, y, _ in rows)
+    heights = ",".join(h for *_, h in rows)
+    return f'{head[:-1]},"points":[{points}],"heights":[{heights}]}}'
 
 
 # ------------------------------------------------------------------ audit ----

@@ -61,20 +61,31 @@ def iterate(delta, start, steps: int) -> Trajectory:
 
     The reduced triple is stepped by `Conic.act_pair` and reduced by one
     gcd, with no Fraction: a prime dividing a and c divides b^2 = c^2 - a^2,
-    so gcd(a, c) divides b.  The circle's scale m^2 + n^2 keeps c > 0.
+    so gcd(a, c) divides b.  The circle's scale s = m^2 + n^2 keeps c > 0.
+
+    That gcd is taken modulo s^2.  With delta = n/m (inf = 1/0) and
+    w = m + ni, the image of the triple (a, b, c) is A + Bi = (a + bi)*w^2
+    over C = c*s, and its content g = gcd(A, C) divides s^2: g divides B
+    too (B^2 = C^2 - A^2), hence (A + Bi)*conj(w)^2 = (a + bi)*s^2, so it
+    divides a*s^2 and b*s^2, whose gcd is s^2 since gcd(a, b) = 1.  So
+    g = gcd(A mod s^2, C mod s^2, s^2): two linear-time remainders and a
+    gcd of small integers, where gcd(A, C) takes time quadratic in the
+    digits.  A step with g = 1, nearly every one, divides nothing.
     """
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"step count must be an integer >= 0, got {steps!r}")
     delta = as_projective(delta)
     start = circle.require_on_circle(start)
-    delta_pair = projective_pair(delta)
+    delta_pair = n, m = projective_pair(delta)
+    square = (m * m + n * n) ** 2
     triples: list[tuple[int, int, int]] = []
     period = None
     triple = start_triple = CIRCLE.triple(start)
     for step in range(1, steps + 1):
-        a, b, c = CIRCLE.act_pair(delta_pair, triple)
-        g = gcd(a, c)
-        triple = a // g, b // g, c // g
+        triple = a, b, c = CIRCLE.act_pair(delta_pair, triple)
+        g = gcd(a % square, c % square, square)
+        if g != 1:
+            triple = a // g, b // g, c // g
         triples.append(triple)
         if period is None and triple == start_triple:
             period = step

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -14,7 +15,9 @@ from click.testing import CliRunner
 
 import fermatgroups
 from fermatgroups import cli as cli_module
+from fermatgroups import stroboscope
 from fermatgroups.cli import cli, dispatch, main
+from fermatgroups.rationals import format_point, format_projective, format_rational, parse_point, parse_projective
 
 
 @pytest.fixture()
@@ -95,6 +98,23 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iterate", "--delta", "1/2", "--steps", "2", "--csv"],
+            ["search", "--k", "3", "--height", "5", "--json"],
+        ],
+        ids=["iterate-csv", "search-json"],
+    )
+    def test_unwritable_side_file_exits_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_lines = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert error_lines == [f"error: cannot write {path}: No such file or directory"]
+        assert "Traceback" not in captured.err
 
 
 class TestCirclePayloads:
@@ -301,6 +321,65 @@ class TestIterate:
 
     def test_off_curve_start_rejected(self):
         assert main(["iterate", "--delta", "1/2", "--steps", "2", "--start", "1,1"]) == 2
+
+    def test_csv_format_and_file_build_the_text_once(self, runner, monkeypatch, tmp_path):
+        calls = []
+        csv_text = cli_module._csv_text
+
+        def counted(header, rows):
+            calls.append(header)
+            return csv_text(header, rows)
+
+        monkeypatch.setattr(cli_module, "_csv_text", counted)
+        path = tmp_path / "trajectory.csv"
+        result = run(runner, "iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
+        assert len(calls) == 1
+        assert result.output == path.read_text(encoding="utf-8")
+
+
+def _iterate_payload_json(delta, start, steps) -> str:
+    # the iterate JSON as json.dumps prints it, with the heights as ints
+    trajectory = stroboscope.iterate(parse_projective(delta), parse_point(start), steps)
+    payload = {
+        "delta": format_projective(trajectory.delta),
+        "start": format_point(trajectory.start),
+        "period": trajectory.period,
+        "points": [[format_rational(x), format_rational(y)] for x, y in trajectory.points],
+        "heights": trajectory.heights,
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "delta, start, steps",
+    [
+        ("1/2", "1,0", 0),
+        ("1/2", "1,0", 1),
+        ("1", "0,1", 8),  # period 4
+        ("inf", "-3/5,4/5", 3),  # period 2
+        ("-7/4", "3/5,-4/5", 25),  # negative coordinates
+        ("4/7", "1,0", 800),  # 1,450-digit heights, as in the bench
+    ],
+)
+def test_iterate_json_equals_json_dumps(delta, start, steps, capsys):
+    assert main(["iterate", "--delta", delta, "--start", start, "--steps", str(steps), "--format", "json"]) == 0
+    assert capsys.readouterr().out == _iterate_payload_json(delta, start, steps)
+
+
+def test_iterate_json_past_the_digit_limit_exits_three(capsys):
+    # 2/7 has s = 53: at the smallest limit, 640 digits, step 372 is too wide
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["iterate", "--delta", "2/7", "--steps", "400", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        heights = stroboscope.iterate(Fraction(2, 7), (1, 0), 400).heights
+        with pytest.raises(ValueError):
+            json.dumps(heights)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == ""
+    assert captured.err == "error: cannot print a rational with more than 640 digits (Python's int-to-str conversion limit)\n"
 
 
 class TestAuditCommand:

@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatgroups import circle, stroboscope
+from fermatgroups.conic import CIRCLE
 from fermatgroups.errors import InvalidArgumentError
-from fermatgroups.rationals import INF, height
+from fermatgroups.rationals import INF, height, projective_pair
 
 
 class TestIterate:
@@ -103,6 +106,90 @@ class TestIterate:
         matrix = circle.rotation_matrix(delta)
         for step, point in enumerate(trajectory.points, start=1):
             assert (matrix**step).apply(*start) == point
+
+    @pytest.mark.parametrize(
+        "delta, start, first",
+        [
+            # s = 10: the image (8, 6, 10) of (1, 0) has content 2
+            (Fraction(1, 3), (1, 0), (4, 3, 5)),
+            # (3 - 4i)*(2 + i)^2 = 25 over 5*5: content 25
+            (Fraction(1, 2), (Fraction(3, 5), Fraction(-4, 5)), (1, 0, 1)),
+            # both parameters odd: L(1) has content 2 on every triple
+            (Fraction(1), (Fraction(3, 5), Fraction(4, 5)), (-4, 3, 5)),
+        ],
+    )
+    def test_first_step_reduces(self, delta, start, first):
+        assert stroboscope.iterate(delta, start, 1).triples == [first]
+
+    def test_gcd_operands_stay_below_the_squared_scale(self, monkeypatch):
+        # 4/7 has s = 65; the 800th triple has about 1,450 digits, but no
+        # gcd sees more than s^2 = 4225
+        operands = []
+        gcd = math.gcd
+
+        def recorded(*args):
+            operands.extend(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", recorded)  # Fraction's constructor
+        monkeypatch.setattr(stroboscope, "gcd", recorded)
+        trajectory = stroboscope.iterate(Fraction(4, 7), (1, 0), 800)
+        assert len(str(trajectory.heights[-1])) > 1400
+        assert len(operands) >= 800 * 3
+        assert max(abs(operand) for operand in operands) <= 65**2
+
+
+def _deltas():
+    small = st.integers(-40, 40)
+    odd = st.integers(-20, 19).map(lambda i: 2 * i + 1)
+    finite = st.one_of(
+        st.builds(Fraction, small, st.integers(1, 40)),
+        st.builds(Fraction, odd, odd.map(abs)),
+    )
+    return st.one_of(st.just(INF), st.just(Fraction(0)), finite)
+
+
+@st.composite
+def _start_for(draw, delta):
+    """A circle point z^2/|z|^2 whose Gaussian integer z often has factors of conj(w), w = m + ni."""
+    n, m = projective_pair(delta)
+    p = draw(st.integers(-12, 12))
+    q = draw(st.integers(-12, 12).filter(lambda q: (p, q) != (0, 0)))
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = p * m + q * n, q * m - p * n  # z -> z * conj(w)
+    real, imag, norm = p * p - q * q, 2 * p * q, p * p + q * q
+    return Fraction(real, norm), Fraction(imag, norm)
+
+
+def _full_width_triples(delta, start, steps):
+    # the oracle: reduce each image by gcd(A, C) of the full-width integers
+    pair, triple, triples = projective_pair(delta), CIRCLE.triple(start), []
+    for _ in range(steps):
+        a, b, c = CIRCLE.act_pair(pair, triple)
+        g = math.gcd(a, c)
+        triple = a // g, b // g, c // g
+        triples.append(triple)
+    return triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reduction_modulo_the_squared_scale_equals_full_width_gcd(data):
+    delta = data.draw(_deltas())
+    start = data.draw(_start_for(delta))
+    steps = data.draw(st.integers(0, 25))
+    trajectory = stroboscope.iterate(delta, start, steps)
+    assert trajectory.triples == _full_width_triples(delta, start, steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_content_of_one_step_divides_the_squared_scale(data):
+    delta = data.draw(_deltas())
+    n, m = projective_pair(delta)
+    a, b, c = CIRCLE.triple(data.draw(_start_for(delta)))
+    image_a, _, image_c = CIRCLE.act_pair((n, m), (a, b, c))
+    assert (m * m + n * n) ** 2 % math.gcd(image_a, image_c) == 0
 
 
 class TestPowerParameter:
