@@ -146,7 +146,7 @@ def _deltas():
         st.builds(Fraction, small, st.integers(1, 40)),
         st.builds(Fraction, odd, odd.map(abs)),
     )
-    return st.one_of(st.just(INF), st.just(Fraction(0)), finite)
+    return st.one_of(st.just(INF), finite)
 
 
 @st.composite
