@@ -10,16 +10,15 @@ recorded.
 
 Calls run in-process through `fermatgroups.cli.main`, as the installed
 `fermatgroups` script runs them.  After an intended change of output,
-re-record the bytes of every listed call with
+re-record the bytes of the calls it changes, named as in the manifest:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-To add a case, append an entry with its `name` and `argv` to `cases.json`
-(any `exit` and an empty `files` list; recording fills in both), then
-record it at a commit whose output is known good, before the change it
-is meant to pin, and commit the new files with the manifest.  Recording
-rewrites every listed case, so check that `git status` shows no other
-golden file changed.
+With no name, every listed call is re-recorded.  To add a case, append an
+entry with its `name` and `argv` to `cases.json` (any `exit` and an empty
+`files` list; recording fills in both), then record it by name at a commit
+whose output is known good, before the change it is meant to pin, and
+commit the new files with the manifest.
 """
 
 import io
@@ -71,9 +70,14 @@ def test_replays_byte_identically(case, tmp_path):
         assert data == (GOLDEN / f"{name}.{filename}").read_bytes()
 
 
-def record() -> None:
-    """Re-run every call in the manifest and rewrite its exit code and bytes."""
+def record(names=()) -> None:
+    """Re-run the named calls of the manifest, or all of them, and rewrite their exit codes and bytes."""
+    unknown = set(names) - {case["name"] for case in CASES}
+    if unknown:
+        raise SystemExit(f"no golden case named {', '.join(sorted(unknown))}")
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         with tempfile.TemporaryDirectory() as scratch:
             code, stdout, stderr, files = run_case(case["argv"], Path(scratch))
         name = case["name"]
@@ -89,4 +93,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
