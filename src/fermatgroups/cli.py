@@ -432,7 +432,7 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
-    rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.triples, start=1)]
+    rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
     if csv_path is not None or fmt == "csv":
         csv_text = _csv_text(("step", "x", "y", "height"), rows)
     if csv_path is not None:

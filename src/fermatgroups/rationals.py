@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -162,16 +163,18 @@ def format_rational(value: "Fraction | int") -> str:
         raise _print_limit_error() from None
 
 
-def format_triple(a: int, b: int, c: int) -> tuple[str, str, str]:
-    """`format_rational` of a/c and b/c for a reduced triple (c > 0), and c, with c printed once.
+def format_triple(a: Decimal, b: Decimal, c: Decimal) -> tuple[str, str, str]:
+    """`format_rational` of a/c and b/c for a reduced triple of integral Decimals (c > 0), and c, with c printed once.
 
-    Printing a wide integer costs time quadratic in its digits.
+    A Decimal prints in time linear in its digits, where an int takes
+    quadratic time.  The int-to-str digit limit bounds these strings as it
+    bounds an int's: a component with more digits raises ResourceLimitError.
     """
-    try:
-        c_text = str(c)
-        return f"{a}/{c_text}", f"{b}/{c_text}", c_text
-    except ValueError:
-        raise _print_limit_error() from None
+    limit = sys.get_int_max_str_digits()
+    if limit and max(a.adjusted(), b.adjusted(), c.adjusted()) + 1 > limit:
+        raise _print_limit_error()
+    c_text = str(c)
+    return f"{a!s}/{c_text}", f"{b!s}/{c_text}", c_text
 
 
 def _print_limit_error() -> ResourceLimitError:

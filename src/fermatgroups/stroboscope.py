@@ -13,6 +13,20 @@ diagnostic: exact arithmetic has no Lyapunov noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    Underflow,
+    localcontext,
+)
 from fractions import Fraction
 from math import gcd, log
 
@@ -22,6 +36,7 @@ from .errors import InvalidArgumentError
 from .rationals import Infinity, ProjectiveRational, as_projective, projective_pair
 
 __all__ = [
+    "EXACT",
     "HeightProfile",
     "Trajectory",
     "height_profile",
@@ -32,20 +47,36 @@ __all__ = [
 
 Point = tuple[Fraction, Fraction]
 
+#: Integer arithmetic in Decimal: any result that would need rounding raises.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow, Underflow],
+)
+ZERO = Decimal(0)
+
 
 @dataclass
 class Trajectory:
     """Exact orbit samples after 1..steps applications of L(delta), as reduced triples.
 
-    `points` (a/c, b/c) and `heights` c are read off the triples (c > 0).
-    `period` is the smallest step index returning exactly to the start, or
-    None if no return happens within the recorded steps.
+    `decimal_triples` holds the triples (a, b, c), c > 0, as integral
+    Decimals, which print in time linear in their digits.  `triples`,
+    `points` (a/c, b/c) and `heights` c are built from them as ints and
+    Fractions on each access.  `period` is the smallest step index
+    returning exactly to the start, or None if no return happens within the
+    recorded steps.
     """
 
     delta: ProjectiveRational
     start: Point
-    triples: list[tuple[int, int, int]]
+    decimal_triples: list[tuple[Decimal, Decimal, Decimal]]
     period: "int | None" = None
+
+    @property
+    def triples(self) -> list[tuple[int, int, int]]:
+        return [(int(a), int(b), int(c)) for a, b, c in self.decimal_triples]
 
     @property
     def points(self) -> list[Point]:
@@ -53,7 +84,7 @@ class Trajectory:
 
     @property
     def heights(self) -> list[int]:
-        return [c for _, _, c in self.triples]
+        return [int(c) for _, _, c in self.decimal_triples]
 
 
 def iterate(delta, start, steps: int) -> Trajectory:
@@ -71,6 +102,11 @@ def iterate(delta, start, steps: int) -> Trajectory:
     g = gcd(A mod s^2, C mod s^2, s^2): two linear-time remainders and a
     gcd of small integers, where gcd(A, C) takes time quadratic in the
     digits.  A step with g = 1, nearly every one, divides nothing.
+
+    The triples are Decimals stepped in the `EXACT` context: a step only
+    multiplies by, adds, and divides by small integers, all linear in the
+    digits, and a Decimal prints in linear time where an int takes time
+    quadratic in its digits.
     """
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"step count must be an integer >= 0, got {steps!r}")
@@ -78,18 +114,21 @@ def iterate(delta, start, steps: int) -> Trajectory:
     start = circle.require_on_circle(start)
     delta_pair = n, m = projective_pair(delta)
     square = (m * m + n * n) ** 2
-    triples: list[tuple[int, int, int]] = []
+    triples: list[tuple[Decimal, Decimal, Decimal]] = []
     period = None
-    triple = start_triple = CIRCLE.triple(start)
-    for step in range(1, steps + 1):
-        triple = a, b, c = CIRCLE.act_pair(delta_pair, triple)
-        g = gcd(a % square, c % square, square)
-        if g != 1:
-            triple = a // g, b // g, c // g
-        triples.append(triple)
-        if period is None and triple == start_triple:
-            period = step
-    return Trajectory(delta=delta, start=start, triples=triples, period=period)
+    triple = start_triple = tuple(map(Decimal, CIRCLE.triple(start)))
+    with localcontext(EXACT):
+        for step in range(1, steps + 1):
+            a, b, c = CIRCLE.act_pair(delta_pair, triple)
+            g = gcd(int(a % square), int(c % square), square)
+            if g != 1:
+                a, b, c = a // g, b // g, c // g
+            # a zero product with a negative entry is Decimal('-0'), which prints as -0
+            triple = a or ZERO, b or ZERO, c
+            triples.append(triple)
+            if period is None and triple == start_triple:
+                period = step
+    return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period)
 
 
 def power_parameter(delta, m: int) -> ProjectiveRational:

@@ -382,6 +382,43 @@ def test_iterate_json_past_the_digit_limit_exits_three(capsys):
     assert captured.err == "error: cannot print a rational with more than 640 digits (Python's int-to-str conversion limit)\n"
 
 
+@pytest.mark.parametrize("args", [["--format", "text"], ["--format", "csv"], ["--csv", "trajectory.csv"]])
+def test_iterate_past_the_digit_limit_exits_three_in_every_format(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["iterate", "--delta", "2/7", "--steps", "400", *args])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: cannot print a rational with more than 640 digits (Python's int-to-str conversion limit)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_iterate_as_wide_as_the_digit_limit_prints_and_one_digit_wider_exits_three(capsys):
+    # from (1, 0), 2/7 has heights 53^m, and the last height is the widest
+    # component: find steps whose last height has exactly L >= 640 digits
+    # while one step more has L + 1
+    steps = next(m for m in range(372, 500) if len(str(53 ** (m + 1))) == len(str(53**m)) + 1)
+    digits = len(str(53**steps))
+    assert max(len(str(h)) for h in stroboscope.iterate(Fraction(2, 7), (1, 0), steps).heights) == digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        at_limit = main(["iterate", "--delta", "2/7", "--steps", str(steps)])
+        at_limit_out = capsys.readouterr().out
+        past_limit = main(["iterate", "--delta", "2/7", "--steps", str(steps + 1)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert at_limit == 0
+    assert at_limit_out.splitlines()[-2].endswith(f" height {53**steps}")
+    assert past_limit == 3
+    assert capsys.readouterr().out == ""
+
+
 class TestAuditCommand:
     def test_deterministic_bytes(self, runner):
         args = ["audit", "--seed", "3", "--height", "6", "--pairs", "40"]

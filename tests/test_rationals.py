@@ -1,6 +1,8 @@
 """Projective rational line, heights, text codec, and exact 2x2 matrices."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -198,7 +200,7 @@ class TestTextCodec:
         assert format_point(values).split(",") == [format_rational(v) for v in values]
 
     def test_components_share_a_denominator(self):
-        assert format_triple(-3, 4, 5) == ("-3/5", "4/5", "5")
+        assert format_triple(Decimal(-3), Decimal(4), Decimal(5)) == ("-3/5", "4/5", "5")
         assert format_point([Fraction(-3, 5), Fraction(4, 5)]) == "-3/5,4/5"
         assert format_point([Fraction(1, 2), 3]) == "1/2,3/1"
 
@@ -206,7 +208,7 @@ class TestTextCodec:
     def test_triple_matches_format_rational(self, a, b, c):
         # a reduced triple: both coordinates in lowest terms over c > 0
         assume(gcd(a, c) == 1 and gcd(b, c) == 1)
-        x, y, c_text = format_triple(a, b, c)
+        x, y, c_text = format_triple(Decimal(a), Decimal(b), Decimal(c))
         assert (x, y) == (format_rational(Fraction(a, c)), format_rational(Fraction(b, c)))
         assert c_text == str(c)
 
@@ -220,7 +222,23 @@ class TestTextCodec:
     @pytest.mark.parametrize("triple", [(1, 0, 10**4400), (10**4400 - 1, 1, 10**4400), (10**4400, 1, 1)])
     def test_triple_past_int_str_limit_names_the_limit(self, triple):
         with pytest.raises(ResourceLimitError, match="4300"):
-            format_triple(*triple)
+            format_triple(*map(Decimal, triple))
+
+    @pytest.mark.parametrize("digits", [640, 4300])
+    def test_triple_digit_check_agrees_with_int_printing(self, digits):
+        # a triple as wide as the limit prints as its ints do, one digit
+        # wider names the limit; neither counts the sign of a
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            c = 10**digits - 1
+            assert format_triple(Decimal(1 - c), Decimal(1), Decimal(c)) == (f"{1 - c}/{c}", f"1/{c}", str(c))
+            with pytest.raises(ValueError):
+                str(1 - 10 * c)
+            with pytest.raises(ResourceLimitError, match=str(digits)):
+                format_triple(Decimal(1 - 10 * c), Decimal(1), Decimal(10 * c + 9))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(projective_st)
     def test_projective_pair(self, value):

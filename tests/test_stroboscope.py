@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import stroboscope_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,7 @@ class TestIterate:
             assert a * a + b * b == c * c
             assert point == (Fraction(a, c), Fraction(b, c))
         assert trajectory.heights == [c for _, _, c in trajectory.triples]
+        assert all(type(v) is int for triple in trajectory.triples for v in triple)
 
     def test_one_gcd_per_step(self, monkeypatch):
         # the stepping builds no Fraction: one gcd reduces each new triple
@@ -180,6 +182,26 @@ def test_reduction_modulo_the_squared_scale_equals_full_width_gcd(data):
     steps = data.draw(st.integers(0, 25))
     trajectory = stroboscope.iterate(delta, start, steps)
     assert trajectory.triples == _full_width_triples(delta, start, steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decimal_stepping_equals_the_int_stepper(data):
+    # the periodic parameters and the axis points, where a zero coordinate
+    # can come out of the Decimal products as -0, next to generic draws
+    periodic = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), INF])
+    delta = data.draw(st.one_of(periodic, _deltas()))
+    axis = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    start = data.draw(st.one_of(axis, _start_for(delta)))
+    steps = data.draw(st.integers(0, 25))
+    trajectory = stroboscope.iterate(delta, start, steps)
+    triples, period = oracle.iterate(delta, start, steps)
+    assert trajectory.triples == triples
+    assert trajectory.heights == [c for _, _, c in triples]
+    assert trajectory.period == period
+    assert [tuple(map(str, triple)) for triple in trajectory.decimal_triples] == [
+        tuple(map(str, triple)) for triple in triples
+    ]
 
 
 @settings(max_examples=300, deadline=None)
