@@ -23,6 +23,7 @@ from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import (
+    format_pair,
     format_point,
     format_projective,
     format_rational,
@@ -352,22 +353,24 @@ def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
 def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     """Exhaustive scan for rational solutions of x_1^k + ... + x_n^k = 1."""
     report = search_lib.search_n(k, n, bound)
-    payload = report.payload()
+    # every format prints the report's "p/q" strings, each formatted once; the
+    # JSON payload is built only when it is printed or written
+    if fmt == "json" or json_path is not None:
+        payload_text = _compact_json(report.payload())
     if json_path is not None:
-        _write_file(json_path, _compact_json(payload) + "\n")
+        _write_file(json_path, payload_text + "\n")
     click.echo(f"elapsed: {report.elapsed:.3f}s", err=True)
-    if fmt == "csv":
-        _echo_csv(
-            tuple(f"x{i}" for i in range(1, n + 1)),
-            [tuple(format_rational(c) for c in solution) for solution in report.solutions],
-        )
-        return
-    lines = [
-        f"k={report.k} n={report.n} height={report.height_bound}: "
-        f"{len(report.solutions)} solutions ({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)"
-    ]
-    lines.extend(",".join(format_rational(c) for c in solution) for solution in report.solutions)
-    _echo_payload(payload, fmt, lines)
+    if fmt == "json":
+        click.echo(payload_text)
+    elif fmt == "csv":
+        _echo_csv(tuple(f"x{i}" for i in range(1, n + 1)), report.texts)
+    else:
+        lines = [
+            f"k={report.k} n={report.n} height={report.height_bound}: "
+            f"{len(report.rows)} solutions ({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)"
+        ]
+        lines.extend(map(",".join, report.texts))
+        click.echo("\n".join(lines))
 
 
 @cli.command(name="coverage")
@@ -376,31 +379,28 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
 def coverage_cmd(bound: int, fmt: str) -> None:
     """Verify every bounded circle point is reached from (1,0) by a rotation."""
     report = search_lib.verify_orbit_coverage(bound)
+    rows = [
+        (format_pair(a, c), format_pair(b, c), format_pair(*delta))
+        for (a, b, c), delta in report.reached
+    ]
     if fmt == "csv":
-        _echo_csv(
-            ("x", "y", "delta"),
-            [
-                (format_rational(p[0]), format_rational(p[1]), format_projective(d))
-                for p, d in report.entries
-            ],
-        )
+        _echo_csv(("x", "y", "delta"), rows)
         return
-    payload = {
-        "height": report.height_bound,
-        "total": report.total,
-        "covered": report.covered,
-        "coverage": format_rational(report.coverage),
-        "unreachable": [format_point(p) for p in report.unreachable],
-        "entries": [
-            {"point": format_point(p), "delta": format_projective(d)}
-            for p, d in report.entries
-        ],
-    }
-    lines = [f"covered {report.covered}/{report.total} (coverage {format_rational(report.coverage)})"]
-    lines.extend(
-        f"{format_point(p)} <- delta {format_projective(d)}" for p, d in report.entries
-    )
-    _echo_payload(payload, fmt, lines)
+    coverage = format_rational(report.coverage)
+    if fmt == "json":
+        payload = {
+            "height": report.height_bound,
+            "total": report.total,
+            "covered": report.covered,
+            "coverage": coverage,
+            "unreachable": [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in report.missed],
+            "entries": [{"point": f"{x},{y}", "delta": delta} for x, y, delta in rows],
+        }
+        click.echo(_compact_json(payload))
+        return
+    lines = [f"covered {report.covered}/{report.total} (coverage {coverage})"]
+    lines.extend(f"{x},{y} <- delta {delta}" for x, y, delta in rows)
+    click.echo("\n".join(lines))
 
 
 @cli.command(name="counterexample")

@@ -26,6 +26,7 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
+    "format_pair",
     "format_point",
     "format_projective",
     "format_rational",
@@ -159,6 +160,16 @@ def format_rational(value: "Fraction | int") -> str:
     value = Fraction(value)
     try:
         return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise _print_limit_error() from None
+
+
+def format_pair(num: int, den: int) -> str:
+    """`format_projective` of the reduced pair (num : den), den >= 0, without building a Fraction: "inf" when den = 0."""
+    if not den:
+        return "inf"
+    try:
+        return f"{num}/{den}"
     except ValueError:
         raise _print_limit_error() from None
 

@@ -1,17 +1,28 @@
 """Bounded-height exhaustive search for rational points of x_1^k + ... + x_n^k = 1.
 
 The search space for height bound H is the set of reduced fractions p/q with
-max(|p|, q) <= H.  The scans run over integers and build a Fraction only for
-a solution, so reported solutions are exact and exhaustiveness within the
-bound is structural rather than numerical.
+max(|p|, q) <= H.  The scans run over integers and a solution stays a row of
+integer pairs (p, q) until it is printed, so reported solutions are exact and
+exhaustiveness within the bound is structural rather than numerical.
 
 For n = 2 the common-denominator lemma applies: if a/c and b/d are in lowest
 terms and (a/c)^k + (b/d)^k = 1, then c^k divides a^k d^k, so c divides d,
-and by symmetry c = d.  The scan therefore decides a^k + b^k = c^k with a
-dict of k-th powers; x^2 - y^2 = 1 gives a^2 - b^2 = c^2 in the same way.
-For n >= 3 denominators differ (e.g. 1/2, 2/3, 5/6 for k = 3), so each
-prefix's remainder 1 - sum x_i^k is reduced and looked up in a table of the
-k-th powers (p^k, q^k) of every reduced p/q within the bound.
+and by symmetry c = d.  Every solution (a/c, b/c) is then a signed or
+permuted arrangement of a base triple 0 <= x <= y <= z <= H with
+x^k + y^k = z^k, and the scan looks z^k - y^k up among the k-th powers for
+each y with y^k >= z^k - y^k.  x^2 - y^2 = 1 gives a^2 = b^2 + c^2, arranged
+from the same triples.
+
+For n >= 3 denominators differ (e.g. 1/2, 2/3, 5/6 for k = 3), so every
+coordinate is put on one scale D = lcm(1..H)^k: p/q has x^k = P/D for the
+integer P = (p * lcm(1..H)/q)^k.  A prefix of n - 2 coordinates leaves the
+rest R = D - sum P, which the last two coordinates close exactly when R - P
+and P are both in the table of scaled powers: one set intersection per
+prefix, with no gcd.
+
+Rows sort by the integer keys p*H^2 // q.  Two distinct fractions of height
+<= H differ by at least 1/H^2, so the keys order them as the fractions are
+ordered.
 """
 
 from __future__ import annotations
@@ -19,12 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from time import perf_counter
 
-from . import circle
+from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, format_rational
+from .rationals import ProjectiveRational, format_pair, projective_ratio
 
 __all__ = [
     "CoverageReport",
@@ -45,6 +57,8 @@ __all__ = [
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 Point = tuple[Fraction, Fraction]
+#: A solution as reduced integer pairs (p, q), q > 0, one per coordinate p/q.
+Row = tuple[tuple[int, int], ...]
 
 
 def _check_bound(bound) -> None:
@@ -144,90 +158,121 @@ def is_trivial_tuple(solution) -> bool:
     return all(component in (0, 1, -1) for component in solution)
 
 
+def _row_key(bound: int):
+    """The sort key of a row of height <= bound: p*bound^2 // q for each pair (p, q).
+
+    Distinct fractions p/q < p'/q' of height <= bound differ by at least
+    1/(q*q') >= 1/bound^2, so their keys differ by at least 1: the keys
+    order rows as Fraction tuples are ordered, and are equal only for equal
+    fractions.
+    """
+    square = bound * bound
+    return lambda row: tuple([p * square // q for p, q in row])
+
+
 @dataclass
 class SearchReport:
     """Outcome of one exhaustive bounded-height scan.
 
-    `solutions` is the complete sorted list of solution tuples within the
-    bound; `elapsed` is a wall-clock diagnostic and deliberately excluded
-    from `payload()`, the JSON-able form.
+    `rows` is the complete list of solutions within the bound, each a tuple
+    of reduced integer pairs (p, q) with q > 0, sorted as the tuples of
+    fractions p/q sort.  `solutions` builds those Fraction tuples on access;
+    `texts` formats each component as "p/q" once per report.  `elapsed` is
+    a wall-clock diagnostic and deliberately excluded from `payload()`, the
+    JSON-able form.
     """
 
     k: int
     n: int
     height_bound: int
-    solutions: list[tuple[Fraction, ...]]
+    rows: list[Row]
     trivial_count: int
     nontrivial_count: int
     elapsed: float = field(repr=False, default=0.0)
+
+    @property
+    def solutions(self) -> list[tuple[Fraction, ...]]:
+        return [tuple([Fraction(p, q) for p, q in row]) for row in self.rows]
+
+    @cached_property
+    def texts(self) -> list[list[str]]:
+        return [[format_pair(p, q) for p, q in row] for row in self.rows]
 
     def payload(self) -> dict:
         return {
             "k": self.k,
             "n": self.n,
             "height": self.height_bound,
-            "count": len(self.solutions),
+            "count": len(self.rows),
             "trivial": self.trivial_count,
             "nontrivial": self.nontrivial_count,
-            "solutions": [
-                [format_rational(c) for c in solution]
-                for solution in self.solutions
-            ],
+            "solutions": self.texts,
         }
 
 
-def _common_denominator_scan(k: int, bound: int, sign: int = 1) -> list[Point]:
-    """Every (a/c, b/c) of height <= bound with a^k + sign * b^k = c^k.
+def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
+    """Every (x, y, z) with 0 <= x <= y <= z <= bound, z >= 1 and x^k + y^k = z^k.
+
+    x <= y exactly when y^k >= z^k - y^k, so for each z the y run from the
+    least such y, `low`, which grows with z, up to z; one C-level pass looks
+    every z^k - y^k up among the k-th powers.
+    """
+    powers = [x**k for x in range(bound + 1)]
+    roots = {power: x for x, power in enumerate(powers)}
+    triples = []
+    low = 0
+    for z in range(1, bound + 1):
+        zk = powers[z]
+        while 2 * powers[low] < zk:
+            low += 1
+        for xk in roots.keys() & map(zk.__sub__, powers[low : z + 1]):
+            triples.append((roots[xk], roots[zk - xk], z))
+    return triples
+
+
+def _conic_rows(k: int, bound: int, sign: int = 1) -> list[Row]:
+    """Every ((a, c), (b, c)) of height <= bound with a^k + sign * b^k = c^k, unsorted.
 
     By the common-denominator lemma these are all rational points of
-    x^k + sign * y^k = 1 within the bound.  A hit with gcd(a, c) = 1 is in
+    x^k + sign * y^k = 1 within the bound (sign = -1 for even k only).  Each
+    is an arrangement (a, b, c) of a base triple (x, y, z) with c > 0, so
+    every component is at most z: (±x, ±y, z) and (±y, ±x, z) for even k;
+    (x, y, z), (y, x, z) and, moving one term across, (-x, z, y),
+    (z, -x, y), (-y, z, x) and (z, -y, x) for odd k; (±z, ±y, x) and
+    (±z, ±x, y) for a^k - b^k = c^k.  gcd(a, c) = 1 keeps an arrangement in
     lowest terms on both sides, since a prime dividing b and c divides a^k.
-    For even k the power dict holds b >= 0 and each hit also yields -b.
     """
-    even = k % 2 == 0
-    roots = {b**k: b for b in range(0 if even else -bound, bound + 1)}
-    powers = [(a, a**k) for a in range(-bound, bound + 1)]
-    points = []
-    for c in range(1, bound + 1):
-        ck = c**k
-        for a, ak in powers:
-            b = roots.get(sign * (ck - ak))
-            if b is None or gcd(a, c) != 1:
-                continue
-            x, y = Fraction(a, c), Fraction(b, c)
-            points.append((x, y))
-            if even and b:
-                points.append((x, -y))
-    return points
+    found = set()
+    for x, y, z in _base_triples(k, bound):
+        if sign < 0:
+            arranged = [(a, b, c) for c, w in ((x, y), (y, x)) for a in (z, -z) for b in (w, -w)]
+        elif k % 2 == 0:
+            arranged = [(a, b, z) for u, w in ((x, y), (y, x)) for a in (u, -u) for b in (w, -w)]
+        else:
+            arranged = [(x, y, z), (y, x, z), (-x, z, y), (z, -x, y), (-y, z, x), (z, -y, x)]
+        found.update(triple for triple in arranged if triple[2] > 0 and gcd(triple[0], triple[2]) == 1)
+    return [((a, c), (b, c)) for a, b, c in found]
 
 
-def _power_table_scan(k: int, n: int, bound: int) -> list[tuple[Fraction, ...]]:
-    """Every n-tuple of height <= bound, closing each (n - 1)-prefix by table.
+def _common_scale_rows(k: int, n: int, bound: int) -> list[Row]:
+    """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted.
 
-    The remainder 1 - sum x_i^k of a prefix stays an integer pair; reduced by
-    one gcd it is looked up among the k-th powers (p^k, q^k) of the reduced
-    p/q within the bound (p >= 0 for even k, whose hits also yield -p/q).
+    Coordinates with one scaled power (p/q and -p/q for even k) share an
+    entry of the table, so the prefixes run over its distinct powers and
+    each hit expands into every choice of coordinates.
     """
-    even = k % 2 == 0
-    powers = [(num, den, num**k, den**k) for num, den in _reduced_pairs(bound)]
-    roots = {(pk, qk): Fraction(num, den) for num, den, pk, qk in powers if not even or num >= 0}
-    solutions = []
-    for head in itertools.product(powers, repeat=n - 2):
-        head_num, head_den = 1, 1
-        for _, _, pk, qk in head:
-            head_num, head_den = head_num * qk - pk * head_den, head_den * qk
-        for num, den, pk, qk in powers:
-            rest_num = head_num * qk - pk * head_den
-            rest_den = head_den * qk
-            g = gcd(rest_num, rest_den)
-            root = roots.get((rest_num // g, rest_den // g))
-            if root is None:
-                continue
-            values = tuple(Fraction(a, b) for a, b, _, _ in head) + (Fraction(num, den),)
-            solutions.append(values + (root,))
-            if even and root:
-                solutions.append(values + (-root,))
-    return solutions
+    scale = lcm(*range(1, bound + 1))
+    by_power: dict[int, list[tuple[int, int]]] = {}
+    for p, q in _reduced_pairs(bound):
+        by_power.setdefault((p * (scale // q)) ** k, []).append((p, q))
+    total = scale**k
+    rows = []
+    for head in itertools.product(by_power.items(), repeat=n - 2):
+        rest = total - sum(power for power, _ in head)
+        choices = [pairs for _, pairs in head]
+        for last in by_power.keys() & map(rest.__sub__, by_power):
+            rows.extend(itertools.product(*choices, by_power[rest - last], by_power[last]))
+    return rows
 
 
 def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
@@ -254,19 +299,16 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
         raise ResourceLimitError(
             f"scan of {prefix_count} coordinate prefixes exceeds the budget {budget}"
         )
-    if n == 2:
-        solutions = _common_denominator_scan(k, bound)
-    else:
-        solutions = _power_table_scan(k, n, bound)
-    solutions.sort()
-    trivial = sum(1 for solution in solutions if is_trivial_tuple(solution))
+    rows = _conic_rows(k, bound) if n == 2 else _common_scale_rows(k, n, bound)
+    rows.sort(key=_row_key(bound))
+    trivial = sum(1 for row in rows if all(q == 1 and -1 <= p <= 1 for p, q in row))
     return SearchReport(
         k=k,
         n=n,
         height_bound=bound,
-        solutions=solutions,
+        rows=rows,
         trivial_count=trivial,
-        nontrivial_count=len(solutions) - trivial,
+        nontrivial_count=len(rows) - trivial,
         elapsed=perf_counter() - started,
     )
 
@@ -295,16 +337,30 @@ def n_counterexample(k: int, x1) -> tuple[Fraction, Fraction, Fraction]:
 class CoverageReport:
     """Reachability of every height-bounded rational circle point from (1, 0).
 
-    Each entry pairs a point with the verified rotation parameter reaching
-    it; `unreachable` stays empty whenever the transitivity solver succeeds
-    everywhere, and the coverage ratio is exact.
+    `reached` pairs the reduced triple (a, b, c) of each point (a/c, b/c)
+    with the verified rotation parameter reaching it, as a reduced pair
+    (n, m) with m >= 0 and inf = (1, 0); `missed` holds the triples of the
+    points no verified parameter reached, and stays empty whenever the
+    transitivity solver succeeds everywhere.  `entries` and `unreachable`
+    build the Fraction forms on access; the coverage ratio is exact.
     """
 
     height_bound: int
     total: int
     covered: int
-    entries: list[tuple[Point, ProjectiveRational]]
-    unreachable: list[Point]
+    reached: list[tuple[tuple[int, int, int], tuple[int, int]]]
+    missed: list[tuple[int, int, int]]
+
+    @property
+    def entries(self) -> list[tuple[Point, ProjectiveRational]]:
+        return [
+            ((Fraction(a, c), Fraction(b, c)), projective_ratio(n, m))
+            for (a, b, c), (n, m) in self.reached
+        ]
+
+    @property
+    def unreachable(self) -> list[Point]:
+        return [(Fraction(a, c), Fraction(b, c)) for a, b, c in self.missed]
 
     @property
     def coverage(self) -> Fraction:
@@ -316,39 +372,42 @@ class CoverageReport:
 def verify_orbit_coverage(bound: int) -> CoverageReport:
     """Solve (1, 0) -> p for every circle point p of height <= bound.
 
-    The point list comes from the exhaustive quadratic search; `solve_delta`
-    confirms each solve by exact action, so a full-coverage report is a
-    machine check that the rational rotations act transitively within the
-    bound.
+    The points come from the exhaustive quadratic search as triples.  Each
+    solve composes the target's chart pair with the inverse of the base's,
+    as `CIRCLE.solve_delta` does, and exact action (`carries_pair`)
+    confirms it, so a full-coverage report is a machine check that the
+    rational rotations act transitively within the bound.
     """
-    report = search_solutions(2, bound)
-    base = (Fraction(1), Fraction(0))
-    entries: list[tuple[Point, ProjectiveRational]] = []
-    unreachable: list[Point] = []
-    for point in report.solutions:
-        try:
-            element = circle.solve_delta(base, point)
-        except (InvalidArgumentError, ArithmeticError):
-            unreachable.append(point)
+    base = (1, 0, 1)
+    n0, m0 = CIRCLE.chart_pair(*base)
+    reached = []
+    missed = []
+    for (a, c), (b, _) in search_solutions(2, bound).rows:
+        triple = (a, b, c)
+        # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
+        n, m = CIRCLE.compose_pair(CIRCLE.chart_pair(*triple), (-n0, m0))
+        if CIRCLE.carries_pair((n, m), base, triple):
+            g = gcd(n, m)
+            reached.append((triple, (n // g, m // g)))
         else:
-            entries.append((point, element.delta))
+            missed.append(triple)
     return CoverageReport(
         height_bound=bound,
-        total=len(report.solutions),
-        covered=len(entries),
-        entries=entries,
-        unreachable=unreachable,
+        total=len(reached) + len(missed),
+        covered=len(reached),
+        reached=reached,
+        missed=missed,
     )
 
 
 def hyperbola_points(bound: int) -> list[Point]:
     """All rational points of x^2 - y^2 = 1 with height <= bound, sorted."""
     _check_bound(bound)
-    points = _common_denominator_scan(2, bound, sign=-1)
-    points.sort()
-    return points
+    rows = _conic_rows(2, bound, sign=-1)
+    rows.sort(key=_row_key(bound))
+    return [(Fraction(a, c), Fraction(b, c)) for (a, c), (b, _) in rows]
 
 
 def circle_points(bound: int) -> list[Point]:
     """All rational points of x^2 + y^2 = 1 with height <= bound, sorted."""
-    return [tuple(solution) for solution in search_solutions(2, bound).solutions]
+    return search_solutions(2, bound).solutions

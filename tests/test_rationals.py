@@ -16,6 +16,7 @@ from fermatgroups.rationals import (
     Infinity,
     Mat2,
     as_projective,
+    format_pair,
     format_point,
     format_projective,
     format_rational,
@@ -239,6 +240,15 @@ class TestTextCodec:
                 format_triple(Decimal(1 - 10 * c), Decimal(1), Decimal(10 * c + 9))
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @given(projective_st)
+    def test_pair_matches_format_projective(self, value):
+        assert format_pair(*projective_pair(value)) == format_projective(value)
+
+    @pytest.mark.parametrize("pair", [(1, 10**4400), (10**4400, 1)])
+    def test_pair_past_int_str_limit_names_the_limit(self, pair):
+        with pytest.raises(ResourceLimitError, match="4300"):
+            format_pair(*pair)
 
     @given(projective_st)
     def test_projective_pair(self, value):

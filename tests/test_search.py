@@ -3,13 +3,14 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatgroups import search
+from fermatgroups import circle, search
 from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
 from fermatgroups.rationals import INF, height
 
@@ -46,6 +47,67 @@ def fraction_hyperbola_points(bound):
         if y != 0:
             points.append((x, -y))
     return sorted(points)
+
+
+def common_denominator_scan(k, bound, sign=1):
+    """Differential oracle: the dict loop the base-triple kernel replaced.
+
+    Every (a/c, b/c) of height <= bound with a^k + sign * b^k = c^k, unsorted:
+    c^k - a^k is looked up in a dict of the k-th powers b^k for every c and
+    a.  A hit with gcd(a, c) = 1 is in lowest terms on both sides, since a
+    prime dividing b and c divides a^k.  For even k the power dict holds
+    b >= 0 and each hit also yields -b.
+    """
+    even = k % 2 == 0
+    roots = {b**k: b for b in range(0 if even else -bound, bound + 1)}
+    powers = [(a, a**k) for a in range(-bound, bound + 1)]
+    points = []
+    for c in range(1, bound + 1):
+        ck = c**k
+        for a, ak in powers:
+            b = roots.get(sign * (ck - ak))
+            if b is None or gcd(a, c) != 1:
+                continue
+            x, y = Fraction(a, c), Fraction(b, c)
+            points.append((x, y))
+            if even and b:
+                points.append((x, -y))
+    return points
+
+
+def power_table_scan(k, n, bound):
+    """Differential oracle: the gcd loop the common-scale kernel replaced.
+
+    Every n-tuple of height <= bound, unsorted.  The remainder 1 - sum x_i^k
+    of each (n - 1)-prefix stays an integer pair; reduced by one gcd it is
+    looked up among the k-th powers (p^k, q^k) of the reduced p/q within the
+    bound (p >= 0 for even k, whose hits also yield -p/q).
+    """
+    even = k % 2 == 0
+    powers = [(num, den, num**k, den**k) for num, den in search._reduced_pairs(bound)]
+    roots = {(pk, qk): Fraction(num, den) for num, den, pk, qk in powers if not even or num >= 0}
+    solutions = []
+    for head in itertools.product(powers, repeat=n - 2):
+        head_num, head_den = 1, 1
+        for _, _, pk, qk in head:
+            head_num, head_den = head_num * qk - pk * head_den, head_den * qk
+        for num, den, pk, qk in powers:
+            rest_num = head_num * qk - pk * head_den
+            rest_den = head_den * qk
+            g = gcd(rest_num, rest_den)
+            root = roots.get((rest_num // g, rest_den // g))
+            if root is None:
+                continue
+            values = tuple(Fraction(a, b) for a, b, _, _ in head) + (Fraction(num, den),)
+            solutions.append(values + (root,))
+            if even and root:
+                solutions.append(values + (-root,))
+    return solutions
+
+
+def as_rows(solutions):
+    """Sorted Fraction tuples as the kernels' rows of (numerator, denominator) pairs."""
+    return [tuple((c.numerator, c.denominator) for c in solution) for solution in sorted(solutions)]
 
 
 class TestReducedFractions:
@@ -304,6 +366,61 @@ class TestIntegerKernelsAgainstFractionScan:
         assert [search._totient_sum(q) for q in range(1, 301)] == expected
 
 
+class TestKernelsAgainstFormerKernels:
+    """The base-triple and common-scale kernels give the rows the former kernels found."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_two_variables(self, k):
+        for bound in range(1, 121):
+            report = search.search_n(k, 2, bound)
+            assert report.rows == as_rows(common_denominator_scan(k, bound)), bound
+            assert report.trivial_count == sum(map(search.is_trivial_tuple, report.solutions))
+
+    def test_hyperbola(self):
+        for bound in range(1, 151):
+            points = search.hyperbola_points(bound)
+            assert as_rows(points) == as_rows(common_denominator_scan(2, bound, sign=-1)), bound
+            assert points == sorted(points)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_three_variables(self, k):
+        for bound in range(1, 11):
+            report = search.search_n(k, 3, bound)
+            assert report.rows == as_rows(power_table_scan(k, 3, bound)), bound
+            assert report.trivial_count == sum(map(search.is_trivial_tuple, report.solutions))
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_four_variables(self, k):
+        for bound in range(1, 4):
+            assert search.search_n(k, 4, bound).rows == as_rows(power_table_scan(k, 4, bound)), bound
+
+
+class TestRowKey:
+    """Rows sort by p*H^2 // q per component, never by Fraction comparison."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_orders_as_fractions_and_ties_only_equal_values(self, data):
+        bound = data.draw(st.integers(min_value=1, max_value=10**6), label="bound")
+        component = st.integers(min_value=-bound, max_value=bound)
+        values = data.draw(
+            st.lists(st.builds(Fraction, component, st.integers(min_value=1, max_value=bound)), max_size=30),
+            label="values",
+        )
+        key = search._row_key(bound)
+        keys = {value: key(((value.numerator, value.denominator),)) for value in values}
+        assert sorted(values, key=keys.__getitem__) == sorted(values)
+        for value in values:
+            for other in values:
+                assert (keys[value] == keys[other]) == (value == other)
+
+    def test_every_fraction_of_small_height(self):
+        for bound in range(1, 41):
+            key = search._row_key(bound)
+            keys = [key(((value.numerator, value.denominator),)) for value in search.reduced_fractions(bound)]
+            assert all(first < second for first, second in zip(keys, keys[1:])), bound
+
+
 class TestNCounterexample:
     def test_witness_shape(self):
         witness = search.n_counterexample(3, Fraction(7, 2))
@@ -361,6 +478,15 @@ class TestOrbitCoverage:
         report = search.verify_orbit_coverage(50)
         assert report.total == 60
         assert len(calls) == report.total
+
+
+    def test_entries_match_the_fraction_solver(self):
+        for bound in range(1, 61):
+            report = search.verify_orbit_coverage(bound)
+            expected = [(p, circle.solve_delta((1, 0), p).delta) for p in search.circle_points(bound)]
+            assert report.entries == expected, bound
+            assert report.unreachable == []
+            assert report.coverage == 1
 
 
 class TestCurvePointEnumerators:
