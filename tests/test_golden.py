@@ -29,9 +29,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import ModuleType
 
+import click
 import pytest
 
-from fermatgroups.cli import main
+from fermatgroups.cli import cli, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -68,6 +69,36 @@ def test_replays_byte_identically(case, tmp_path):
     assert sorted(files) == case["files"]
     for filename, data in files.items():
         assert data == (GOLDEN / f"{name}.{filename}").read_bytes()
+
+
+def _format_choices(command, path=()):
+    """Yield (command path, format, default format) for every `--format` choice under `command`."""
+    if isinstance(command, click.Group):
+        for name, sub in command.commands.items():
+            yield from _format_choices(sub, (*path, name))
+        return
+    for param in command.params:
+        if "--format" in getattr(param, "opts", ()):
+            for choice in param.type.choices:
+                yield path, choice, param.default
+
+
+def _case_format(argv, default):
+    return argv[argv.index("--format") + 1] if "--format" in argv else default
+
+
+def test_every_command_format_has_a_case():
+    missing = [
+        f"{' '.join(path)} --format {fmt}"
+        for path, fmt, default in _format_choices(cli)
+        if not any(
+            case["exit"] == 0
+            and tuple(case["argv"][: len(path)]) == path
+            and _case_format(case["argv"], default) == fmt
+            for case in CASES
+        )
+    ]
+    assert missing == []
 
 
 def record(names=()) -> None:
