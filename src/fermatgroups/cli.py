@@ -5,10 +5,18 @@ present), the point at infinity as "inf", and no floating-point value ever
 reaches stdout.  Identical invocations print identical bytes; wall-clock
 diagnostics go to stderr only.  Exit codes: 0 success, 2 invalid argument,
 3 resource limit exceeded.
+
+Every command prints through `_emit`: it passes one builder per format it
+accepts, each returning that format's whole output text, and only the
+chosen format's builder runs.  The text is written to stdout in one write
+and flushed inside the command, after any --csv or --json file, so a call
+that fails prints nothing.  Stdout is always generated ASCII; `click.echo`
+writes only stderr.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -18,7 +26,6 @@ from . import audit as audit_lib
 from . import circle as circle_lib
 from . import monomial, stroboscope
 from . import search as search_lib
-from .audit import run_audit_suite
 from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -33,31 +40,29 @@ from .rationals import (
     parse_rational,
 )
 
-__all__ = ["cli", "dispatch", "main", "run_audit_suite"]
+__all__ = ["cli", "main"]
 
 
-def _compact_json(payload) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+def _emit(fmt: str, **builders) -> None:
+    """Build the output text of the chosen format only, and write it to stdout at once."""
+    text = builders[fmt]()
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
-def _echo_payload(payload, fmt: str, text_lines=None) -> None:
-    if fmt == "json":
-        click.echo(_compact_json(payload))
-    elif text_lines is None:
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            click.echo(line)
+def _json(payload) -> str:
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _lines(*lines) -> str:
+    """The lines, each ended by a newline, joined with one copy."""
+    return "\n".join([*lines, ""])
 
 
 def _csv_text(header, rows) -> str:
     # every field is an integer, p/q, inf or space-separated integers, none of
     # which CSV quotes, so the fields are joined as they are
     return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
-
-
-def _echo_csv(header, rows) -> None:
-    click.echo(_csv_text(header, rows), nl=False)
 
 
 def _write_file(path, text: str) -> None:
@@ -108,8 +113,8 @@ def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
     @click.option("--d2", "d2_text", required=True, metavar="PR", help=f"Second parameter ({domain}).")
     @_format_option("text", "json")
     def compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
-        result = curve.compose_delta(parse_projective(d1_text), parse_projective(d2_text))
-        _echo_payload(format_projective(result), fmt, [format_projective(result)])
+        result = format_projective(curve.compose_delta(parse_projective(d1_text), parse_projective(d2_text)))
+        _emit(fmt, text=lambda: f"{result}\n", json=lambda: _json(result))
 
     @group.command(name="act", help=f"Exact image of a {curve.name} point under a group element.")
     @click.option("--delta", "delta_text", required=True, metavar="PR", help=f"{motion.capitalize()} parameter.")
@@ -119,7 +124,7 @@ def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
     def act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
         element = curve.element(parse_projective(delta_text), reflect)
         image = element.act(parse_point(point_text))
-        _echo_payload([format_rational(c) for c in image], fmt, [format_point(image)])
+        _emit(fmt, text=lambda: f"{format_point(image)}\n", json=lambda: _json([format_rational(c) for c in image]))
 
     @group.command(name="solve", help=f"{motion.capitalize()} parameter carrying one {curve.name} point to another (verified).")
     @click.option("--from", "from_text", required=True, metavar="PT", help="Start point x,y.")
@@ -128,8 +133,8 @@ def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
     def solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
         source, target = _point_pair(from_text, to_text)
         element = curve.solve_delta(source, target)
-        payload = {"delta": format_projective(element.delta), "reflected": element.reflected}
-        _echo_payload(payload, fmt, [format_projective(element.delta)])
+        delta = format_projective(element.delta)
+        _emit(fmt, text=lambda: f"{delta}\n", json=lambda: _json({"delta": delta, "reflected": element.reflected}))
 
     @group.command(name=audit_verb, help=f"Audit the two closed forms for the {curve.name}'s connecting parameter.\n\n{audit_help}")
     @click.option("--height", "bound", type=int, default=None, metavar="H", help="Sweep all point pairs up to this height (default 12).")
@@ -146,7 +151,7 @@ def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
             payload = audit_lib.render_identity_audit(curve.delta_identity_audit(source, target))
         else:
             payload = sweep(12 if bound is None else bound)
-        _echo_payload(payload, fmt)
+        _emit(fmt, text=lambda: json.dumps(payload, indent=2) + "\n", json=lambda: _json(payload))
 
 
 _conic_group(
@@ -167,10 +172,12 @@ _conic_group(
 def triples_cmd(bound: int, fmt: str) -> None:
     """Primitive Pythagorean triples from rotation parameters up to a height."""
     triples = circle_lib.primitive_triples(bound)
-    if fmt == "csv":
-        _echo_csv(("a", "b", "c"), triples)
-    else:
-        _echo_payload([list(t) for t in triples], fmt, [f"{a} {b} {c}" for a, b, c in triples])
+    _emit(
+        fmt,
+        text=lambda: _lines(*(f"{a} {b} {c}" for a, b, c in triples)),
+        json=lambda: _json([list(t) for t in triples]),
+        csv=lambda: _csv_text(("a", "b", "c"), triples),
+    )
 
 
 # ---------------------------------------------------------------- kgroup ----
@@ -188,7 +195,11 @@ def kgroup_group() -> None:
 def kgroup_order_cmd(k: int, n: int, fmt: str) -> None:
     """Group order k^n * n! (exact)."""
     order = monomial.group_order(k, n)
-    _echo_payload(order, fmt, [str(order)])
+    _emit(fmt, text=lambda: f"{order}\n", json=lambda: _json(order))
+
+
+def _element_line(element) -> str:
+    return f"perm={','.join(map(str, element.perm))} exp={','.join(map(str, element.exponents))}"
 
 
 @kgroup_group.command(name="enumerate")
@@ -199,23 +210,14 @@ def kgroup_order_cmd(k: int, n: int, fmt: str) -> None:
 def kgroup_enumerate_cmd(k: int, n: int, limit, fmt: str) -> None:
     """List every group element as its permutation and exponent vector."""
     elements = monomial.enumerate_group(k, n, limit)
-    if fmt == "csv":
-        _echo_csv(
-            ("perm", "exp"),
-            [
-                (" ".join(map(str, e.perm)), " ".join(map(str, e.exponents)))
-                for e in elements
-            ],
-        )
-    else:
-        _echo_payload(
-            [e.as_dict() for e in elements],
-            fmt,
-            [
-                f"perm={','.join(map(str, e.perm))} exp={','.join(map(str, e.exponents))}"
-                for e in elements
-            ],
-        )
+    _emit(
+        fmt,
+        text=lambda: _lines(*map(_element_line, elements)),
+        json=lambda: _json([e.as_dict() for e in elements]),
+        csv=lambda: _csv_text(
+            ("perm", "exp"), [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in elements]
+        ),
+    )
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -281,21 +283,25 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     components = sorted({c for point in points for c in point}, key=lambda c: c.coeffs)
     rank = {c: i for i, c in enumerate(components)}
     points = sorted(points, key=lambda point: tuple(map(rank.__getitem__, point)))
-    as_json = {c: _component_payload(c) for c in components}
-    as_text = {c: str(c) for c in components}
-    payload = {
-        "k": k,
-        "n": len(vector),
-        "orbit_size": len(points),
-        "stabilizer_order": stabilizer_order,
-        "group_order": monomial.group_order(k, len(vector)),
-        "points": [list(map(as_json.__getitem__, point)) for point in points],
-    }
-    lines = [
-        f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {payload['group_order']}"
-    ]
-    lines.extend(" | ".join(map(as_text.__getitem__, point)) for point in points)
-    _echo_payload(payload, fmt, lines)
+    group_order = monomial.group_order(k, len(vector))
+
+    def as_json() -> str:
+        payloads = {c: _component_payload(c) for c in components}
+        return _json({
+            "k": k,
+            "n": len(vector),
+            "orbit_size": len(points),
+            "stabilizer_order": stabilizer_order,
+            "group_order": group_order,
+            "points": [list(map(payloads.__getitem__, point)) for point in points],
+        })
+
+    def as_text() -> str:
+        texts = {c: str(c) for c in components}
+        head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {group_order}"
+        return _lines(head, *(" | ".join(map(texts.__getitem__, point)) for point in points))
+
+    _emit(fmt, text=as_text, json=as_json)
 
 
 @kgroup_group.command(name="rational")
@@ -306,22 +312,21 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
 def kgroup_rational_cmd(k: int, n: int, limit, fmt: str) -> None:
     """The subgroup with rational matrix entries, certified by closure checks."""
     report = monomial.rational_elements(k, n, limit)
-    payload = {
-        "k": report.k,
-        "n": report.n,
-        "order": report.order,
-        "is_group": report.is_group,
-        "permutations_only": report.permutations_only,
-        "elements": [e.as_dict() for e in report.elements],
-    }
-    lines = [
-        f"order {report.order} (group: {report.is_group}, permutations only: {report.permutations_only})"
-    ]
-    lines.extend(
-        f"perm={','.join(map(str, e.perm))} exp={','.join(map(str, e.exponents))}"
-        for e in report.elements
+    _emit(
+        fmt,
+        text=lambda: _lines(
+            f"order {report.order} (group: {report.is_group}, permutations only: {report.permutations_only})",
+            *map(_element_line, report.elements),
+        ),
+        json=lambda: _json({
+            "k": report.k,
+            "n": report.n,
+            "order": report.order,
+            "is_group": report.is_group,
+            "permutations_only": report.permutations_only,
+            "elements": [e.as_dict() for e in report.elements],
+        }),
     )
-    _echo_payload(payload, fmt, lines)
 
 
 @kgroup_group.command(name="orbit-rational")
@@ -331,14 +336,13 @@ def kgroup_rational_cmd(k: int, n: int, limit, fmt: str) -> None:
 def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
     """Rational points of x^k + y^k = 1 in the orbit of (1, 0)."""
     points = sorted(monomial.orbit_rational_points(k, limit=limit))
-    if fmt == "csv":
-        _echo_csv(("x", "y"), [(format_rational(x), format_rational(y)) for x, y in points])
-    else:
-        _echo_payload(
-            [[format_rational(x), format_rational(y)] for x, y in points],
-            fmt,
-            [format_point(p) for p in points],
-        )
+    rows = [(format_rational(x), format_rational(y)) for x, y in points]
+    _emit(
+        fmt,
+        text=lambda: _lines(*map(",".join, rows)),
+        json=lambda: _json(rows),
+        csv=lambda: _csv_text(("x", "y"), rows),
+    )
 
 
 # ---------------------------------------------------------------- search ----
@@ -354,23 +358,21 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     """Exhaustive scan for rational solutions of x_1^k + ... + x_n^k = 1."""
     report = search_lib.search_n(k, n, bound)
     # every format prints the report's "p/q" strings, each formatted once; the
-    # JSON payload is built only when it is printed or written
-    if fmt == "json" or json_path is not None:
-        payload_text = _compact_json(report.payload())
+    # JSON payload is built once, only when it is printed or written
+    as_json = functools.cache(lambda: _json(report.payload()))
     if json_path is not None:
-        _write_file(json_path, payload_text + "\n")
+        _write_file(json_path, as_json())
     click.echo(f"elapsed: {report.elapsed:.3f}s", err=True)
-    if fmt == "json":
-        click.echo(payload_text)
-    elif fmt == "csv":
-        _echo_csv(tuple(f"x{i}" for i in range(1, n + 1)), report.texts)
-    else:
-        lines = [
-            f"k={report.k} n={report.n} height={report.height_bound}: "
-            f"{len(report.rows)} solutions ({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)"
-        ]
-        lines.extend(map(",".join, report.texts))
-        click.echo("\n".join(lines))
+    _emit(
+        fmt,
+        text=lambda: _lines(
+            f"k={report.k} n={report.n} height={report.height_bound}: {len(report.rows)} solutions "
+            f"({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)",
+            *map(",".join, report.texts),
+        ),
+        json=as_json,
+        csv=lambda: _csv_text(tuple(f"x{i}" for i in range(1, n + 1)), report.texts),
+    )
 
 
 @cli.command(name="coverage")
@@ -383,24 +385,22 @@ def coverage_cmd(bound: int, fmt: str) -> None:
         (format_pair(a, c), format_pair(b, c), format_pair(*delta))
         for (a, b, c), delta in report.reached
     ]
-    if fmt == "csv":
-        _echo_csv(("x", "y", "delta"), rows)
-        return
-    coverage = format_rational(report.coverage)
-    if fmt == "json":
-        payload = {
+    _emit(
+        fmt,
+        text=lambda: _lines(
+            f"covered {report.covered}/{report.total} (coverage {format_rational(report.coverage)})",
+            *(f"{x},{y} <- delta {delta}" for x, y, delta in rows),
+        ),
+        json=lambda: _json({
             "height": report.height_bound,
             "total": report.total,
             "covered": report.covered,
-            "coverage": coverage,
+            "coverage": format_rational(report.coverage),
             "unreachable": [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in report.missed],
             "entries": [{"point": f"{x},{y}", "delta": delta} for x, y, delta in rows],
-        }
-        click.echo(_compact_json(payload))
-        return
-    lines = [f"covered {report.covered}/{report.total} (coverage {coverage})"]
-    lines.extend(f"{x},{y} <- delta {delta}" for x, y, delta in rows)
-    click.echo("\n".join(lines))
+        }),
+        csv=lambda: _csv_text(("x", "y", "delta"), rows),
+    )
 
 
 @cli.command(name="counterexample")
@@ -409,13 +409,9 @@ def coverage_cmd(bound: int, fmt: str) -> None:
 @_format_option("text", "json")
 def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
     """A verified 3-variable solution (x1, -x1, 1) of arbitrary height, odd k."""
-    witness = search_lib.n_counterexample(k, parse_rational(x1_text))
-    payload = {
-        "k": k,
-        "witness": [format_rational(c) for c in witness],
-        "verified": True,
-    }
-    _echo_payload(payload, fmt, [",".join(format_rational(c) for c in witness)])
+    witness = [format_rational(c) for c in search_lib.n_counterexample(k, parse_rational(x1_text))]
+    payload = {"k": k, "witness": witness, "verified": True}
+    _emit(fmt, text=lambda: ",".join(witness) + "\n", json=lambda: _json(payload))
 
 
 # ------------------------------------------------------------ stroboscope ----
@@ -433,36 +429,37 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
     rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
-    if csv_path is not None or fmt == "csv":
-        csv_text = _csv_text(("step", "x", "y", "height"), rows)
+    as_csv = functools.cache(lambda: _csv_text(("step", "x", "y", "height"), rows))
     if csv_path is not None:
-        _write_file(csv_path, csv_text)
-    if fmt == "csv":
-        click.echo(csv_text, nl=False)
-    elif fmt == "json":
-        click.echo(_iterate_json(trajectory, rows))
-    else:
-        lines = [f"step {step}: {x},{y} height {h}" for step, x, y, h in rows]
-        lines.append(f"period: {trajectory.period if trajectory.period is not None else 'none'}")
-        click.echo("\n".join(lines))
+        _write_file(csv_path, as_csv())
+    _emit(
+        fmt,
+        text=lambda: _lines(
+            *(f"step {step}: {x},{y} height {h}" for step, x, y, h in rows),
+            f"period: {trajectory.period if trajectory.period is not None else 'none'}",
+        ),
+        json=lambda: _iterate_json(trajectory, rows),
+        csv=as_csv,
+    )
 
 
 def _iterate_json(trajectory, rows) -> str:
-    """`_compact_json` of the iterate payload, with `points` and `heights` joined from the row strings.
+    """`_json` of the iterate payload, with `points` and `heights` joined from the row strings.
 
     A p/q string and a decimal integer need no JSON escaping, so joining them
     gives json.dumps's bytes without converting each height to decimal again.
+    The coordinates, megabytes of digits, are copied once, by the final join.
     """
-    head = _compact_json(
-        {
-            "delta": format_projective(trajectory.delta),
-            "start": format_point(trajectory.start),
-            "period": trajectory.period,
-        }
-    )
-    points = ",".join(f'["{x}","{y}"]' for _, x, y, _ in rows)
-    heights = ",".join(h for *_, h in rows)
-    return f'{head[:-1]},"points":[{points}],"heights":[{heights}]}}'
+    head = _json({
+        "delta": format_projective(trajectory.delta),
+        "start": format_point(trajectory.start),
+        "period": trajectory.period,
+    })
+    pieces = [head[:-2], ',"points":[']
+    for i, (_, x, y, _) in enumerate(rows):
+        pieces += (',["' if i else '["', x, '","', y, '"]')
+    pieces += ('],"heights":[', ",".join(h for *_, h in rows), "]}\n")
+    return "".join(pieces)
 
 
 # ------------------------------------------------------------------ audit ----
@@ -475,8 +472,8 @@ def _iterate_json(trajectory, rows) -> str:
 @_format_option("json", default="json")
 def audit_cmd(seed: int, bound: int, pairs: int, fmt: str) -> None:
     """Run every identity audit and print one deterministic JSON report."""
-    report = run_audit_suite(seed=seed, identity_bound=bound, law_pairs=pairs)
-    _echo_payload(report, fmt)
+    report = audit_lib.run_audit_suite(seed=seed, identity_bound=bound, law_pairs=pairs)
+    _emit(fmt, json=lambda: _json(report))
 
 
 def main(argv=None) -> int:
@@ -497,11 +494,6 @@ def main(argv=None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 3
     return 0
-
-
-def dispatch(argv) -> int:
-    """Route an argv list to the subcommands; alias for main(argv)."""
-    return main(list(argv))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -16,8 +17,11 @@ from click.testing import CliRunner
 import fermatgroups
 from fermatgroups import cli as cli_module
 from fermatgroups import stroboscope
-from fermatgroups.cli import cli, dispatch, main
+from fermatgroups.cli import cli, main
+from fermatgroups.cyclotomic import CyclotomicNumber
+from fermatgroups.monomial import MonomialMatrix
 from fermatgroups.rationals import format_point, format_projective, format_rational, parse_point, parse_projective
+from fermatgroups.search import SearchReport
 
 
 @pytest.fixture()
@@ -45,9 +49,6 @@ class TestDispatchExamples:
 
     def test_invalid_k_exits_two(self):
         assert main(["kgroup", "order", "--k", "2", "--n", "2"]) == 2
-
-    def test_dispatch_alias(self):
-        assert dispatch(("kgroup", "order", "--k", "3", "--n", "2")) == 0
 
     def test_python_dash_m_runs_the_cli(self):
         source = Path(fermatgroups.__file__).resolve().parent.parent
@@ -516,3 +517,73 @@ def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path):
     assert calls
     for header, rows in calls:
         assert csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap `owner.name` so that each call is recorded; return the list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (["kgroup", "orbit", "--k", "3", "--point", "[0,1],2", "--format", "json"], CyclotomicNumber, "__str__"),
+        (["kgroup", "orbit", "--k", "3", "--point", "[0,1],2", "--format", "text"], cli_module, "_component_payload"),
+        (["kgroup", "rational", "--k", "4", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
+        (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
+        (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "csv"], MonomialMatrix, "as_dict"),
+        (["search", "--k", "2", "--height", "5", "--format", "text"], SearchReport, "payload"),
+        (["search", "--k", "2", "--height", "5", "--format", "csv"], SearchReport, "payload"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_only_the_chosen_format_is_built(argv, owner, name, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, owner, name)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+
+
+def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_path, capsys):
+    calls = _count_calls(monkeypatch, SearchReport, "payload")
+    path = tmp_path / "report.json"
+    assert main(["search", "--k", "3", "--height", "6", "--json", str(path), "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes that carry text (click probes a stream with empty writes)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += bool(text)
+        return super().write(text)
+
+    def writelines(self, lines):
+        lines = list(lines)
+        self.writes += any(lines)
+        return super().writelines(lines)
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in GOLDEN_CASES if case["exit"] == 0], ids=lambda case: case["name"]
+)
+def test_one_stdout_write_per_call(case, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    out = _CountingStdout()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(list(case["argv"])) == 0
+    assert out.getvalue()
+    assert out.writes <= 1
