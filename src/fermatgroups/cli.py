@@ -10,8 +10,8 @@ Every command prints through `_emit`: it passes one builder per format it
 accepts, each returning that format's whole output text, and only the
 chosen format's builder runs.  The text is written to stdout in one write
 and flushed inside the command, after any --csv or --json file, so a call
-that fails prints nothing.  Stdout is always generated ASCII; `click.echo`
-writes only stderr.
+that fails prints nothing.  Stdout is always generated ASCII, with no
+terminal escapes to strip, so `click.echo` writes only stderr.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _emit(fmt: str, **builders) -> None:
     """Build the output text of the chosen format only, and write it to stdout at once."""
     text = builders[fmt]()
     sys.stdout.write(text)
+    # flushed inside the command, so that a closed stdout pipe reaches click's
+    # EPIPE handling (exit 1) instead of failing at interpreter exit
     sys.stdout.flush()
 
 
