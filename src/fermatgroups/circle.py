@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 
 from .conic import CIRCLE, REFLECTION, CircleElement, DeltaIdentityAudit
-from .errors import InvalidArgumentError
+from .rationals import integer
 
 __all__ = [
     "CircleElement",
@@ -42,8 +42,7 @@ def primitive_triples(bound: int) -> list[tuple[int, int, int]]:
     makes the triple primitive.  Legs are ordered increasingly, duplicates
     merged, and the list is sorted by hypotenuse then legs.
     """
-    if not isinstance(bound, int) or bound < 1:
-        raise InvalidArgumentError(f"height bound must be an integer >= 1, got {bound!r}")
+    integer(bound, 1, "height bound")
     triples = set()
     for q in range(2, bound + 1):
         for p in range(1, q):

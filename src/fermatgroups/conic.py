@@ -36,6 +36,7 @@ from .rationals import (
     Mat2,
     ProjectiveRational,
     as_projective,
+    exact,
     format_point,
     format_projective,
     pr_neg,
@@ -64,7 +65,7 @@ def _as_point(point) -> Point:
         x, y = point
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"not a planar point: {point!r}") from None
-    return (Fraction(x), Fraction(y))
+    return (Fraction(exact(x)), Fraction(exact(y)))
 
 
 def _same(first: tuple[int, int], second: tuple[int, int]) -> "bool | None":

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, integer, parse_rational
 
 __all__ = [
     "CyclotomicNumber",
@@ -32,8 +32,7 @@ __all__ = [
 
 def euler_phi(k: int) -> int:
     """Count of 1 <= i <= k coprime to k; the degree of Phi_k."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"euler_phi needs an integer k >= 1, got {k!r}")
+    integer(k, 1, "euler_phi argument k")
     return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
 
 
@@ -74,7 +73,8 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
     return _trim(quotient), _trim(work)
 
 
-@lru_cache(maxsize=None)
+# typed, so that a cached 1 cannot answer for True or 1.0, which the check rejects
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, lowest degree first.
 
@@ -82,8 +82,7 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     proper divisors d of k; the division is integer-exact because every
     cyclotomic polynomial is monic with integer coefficients.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"cyclotomic polynomial needs an integer k >= 1, got {k!r}")
+    integer(k, 1, "cyclotomic polynomial order k")
     if k == 1:
         return (-1, 1)
     divisor = (1,)
@@ -150,15 +149,12 @@ class CyclotomicNumber:
     __slots__ = ("_k", "_nums", "_den", "_coeffs", "_hash")
 
     def __init__(self, k: int, coeffs: Iterable = ()) -> None:
-        if not isinstance(k, int) or k < 1:
-            raise InvalidArgumentError(f"cyclotomic order must be an integer >= 1, got {k!r}")
+        integer(k, 1, "cyclotomic order")
         # fold over one common denominator, kept as the lcm of those seen
         folded = [0] * k
         den = 1
         for exponent, c in enumerate(coeffs):
-            if c:
-                if not isinstance(c, (int, Fraction)):
-                    c = Fraction(c)
+            if exact(c):
                 num, q = c.numerator, c.denominator
                 if den % q:
                     scale = q // gcd(den, q)
@@ -199,13 +195,12 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, k: int, value) -> "CyclotomicNumber":
-        return cls(k, (Fraction(value),))
+        return cls(k, (value,))
 
     @classmethod
     def root_of_unity(cls, k: int, exponent: int) -> "CyclotomicNumber":
         """omega_k ** exponent (any integer exponent)."""
-        if not isinstance(k, int) or k < 1:
-            raise InvalidArgumentError(f"cyclotomic order must be an integer >= 1, got {k!r}")
+        integer(k, 1, "cyclotomic order")
         return cls(k, (0,) * (exponent % k) + (1,))
 
     def is_rational(self) -> "Fraction | None":
@@ -293,8 +288,7 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CyclotomicNumber":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidArgumentError("cyclotomic power needs a nonnegative integer")
+        integer(exponent, 0, "cyclotomic power exponent")
         result = CyclotomicNumber.one(self._k)
         base = self
         while exponent:

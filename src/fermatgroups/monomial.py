@@ -11,20 +11,23 @@ the circle and hyperbola modules.
 
 Enumerations and orbits are capped.  The default cap is 10**6 elements,
 overridable per call or through the FERMAT_ORBIT_LIMIT environment variable.
+Counts k^n * n! are built one factor at a time and abandoned once they pass
+the cap, or the int-to-str digit limit, so a huge n is refused at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
+from .rationals import integer
 
 __all__ = [
     "DEFAULT_ELEMENT_LIMIT",
@@ -51,9 +54,7 @@ CyclotomicVector = tuple[CyclotomicNumber, ...]
 def element_limit(override: "int | None" = None) -> int:
     """Effective enumeration cap: explicit override, else env var, else default."""
     if override is not None:
-        if not isinstance(override, int) or override < 1:
-            raise InvalidArgumentError(f"element limit must be a positive integer, got {override!r}")
-        return override
+        return integer(override, 1, "element limit")
     raw = os.environ.get(ENV_LIMIT)
     if raw is None:
         return DEFAULT_ELEMENT_LIMIT
@@ -61,15 +62,16 @@ def element_limit(override: "int | None" = None) -> int:
         value = int(raw)
     except ValueError:
         raise InvalidArgumentError(f"{ENV_LIMIT} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InvalidArgumentError(f"{ENV_LIMIT} must be positive, got {value}")
-    return value
+    return integer(value, 1, ENV_LIMIT)
 
 
 def _check_order(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise InvalidArgumentError(f"monomial groups need an integer k >= 3, got {k!r}")
-    return k
+    return integer(k, 3, "monomial group degree k")
+
+
+def _check_size(k, n) -> None:
+    _check_order(k)
+    integer(n, 1, "dimension")
 
 
 class MonomialMatrix:
@@ -118,7 +120,7 @@ class MonomialMatrix:
 
     @classmethod
     def identity(cls, k: int, n: int) -> "MonomialMatrix":
-        group_order(k, n)
+        _check_size(k, n)
         return cls(k, tuple(range(n)), (0,) * n)
 
     def _require_compatible(self, other: "MonomialMatrix") -> None:
@@ -202,25 +204,52 @@ class MonomialMatrix:
             raise InvalidArgumentError(f"malformed monomial payload: {payload!r}") from None
 
 
+def _count(base: int, n: int, ceiling: "int | None") -> "int | None":
+    """base^n * n!, one factor base * i at a time; None once it passes the ceiling."""
+    count = 1
+    for i in range(1, n + 1):
+        count *= base * i
+        if ceiling is not None and count > ceiling:
+            return None
+    return count
+
+
+def _digit_ceiling() -> "int | None":
+    # the largest integer Python converts to text; None when the limit is off
+    digits = sys.get_int_max_str_digits()
+    return 10**digits - 1 if digits else None
+
+
 def group_order(k: int, n: int) -> int:
-    """Order of the full monomial group: k^n * n!."""
-    _check_order(k)
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"dimension must be an integer >= 1, got {n!r}")
-    return k**n * factorial(n)
+    """Order of the full monomial group: k^n * n!.
+
+    An order past the int-to-str digit limit, which no payload can print,
+    raises ResourceLimitError.
+    """
+    _check_size(k, n)
+    order = _count(k, n, _digit_ceiling())
+    if order is None:
+        raise ResourceLimitError(
+            f"group order {k}^{n} * {n}! has more than {sys.get_int_max_str_digits()} digits"
+            " (Python's int-to-str conversion limit)"
+        )
+    return order
 
 
-def _check_cap(count: int, limit, what: str) -> None:
+def _check_cap(base: int, n: int, limit, what: str) -> None:
+    """Refuse base^n * n! elements past the cap; the message spells out a count past the digit limit."""
     cap = element_limit(limit)
-    if count > cap:
-        raise ResourceLimitError(f"{what} {count} exceeds the element cap {cap}")
+    if _count(base, n, cap) is None:
+        count = _count(base, n, _digit_ceiling())
+        shown = f"{base}^{n} * {n}!" if count is None else count
+        raise ResourceLimitError(f"{what} {shown} exceeds the element cap {cap}")
 
 
 def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
     # every (perm, exps) with exps drawn from `exponents`, after the cap
     # check; `exponents` must ascend for the list to be in (perm, exps)
     # lexicographic order, which callers return without sorting
-    _check_cap(len(exponents) ** n * factorial(n), limit, what)
+    _check_cap(len(exponents), n, limit, what)
     return [
         MonomialMatrix(k, perm, exps)
         for perm in itertools.permutations(range(n))
@@ -230,7 +259,7 @@ def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> lis
 
 def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[MonomialMatrix]:
     """Every element of the monomial group, in (perm, exponents) lexicographic order."""
-    group_order(k, n)
+    _check_size(k, n)
     return _elements(k, n, range(k), limit, "group order")
 
 
@@ -246,7 +275,7 @@ def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
                 )
             out.append(component)
         else:
-            out.append(CyclotomicNumber.from_rational(k, Fraction(component)))
+            out.append(CyclotomicNumber.from_rational(k, component))
     if not out:
         raise InvalidArgumentError("vector must have at least one component")
     return tuple(out)
@@ -275,7 +304,7 @@ def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVec
     # twisted[j][l] = omega^l * v_j by the coefficient shift `apply` uses;
     # the group must pass the element cap before any of them is built
     k, vec = _vector_with_order(vector, k)
-    _check_cap(group_order(k, len(vec)), limit, "group order")
+    _check_cap(k, len(vec), limit, "group order")
     twisted = [tuple(component._rotated(l) for l in range(k)) for component in vec]
     return k, vec, twisted
 
@@ -399,7 +428,7 @@ def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[i
 
 def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSubgroupReport:
     """Enumerate and certify the rational-entry subgroup."""
-    group_order(k, n)
+    _check_size(k, n)
     # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
     rational_exps = [l for l in range(k) if 2 * l % k == 0]
     elements = _elements(k, n, rational_exps, limit, "rational subgroup size")

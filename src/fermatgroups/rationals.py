@@ -7,6 +7,10 @@ equality the rest of the library relies on.  This module adds what the curve
 groups need on top: the point at infinity completing Q to the projective
 line, the height measure that bounds searches, exact 2x2 matrices, and the
 "p/q" text codec shared by the CLI and the JSON payloads.
+
+`exact` and `integer` decide for the whole library what exact input is: a
+bool, a float, a string or a Decimal raises InvalidArgumentError instead of
+being truncated or read as a binary fraction.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
+    "exact",
     "format_pair",
     "format_point",
     "format_projective",
     "format_rational",
     "format_triple",
     "height",
+    "integer",
     "parse_point",
     "parse_projective",
     "parse_rational",
@@ -63,20 +69,32 @@ INF = Infinity()
 ProjectiveRational = Union[Fraction, Infinity]
 
 
+def exact(value: "int | Fraction") -> "int | Fraction":
+    """The value itself when it is an int (never a bool) or a Fraction; an int stays an int."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    raise InvalidArgumentError(f"not an exact rational (an int or a Fraction): {value!r}")
+
+
+def integer(value: int, minimum: int, what: str) -> int:
+    """The value itself when it is an int, never a bool, of at least `minimum`."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    raise InvalidArgumentError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 def rational(num: int, den: int = 1) -> Fraction:
     """Reduced fraction with positive denominator.  Rejects ``den == 0``."""
     if den == 0:
         raise InvalidArgumentError("rational with zero denominator")
-    return Fraction(num, den)
+    return Fraction(exact(num), exact(den))
 
 
 def as_projective(value) -> ProjectiveRational:
     """Coerce an int, Fraction, or INF onto the projective line."""
     if isinstance(value, Infinity):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise InvalidArgumentError(f"not a projective rational: {value!r}")
+    return Fraction(exact(value))
 
 
 def pr_neg(value: ProjectiveRational) -> ProjectiveRational:
@@ -108,11 +126,8 @@ def height(value) -> int:
     For a reduced fraction p/q this is max(|p|, q); heights start at 1 since
     0 is 0/1.  A point or tuple takes the maximum over its components.
     """
-    if isinstance(value, bool):
-        raise InvalidArgumentError("height undefined for booleans")
-    if isinstance(value, int):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
+        value = exact(value)
         return max(abs(value.numerator), value.denominator)
     if isinstance(value, Infinity):
         raise InvalidArgumentError("height of the point at infinity is undefined")
@@ -157,11 +172,8 @@ def format_rational(value: "Fraction | int") -> str:
     limit (4300 digits by default, see `sys.set_int_max_str_digits`); such a
     value raises ResourceLimitError instead of ValueError.
     """
-    value = Fraction(value)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:
-        raise _print_limit_error() from None
+    value = exact(value)
+    return format_pair(value.numerator, value.denominator)
 
 
 def format_pair(num: int, den: int) -> str:
@@ -231,7 +243,7 @@ class Mat2:
 
     def __post_init__(self) -> None:
         for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(exact(getattr(self, name))))
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -251,8 +263,7 @@ class Mat2:
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
     def __pow__(self, exponent: int) -> "Mat2":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidArgumentError("matrix power needs a nonnegative integer")
+        integer(exponent, 0, "matrix power exponent")
         result = Mat2.identity()
         base = self
         while exponent:
@@ -266,6 +277,6 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     def apply(self, x, y) -> tuple[Fraction, Fraction]:
-        x = Fraction(x)
-        y = Fraction(y)
+        x = Fraction(exact(x))
+        y = Fraction(exact(y))
         return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)

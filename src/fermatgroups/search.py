@@ -36,7 +36,7 @@ from time import perf_counter
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, format_pair, projective_ratio
+from .rationals import ProjectiveRational, exact, format_pair, integer, projective_ratio
 
 __all__ = [
     "CoverageReport",
@@ -61,11 +61,6 @@ Point = tuple[Fraction, Fraction]
 Row = tuple[tuple[int, int], ...]
 
 
-def _check_bound(bound) -> None:
-    if not isinstance(bound, int) or bound < 1:
-        raise InvalidArgumentError(f"height bound must be an integer >= 1, got {bound!r}")
-
-
 def _reduced_pairs(bound: int) -> list[tuple[int, int]]:
     # (p, q) for every reduced p/q with max(|p|, q) <= bound, unordered
     return [
@@ -78,7 +73,7 @@ def _reduced_pairs(bound: int) -> list[tuple[int, int]]:
 
 def reduced_fractions(bound: int) -> list[Fraction]:
     """All reduced p/q with max(|p|, q) <= bound, in increasing order."""
-    _check_bound(bound)
+    integer(bound, 1, "height bound")
     return sorted(Fraction(num, den) for num, den in _reduced_pairs(bound))
 
 
@@ -138,9 +133,8 @@ def rational_kth_root(value, k: int) -> "Fraction | None":
     perfect k-th powers.  For even k the nonnegative root is returned;
     negative values then have no root at all.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidArgumentError(f"root order must be an integer >= 1, got {k!r}")
-    value = Fraction(value)
+    integer(k, 1, "root order")
+    value = Fraction(exact(value))
     if value < 0 and k % 2 == 0:
         return None
     num, num_exact = _integer_root(abs(value.numerator), k)
@@ -275,19 +269,9 @@ def _common_scale_rows(k: int, n: int, bound: int) -> list[Row]:
     return rows
 
 
-def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
-    """Every rational n-tuple of height <= bound summing to 1 in k-th powers.
-
-    The scan covers all height-bounded prefixes of length n - 1 and closes
-    each exactly (see the module docstring); a prefix count above `budget`
-    raises ResourceLimitError before any candidate is built.
-    """
-    if not isinstance(k, int) or k < 2:
-        raise InvalidArgumentError(f"form degree k must be an integer >= 2, got {k!r}")
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"tuple length n must be an integer >= 2, got {n!r}")
-    _check_bound(bound)
-    started = perf_counter()
+def _check_scan(n: int, bound: int, budget: int) -> None:
+    """Refuse a bound that is not an integer >= 1, or a scan of more than `budget` coordinate prefixes."""
+    integer(bound, 1, "height bound")
     # the count is at least 4 * bound - 1 and at least 3^(n - 1): refuse a
     # scan past the budget on either bound before counting it exactly
     if bound > budget or n - 1 >= budget.bit_length():
@@ -299,6 +283,19 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
         raise ResourceLimitError(
             f"scan of {prefix_count} coordinate prefixes exceeds the budget {budget}"
         )
+
+
+def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
+    """Every rational n-tuple of height <= bound summing to 1 in k-th powers.
+
+    The scan covers all height-bounded prefixes of length n - 1 and closes
+    each exactly (see the module docstring); a prefix count above `budget`
+    raises ResourceLimitError before any candidate is built.
+    """
+    integer(k, 2, "form degree k")
+    integer(n, 2, "tuple length n")
+    started = perf_counter()
+    _check_scan(n, bound, budget)
     rows = _conic_rows(k, bound) if n == 2 else _common_scale_rows(k, n, bound)
     rows.sort(key=_row_key(bound))
     trivial = sum(1 for row in rows if all(q == 1 and -1 <= p <= 1 for p, q in row))
@@ -324,9 +321,9 @@ def n_counterexample(k: int, x1) -> tuple[Fraction, Fraction, Fraction]:
     For odd exponents the first two k-th powers cancel for every rational
     x1, so x_1^k + x_2^k + x_3^k = 1 has solutions of arbitrary height.
     """
-    if not isinstance(k, int) or k < 3 or k % 2 == 0:
+    if integer(k, 3, "counterexample degree k") % 2 == 0:
         raise InvalidArgumentError(f"construction needs an odd integer k >= 3, got {k!r}")
-    x1 = Fraction(x1)
+    x1 = Fraction(exact(x1))
     witness = (x1, -x1, Fraction(1))
     if sum(component**k for component in witness) != 1:
         raise ArithmeticError("counterexample failed exact verification")
@@ -400,14 +397,19 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     )
 
 
-def hyperbola_points(bound: int) -> list[Point]:
-    """All rational points of x^2 - y^2 = 1 with height <= bound, sorted."""
-    _check_bound(bound)
-    rows = _conic_rows(2, bound, sign=-1)
+def _conic_points(bound: int, sign: int) -> list[Point]:
+    """All rational points of x^2 + sign * y^2 = 1 with height <= bound, sorted, within the search budget."""
+    _check_scan(2, bound, DEFAULT_SEARCH_BUDGET)
+    rows = _conic_rows(2, bound, sign)
     rows.sort(key=_row_key(bound))
     return [(Fraction(a, c), Fraction(b, c)) for (a, c), (b, _) in rows]
 
 
+def hyperbola_points(bound: int) -> list[Point]:
+    """All rational points of x^2 - y^2 = 1 with height <= bound, sorted."""
+    return _conic_points(bound, -1)
+
+
 def circle_points(bound: int) -> list[Point]:
     """All rational points of x^2 + y^2 = 1 with height <= bound, sorted."""
-    return search_solutions(2, bound).solutions
+    return _conic_points(bound, 1)

@@ -33,7 +33,7 @@ from math import gcd, log
 from . import circle
 from .conic import CIRCLE
 from .errors import InvalidArgumentError
-from .rationals import Infinity, ProjectiveRational, as_projective, projective_pair
+from .rationals import Infinity, ProjectiveRational, as_projective, integer, projective_pair
 
 __all__ = [
     "EXACT",
@@ -108,8 +108,7 @@ def iterate(delta, start, steps: int) -> Trajectory:
     digits, and a Decimal prints in linear time where an int takes time
     quadratic in its digits.
     """
-    if not isinstance(steps, int) or steps < 0:
-        raise InvalidArgumentError(f"step count must be an integer >= 0, got {steps!r}")
+    integer(steps, 0, "step count")
     delta = as_projective(delta)
     start = circle.require_on_circle(start)
     delta_pair = n, m = projective_pair(delta)
@@ -133,8 +132,7 @@ def iterate(delta, start, steps: int) -> Trajectory:
 
 def power_parameter(delta, m: int) -> ProjectiveRational:
     """Parameter of L(delta)^m, folded through the composition law."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidArgumentError(f"power must be an integer >= 0, got {m!r}")
+    integer(m, 0, "power")
     delta = as_projective(delta)
     accumulated: ProjectiveRational = Fraction(0)
     for _ in range(m):
@@ -152,8 +150,7 @@ def period_check(delta, limit: int) -> "int | None":
     B = 0.  Deferring the gcd reduction keeps the scan in fast integer
     arithmetic without changing any ratio.
     """
-    if not isinstance(limit, int) or limit < 0:
-        raise InvalidArgumentError(f"period scan limit must be an integer >= 0, got {limit!r}")
+    integer(limit, 0, "period scan limit")
     delta = as_projective(delta)
     if isinstance(delta, Infinity):
         a0, b0 = 0, 1

@@ -481,6 +481,40 @@ class TestLimitsAndRanges:
         assert "Traceback" not in captured.err
         assert len(captured.err) < 200
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order", "--k", "3", "--n", "1400"],
+            ["order", "--k", "3", "--n", "2000"],
+            ["order", "--k", "3", "--n", str(10**9)],
+            ["enumerate", "--k", "3", "--n", "2000"],
+            ["rational", "--k", "4", "--n", "2000"],
+            ["orbit", "--k", "3", "--point", ",".join(["1"] * 2000)],
+        ],
+        ids=["order-1400", "order-2000", "order-1e9", "enumerate", "rational", "orbit"],
+    )
+    def test_kgroup_past_the_digit_limit_exits_three(self, argv, capsys):
+        started = perf_counter()
+        assert main(["kgroup", *argv]) == 3
+        assert perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) < 200
+
+    def test_small_cap_message_prints_the_count(self, capsys):
+        assert main(["kgroup", "enumerate", "--k", "3", "--n", "2", "--limit", "5"]) == 3
+        assert capsys.readouterr().err == "error: group order 18 exceeds the element cap 5\n"
+
+    @pytest.mark.parametrize("vector", ["[1,2", "1]", "1,,2", "", "[[1],2]", "[1/0]"])
+    def test_malformed_vector_exits_two(self, vector, capsys):
+        assert main(["kgroup", "orbit", "--k", "3", "--point", vector]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_negative_audit_pairs_exits_two(self):
         assert main(["audit", "--pairs", "-5"]) == 2
 

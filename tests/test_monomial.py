@@ -392,6 +392,39 @@ class TestCaps:
         assert str(caught.value) == "group order 264539520 exceeds the element cap 1000000"
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (
+                lambda: monomial.enumerate_group(3, 2000),
+                "group order 3^2000 * 2000! exceeds the element cap 1000000",
+            ),
+            (
+                lambda: monomial.rational_elements(3, 10**9),
+                "rational subgroup size 1^1000000000 * 1000000000! exceeds the element cap 1000000",
+            ),
+            (
+                lambda: monomial.group_order(3, 10**9),
+                "group order 3^1000000000 * 1000000000! has more than 4300 digits (Python's int-to-str conversion limit)",
+            ),
+        ],
+        ids=["enumerate", "rational", "order"],
+    )
+    def test_count_past_the_digit_limit_is_spelled_out(self, call, message, monkeypatch):
+        # k^n * n! is built a factor at a time and abandoned past the cap or the digit limit
+        monkeypatch.delenv(monomial.ENV_LIMIT, raising=False)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            call()
+        assert time.perf_counter() - started < 1
+        assert str(caught.value) == message
+
+    def test_order_as_wide_as_the_digit_limit(self):
+        # 3^1000 * 1000! has 3045 digits and 3^1400 * 1400! has 4435
+        assert monomial.group_order(3, 1000) == 3**1000 * factorial(1000)
+        with pytest.raises(ResourceLimitError):
+            monomial.group_order(3, 1400)
+
 
 # the rational subgroups, the stabilizers of the shaped vectors (whose
 # exponents depend on the permutation) and, where the all-pairs oracle stays

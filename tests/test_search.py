@@ -513,3 +513,10 @@ class TestCurvePointEnumerators:
             if x * x - y * y == 1
         }
         assert set(search.hyperbola_points(bound)) == brute
+
+    @pytest.mark.parametrize("points", [search.circle_points, search.hyperbola_points])
+    def test_both_listings_meet_the_search_budget(self, points):
+        # 5,001,863 reduced fractions of height <= 2028: the same refusal as search_n
+        with pytest.raises(ResourceLimitError) as caught:
+            points(2028)
+        assert str(caught.value) == "scan of 5001863 coordinate prefixes exceeds the budget 5000000"
