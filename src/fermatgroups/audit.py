@@ -18,7 +18,8 @@ from math import factorial
 from . import circle, monomial, search
 from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
-from .rationals import INF, format_point, format_projective, projective_pair
+from .errors import InvalidArgumentError
+from .rationals import INF, format_point, format_projective, integer, projective_pair
 
 __all__ = [
     "circle_identity_sweep",
@@ -299,7 +300,8 @@ def orbit_cardinality_audit(ks=(3, 4, 5, 6, 7, 8)) -> list[dict]:
             ("diagonal", (1, 1)),
         ):
             vector = monomial.cyclo_vector(k, components)
-            orbit_size = len(monomial.orbit(vector))
+            _, points = monomial.orbit_ranks(vector)
+            orbit_size = len(points)
             stab_size = len(monomial.stabilizer(vector))
             rows[label] = {
                 "vector": f"{components[0]},{components[1]}",
@@ -322,8 +324,12 @@ def run_audit_suite(seed: int = 0, identity_bound: int = 50, law_pairs: int = 20
     """Run every audit with one seeded generator and bundle the reports.
 
     The report is pure data (strings, ints, bools) and depends only on the
-    arguments, so identical invocations serialize identically.
+    arguments, so identical invocations serialize identically.  The seed
+    is any int, negative ones too, but never a bool or a float.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidArgumentError(f"audit seed must be an integer, got {seed!r}")
+    integer(law_pairs, 0, "law pairs")
     rng = random.Random(seed)
     report = {
         "seed": seed,

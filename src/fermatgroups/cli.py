@@ -278,30 +278,30 @@ def _component_payload(component: CyclotomicNumber):
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     """Full group orbit of a vector, with the orbit-stabilizer check."""
     vector = _parse_vector(k, point_text)
-    points = monomial.orbit(vector, limit=limit)
+    components, points = monomial.orbit_ranks(vector, limit=limit)
     stabilizer_order = len(monomial.stabilizer(vector, limit=limit))
-    # points sort by their components' coefficient vectors, which are
-    # canonical: rank and format each distinct component once
-    components = sorted({c for point in points for c in point}, key=lambda c: c.coeffs)
-    rank = {c: i for i, c in enumerate(components)}
-    points = sorted(points, key=lambda point: tuple(map(rank.__getitem__, point)))
+    # the indices follow the components' coefficient vectors, so the int
+    # tuples sort as the points print; each component is formatted once
+    points = sorted(points)
     group_order = monomial.group_order(k, len(vector))
 
     def as_json() -> str:
-        payloads = {c: _component_payload(c) for c in components}
-        return _json({
+        head = _json({
             "k": k,
             "n": len(vector),
             "orbit_size": len(points),
             "stabilizer_order": stabilizer_order,
             "group_order": group_order,
-            "points": [list(map(payloads.__getitem__, point)) for point in points],
         })
+        # a component's JSON is the same fragment wherever it appears
+        fragments = [json.dumps(_component_payload(c), separators=(",", ":")) for c in components]
+        body = "],[".join([",".join(map(fragments.__getitem__, point)) for point in points])
+        return f'{head[:-2]},"points":[[{body}]]}}\n'
 
     def as_text() -> str:
-        texts = {c: str(c) for c in components}
+        texts = [str(c) for c in components]
         head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {group_order}"
-        return _lines(head, *(" | ".join(map(texts.__getitem__, point)) for point in points))
+        return _lines(head, *[" | ".join(map(texts.__getitem__, point)) for point in points])
 
     _emit(fmt, text=as_text, json=as_json)
 

@@ -320,7 +320,8 @@ def _element_class(conic: Conic, name: str) -> type:
 
         def __post_init__(self) -> None:
             object.__setattr__(self, "delta", conic.require_valid_delta(self.delta))
-            object.__setattr__(self, "reflected", bool(self.reflected))
+            if type(self.reflected) is not bool:
+                raise InvalidArgumentError(f"reflected must be True or False, got {self.reflected!r}")
 
         @classmethod
         def identity(cls) -> "Element":

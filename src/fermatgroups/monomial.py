@@ -22,6 +22,8 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -41,6 +43,7 @@ __all__ = [
     "group_order",
     "orbit",
     "orbit_rational_points",
+    "orbit_ranks",
     "rational_elements",
     "stabilizer",
 ]
@@ -214,10 +217,15 @@ def _count(base: int, n: int, ceiling: "int | None") -> "int | None":
     return count
 
 
+@cache
+def _ceiling(digits: int) -> int:
+    return 10**digits - 1
+
+
 def _digit_ceiling() -> "int | None":
     # the largest integer Python converts to text; None when the limit is off
     digits = sys.get_int_max_str_digits()
-    return 10**digits - 1 if digits else None
+    return _ceiling(digits) if digits else None
 
 
 def group_order(k: int, n: int) -> int:
@@ -309,21 +317,46 @@ def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVec
     return k, vec, twisted
 
 
-def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[CyclotomicVector]:
-    """All images of a vector under the full monomial group (a finite set).
+def orbit_ranks(
+    vector, k: "int | None" = None, limit: "int | None" = None
+) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]]]:
+    """The orbit of a vector as tuples of indices into its distinct components.
 
-    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so the
-    orbit is the union over sigma of the products of the twisted components
-    in sigma's order: n*k field elements are built, not k^n * n! images.
+    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
+    component of every image is a twist omega^l * v_j.  Each distinct twist
+    is numbered once, across all positions, so a twist that two positions
+    share has one index.  The indices follow the components' coefficient
+    vectors upward, so index tuples sort as their points' coefficient
+    vectors do.  Row j holds the indices of v_j's distinct twists, and the
+    orbit is the union over sigma of the products of the rows in sigma's
+    order: n*k field elements are built, not k^n * n! images, and the
+    points are tuples of small ints.
     """
     _, vec, twisted = _twists(vector, k, limit)
-    # distinct twists only: a zero component has one, not k
-    rows = [tuple(dict.fromkeys(twists)) for twists in twisted]
-    return {
-        point
-        for perm in itertools.permutations(range(len(vec)))
-        for point in itertools.product(*(rows[j] for j in perm))
-    }
+    # the twists of v_j keep its denominator, so over the common denominator
+    # of all positions each twist is an integer vector: equal vectors are
+    # equal values, and they order as the coefficient vectors do
+    scale = lcm(*(component._den for component in vec))
+    by_key, rows = {}, []
+    for component, twists in zip(vec, twisted):
+        m = scale // component._den
+        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
+        by_key.update(zip(keys, twists))
+        rows.append(keys)
+    order = sorted(by_key)
+    index = {key: i for i, key in enumerate(order)}
+    rows = [{index[key] for key in keys} for keys in rows]
+    components = [by_key[key] for key in order]
+    points: set[tuple[int, ...]] = set()
+    for perm in itertools.permutations(rows):
+        points.update(itertools.product(*perm))
+    return components, points
+
+
+def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[CyclotomicVector]:
+    """All images of a vector under the full monomial group (a finite set): `orbit_ranks` read back as vectors."""
+    components, points = orbit_ranks(vector, k, limit)
+    return {tuple(map(components.__getitem__, point)) for point in points}
 
 
 def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> list[MonomialMatrix]:
@@ -426,33 +459,35 @@ def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[i
     return True
 
 
+def _inverse_pair(k: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The inverse (sigma^-1, -l o sigma^-1 mod k) of a (perm, exponents) pair, as `MonomialMatrix.inverse` computes it."""
+    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(inv_perm), tuple([-exps[i] % k for i in inv_perm])
+
+
 def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSubgroupReport:
     """Enumerate and certify the rational-entry subgroup."""
     _check_size(k, n)
     # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
     rational_exps = [l for l in range(k) if 2 * l % k == 0]
     elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
-    members = set(elements)
-    closed_product = _closed_under_product(k, [(e.perm, e.exponents) for e in elements])
-    closed_inverse = all(element.inverse() in members for element in elements)
-    identity = MonomialMatrix.identity(k, n)
+    pairs = [(e.perm, e.exponents) for e in elements]
+    members = set(pairs)
     return RationalSubgroupReport(
         k=k,
         n=n,
         elements=tuple(elements),
-        closed_under_product=closed_product,
-        closed_under_inverse=closed_inverse,
-        contains_identity=identity in members,
+        closed_under_product=_closed_under_product(k, pairs),
+        closed_under_inverse=all(_inverse_pair(k, *pair) in members for pair in pairs),
+        contains_identity=(tuple(range(n)), (0,) * n) in members,
         permutations_only=all(not any(element.exponents) for element in elements),
     )
 
 
 def orbit_rational_points(k: int, limit: "int | None" = None) -> set[tuple[Fraction, Fraction]]:
     """Rational points of x^k + y^k = 1 reached from (1, 0) by the group."""
-    start = cyclo_vector(k, (1, 0))
-    points = set()
-    for image in orbit(start, limit=limit):
-        rationals = [component.is_rational() for component in image]
-        if all(value is not None for value in rationals):
-            points.add(tuple(rationals))
-    return points
+    components, points = orbit_ranks(cyclo_vector(k, (1, 0)), limit=limit)
+    # each distinct twist is tested once; a point is rational when all its indices are
+    values = [component.is_rational() for component in components]
+    rational = {i for i, value in enumerate(values) if value is not None}
+    return {tuple(map(values.__getitem__, point)) for point in points if rational.issuperset(point)}

@@ -99,6 +99,19 @@ class TestRunAuditSuite:
         assert other["all_expected_results"] is True
         assert other["circle_delta_identity"] == small_report["circle_delta_identity"]
 
+    @pytest.mark.parametrize("seed", [True, 0.5, 1.0, "0", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            audit.run_audit_suite(seed=seed, identity_bound=3, law_pairs=1)
+
+    def test_negative_seed_is_allowed(self):
+        assert audit.run_audit_suite(seed=-3, identity_bound=3, law_pairs=1)["seed"] == -3
+
+    @pytest.mark.parametrize("pairs", [True, -1, 2.0, Fraction(1)])
+    def test_law_pairs_must_be_a_nonnegative_int(self, pairs):
+        with pytest.raises(InvalidArgumentError, match=r"law pairs must be an integer >= 0"):
+            audit.run_audit_suite(seed=0, identity_bound=3, law_pairs=pairs)
+
     def test_json_serializable_without_floats(self, small_report):
         def no_floats(node):
             if isinstance(node, float):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
+import monomial_oracle
 import pytest
 from click.testing import CliRunner
 
@@ -231,6 +232,23 @@ class TestKgroupPayloads:
     def test_orbit_rational_points(self, runner):
         result = run(runner, "kgroup", "orbit-rational", "--k", "3", "--format", "json")
         assert json.loads(result.output) == [["0/1", "1/1"], ["1/1", "0/1"]]
+
+
+@pytest.mark.parametrize(
+    "k, vector",
+    [
+        (5, "5/7"),  # n = 1
+        (3, "0,0"),  # the zero vector, an orbit of one point
+        (4, "1,1,0"),  # repeated components
+        (6, "1,[0,1],[0,1]"),  # a twist shared by all three positions
+        (6, "[1,1],0,[0,-1/2]"),  # cyclotomic components
+        (12, "[1/2,0,-1/3,0,0,5/7],2/5"),
+    ],
+)
+def test_orbit_json_equals_json_dumps_of_the_former_payload(k, vector, capsys):
+    assert main(["kgroup", "orbit", "--k", str(k), "--point", vector, "--format", "json"]) == 0
+    expected = monomial_oracle.kgroup_orbit_json(k, cli_module._parse_vector(k, vector))
+    assert capsys.readouterr().out == expected
 
 
 class TestSearchCommands:

@@ -36,6 +36,13 @@ def test_elements_of_different_curves_are_unequal():
     assert circle.CircleElement(0) != hyperbola.HyperbolicElement(0)
 
 
+@pytest.mark.parametrize("element", [circle.CircleElement, hyperbola.HyperbolicElement])
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_reflected_must_be_a_bool(element, flag):
+    with pytest.raises(InvalidArgumentError, match="reflected must be True or False"):
+        element(Fraction(1, 2), flag)
+
+
 def test_reprs_keep_the_class_names():
     assert repr(circle.CircleElement(Fraction(1, 2))) == (
         "CircleElement(delta=Fraction(1, 2), reflected=False)"

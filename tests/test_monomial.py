@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import ceil, factorial, log2
 from operator import itemgetter
 
+import monomial_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +361,55 @@ class TestOrbits:
         assert monomial.stabilizer(vector) == stabilizer
 
 
+def orbit_vectors(k, n):
+    """Vectors of n components drawn from rational and cyclotomic bases, their twists and negatives, and zero."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    bases = st.lists(
+        st.one_of(
+            small.map(lambda value: CyclotomicNumber.from_rational(k, value)),
+            st.lists(small, min_size=1, max_size=k).map(lambda coeffs: CyclotomicNumber(k, coeffs)),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+
+    def component(base):
+        zero = st.just(CyclotomicNumber.zero(k))
+        turned = st.tuples(st.sampled_from(base), st.integers(0, k - 1), st.booleans())
+        return st.one_of(zero, turned.map(lambda c: (-1 if c[2] else 1) * twist(c[0], c[1])))
+
+    return bases.flatmap(lambda base: st.lists(component(base), min_size=n, max_size=n).map(tuple))
+
+
+class TestOrbitRanks:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_former_orbit(self, data):
+        k = data.draw(st.integers(3, 8))
+        vector = data.draw(orbit_vectors(k, data.draw(st.integers(1, 3))))
+        components, points = monomial.orbit_ranks(vector)
+        assert {tuple(components[i] for i in point) for point in points} == monomial_oracle.orbit(vector)
+        # each value has one index, and the indices follow the coefficient vectors
+        assert len(set(components)) == len(components)
+        assert [c.coeffs for c in components] == sorted(c.coeffs for c in components)
+        assert all(type(i) is int for point in points for i in point)
+
+    def test_a_twist_shared_by_two_positions_has_one_index(self):
+        omega = CyclotomicNumber.root_of_unity(6, 1)
+        vector = monomial.cyclo_vector(6, (1, omega, omega))
+        components, points = monomial.orbit_ranks(vector)
+        # 1 and omega have the same six twists, the sixth roots of unity
+        assert len(components) == 6
+        assert len(points) == 6**3
+        assert monomial.orbit(vector) == monomial_oracle.orbit(vector)
+
+    def test_repeated_and_zero_components(self):
+        vector = monomial.cyclo_vector(4, (1, 1, 0))
+        components, points = monomial.orbit_ranks(vector)
+        assert components == [CyclotomicNumber(4, c) for c in ((-1,), (0, -1), (0,), (0, 1), (1,))]
+        assert len(points) == 48
+
+
 class TestCaps:
     @pytest.mark.parametrize("kernel", [monomial.orbit, monomial.stabilizer])
     def test_limit_argument(self, kernel):
@@ -570,6 +620,23 @@ class TestRationalSubgroup:
             if entries_rational:
                 expected.add(element)
         assert set(report.elements) == expected
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5, 6) for n in (1, 2, 3)])
+    def test_inverse_pair_is_the_matrix_inverse(self, k, n):
+        for element in monomial.enumerate_group(k, n):
+            inverse = element.inverse()
+            assert monomial._inverse_pair(k, element.perm, element.exponents) == (inverse.perm, inverse.exponents)
+
+    def test_a_set_missing_an_inverse_is_not_closed_under_inverse(self, monkeypatch):
+        # (1 2 0) with exponents (1, 0, 0) has order 9 at k=3; its inverse is left out
+        element = MonomialMatrix(3, (1, 2, 0), (1, 0, 0))
+        listed = [MonomialMatrix.identity(3, 3), element]
+        monkeypatch.setattr(monomial, "_elements", lambda *args: listed)
+        report = monomial.rational_elements(3, 3)
+        assert report.contains_identity
+        assert not report.closed_under_inverse
+        assert not report.closed_under_product
+        assert not report.is_group
 
 
 class TestOrbitRationalPoints:
