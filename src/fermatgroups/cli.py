@@ -3,15 +3,21 @@
 Every payload is exact: rationals print as "p/q" (denominator always
 present), the point at infinity as "inf", and no floating-point value ever
 reaches stdout.  Identical invocations print identical bytes; wall-clock
-diagnostics go to stderr only.  Exit codes: 0 success, 2 invalid argument,
-3 resource limit exceeded.
+diagnostics go to stderr only.  Exit codes: 0 success, 1 stdout closed
+early, 2 invalid argument or usage, 3 resource limit exceeded.
 
 Every command prints through `_emit`: it passes one builder per format it
 accepts, each returning that format's whole output text, and only the
 chosen format's builder runs.  The text is written to stdout in one write
 and flushed inside the command, after any --csv or --json file, so a call
-that fails prints nothing.  Stdout is always generated ASCII, with no
-terminal escapes to strip, so `click.echo` writes only stderr.
+that fails prints nothing.
+
+`COMMANDS` maps each command path to its handler, its help line and its
+options; `_parse` reads a call's arguments against the options.  An
+option's value is the next token, whatever it starts with (`--point
+-3/5,4/5`), or the text after "=" (`--k=3`); a repeated option keeps its
+last value.  Each handler imports the library modules it uses, so a call
+loads only those.
 """
 
 from __future__ import annotations
@@ -19,36 +25,49 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import namedtuple
 
-import click
-
-from . import audit as audit_lib
-from . import circle as circle_lib
-from . import monomial, stroboscope
-from . import search as search_lib
-from .conic import CIRCLE, HYPERBOLA
-from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import (
-    format_pair,
-    format_point,
-    format_projective,
-    format_rational,
-    format_triple,
-    parse_point,
-    parse_projective,
-    parse_rational,
-)
+from .rationals import format_pair, format_point, format_projective, format_rational, format_triple
+from .rationals import parse_point, parse_projective, parse_rational
 
-__all__ = ["cli", "main"]
+__all__ = ["COMMANDS", "main"]
+
+
+class UsageError(Exception):
+    """A call that does not fit its command's options (exit code 2, printed under the usage lines)."""
+
+
+# `--name VALUE` passes VALUE to the handler's parameter `dest`; `convert` is
+# int, str, bool (a flag, which takes no value) or a tuple of choices
+Option = namedtuple("Option", "name dest convert default required help", defaults=(str, None, False, ""))
+
+_ABOUT = 'Exact arithmetic for the symmetry groups of x^k + y^k = 1.  Rationals are "p/q", "p" or "inf".'
+# command path -> (handler, help line, options); the handler takes each option's dest
+COMMANDS = {}
+
+
+def _command(path: str, help: str, *options: Option):
+    """Enter the decorated handler in COMMANDS under the space-separated `path`."""
+    def enter(handler):
+        COMMANDS[tuple(path.split())] = (handler, help, options)
+        return handler
+    return enter
+
+
+_TJ = Option("--format", "fmt", ("text", "json"), "text", help="Output serialization.")
+_TJC = _TJ._replace(convert=("text", "json", "csv"))
+_K = Option("--k", "k", int, required=True, help="Form degree (k >= 3).")
+_N = Option("--n", "n", int, required=True, help="Number of variables.")
+_LIMIT = Option("--limit", "limit", int, help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
 
 
 def _emit(fmt: str, **builders) -> None:
     """Build the output text of the chosen format only, and write it to stdout at once."""
     text = builders[fmt]()
     sys.stdout.write(text)
-    # flushed inside the command, so that a closed stdout pipe reaches click's
-    # EPIPE handling (exit 1) instead of failing at interpreter exit
+    # flushed inside the command, so that a closed stdout pipe raises
+    # BrokenPipeError inside `main` (exit 1) instead of failing at interpreter exit
     sys.stdout.flush()
 
 
@@ -76,104 +95,69 @@ def _write_file(path, text: str) -> None:
         raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _format_option(*choices, default="text"):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(choices),
-        default=default,
-        show_default=True,
-        help="Output serialization.",
-    )
+def _conic_group(group, name, motion, domain, audit_verb, audit_help) -> None:
+    """Enter one conic's commands; `name` is the curve's name in the conic and audit modules."""
 
+    def curve():
+        from . import conic
+        return getattr(conic, name.upper())
 
-def _point_pair(from_text, to_text):
-    return parse_point(from_text), parse_point(to_text)
-
-
-@click.group(name="fermatgroups")
-def cli() -> None:
-    """Exact arithmetic for the symmetry groups of x^k + y^k = 1.
-
-    Rationals are written "p/q" (or "p"); "inf" is the point at infinity;
-    points are "x,y".  Heights are max(|p|, q) of the reduced fraction.
-    All output is exact; nothing is rounded.
-    """
-
-
-# ---------------------------------------------------------------- conics ----
-
-
-def _conic_group(name, curve, audit_verb, sweep, domain, audit_help) -> None:
-    """Add one conic's command group; `sweep` is its identity sweep in the audit module."""
-    motion = curve.motion
-    group = click.Group(name=name, help=f"Rational {motion}s and reflections of the unit {curve.name}.")
-    cli.add_command(group)
-
-    @group.command(name="compose", help=f"Parameter of the product {motion} L(d1)·L(d2).")
-    @click.option("--d1", "d1_text", required=True, metavar="PR", help=f"First parameter ({domain}).")
-    @click.option("--d2", "d2_text", required=True, metavar="PR", help=f"Second parameter ({domain}).")
-    @_format_option("text", "json")
+    @_command(f"{group} compose", f"Parameter of the product {motion} L(d1)·L(d2).",
+              Option("--d1", "d1_text", required=True, help=f"First parameter ({domain})."),
+              Option("--d2", "d2_text", required=True, help=f"Second parameter ({domain})."), _TJ)
     def compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
-        result = format_projective(curve.compose_delta(parse_projective(d1_text), parse_projective(d2_text)))
+        result = format_projective(curve().compose_delta(parse_projective(d1_text), parse_projective(d2_text)))
         _emit(fmt, text=lambda: f"{result}\n", json=lambda: _json(result))
 
-    @group.command(name="act", help=f"Exact image of a {curve.name} point under a group element.")
-    @click.option("--delta", "delta_text", required=True, metavar="PR", help=f"{motion.capitalize()} parameter.")
-    @click.option("--reflect", is_flag=True, help=f"Apply the reflection diag(1,-1) after the {motion}.")
-    @click.option("--point", "point_text", required=True, metavar="PT", help=f"{curve.name.capitalize()} point x,y.")
-    @_format_option("text", "json")
+    @_command(f"{group} act", f"Exact image of a {name} point under a group element.",
+              Option("--delta", "delta_text", required=True, help=f"{motion.capitalize()} parameter."),
+              Option("--reflect", "reflect", bool, False, help=f"Apply the reflection diag(1,-1) after the {motion}."),
+              Option("--point", "point_text", required=True, help=f"{name.capitalize()} point x,y."), _TJ)
     def act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
-        element = curve.element(parse_projective(delta_text), reflect)
+        element = curve().element(parse_projective(delta_text), reflect)
         image = element.act(parse_point(point_text))
         _emit(fmt, text=lambda: f"{format_point(image)}\n", json=lambda: _json([format_rational(c) for c in image]))
 
-    @group.command(name="solve", help=f"{motion.capitalize()} parameter carrying one {curve.name} point to another (verified).")
-    @click.option("--from", "from_text", required=True, metavar="PT", help="Start point x,y.")
-    @click.option("--to", "to_text", required=True, metavar="PT", help="Target point x,y.")
-    @_format_option("text", "json")
+    @_command(f"{group} solve", f"{motion.capitalize()} parameter carrying one {name} point to another (verified).",
+              Option("--from", "from_text", required=True, help="Start point x,y."),
+              Option("--to", "to_text", required=True, help="Target point x,y."), _TJ)
     def solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
-        source, target = _point_pair(from_text, to_text)
-        element = curve.solve_delta(source, target)
+        source, target = parse_point(from_text), parse_point(to_text)
+        element = curve().solve_delta(source, target)
         delta = format_projective(element.delta)
         _emit(fmt, text=lambda: f"{delta}\n", json=lambda: _json({"delta": delta, "reflected": element.reflected}))
 
-    @group.command(name=audit_verb, help=f"Audit the two closed forms for the {curve.name}'s connecting parameter.\n\n{audit_help}")
-    @click.option("--height", "bound", type=int, default=None, metavar="H", help="Sweep all point pairs up to this height (default 12).")
-    @click.option("--from", "from_text", default=None, metavar="PT", help="Audit a single pair: start point.")
-    @click.option("--to", "to_text", default=None, metavar="PT", help="Audit a single pair: target point.")
-    @_format_option("text", "json")
+    @_command(f"{group} {audit_verb}", f"Audit the two closed forms for the {name}'s connecting parameter. {audit_help}",
+              Option("--height", "bound", int, help="Sweep all point pairs up to this height (default 12)."),
+              Option("--from", "from_text", help="Audit a single pair: start point."),
+              Option("--to", "to_text", help="Audit a single pair: target point."), _TJ)
     def audit_cmd(bound, from_text, to_text, fmt: str) -> None:
+        from . import audit
         if (from_text is None) != (to_text is None):
-            raise click.UsageError("--from and --to must be given together")
+            raise UsageError("--from and --to must be given together")
         if from_text is not None:
             if bound is not None:
-                raise click.UsageError("give either --height or a --from/--to pair, not both")
-            source, target = _point_pair(from_text, to_text)
-            payload = audit_lib.render_identity_audit(curve.delta_identity_audit(source, target))
+                raise UsageError("give either --height or a --from/--to pair, not both")
+            source, target = parse_point(from_text), parse_point(to_text)
+            payload = audit.render_identity_audit(curve().delta_identity_audit(source, target))
         else:
-            payload = sweep(12 if bound is None else bound)
+            payload = getattr(audit, f"{name}_identity_sweep")(12 if bound is None else bound)
         _emit(fmt, text=lambda: json.dumps(payload, indent=2) + "\n", json=lambda: _json(payload))
 
 
-_conic_group(
-    "circle", CIRCLE, "audit-exy", audit_lib.circle_identity_sweep, "p/q or inf",
-    "Both forms are evaluated exactly on every pair of rational circle points within the height "
-    "bound (or on one explicit pair) and compared against the verified transitivity solver.",
-)
-_conic_group(
-    "hyper", HYPERBOLA, "audit", audit_lib.hyperbola_identity_sweep, "p/q or inf, |p/q| != 1",
-    "The right-hand form tracks the verified solver; the left-hand form is genuinely discrepant, "
-    "and the sweep preserves the disagreement with exact witnesses instead of reconciling it.",
-)
+_conic_group("circle", "circle", "rotation", "p/q or inf", "audit-exy",
+             "Both forms are evaluated exactly on every pair of rational circle points within the height bound "
+             "(or on one explicit pair) and compared against the verified transitivity solver.")
+_conic_group("hyper", "hyperbola", "boost", "p/q or inf, |p/q| != 1", "audit",
+             "The right-hand form tracks the verified solver; the left-hand form is genuinely discrepant, and "
+             "the sweep preserves the disagreement with exact witnesses instead of reconciling it.")
 
 
-@cli.command(name="triples")
-@click.option("--height", "bound", type=int, required=True, metavar="H", help="Parameter height bound.")
-@_format_option("text", "json", "csv")
+@_command("triples", "Primitive Pythagorean triples from rotation parameters up to a height.",
+          Option("--height", "bound", int, required=True, help="Parameter height bound."), _TJC)
 def triples_cmd(bound: int, fmt: str) -> None:
-    """Primitive Pythagorean triples from rotation parameters up to a height."""
-    triples = circle_lib.primitive_triples(bound)
+    from .circle import primitive_triples
+    triples = primitive_triples(bound)
     _emit(
         fmt,
         text=lambda: _lines(*(f"{a} {b} {c}" for a, b, c in triples)),
@@ -182,21 +166,10 @@ def triples_cmd(bound: int, fmt: str) -> None:
     )
 
 
-# ---------------------------------------------------------------- kgroup ----
-
-
-@cli.group(name="kgroup")
-def kgroup_group() -> None:
-    """Finite monomial symmetry groups of x_1^k + ... + x_n^k (k >= 3)."""
-
-
-@kgroup_group.command(name="order")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 3).")
-@click.option("--n", type=int, required=True, help="Number of variables.")
-@_format_option("text", "json")
+@_command("kgroup order", "Group order k^n * n! (exact).", _K, _N, _TJ)
 def kgroup_order_cmd(k: int, n: int, fmt: str) -> None:
-    """Group order k^n * n! (exact)."""
-    order = monomial.group_order(k, n)
+    from .monomial import group_order
+    order = group_order(k, n)
     _emit(fmt, text=lambda: f"{order}\n", json=lambda: _json(order))
 
 
@@ -204,14 +177,10 @@ def _element_line(element) -> str:
     return f"perm={','.join(map(str, element.perm))} exp={','.join(map(str, element.exponents))}"
 
 
-@kgroup_group.command(name="enumerate")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 3).")
-@click.option("--n", type=int, required=True, help="Number of variables.")
-@click.option("--limit", type=int, default=None, metavar="M", help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
-@_format_option("text", "json", "csv")
+@_command("kgroup enumerate", "List every group element as its permutation and exponent vector.", _K, _N, _LIMIT, _TJC)
 def kgroup_enumerate_cmd(k: int, n: int, limit, fmt: str) -> None:
-    """List every group element as its permutation and exponent vector."""
-    elements = monomial.enumerate_group(k, n, limit)
+    from .monomial import enumerate_group
+    elements = enumerate_group(k, n, limit)
     _emit(
         fmt,
         text=lambda: _lines(*map(_element_line, elements)),
@@ -224,29 +193,23 @@ def kgroup_enumerate_cmd(k: int, n: int, limit, fmt: str) -> None:
 
 def _split_top_level(text: str) -> list[str]:
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InvalidArgumentError(f"unbalanced brackets in vector: {text!r}")
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+    depth = start = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            raise InvalidArgumentError(f"unbalanced brackets in vector: {text!r}")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
     if depth != 0:
         raise InvalidArgumentError(f"unbalanced brackets in vector: {text!r}")
-    parts.append("".join(current))
+    parts.append(text[start:])
     return parts
 
 
 def _parse_vector(k: int, text: str):
+    from .cyclotomic import CyclotomicNumber
+    from .monomial import cyclo_vector
     components = []
     for token in _split_top_level(text):
         token = token.strip()
@@ -260,23 +223,23 @@ def _parse_vector(k: int, text: str):
             components.append(CyclotomicNumber(k, coeffs))
         else:
             components.append(parse_rational(token))
-    return monomial.cyclo_vector(k, components)
+    return cyclo_vector(k, components)
 
 
-def _component_payload(component: CyclotomicNumber):
+def _component_payload(component):
     value = component.is_rational()
     if value is not None:
         return format_rational(value)
     return component.as_dict()
 
 
-@kgroup_group.command(name="orbit")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 3).")
-@click.option("--point", "point_text", required=True, metavar="VEC", help='Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]", comma separated.')
-@click.option("--limit", type=int, default=None, metavar="M", help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
-@_format_option("text", "json")
+_VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]", comma separated.'
+
+
+@_command("kgroup orbit", "Full group orbit of a vector, with the orbit-stabilizer check.",
+          _K, Option("--point", "point_text", required=True, help=_VECTOR), _LIMIT, _TJ)
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
-    """Full group orbit of a vector, with the orbit-stabilizer check."""
+    from . import monomial
     vector = _parse_vector(k, point_text)
     components, points = monomial.orbit_ranks(vector, limit=limit)
     stabilizer_order = len(monomial.stabilizer(vector, limit=limit))
@@ -286,13 +249,8 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     group_order = monomial.group_order(k, len(vector))
 
     def as_json() -> str:
-        head = _json({
-            "k": k,
-            "n": len(vector),
-            "orbit_size": len(points),
-            "stabilizer_order": stabilizer_order,
-            "group_order": group_order,
-        })
+        head = _json({"k": k, "n": len(vector), "orbit_size": len(points),
+                      "stabilizer_order": stabilizer_order, "group_order": group_order})
         # a component's JSON is the same fragment wherever it appears
         fragments = [json.dumps(_component_payload(c), separators=(",", ":")) for c in components]
         body = "],[".join([",".join(map(fragments.__getitem__, point)) for point in points])
@@ -306,14 +264,11 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     _emit(fmt, text=as_text, json=as_json)
 
 
-@kgroup_group.command(name="rational")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 3).")
-@click.option("--n", type=int, required=True, help="Number of variables.")
-@click.option("--limit", type=int, default=None, metavar="M", help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
-@_format_option("text", "json")
+@_command("kgroup rational", "The subgroup with rational matrix entries, certified by closure checks.",
+          _K, _N, _LIMIT, _TJ)
 def kgroup_rational_cmd(k: int, n: int, limit, fmt: str) -> None:
-    """The subgroup with rational matrix entries, certified by closure checks."""
-    report = monomial.rational_elements(k, n, limit)
+    from .monomial import rational_elements
+    report = rational_elements(k, n, limit)
     _emit(
         fmt,
         text=lambda: _lines(
@@ -321,23 +276,16 @@ def kgroup_rational_cmd(k: int, n: int, limit, fmt: str) -> None:
             *map(_element_line, report.elements),
         ),
         json=lambda: _json({
-            "k": report.k,
-            "n": report.n,
-            "order": report.order,
-            "is_group": report.is_group,
-            "permutations_only": report.permutations_only,
-            "elements": [e.as_dict() for e in report.elements],
+            "k": report.k, "n": report.n, "order": report.order, "is_group": report.is_group,
+            "permutations_only": report.permutations_only, "elements": [e.as_dict() for e in report.elements],
         }),
     )
 
 
-@kgroup_group.command(name="orbit-rational")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 3).")
-@click.option("--limit", type=int, default=None, metavar="M", help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
-@_format_option("text", "json", "csv")
+@_command("kgroup orbit-rational", "Rational points of x^k + y^k = 1 in the orbit of (1, 0).", _K, _LIMIT, _TJC)
 def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
-    """Rational points of x^k + y^k = 1 in the orbit of (1, 0)."""
-    points = sorted(monomial.orbit_rational_points(k, limit=limit))
+    from .monomial import orbit_rational_points
+    points = sorted(orbit_rational_points(k, limit=limit))
     rows = [(format_rational(x), format_rational(y)) for x, y in points]
     _emit(
         fmt,
@@ -347,24 +295,20 @@ def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
     )
 
 
-# ---------------------------------------------------------------- search ----
-
-
-@cli.command(name="search")
-@click.option("--k", type=int, required=True, help="Form degree (k >= 2).")
-@click.option("--height", "bound", type=int, required=True, metavar="H", help="Height bound for every coordinate.")
-@click.option("--n", type=int, default=2, show_default=True, help="Number of variables.")
-@click.option("--json", "json_path", type=click.Path(dir_okay=False, writable=True), default=None, help="Also write the JSON report to this file.")
-@_format_option("text", "json", "csv")
+@_command("search", "Exhaustive scan for rational solutions of x_1^k + ... + x_n^k = 1.",
+          _K._replace(help="Form degree (k >= 2)."),
+          Option("--height", "bound", int, required=True, help="Height bound for every coordinate."),
+          _N._replace(default=2, required=False),
+          Option("--json", "json_path", help="Also write the JSON report to this file."), _TJC)
 def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
-    """Exhaustive scan for rational solutions of x_1^k + ... + x_n^k = 1."""
-    report = search_lib.search_n(k, n, bound)
+    from .search import search_n
+    report = search_n(k, n, bound)
     # every format prints the report's "p/q" strings, each formatted once; the
     # JSON payload is built once, only when it is printed or written
     as_json = functools.cache(lambda: _json(report.payload()))
     if json_path is not None:
         _write_file(json_path, as_json())
-    click.echo(f"elapsed: {report.elapsed:.3f}s", err=True)
+    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     _emit(
         fmt,
         text=lambda: _lines(
@@ -377,16 +321,12 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     )
 
 
-@cli.command(name="coverage")
-@click.option("--height", "bound", type=int, required=True, metavar="H", help="Height bound for circle points.")
-@_format_option("text", "json", "csv")
+@_command("coverage", "Verify every bounded circle point is reached from (1,0) by a rotation.",
+          Option("--height", "bound", int, required=True, help="Height bound for circle points."), _TJC)
 def coverage_cmd(bound: int, fmt: str) -> None:
-    """Verify every bounded circle point is reached from (1,0) by a rotation."""
-    report = search_lib.verify_orbit_coverage(bound)
-    rows = [
-        (format_pair(a, c), format_pair(b, c), format_pair(*delta))
-        for (a, b, c), delta in report.reached
-    ]
+    from .search import verify_orbit_coverage
+    report = verify_orbit_coverage(bound)
+    rows = [(format_pair(a, c), format_pair(b, c), format_pair(*delta)) for (a, b, c), delta in report.reached]
     _emit(
         fmt,
         text=lambda: _lines(
@@ -394,9 +334,7 @@ def coverage_cmd(bound: int, fmt: str) -> None:
             *(f"{x},{y} <- delta {delta}" for x, y, delta in rows),
         ),
         json=lambda: _json({
-            "height": report.height_bound,
-            "total": report.total,
-            "covered": report.covered,
+            "height": report.height_bound, "total": report.total, "covered": report.covered,
             "coverage": format_rational(report.coverage),
             "unreachable": [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in report.missed],
             "entries": [{"point": f"{x},{y}", "delta": delta} for x, y, delta in rows],
@@ -405,29 +343,24 @@ def coverage_cmd(bound: int, fmt: str) -> None:
     )
 
 
-@cli.command(name="counterexample")
-@click.option("--k", type=int, required=True, help="Odd form degree (k >= 3).")
-@click.option("--x1", "x1_text", required=True, metavar="p/q", help="Free rational parameter.")
-@_format_option("text", "json")
+@_command("counterexample", "A verified 3-variable solution (x1, -x1, 1) of arbitrary height, odd k.",
+          _K._replace(help="Odd form degree (k >= 3)."),
+          Option("--x1", "x1_text", required=True, help="Free rational parameter p/q."), _TJ)
 def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
-    """A verified 3-variable solution (x1, -x1, 1) of arbitrary height, odd k."""
-    witness = [format_rational(c) for c in search_lib.n_counterexample(k, parse_rational(x1_text))]
+    from .search import n_counterexample
+    witness = [format_rational(c) for c in n_counterexample(k, parse_rational(x1_text))]
     payload = {"k": k, "witness": witness, "verified": True}
     _emit(fmt, text=lambda: ",".join(witness) + "\n", json=lambda: _json(payload))
 
 
-# ------------------------------------------------------------ stroboscope ----
-
-
-@cli.command(name="iterate")
-@click.option("--delta", "delta_text", required=True, metavar="PR", help="Rotation parameter.")
-@click.option("--steps", type=int, required=True, metavar="N", help="Number of exact steps.")
-@click.option("--start", "start_text", default="1/1,0/1", show_default=True, metavar="PT", help="Start point on the circle.")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), default=None, help="Also write the trajectory as CSV to this file.")
-@_format_option("text", "json", "csv")
+@_command("iterate", "Iterate a rational rotation exactly, recording points and heights.",
+          Option("--delta", "delta_text", required=True, help="Rotation parameter."),
+          Option("--steps", "steps", int, required=True, help="Number of exact steps."),
+          Option("--start", "start_text", default="1/1,0/1", help="Start point on the circle."),
+          Option("--csv", "csv_path", help="Also write the trajectory as CSV to this file."), _TJC)
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
-    """Iterate a rational rotation exactly, recording points and heights."""
-    trajectory = stroboscope.iterate(parse_projective(delta_text), parse_point(start_text), steps)
+    from .stroboscope import iterate
+    trajectory = iterate(parse_projective(delta_text), parse_point(start_text), steps)
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
     rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
@@ -453,9 +386,7 @@ def _iterate_json(trajectory, rows) -> str:
     The coordinates, megabytes of digits, are copied once, by the final join.
     """
     head = _json({
-        "delta": format_projective(trajectory.delta),
-        "start": format_point(trajectory.start),
-        "period": trajectory.period,
+        "delta": format_projective(trajectory.delta), "start": format_point(trajectory.start), "period": trajectory.period
     })
     pieces = [head[:-2], ',"points":[']
     for i, (_, x, y, _) in enumerate(rows):
@@ -464,37 +395,104 @@ def _iterate_json(trajectory, rows) -> str:
     return "".join(pieces)
 
 
-# ------------------------------------------------------------------ audit ----
-
-
-@cli.command(name="audit")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the randomized law sweeps.")
-@click.option("--height", "bound", type=int, default=50, show_default=True, metavar="H", help="Height bound for the identity sweeps.")
-@click.option("--pairs", type=click.IntRange(min=0), default=2000, show_default=True, help="Pairs checked by the circle law sweep; the 16 special pairs of 0, 1, -1 and inf are always checked, the rest are sampled.")
-@_format_option("json", default="json")
+@_command("audit", "Run every identity audit and print one deterministic JSON report.",
+          Option("--seed", "seed", int, 0, help="Seed for the randomized law sweeps."),
+          Option("--height", "bound", int, 50, help="Height bound for the identity sweeps."),
+          Option("--pairs", "pairs", int, 2000, help="Pairs checked by the circle law sweep; the 16 special "
+                 "pairs of 0, 1, -1 and inf are always checked, the rest are sampled."),
+          _TJ._replace(convert=("json",), default="json"))
 def audit_cmd(seed: int, bound: int, pairs: int, fmt: str) -> None:
-    """Run every identity audit and print one deterministic JSON report."""
-    report = audit_lib.run_audit_suite(seed=seed, identity_bound=bound, law_pairs=pairs)
+    from .audit import run_audit_suite
+    report = run_audit_suite(seed=seed, identity_bound=bound, law_pairs=pairs)
     _emit(fmt, json=lambda: _json(report))
+
+
+def _parse(options, tokens):
+    """The handler's keyword arguments read from `tokens`, or None when they ask for --help."""
+    by_name = {option.name: option for option in options}
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--help":
+            return None
+        name, eq, value = token.partition("=")
+        option = by_name.get(name)
+        if option is None:
+            raise UsageError(f"No such option '{name}'." if token[:1] == "-" else f"Got unexpected extra argument ({token})")
+        if option.convert is bool and eq:
+            raise UsageError(f"Option '{name}' does not take a value.")
+        if not eq:
+            value = True if option.convert is bool else next(tokens, None)
+        if value is None:
+            raise UsageError(f"Option '{name}' requires an argument.")
+        given[option] = value
+    for option in options:
+        if option.required and option not in given:
+            raise UsageError(f"Missing option '{option.name}'.")
+    return {option.dest: _convert(option, given[option]) if option in given else option.default for option in options}
+
+
+def _convert(option: Option, text):
+    """The value of `option` given as `text`; a value it does not accept is a usage error."""
+    if option.convert is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"Invalid value for '{option.name}': '{text}' is not a valid integer.") from None
+    if isinstance(option.convert, tuple) and text not in option.convert:
+        raise UsageError(f"Invalid value for '{option.name}': '{text}' is not one of {', '.join(map(repr, option.convert))}.")
+    return text
+
+
+def _usage(path) -> str:
+    return f"Usage: {' '.join(('fermatgroups', *path))} [OPTIONS]" + ("" if path in COMMANDS else " COMMAND [ARGS]...")
+
+
+def _option_line(option: Option) -> str:
+    kind = option.convert
+    metavar = f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else {int: " INTEGER", str: " TEXT"}.get(kind, "")
+    note = "  [required]" if option.required else "" if option.default in (None, False) else f"  [default: {option.default}]"
+    return f"{option.name + metavar:<26}{option.help}{note}"
+
+
+def _help(path) -> int:
+    """Print the usage and the options of a command, or the commands of a group, on stdout; return 0."""
+    if path in COMMANDS:
+        _, about, options = COMMANDS[path]
+        rows = [*map(_option_line, options), f"{'--help':<26}Show this message and exit."]
+    else:
+        about = _ABOUT
+        rows = [f"{' '.join(p[len(path):]):<26}{text}" for p, (_, text, _) in COMMANDS.items() if p[: len(path)] == path]
+    _emit("text", text=lambda: _lines(_usage(path), "", about, "", *(f"  {row}" for row in rows)))
+    return 0
 
 
 def main(argv=None) -> int:
     """Programmatic entry point; returns the process exit code."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    # a command path is one or two names long
+    path = next((p for p in (tuple(args[:2]), tuple(args[:1])) if p in COMMANDS), None)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except InvalidArgumentError as exc:
-        click.echo(f"error: {exc}", err=True)
+        if path is None:
+            path = tuple(args[:1]) if tuple(args[:1]) in {p[:-1] for p in COMMANDS} else ()
+            rest = args[len(path):]
+            if rest[:1] == ["--help"]:
+                return _help(path)
+            raise UsageError(f"No such command '{rest[0]}'." if rest else "Missing command.")
+        handler, _, options = COMMANDS[path]
+        values = _parse(options, args[len(path):])
+        if values is None:
+            return _help(path)
+        handler(**values)
+    except UsageError as exc:
+        command = " ".join(("fermatgroups", *path))
+        sys.stderr.write(f"{_usage(path)}\nTry '{command} --help' for help.\n\nError: {exc}\n")
         return 2
-    except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+    except (InvalidArgumentError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, InvalidArgumentError) else 3
+    except BrokenPipeError:  # the reader closed stdout
+        return 1
     return 0
 
 

@@ -10,15 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import monomial_oracle
 import pytest
-from click.testing import CliRunner
 
 import fermatgroups
 from fermatgroups import cli as cli_module
 from fermatgroups import stroboscope
-from fermatgroups.cli import cli, main
+from fermatgroups.cli import main
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.monomial import MonomialMatrix
 from fermatgroups.rationals import format_point, format_projective, format_rational, parse_point, parse_projective
@@ -26,26 +26,29 @@ from fermatgroups.search import SearchReport
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def run(capsys):
+    """Call the CLI in-process; return its exit code and what it printed on stdout and stderr."""
 
+    def invoke(*args):
+        code = main(list(args))
+        captured = capsys.readouterr()
+        return SimpleNamespace(exit_code=code, output=captured.out, stderr=captured.err)
 
-def run(runner, *args):
-    return runner.invoke(cli, list(args), catch_exceptions=False)
+    return invoke
 
 
 class TestDispatchExamples:
-    def test_compose_pole(self, runner):
-        result = run(runner, "circle", "compose", "--d1", "1", "--d2", "1")
+    def test_compose_pole(self, run):
+        result = run("circle", "compose", "--d1", "1", "--d2", "1")
         assert result.exit_code == 0
         assert result.output.strip() == "inf"
 
-    def test_triples_json(self, runner):
-        result = run(runner, "triples", "--height", "2", "--format", "json")
+    def test_triples_json(self, run):
+        result = run("triples", "--height", "2", "--format", "json")
         assert result.output.strip() == "[[3,4,5]]"
 
-    def test_kgroup_order(self, runner):
-        result = run(runner, "kgroup", "order", "--k", "3", "--n", "2")
+    def test_kgroup_order(self, run):
+        result = run("kgroup", "order", "--k", "3", "--n", "2")
         assert result.output.strip() == "18"
 
     def test_invalid_k_exits_two(self):
@@ -120,40 +123,40 @@ class TestExitCodes:
 
 
 class TestCirclePayloads:
-    def test_act_text_and_json(self, runner):
-        text = run(runner, "circle", "act", "--delta", "1/2", "--point", "1,0")
+    def test_act_text_and_json(self, run):
+        text = run("circle", "act", "--delta", "1/2", "--point", "1,0")
         assert text.output.strip() == "3/5,4/5"
         payload = run(
-            runner, "circle", "act", "--delta", "1/2", "--point", "1,0", "--format", "json"
+            "circle", "act", "--delta", "1/2", "--point", "1,0", "--format", "json"
         )
         assert json.loads(payload.output) == ["3/5", "4/5"]
 
-    def test_act_reflect(self, runner):
-        result = run(runner, "circle", "act", "--delta", "0", "--reflect", "--point", "3/5,4/5")
+    def test_act_reflect(self, run):
+        result = run("circle", "act", "--delta", "0", "--reflect", "--point", "3/5,4/5")
         assert result.output.strip() == "3/5,-4/5"
 
-    def test_solve_round_trip(self, runner):
+    def test_solve_round_trip(self, run):
         solved = run(
-            runner, "circle", "solve", "--from", "3/5,4/5", "--to", "5/13,12/13",
+            "circle", "solve", "--from", "3/5,4/5", "--to", "5/13,12/13",
             "--format", "json",
         )
         payload = json.loads(solved.output)
         assert payload == {"delta": "1/8", "reflected": False}
         acted = run(
-            runner, "circle", "act", "--delta", payload["delta"], "--point", "3/5,4/5"
+            "circle", "act", "--delta", payload["delta"], "--point", "3/5,4/5"
         )
         assert acted.output.strip() == "5/13,12/13"
 
-    def test_audit_single_pair(self, runner):
+    def test_audit_single_pair(self, run):
         result = run(
-            runner, "circle", "audit-exy", "--from", "3/5,4/5", "--to", "5/13,12/13",
+            "circle", "audit-exy", "--from", "3/5,4/5", "--to", "5/13,12/13",
             "--format", "json",
         )
         payload = json.loads(result.output)
         assert payload["left"] == payload["right"] == payload["solver"] == "1/8"
 
-    def test_audit_sweep(self, runner):
-        result = run(runner, "circle", "audit-exy", "--height", "5", "--format", "json")
+    def test_audit_sweep(self, run):
+        result = run("circle", "audit-exy", "--height", "5", "--format", "json")
         payload = json.loads(result.output)
         assert payload["identity_holds"] is True
         assert payload["points"] == 12
@@ -164,19 +167,19 @@ class TestCirclePayloads:
 
 
 class TestHyperPayloads:
-    def test_compose(self, runner):
-        result = run(runner, "hyper", "compose", "--d1", "1/2", "--d2", "1/3")
+    def test_compose(self, run):
+        result = run("hyper", "compose", "--d1", "1/2", "--d2", "1/3")
         assert result.output.strip() == "5/7"
 
-    def test_solve_witness(self, runner):
+    def test_solve_witness(self, run):
         result = run(
-            runner, "hyper", "solve", "--from", "5/4,3/4", "--to", "5/3,4/3", "--format", "json"
+            "hyper", "solve", "--from", "5/4,3/4", "--to", "5/3,4/3", "--format", "json"
         )
         assert json.loads(result.output) == {"delta": "1/5", "reflected": False}
 
-    def test_audit_single_pair_keeps_discrepancy(self, runner):
+    def test_audit_single_pair_keeps_discrepancy(self, run):
         result = run(
-            runner, "hyper", "audit", "--from", "5/4,3/4", "--to", "5/3,4/3", "--format", "json"
+            "hyper", "audit", "--from", "5/4,3/4", "--to", "5/3,4/3", "--format", "json"
         )
         payload = json.loads(result.output)
         assert payload["left"] == "-3/55"
@@ -185,19 +188,19 @@ class TestHyperPayloads:
 
 
 class TestTriples:
-    def test_text(self, runner):
-        result = run(runner, "triples", "--height", "3")
+    def test_text(self, run):
+        result = run("triples", "--height", "3")
         assert result.output.splitlines() == ["3 4 5", "5 12 13"]
 
-    def test_csv(self, runner):
-        result = run(runner, "triples", "--height", "3", "--format", "csv")
+    def test_csv(self, run):
+        result = run("triples", "--height", "3", "--format", "csv")
         rows = list(csv.reader(result.output.splitlines()))
         assert rows == [["a", "b", "c"], ["3", "4", "5"], ["5", "12", "13"]]
 
 
 class TestKgroupPayloads:
-    def test_enumerate_json_round_trips(self, runner):
-        result = run(runner, "kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "json")
+    def test_enumerate_json_round_trips(self, run):
+        result = run("kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "json")
         elements = json.loads(result.output)
         assert len(elements) == 18
         from fermatgroups.monomial import MonomialMatrix
@@ -205,32 +208,32 @@ class TestKgroupPayloads:
         rebuilt = {MonomialMatrix.from_dict(3, e) for e in elements}
         assert len(rebuilt) == 18
 
-    def test_orbit_sizes(self, runner):
+    def test_orbit_sizes(self, run):
         result = run(
-            runner, "kgroup", "orbit", "--k", "3", "--point", "2,3", "--format", "json"
+            "kgroup", "orbit", "--k", "3", "--point", "2,3", "--format", "json"
         )
         payload = json.loads(result.output)
         assert payload["orbit_size"] == 18
         assert payload["stabilizer_order"] == 1
         assert payload["group_order"] == 18
 
-    def test_orbit_cyclotomic_component_syntax(self, runner):
+    def test_orbit_cyclotomic_component_syntax(self, run):
         # [0,1] is omega itself; the orbit of (omega, 0) matches (1, 0)
         result = run(
-            runner, "kgroup", "orbit", "--k", "3", "--point", "[0,1],0", "--format", "json"
+            "kgroup", "orbit", "--k", "3", "--point", "[0,1],0", "--format", "json"
         )
         payload = json.loads(result.output)
         assert payload["orbit_size"] == 6
 
-    def test_rational_subgroup(self, runner):
-        result = run(runner, "kgroup", "rational", "--k", "4", "--n", "2", "--format", "json")
+    def test_rational_subgroup(self, run):
+        result = run("kgroup", "rational", "--k", "4", "--n", "2", "--format", "json")
         payload = json.loads(result.output)
         assert payload["order"] == 8
         assert payload["is_group"] is True
         assert payload["permutations_only"] is False
 
-    def test_orbit_rational_points(self, runner):
-        result = run(runner, "kgroup", "orbit-rational", "--k", "3", "--format", "json")
+    def test_orbit_rational_points(self, run):
+        result = run("kgroup", "orbit-rational", "--k", "3", "--format", "json")
         assert json.loads(result.output) == [["0/1", "1/1"], ["1/1", "0/1"]]
 
 
@@ -252,10 +255,10 @@ def test_orbit_json_equals_json_dumps_of_the_former_payload(k, vector, capsys):
 
 
 class TestSearchCommands:
-    def test_search_writes_json_file(self, runner, tmp_path):
+    def test_search_writes_json_file(self, run, tmp_path):
         out = tmp_path / "report.json"
         result = run(
-            runner, "search", "--k", "3", "--height", "8", "--json", str(out)
+            "search", "--k", "3", "--height", "8", "--json", str(out)
         )
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
@@ -264,28 +267,26 @@ class TestSearchCommands:
         assert ["0/1", "1/1"] in payload["solutions"]
         assert "elapsed" not in payload
 
-    def test_search_csv(self, runner):
-        result = run(runner, "search", "--k", "2", "--height", "1", "--format", "csv")
-        rows = list(csv.reader(result.stdout.splitlines()))
+    def test_search_csv(self, run):
+        result = run("search", "--k", "2", "--height", "1", "--format", "csv")
+        rows = list(csv.reader(result.output.splitlines()))
         assert rows[0] == ["x1", "x2"]
         assert ["1/1", "0/1"] in rows[1:]
 
-    def test_elapsed_goes_to_stderr_not_stdout(self, runner):
-        result = runner.invoke(
-            cli, ["search", "--k", "3", "--height", "3", "--format", "json"],
-            catch_exceptions=False,
-        )
-        assert "elapsed" not in result.stdout
+    def test_elapsed_goes_to_stderr_not_stdout(self, run):
+        result = run("search", "--k", "3", "--height", "3", "--format", "json")
+        assert "elapsed" not in result.output
+        assert result.stderr.startswith("elapsed: ")
 
-    def test_coverage(self, runner):
-        result = run(runner, "coverage", "--height", "1", "--format", "json")
+    def test_coverage(self, run):
+        result = run("coverage", "--height", "1", "--format", "json")
         payload = json.loads(result.output)
         assert payload["coverage"] == "1/1"
         assert payload["total"] == 4
         assert payload["unreachable"] == []
 
-    def test_counterexample(self, runner):
-        result = run(runner, "counterexample", "--k", "3", "--x1", "7/2", "--format", "json")
+    def test_counterexample(self, run):
+        result = run("counterexample", "--k", "3", "--x1", "7/2", "--format", "json")
         payload = json.loads(result.output)
         assert payload["witness"] == ["7/2", "-7/2", "1/1"]
         assert payload["verified"] is True
@@ -312,10 +313,10 @@ class TestSearchCommands:
 
 
 class TestIterate:
-    def test_csv_file(self, runner, tmp_path):
+    def test_csv_file(self, run, tmp_path):
         out = tmp_path / "trajectory.csv"
         result = run(
-            runner, "iterate", "--delta", "1/2", "--steps", "3", "--csv", str(out)
+            "iterate", "--delta", "1/2", "--steps", "3", "--csv", str(out)
         )
         assert result.exit_code == 0
         rows = list(csv.reader(out.read_text().splitlines()))
@@ -323,25 +324,25 @@ class TestIterate:
         assert rows[1] == ["1", "3/5", "4/5", "5"]
         assert rows[3] == ["3", "-117/125", "44/125", "125"]
 
-    def test_json_payload(self, runner):
+    def test_json_payload(self, run):
         result = run(
-            runner, "iterate", "--delta", "1", "--steps", "4", "--format", "json"
+            "iterate", "--delta", "1", "--steps", "4", "--format", "json"
         )
         payload = json.loads(result.output)
         assert payload["period"] == 4
         assert payload["points"][3] == ["1/1", "0/1"]
         assert payload["heights"] == [1, 1, 1, 1]
 
-    def test_custom_start(self, runner):
+    def test_custom_start(self, run):
         result = run(
-            runner, "iterate", "--delta", "inf", "--steps", "1", "--start", "3/5,4/5"
+            "iterate", "--delta", "inf", "--steps", "1", "--start", "3/5,4/5"
         )
         assert result.output.splitlines()[0] == "step 1: -3/5,-4/5 height 5"
 
     def test_off_curve_start_rejected(self):
         assert main(["iterate", "--delta", "1/2", "--steps", "2", "--start", "1,1"]) == 2
 
-    def test_csv_format_and_file_build_the_text_once(self, runner, monkeypatch, tmp_path):
+    def test_csv_format_and_file_build_the_text_once(self, run, monkeypatch, tmp_path):
         calls = []
         csv_text = cli_module._csv_text
 
@@ -351,7 +352,7 @@ class TestIterate:
 
         monkeypatch.setattr(cli_module, "_csv_text", counted)
         path = tmp_path / "trajectory.csv"
-        result = run(runner, "iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
+        result = run("iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
         assert len(calls) == 1
         assert result.output == path.read_text(encoding="utf-8")
 
@@ -439,30 +440,30 @@ def test_iterate_as_wide_as_the_digit_limit_prints_and_one_digit_wider_exits_thr
 
 
 class TestAuditCommand:
-    def test_deterministic_bytes(self, runner):
+    def test_deterministic_bytes(self, run):
         args = ["audit", "--seed", "3", "--height", "6", "--pairs", "40"]
-        first = run(runner, *args)
-        second = run(runner, *args)
+        first = run(*args)
+        second = run(*args)
         assert first.exit_code == 0
         assert first.output == second.output
 
-    def test_report_content(self, runner):
-        result = run(runner, "audit", "--seed", "0", "--height", "6", "--pairs", "40")
+    def test_report_content(self, run):
+        result = run("audit", "--seed", "0", "--height", "6", "--pairs", "40")
         payload = json.loads(result.output)
         assert payload["all_expected_results"] is True
         assert payload["hyperbola_delta_identity"]["witness"]["left"] == "-3/55"
 
 
 class TestRoundTrips:
-    def test_compose_output_feeds_back_in(self, runner):
-        first = run(runner, "circle", "compose", "--d1", "1/2", "--d2", "1/3")
-        second = run(runner, "circle", "compose", "--d1", first.output.strip(), "--d2", "1/1")
+    def test_compose_output_feeds_back_in(self, run):
+        first = run("circle", "compose", "--d1", "1/2", "--d2", "1/3")
+        second = run("circle", "compose", "--d1", first.output.strip(), "--d2", "1/1")
         assert second.output.strip() == "inf"
 
-    def test_point_payloads_reparse(self, runner):
-        acted = run(runner, "circle", "act", "--delta", "2/9", "--point", "1,0")
+    def test_point_payloads_reparse(self, run):
+        acted = run("circle", "act", "--delta", "2/9", "--point", "1,0")
         solved = run(
-            runner, "circle", "solve", "--from", "1/1,0/1", "--to", acted.output.strip()
+            "circle", "solve", "--from", "1/1,0/1", "--to", acted.output.strip()
         )
         assert solved.output.strip() == "2/9"
 
@@ -536,8 +537,8 @@ class TestLimitsAndRanges:
     def test_negative_audit_pairs_exits_two(self):
         assert main(["audit", "--pairs", "-5"]) == 2
 
-    def test_audit_help_names_the_special_pairs(self, runner):
-        result = run(runner, "audit", "--help")
+    def test_audit_help_names_the_special_pairs(self, run):
+        result = run("audit", "--help")
         assert "16 special pairs" in " ".join(result.output.split())
 
 
@@ -613,7 +614,7 @@ def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_pat
 
 
 class _CountingStdout(io.StringIO):
-    """A stdout that counts the writes that carry text (click probes a stream with empty writes)."""
+    """A stdout that counts the writes that carry text (an empty write puts nothing on the stream)."""
 
     def __init__(self):
         super().__init__()
@@ -639,3 +640,128 @@ def test_one_stdout_write_per_call(case, monkeypatch, tmp_path):
         assert main(list(case["argv"])) == 0
     assert out.getvalue()
     assert out.writes <= 1
+
+
+# Every command path with the options its --help names.
+COMMAND_OPTIONS = {
+    ("circle", "compose"): ("--d1", "--d2", "--format"),
+    ("circle", "act"): ("--delta", "--reflect", "--point", "--format"),
+    ("circle", "solve"): ("--from", "--to", "--format"),
+    ("circle", "audit-exy"): ("--height", "--from", "--to", "--format"),
+    ("hyper", "compose"): ("--d1", "--d2", "--format"),
+    ("hyper", "act"): ("--delta", "--reflect", "--point", "--format"),
+    ("hyper", "solve"): ("--from", "--to", "--format"),
+    ("hyper", "audit"): ("--height", "--from", "--to", "--format"),
+    ("triples",): ("--height", "--format"),
+    ("kgroup", "order"): ("--k", "--n", "--format"),
+    ("kgroup", "enumerate"): ("--k", "--n", "--limit", "--format"),
+    ("kgroup", "orbit"): ("--k", "--point", "--limit", "--format"),
+    ("kgroup", "rational"): ("--k", "--n", "--limit", "--format"),
+    ("kgroup", "orbit-rational"): ("--k", "--limit", "--format"),
+    ("search",): ("--k", "--height", "--n", "--json", "--format"),
+    ("coverage",): ("--height", "--format"),
+    ("counterexample",): ("--k", "--x1", "--format"),
+    ("iterate",): ("--delta", "--steps", "--start", "--csv", "--format"),
+    ("audit",): ("--seed", "--height", "--pairs", "--format"),
+}
+
+
+@pytest.mark.parametrize("path", COMMAND_OPTIONS, ids=" ".join)
+def test_help_names_every_option(path, capsys):
+    assert main([*path, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert " ".join(path) in out
+    for option in COMMAND_OPTIONS[path]:
+        assert option in out
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # an option's value is the next token, even when it starts with "-"
+        (["circle", "act", "--delta", "1/2", "--point", "-3/5,-4/5"], "7/25,-24/25\n"),
+        (["circle", "act", "--delta", "-1/2", "--point", "-3/5,4/5"], "7/25,24/25\n"),
+        (["hyper", "compose", "--d1", "-7/1", "--d2", "1/3"], "5/1\n"),
+        (["counterexample", "--k", "3", "--x1", "-7/2"], "-7/2,7/2,1/1\n"),
+        (["iterate", "--delta", "1/2", "--steps", "1", "--start", "-1/1,0/1"], "step 1: -3/5,-4/5 height 5\nperiod: none\n"),
+        # or the text after "="
+        (["kgroup", "order", "--k=3", "--n=2"], "18\n"),
+        (["circle", "act", "--delta=-1/2", "--point=-3/5,4/5"], "7/25,24/25\n"),
+        # a repeated option: the last one wins
+        (["kgroup", "order", "--k", "5", "--k", "3", "--n", "2"], "18\n"),
+        (["kgroup", "order", "--k", "3", "--n", "2", "--format", "json", "--format", "text"], "18\n"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_parser_accepts(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["kgroup"],
+        ["frobnicate"],
+        ["kgroup", "frobnicate"],
+        ["kgroup", "order", "--k", "3", "--n", "2", "--bogus"],
+        ["kgroup", "order", "--k", "3", "--n", "2", "extra"],
+        ["kgroup", "order", "--k"],
+        ["kgroup", "order", "--n", "2", "--k"],
+        ["kgroup", "order", "--k", "x", "--n", "2"],
+        ["kgroup", "order", "--n", "2"],
+        ["triples", "--height", "2", "--format", "xml"],
+        ["audit", "--format", "text"],
+        ["audit", "--pairs", "-5"],
+        ["circle", "act", "--reflect=1", "--delta", "1", "--point", "1,0"],
+        ["search", "--k", "3", "--height", "5", "--json", "."],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_usage_errors_exit_two_and_print_nothing(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _python(code, *args):
+    """Run `code` in a fresh interpreter with the package on its path; return the finished process."""
+    source = Path(fermatgroups.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+        timeout=60,
+    )
+
+
+def test_start_up_loads_only_what_the_call_uses():
+    code = (
+        "import sys\n"
+        "import fermatgroups.cli as cli\n"
+        "print('click' in sys.modules)\n"
+        "cli.main(['kgroup', 'order', '--k', '3', '--n', '2'])\n"
+        "print(sorted(m for m in ('fermatgroups.audit', 'fermatgroups.stroboscope') if m in sys.modules))\n"
+    )
+    result = _python(code)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "False\n18\n[]\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader of stdout is gone before the command prints
+    code = (
+        "import os, sys\n"
+        "read, write = os.pipe()\n"
+        "os.close(read)\n"
+        "os.dup2(write, 1)\n"
+        "from fermatgroups.cli import main\n"
+        "sys.exit(main(['triples', '--height', '300']))\n"
+    )
+    result = _python(code)
+    assert (result.returncode, result.stderr) == (1, "")

@@ -27,12 +27,10 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import ModuleType
 
-import click
 import pytest
 
-from fermatgroups.cli import cli, main
+from fermatgroups.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -43,11 +41,6 @@ def run_case(argv, workdir: Path):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(workdir)
-        # click names the program after sys.argv[0], unless __main__ is a
-        # package module (as under `python -m pytest`); pin both so usage
-        # lines read as the console script prints them.
-        patch.setattr(sys, "argv", ["fermatgroups"])
-        patch.setitem(sys.modules, "__main__", ModuleType("__main__"))
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
@@ -71,16 +64,13 @@ def test_replays_byte_identically(case, tmp_path):
         assert data == (GOLDEN / f"{name}.{filename}").read_bytes()
 
 
-def _format_choices(command, path=()):
-    """Yield (command path, format, default format) for every `--format` choice under `command`."""
-    if isinstance(command, click.Group):
-        for name, sub in command.commands.items():
-            yield from _format_choices(sub, (*path, name))
-        return
-    for param in command.params:
-        if "--format" in getattr(param, "opts", ()):
-            for choice in param.type.choices:
-                yield path, choice, param.default
+def _format_choices():
+    """Yield (command path, format, default format) for every `--format` choice in the command table."""
+    for path, (_, _, options) in COMMANDS.items():
+        for option in options:
+            if option.name == "--format":
+                for choice in option.convert:
+                    yield path, choice, option.default
 
 
 def _case_format(argv, default):
@@ -90,7 +80,7 @@ def _case_format(argv, default):
 def test_every_command_format_has_a_case():
     missing = [
         f"{' '.join(path)} --format {fmt}"
-        for path, fmt, default in _format_choices(cli)
+        for path, fmt, default in _format_choices()
         if not any(
             case["exit"] == 0
             and tuple(case["argv"][: len(path)]) == path
