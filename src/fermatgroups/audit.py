@@ -18,7 +18,6 @@ from math import factorial
 from . import circle, monomial, search
 from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
-from .errors import InvalidArgumentError
 from .rationals import INF, format_point, format_projective, integer, projective_pair
 
 __all__ = [
@@ -72,6 +71,7 @@ def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
     entries over a scale, and two of them are equal when their entries
     cross-multiplied by the other's scale are.
     """
+    integer(pairs, 0, "law pairs")
     checked = 0
     mismatches = []
     special_pairs = [(d1, d2) for d1 in SPECIAL_DELTAS for d2 in SPECIAL_DELTAS]
@@ -128,6 +128,7 @@ def _dense_mul(a, b, k: int):
 
 def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     """Check the permutation-exponent product against dense matrix products."""
+    integer(pairs, 0, "law pairs")
     checked = 0
     mismatches = []
     for _ in range(pairs):
@@ -327,10 +328,7 @@ def run_audit_suite(seed: int = 0, identity_bound: int = 50, law_pairs: int = 20
     arguments, so identical invocations serialize identically.  The seed
     is any int, negative ones too, but never a bool or a float.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidArgumentError(f"audit seed must be an integer, got {seed!r}")
-    integer(law_pairs, 0, "law pairs")
-    rng = random.Random(seed)
+    rng = random.Random(integer(seed, None, "audit seed"))
     report = {
         "seed": seed,
         "identity_height": identity_bound,

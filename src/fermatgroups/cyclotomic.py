@@ -6,9 +6,10 @@ numerators over one common denominator in lowest terms.  Reduction mod
 x^k - 1 alone would not give a field (that quotient has zero divisors), so
 exponent folding mod k is only a transient first step and every visible
 value is divided down by Phi_k; Phi_k is monic with integer coefficients,
-so the division never leaves the integers.  Fractions are built only when
-a caller reads `coeffs`.  Equality is structural on the reduced numerators
-and denominator; hashing agrees with Fraction for rational values.
+so the division never leaves the integers.  Fractions are built, anew
+on each call, only when a caller reads `coeffs` or `is_rational`.
+Equality is structural on the reduced numerators and denominator;
+hashing agrees with Fraction for rational values.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class CyclotomicNumber:
     compares equal to a plain int or Fraction when it is rational.
     """
 
-    __slots__ = ("_k", "_nums", "_den", "_coeffs", "_hash")
+    __slots__ = ("_k", "_nums", "_den")
 
     def __init__(self, k: int, coeffs: Iterable = ()) -> None:
         integer(k, 1, "cyclotomic order")
@@ -177,13 +178,9 @@ class CyclotomicNumber:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Reduced coefficients on {1, omega, ..., omega^(phi(k)-1)}, built once on first use."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self._den
-            self._coeffs = tuple(Fraction(c, den) for c in self._nums)
-            return self._coeffs
+        """Reduced coefficients on {1, omega, ..., omega^(phi(k)-1)}."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @classmethod
     def zero(cls, k: int) -> "CyclotomicNumber":
@@ -201,13 +198,13 @@ class CyclotomicNumber:
     def root_of_unity(cls, k: int, exponent: int) -> "CyclotomicNumber":
         """omega_k ** exponent (any integer exponent)."""
         integer(k, 1, "cyclotomic order")
-        return cls(k, (0,) * (exponent % k) + (1,))
+        return cls(k, (0,) * (integer(exponent, None, "root of unity exponent") % k) + (1,))
 
     def is_rational(self) -> "Fraction | None":
         """The value as a Fraction when it lies in Q, else None."""
         if any(self._nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def _coerce(self, other) -> "CyclotomicNumber | None":
         if isinstance(other, CyclotomicNumber):
@@ -318,16 +315,10 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # values never change once built, so the hash is computed on first use
-        try:
-            return self._hash
-        except AttributeError:
-            rational_value = self.is_rational()
-            if rational_value is not None:
-                self._hash = hash(rational_value)
-            else:
-                self._hash = hash((self._k, self.coeffs))
-            return self._hash
+        rational_value = self.is_rational()
+        if rational_value is not None:
+            return hash(rational_value)
+        return hash((self._k, self.coeffs))
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self.coeffs]})"

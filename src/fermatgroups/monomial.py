@@ -52,6 +52,7 @@ DEFAULT_ELEMENT_LIMIT = 10**6
 ENV_LIMIT = "FERMAT_ORBIT_LIMIT"
 
 CyclotomicVector = tuple[CyclotomicNumber, ...]
+Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (perm, exponents) of one element
 
 
 def element_limit(override: "int | None" = None) -> int:
@@ -138,26 +139,15 @@ class MonomialMatrix:
         """Matrix product self·other, computed on the (sigma, l) data.
 
         Row i of the product reaches column other.sigma(self.sigma(i)) with
-        entry omega^(self.l_i + other.l_(self.sigma(i))).
+        entry omega^(self.l_i + other.l_(self.sigma(i))): the law `_product`.
         """
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         self._require_compatible(other)
-        k = self._k
-        perm = tuple(other._perm[self._perm[i]] for i in range(len(self._perm)))
-        exps = tuple(
-            (self._exps[i] + other._exps[self._perm[i]]) % k
-            for i in range(len(self._perm))
-        )
-        return MonomialMatrix(k, perm, exps)
+        return MonomialMatrix(self._k, *_product(self._k, (self._perm, self._exps), (other._perm, other._exps)))
 
     def inverse(self) -> "MonomialMatrix":
-        n = len(self._perm)
-        inv_perm = [0] * n
-        for i, j in enumerate(self._perm):
-            inv_perm[j] = i
-        exps = tuple((-self._exps[inv_perm[j]]) % self._k for j in range(n))
-        return MonomialMatrix(self._k, tuple(inv_perm), exps)
+        return MonomialMatrix(self._k, *_inverse_pair(self._k, self._perm, self._exps))
 
     def apply(self, vector: Sequence[CyclotomicNumber]) -> CyclotomicVector:
         """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
@@ -253,16 +243,36 @@ def _check_cap(base: int, n: int, limit, what: str) -> None:
         raise ResourceLimitError(f"{what} {shown} exceeds the element cap {cap}")
 
 
-def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
-    # every (perm, exps) with exps drawn from `exponents`, after the cap
-    # check; `exponents` must ascend for the list to be in (perm, exps)
-    # lexicographic order, which callers return without sorting
-    _check_cap(len(exponents), n, limit, what)
+def _product(k: int, first: Pair, second: Pair) -> Pair:
+    """The group law on raw (perm, exponents) pairs: (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k)."""
+    (perm, exps), (other_perm, other_exps) = first, second
+    # itemgetter of one index returns the bare item, but the only
+    # permutation of one point is the identity
+    pick = itemgetter(*perm) if len(perm) > 1 else tuple
+    return pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))])
+
+
+def _inverse_pair(k: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> Pair:
+    """The inverse (sigma^-1, -l o sigma^-1 mod k) of a (perm, exponents) pair."""
+    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(inv_perm), tuple([-exps[i] % k for i in inv_perm])
+
+
+def _enumerate_allowed(k: int, allowed: Sequence[Sequence[Sequence[int]]]) -> list[MonomialMatrix]:
+    # every (perm, exps) with exps[i] drawn from allowed[i][perm[i]]; when
+    # each list ascends, the result is in (perm, exps) lexicographic order,
+    # which callers return without sorting
     return [
         MonomialMatrix(k, perm, exps)
-        for perm in itertools.permutations(range(n))
-        for exps in itertools.product(exponents, repeat=n)
+        for perm in itertools.permutations(range(len(allowed)))
+        for exps in itertools.product(*(allowed[i][j] for i, j in enumerate(perm)))
     ]
+
+
+def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
+    # every (perm, exps) with exps drawn from the ascending `exponents`, after the cap check
+    _check_cap(len(exponents), n, limit, what)
+    return _enumerate_allowed(k, [[exponents] * n] * n)
 
 
 def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[MonomialMatrix]:
@@ -371,11 +381,7 @@ def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> li
         [[l for l, image in enumerate(twists) if image == target] for twists in twisted]
         for target in vec
     ]
-    return [
-        MonomialMatrix(k, perm, exps)
-        for perm in itertools.permutations(range(len(vec)))
-        for exps in itertools.product(*(fixing[i][j] for i, j in enumerate(perm)))
-    ]
+    return _enumerate_allowed(k, fixing)
 
 
 @dataclass(frozen=True)
@@ -409,7 +415,7 @@ class RationalSubgroupReport:
         return self.closed_under_product and self.closed_under_inverse and self.contains_identity
 
 
-def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
+def _closed_under_product(k: int, pairs: Sequence[Pair]) -> bool:
     """Whether every product of two (perm, exponents) pairs is again one of them.
 
     A nonempty finite set closed under product is a group, so it holds the
@@ -421,10 +427,9 @@ def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[i
     the set is that subgroup.  By Lagrange each generator at least doubles
     `reached`, so this takes about |S|·log2|S| products, not |S|^2.
 
-    Products follow the law of `MonomialMatrix.__mul__` on raw tuples:
-    (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k).  Members are
-    valid elements with exponents reduced mod k, so a product that matches
-    one is a valid element too.
+    Products follow `_product`, the law of `MonomialMatrix.__mul__`.
+    Members are valid elements with exponents reduced mod k, so a product
+    that matches one is a valid element too.
     """
     members = set(pairs)
     if not members:
@@ -444,12 +449,9 @@ def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[i
         frontier, multipliers = list(reached), [member]
         while frontier:
             found = []
-            for perm, exps in frontier:
-                # itemgetter of one index returns the bare item, but the only
-                # permutation of one point is the identity
-                pick = itemgetter(*perm) if len(perm) > 1 else tuple
-                for other_perm, other_exps in multipliers:
-                    product = (pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))]))
+            for element in frontier:
+                for multiplier in multipliers:
+                    product = _product(k, element, multiplier)
                     if product not in reached:
                         if product not in members:
                             return False
@@ -457,12 +459,6 @@ def _closed_under_product(k: int, pairs: Sequence[tuple[tuple[int, ...], tuple[i
                         found.append(product)
             frontier, multipliers = found, generators
     return True
-
-
-def _inverse_pair(k: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The inverse (sigma^-1, -l o sigma^-1 mod k) of a (perm, exponents) pair, as `MonomialMatrix.inverse` computes it."""
-    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple(inv_perm), tuple([-exps[i] % k for i in inv_perm])
 
 
 def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSubgroupReport:

@@ -76,11 +76,12 @@ def exact(value: "int | Fraction") -> "int | Fraction":
     raise InvalidArgumentError(f"not an exact rational (an int or a Fraction): {value!r}")
 
 
-def integer(value: int, minimum: int, what: str) -> int:
-    """The value itself when it is an int, never a bool, of at least `minimum`."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+def integer(value: int, minimum: "int | None", what: str) -> int:
+    """The value itself when it is an int, never a bool, of at least `minimum` (None: any int)."""
+    if isinstance(value, int) and not isinstance(value, bool) and (minimum is None or value >= minimum):
         return value
-    raise InvalidArgumentError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise InvalidArgumentError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def rational(num: int, den: int = 1) -> Fraction:

@@ -270,8 +270,9 @@ def _common_scale_rows(k: int, n: int, bound: int) -> list[Row]:
 
 
 def _check_scan(n: int, bound: int, budget: int) -> None:
-    """Refuse a bound that is not an integer >= 1, or a scan of more than `budget` coordinate prefixes."""
+    """Refuse a bound or budget that is not an integer >= 1, or a scan of more than `budget` coordinate prefixes."""
     integer(bound, 1, "height bound")
+    integer(budget, 1, "search budget")
     # the count is at least 4 * bound - 1 and at least 3^(n - 1): refuse a
     # scan past the budget on either bound before counting it exactly
     if bound > budget or n - 1 >= budget.bit_length():

@@ -33,7 +33,7 @@ from math import gcd, log
 from . import circle
 from .conic import CIRCLE
 from .errors import InvalidArgumentError
-from .rationals import Infinity, ProjectiveRational, as_projective, integer, projective_pair
+from .rationals import ProjectiveRational, as_projective, integer, projective_pair
 
 __all__ = [
     "EXACT",
@@ -143,24 +143,17 @@ def power_parameter(delta, m: int) -> ProjectiveRational:
 def period_check(delta, limit: int) -> "int | None":
     """Least 1 <= m <= limit with L(delta)^m = I, or None.
 
-    This folds the same composition law as `power_parameter`, but in
-    homogeneous coordinates: writing the m-th parameter as B/A, one more
-    composition with delta = b0/a0 sends (A, B) to
-    (A*a0 - B*b0, A*b0 + B*a0), and the power is the identity exactly when
-    B = 0.  Deferring the gcd reduction keeps the scan in fast integer
+    This folds the composition law of `power_parameter` as `compose_pair`
+    on homogeneous pairs (n : m), and the power is the identity exactly
+    when n = 0.  Deferring the gcd reduction keeps the scan in fast integer
     arithmetic without changing any ratio.
     """
     integer(limit, 0, "period scan limit")
-    delta = as_projective(delta)
-    if isinstance(delta, Infinity):
-        a0, b0 = 0, 1
-    else:
-        a0, b0 = delta.denominator, delta.numerator
-    a, b = a0, b0
+    pair = step = projective_pair(as_projective(delta))
     for m in range(1, limit + 1):
-        if b == 0:
+        if pair[0] == 0:
             return m
-        a, b = a * a0 - b * b0, a * b0 + b * a0
+        pair = CIRCLE.compose_pair(pair, step)
     return None
 
 

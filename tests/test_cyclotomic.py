@@ -148,7 +148,7 @@ class TestCyclotomicNumber:
         irrational = CyclotomicNumber.root_of_unity(6, 1)
         assert irrational != 1
 
-    def test_cached_hash_matches_a_fresh_equal_value(self):
+    def test_hash_matches_a_fresh_equal_value(self):
         value = CyclotomicNumber(5, [1, Fraction(2, 3), -4])
         first = hash(value)
         assert hash(value) == first == hash(CyclotomicNumber(5, [1, Fraction(2, 3), -4]))

@@ -6,12 +6,14 @@ InvalidArgumentError instead of being truncated, parsed from text or read
 as a binary fraction.
 """
 
+import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from fermatgroups import circle, cyclotomic, monomial, search, stroboscope
+from fermatgroups import audit, circle, cyclotomic, monomial, search, stroboscope
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.rationals import Mat2, as_projective, exact, format_rational, integer, rational
@@ -40,6 +42,7 @@ INTEGERS = {
     "cyclotomic_polynomial k": lambda v: cyclotomic.cyclotomic_polynomial(v),
     "CyclotomicNumber k": lambda v: CyclotomicNumber(v),
     "root_of_unity k": lambda v: CyclotomicNumber.root_of_unity(v, 1),
+    "root_of_unity exponent": lambda v: CyclotomicNumber.root_of_unity(3, v),
     "CyclotomicNumber power": lambda v: CyclotomicNumber.one(3) ** v,
     "element_limit override": lambda v: monomial.element_limit(v),
     "group order k": lambda v: monomial.group_order(v, 2),
@@ -49,11 +52,19 @@ INTEGERS = {
     "rational_kth_root k": lambda v: search.rational_kth_root(Fraction(4), v),
     "search_n k": lambda v: search.search_n(v, 2, 5),
     "search_n n": lambda v: search.search_n(2, v, 5),
+    "search_n budget": lambda v: search.search_n(3, 2, 10, budget=v),
+    "search_solutions budget": lambda v: search.search_solutions(3, 10, budget=v),
     "n_counterexample k": lambda v: search.n_counterexample(v, HALF),
     "iterate steps": lambda v: stroboscope.iterate(HALF, (1, 0), v),
     "power_parameter m": lambda v: stroboscope.power_parameter(HALF, v),
     "period_check limit": lambda v: stroboscope.period_check(HALF, v),
+    "audit seed": lambda v: audit.run_audit_suite(v),
+    "circle_law_sample pairs": lambda v: audit.circle_law_sample(random.Random(0), v),
+    "monomial_law_sample pairs": lambda v: audit.monomial_law_sample(random.Random(0), v),
 }
+
+# integer parameters that take any int, negative ones too
+UNBOUNDED = {"root_of_unity exponent", "audit seed"}
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, "1/2", Decimal("0.5")], ids=repr)
@@ -63,11 +74,18 @@ def test_coercion_sites_take_only_ints_and_fractions(site, value):
         COERCIONS[site](value)
 
 
-@pytest.mark.parametrize("value", [True, 1.0], ids=repr)
+@pytest.mark.parametrize("value", [True, 1.0, Fraction(1), "1"], ids=repr)
 @pytest.mark.parametrize("site", INTEGERS)
 def test_integer_parameters_take_only_ints(site, value):
-    with pytest.raises(InvalidArgumentError, match="must be an integer >="):
+    bound = "" if site in UNBOUNDED else r" >= -?\d+"
+    with pytest.raises(InvalidArgumentError, match=rf"must be an integer{bound}, got {re.escape(repr(value))}$"):
         INTEGERS[site](value)
+
+
+@pytest.mark.parametrize("sample", [audit.circle_law_sample, audit.monomial_law_sample])
+def test_law_samples_refuse_a_negative_pair_count(sample):
+    with pytest.raises(InvalidArgumentError, match=r"^law pairs must be an integer >= 0, got -1$"):
+        sample(random.Random(0), -1)
 
 
 @pytest.mark.parametrize("raw", ["True", "1.0"])
@@ -99,3 +117,7 @@ def test_integer_names_the_parameter_and_its_minimum():
         integer(2, 3, "k")
     with pytest.raises(InvalidArgumentError, match=r"^k must be an integer >= 0, got True$"):
         integer(True, 0, "k")
+    # no minimum: any int, and the message names no bound
+    assert integer(-10**30, None, "seed") == -10**30
+    with pytest.raises(InvalidArgumentError, match=r"^seed must be an integer, got 1.0$"):
+        integer(1.0, None, "seed")

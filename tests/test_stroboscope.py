@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fermatgroups import circle, stroboscope
 from fermatgroups.conic import CIRCLE
 from fermatgroups.errors import InvalidArgumentError
-from fermatgroups.rationals import INF, height, projective_pair
+from fermatgroups.rationals import INF, Mat2, height, projective_pair
 
 
 class TestIterate:
@@ -255,8 +255,8 @@ class TestPeriodCheck:
         assert stroboscope.period_check(Fraction(1, 2), 10_000) is None
 
     def test_matches_power_parameter(self):
-        # the homogeneous-coordinate fold is the same composition law, so
-        # the reported period is the first vanishing power parameter
+        # both fold `compose_pair`, so the reported period is also checked
+        # on exact matrices: L(delta)^m = I there and at no smaller m
         limit = 30
         for delta in (Fraction(1, 2), Fraction(2, 3), Fraction(1), INF, Fraction(0)):
             expected = None
@@ -264,7 +264,10 @@ class TestPeriodCheck:
                 if stroboscope.power_parameter(delta, m) == 0:
                     expected = m
                     break
-            assert stroboscope.period_check(delta, limit) == expected
+            period = stroboscope.period_check(delta, limit)
+            assert period == expected
+            powers = [circle.rotation_matrix(delta) ** m == Mat2.identity() for m in range(1, (period or limit) + 1)]
+            assert powers == [False] * (len(powers) - 1) + [period is not None]
 
     def test_only_special_parameters_are_periodic_small_sweep(self):
         from fermatgroups.search import reduced_fractions
