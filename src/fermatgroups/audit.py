@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 
-from . import circle, monomial, search
+from . import monomial, search
 from .conic import CIRCLE, HYPERBOLA
 from .cyclotomic import CyclotomicNumber
-from .rationals import INF, format_point, format_projective, integer, projective_pair
+from .rationals import INF, format_pair, format_point, format_projective, integer, projective_pair
 
 __all__ = [
     "circle_identity_sweep",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 SPECIAL_DELTAS = (Fraction(0), Fraction(1), Fraction(-1), INF)
+_SPECIAL_PAIRS = tuple(map(projective_pair, SPECIAL_DELTAS))
 
 
 def _format_pair(source, target) -> str:
@@ -51,14 +53,13 @@ def render_identity_audit(audit) -> dict:
     }
 
 
-def _random_delta(rng: random.Random, span: int = 30):
+def _random_pair(rng: random.Random, span: int = 30) -> tuple[int, int]:
+    """A reduced parameter pair (n : m): inf one time in twenty, else n/m with |n| <= span, 1 <= m <= span."""
     if rng.random() < 0.05:
-        return INF
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
-
-
-def _integer_matrix(delta):
-    return CIRCLE.matrix_pair(*projective_pair(delta))
+        return 1, 0
+    n, m = rng.randint(-span, span), rng.randint(1, span)
+    common = gcd(n, m)
+    return n // common, m // common
 
 
 def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
@@ -66,20 +67,21 @@ def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
 
     Every pair of the four special parameters {0, 1, -1, inf} is always
     included, so all pole cases of the composition law are exercised on each
-    run; the remaining pairs are drawn from the seeded generator.  The
-    library's `compose_delta` gives the law; the matrices are integer
-    entries over a scale, and two of them are equal when their entries
-    cross-multiplied by the other's scale are.
+    run; the remaining pairs are drawn from the seeded generator, each just
+    before its check, so no list of pairs is held.  Parameters are reduced
+    integer pairs (n : m), composed by `compose_pair`; the matrices are
+    integer entries over a scale, and two of them are equal when their
+    entries cross-multiplied by the other's scale are.
     """
     integer(pairs, 0, "law pairs")
     checked = 0
     mismatches = []
-    special_pairs = [(d1, d2) for d1 in SPECIAL_DELTAS for d2 in SPECIAL_DELTAS]
-    sampled = [(_random_delta(rng), _random_delta(rng)) for _ in range(max(0, pairs - len(special_pairs)))]
-    for d1, d2 in special_pairs + sampled:
-        law, law_scale = _integer_matrix(circle.compose_delta(d1, d2))
-        (p11, p12, p21, p22), p_scale = _integer_matrix(d1)
-        (q11, q12, q21, q22), q_scale = _integer_matrix(d2)
+    special = [(first, second) for first in _SPECIAL_PAIRS for second in _SPECIAL_PAIRS]
+    sampled = ((_random_pair(rng), _random_pair(rng)) for _ in range(pairs - len(special)))
+    for first, second in chain(special, sampled):
+        law, law_scale = CIRCLE.matrix_pair(*CIRCLE.compose_pair(first, second))
+        (p11, p12, p21, p22), p_scale = CIRCLE.matrix_pair(*first)
+        (q11, q12, q21, q22), q_scale = CIRCLE.matrix_pair(*second)
         product = (
             p11 * q11 + p12 * q21,
             p11 * q12 + p12 * q22,
@@ -88,31 +90,31 @@ def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
         )
         scale = p_scale * q_scale
         checked += 1
-        if any(entry * law_scale != law_entry * scale for entry, law_entry in zip(product, law)):
-            mismatches.append((format_projective(d1), format_projective(d2)))
+        # a zero scale is the indeterminate (0 : 0), which no rotation has
+        if not law_scale or any(entry * law_scale != law_entry * scale for entry, law_entry in zip(product, law)):
+            mismatches.append((format_pair(*first), format_pair(*second)))
     return {
         "pairs_checked": checked,
-        "special_pairs": len(special_pairs),
+        "special_pairs": len(special),
         "mismatches": mismatches,
         "holds": not mismatches,
     }
 
 
-def _dense_matrix(element: monomial.MonomialMatrix) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-    # full cyclotomic matrix; only verification code ever materializes this
-    k, n = element.k, element.n
-    zero = CyclotomicNumber.zero(k)
+def _dense_matrix(element: monomial.MonomialMatrix, powers) -> tuple[tuple[CyclotomicNumber, ...], ...]:
+    # full cyclotomic matrix; only verification code ever materializes this.
+    # powers[l] is omega^l and powers[-1] is 0, both of order element.k
+    n = element.n
     rows = []
     for i in range(n):
-        row = [zero] * n
-        row[element.perm[i]] = CyclotomicNumber.root_of_unity(k, element.exponents[i])
+        row = [powers[-1]] * n
+        row[element.perm[i]] = powers[element.exponents[i]]
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _dense_mul(a, b, k: int):
+def _dense_mul(a, b, zero: CyclotomicNumber):
     n = len(a)
-    zero = CyclotomicNumber.zero(k)
     out = []
     for i in range(n):
         row = []
@@ -127,8 +129,16 @@ def _dense_mul(a, b, k: int):
 
 
 def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
-    """Check the permutation-exponent product against dense matrix products."""
+    """Check the permutation-exponent product against dense matrix products.
+
+    The dense entries of order k come from one table [omega^0, ..., omega^(k-1), 0]
+    built per call; their products and sums are `CyclotomicNumber` arithmetic.
+    """
     integer(pairs, 0, "law pairs")
+    powers = {
+        k: [CyclotomicNumber.root_of_unity(k, l) for l in range(k)] + [CyclotomicNumber.zero(k)]
+        for k in range(3, 7)
+    }
     checked = 0
     mismatches = []
     for _ in range(pairs):
@@ -145,9 +155,10 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
             [rng.randrange(k) for _ in range(n)],
         )
         law = first * second
-        dense = _dense_mul(_dense_matrix(first), _dense_matrix(second), k)
+        table = powers[k]
+        dense = _dense_mul(_dense_matrix(first, table), _dense_matrix(second, table), table[-1])
         checked += 1
-        if _dense_matrix(law) != dense:
+        if _dense_matrix(law, table) != dense:
             mismatches.append({"first": first.as_dict(), "second": second.as_dict(), "k": k})
     return {
         "pairs_checked": checked,

@@ -9,8 +9,9 @@ from fractions import Fraction
 import conic_oracle as oracle
 import pytest
 
-from fermatgroups import audit, search
+from fermatgroups import audit, monomial, search
 from fermatgroups.conic import CIRCLE, HYPERBOLA, Conic, _hyperbola_left_form
+from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.rationals import INF, Mat2, projective_pair
 
@@ -29,6 +30,33 @@ class TestMonomialLawSample:
         report = audit.monomial_law_sample(random.Random(6), pairs=60)
         assert report["holds"] is True
         assert report["pairs_checked"] == 60
+
+    def test_reports_a_broken_law(self, monkeypatch):
+        product = monomial._product
+        monkeypatch.setattr(monomial, "_product", lambda k, first, second: product(k, second, first))
+        report = audit.monomial_law_sample(random.Random(0), 60)
+        assert report["holds"] is False
+        assert report["mismatches"]
+        for mismatch in report["mismatches"]:
+            assert set(mismatch) == {"first", "second", "k"}
+
+    def test_builds_each_dense_entry_once(self, monkeypatch):
+        # one table [omega^0, ..., omega^(k-1), 0] for each k in 3..6: 22 values
+        calls = []
+        root_of_unity, zero = CyclotomicNumber.root_of_unity.__func__, CyclotomicNumber.zero.__func__
+
+        def counted(build):
+            def wrapped(cls, *args):
+                calls.append(args)
+                return build(cls, *args)
+
+            return classmethod(wrapped)
+
+        monkeypatch.setattr(CyclotomicNumber, "root_of_unity", counted(root_of_unity))
+        monkeypatch.setattr(CyclotomicNumber, "zero", counted(zero))
+        report = audit.monomial_law_sample(random.Random(0), 300)
+        assert report["holds"] is True
+        assert len(calls) <= 22
 
 
 class TestCircleIdentitySweep:
@@ -225,6 +253,18 @@ class TestPathsRealDataNeverReaches:
         with pytest.raises(ArithmeticError, match="transitivity solve failed"):
             list(audit._pair_sweep(broken, points(10)))
 
+    def test_law_sample_keeps_no_pair_list(self):
+        audit.circle_law_sample(random.Random(0), 100)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            report = audit.circle_law_sample(random.Random(0), 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["holds"] is True
+        # holding all 20,000 sampled pairs at once takes about 3.6 MB
+        assert peak < 100_000
+
     def test_sweep_keeps_no_per_pair_list(self):
         audit.circle_identity_sweep(40)  # warm caches and imports
         tracemalloc.start()
@@ -245,9 +285,16 @@ class TestPathsRealDataNeverReaches:
 SPECIAL_PAIRS = [(d1, d2) for d1 in audit.SPECIAL_DELTAS for d2 in audit.SPECIAL_DELTAS]
 
 
+def _former_draw(rng, span=30):
+    # the law sample's draw as a Fraction: the oracle for audit._random_pair
+    if rng.random() < 0.05:
+        return INF
+    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
 def _sampled_pairs(count, seed):
     rng = random.Random(seed)
-    return [(audit._random_delta(rng), audit._random_delta(rng)) for _ in range(count)]
+    return [(_former_draw(rng), _former_draw(rng)) for _ in range(count)]
 
 
 def _as_mat2(entries, scale):
@@ -283,7 +330,22 @@ class TestIntegerMatrices:
         assert report["pairs_checked"] == 400
 
     def test_law_sample_reports_a_broken_law(self, monkeypatch):
-        monkeypatch.setattr(audit.circle, "compose_delta", lambda d1, d2: CIRCLE.compose_delta(d1, 0))
+        compose_pair = CIRCLE.compose_pair
+        monkeypatch.setattr(CIRCLE, "compose_pair", lambda first, second: compose_pair(first, (0, 1)))
         report = audit.circle_law_sample(random.Random(0), 40)
         assert report["holds"] is False
         assert ("0/1", "1/1") in [tuple(pair) for pair in report["mismatches"]]
+
+    def test_law_sample_reports_an_indeterminate_law(self, monkeypatch):
+        # (0 : 0) has the zero matrix over scale 0, which cross-multiplies equal to anything
+        monkeypatch.setattr(CIRCLE, "compose_pair", lambda first, second: (0, 0))
+        report = audit.circle_law_sample(random.Random(0), 40)
+        assert report["holds"] is False
+        assert len(report["mismatches"]) == 40
+
+    def test_law_sample_draws_the_former_parameters(self):
+        for seed in range(10):
+            rng, former = random.Random(seed), random.Random(seed)
+            for _ in range(2000):
+                assert audit._random_pair(rng) == projective_pair(_former_draw(former))
+            assert rng.random() == former.random()
