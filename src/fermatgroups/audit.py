@@ -144,15 +144,10 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     for _ in range(pairs):
         k = rng.randint(3, 6)
         n = rng.randint(1, 3)
-        first = monomial.MonomialMatrix(
-            k,
-            rng.sample(range(n), n),
-            [rng.randrange(k) for _ in range(n)],
-        )
-        second = monomial.MonomialMatrix(
-            k,
-            rng.sample(range(n), n),
-            [rng.randrange(k) for _ in range(n)],
+        # each element draws its permutation, then its exponents
+        first, second = (
+            monomial.MonomialMatrix(k, rng.sample(range(n), n), [rng.randrange(k) for _ in range(n)])
+            for _ in range(2)
         )
         law = first * second
         table = powers[k]

@@ -37,6 +37,7 @@ from .rationals import (
     ProjectiveRational,
     as_projective,
     exact,
+    format_pair,
     format_point,
     format_projective,
     pr_neg,
@@ -199,7 +200,7 @@ class Conic:
         Works through the chart, across the hyperbola's branches too; the
         result is verified by exact action before it is returned.
         """
-        solver = self._solve(self.charted(source), self.charted(target))
+        solver = self.solve_pair(*self.charted(source)[1:], *self.charted(target)[1:])
         return self.element(projective_ratio(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
@@ -247,16 +248,13 @@ class Conic:
         a, b, c = target
         return image_c != 0 and image_a * c == a * image_c and image_b * c == b * image_c
 
-    def _solve(self, source, target) -> tuple[int, int]:
-        # the pair compose(chart(target), -chart(source)) carries one `charted`
-        # point to the other; exact action checks it, and a failure raises
-        source_point, source_triple, (n0, m0) = source
-        target_point, target_triple, target_chart = target
+    def solve_pair(self, source, source_chart, target, target_chart) -> tuple[int, int]:
+        """The one solve step: compose(target_chart, -source_chart), checked by `carries_pair` on the triples."""
+        n0, m0 = source_chart
         solver = self.compose_pair(target_chart, (-n0, m0))
-        if not self.carries_pair(solver, source_triple, target_triple):
-            raise ArithmeticError(
-                f"transitivity solve failed for {format_point(source_point)} -> {format_point(target_point)}"
-            )
+        if not self.carries_pair(solver, source, target):
+            texts = [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in (source, target)]
+            raise ArithmeticError("transitivity solve failed for {} -> {}".format(*texts))
         return solver
 
     def right_pair(self, source, target) -> tuple[int, int]:
@@ -274,7 +272,7 @@ class Conic:
         )
 
     def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
-        """A curve point with its reduced triple and its chart pair: one operand of `audit_pair`."""
+        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `audit_pair`."""
         x, y = point = self.require_on_curve(point)
         triple = x.numerator, y.numerator, x.denominator
         return point, triple, self.chart_pair(*triple)
@@ -284,12 +282,13 @@ class Conic:
 
         Both closed forms, the curve's `left_form` and `right_pair`, are
         evaluated exactly, never reconciled, and compared against the
-        verified solver.  Pairs with x = -x0 or y = -y0, where a ratio can
-        degenerate, are flagged as excluded.  A sweep charts each point once
-        and pairs the results, so no point is charted once per pair.
+        verified solver `solve_pair`.  Pairs with x = -x0 or y = -y0, where
+        a ratio can degenerate, are flagged as excluded.  A sweep charts
+        each point once and pairs the results, so no point is charted once
+        per pair.
         """
-        source_point, source_triple, _ = source
-        target_point, target_triple, _ = target
+        source_point, source_triple, source_chart = source
+        target_point, target_triple, target_chart = target
         a0, b0, c0 = source_triple
         a, b, c = target_triple
         return DeltaIdentityAudit(
@@ -297,7 +296,7 @@ class Conic:
             target_point,
             self.left_form(a0, b0, c0, a, b, c),
             self.right_pair(source_triple, target_triple),
-            self._solve(source, target),
+            self.solve_pair(source_triple, source_chart, target_triple, target_chart),
             a * c0 == -a0 * c or b * c0 == -b0 * c,
         )
 

@@ -124,8 +124,9 @@ def _integer_repr(value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        digits = int((abs(value).bit_length() - 1) * 0.30102999566398120) + 1
-        digits += abs(value) >= 10**digits  # the estimate is low by at most one
+        # an integer ratio just below log10(2): the estimate is never high, and low by at most one
+        digits = (abs(value).bit_length() - 1) * 30102999566398119521 // 10**20 + 1
+        digits += abs(value) >= 10**digits
         return f"{'-' if value < 0 else ''}<{digits} digits>"
 
 
@@ -304,15 +305,10 @@ class CyclotomicNumber:
                 return self._nums == other._nums and self._den == other._den
             mine, theirs = self.is_rational(), other.is_rational()
             return mine is not None and mine == theirs
-        if isinstance(other, bool):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return (
-                not any(self._nums[1:])
-                and self._nums[0] == other.numerator
-                and self._den == other.denominator
-            )
-        return NotImplemented
+        return self._nums == rhs._nums and self._den == rhs._den
 
     def __hash__(self) -> int:
         rational_value = self.is_rational()

@@ -224,7 +224,7 @@ def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _conic_rows(k: int, bound: int, sign: int = 1) -> list[Row]:
+def _conic_rows(k: int, bound: int, sign: int) -> list[Row]:
     """Every ((a, c), (b, c)) of height <= bound with a^k + sign * b^k = c^k, unsorted.
 
     By the common-denominator lemma these are all rational points of
@@ -286,6 +286,14 @@ def _check_scan(n: int, bound: int, budget: int) -> None:
         )
 
 
+def _scan(k: int, n: int, bound: int, budget: int, sign: int) -> list[Row]:
+    """The rows of `_conic_rows(k, bound, sign)` (n = 2) or `_common_scale_rows`, sorted, within the budget."""
+    _check_scan(n, bound, budget)
+    rows = _conic_rows(k, bound, sign) if n == 2 else _common_scale_rows(k, n, bound)
+    rows.sort(key=_row_key(bound))
+    return rows
+
+
 def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
     """Every rational n-tuple of height <= bound summing to 1 in k-th powers.
 
@@ -296,9 +304,7 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
     integer(k, 2, "form degree k")
     integer(n, 2, "tuple length n")
     started = perf_counter()
-    _check_scan(n, bound, budget)
-    rows = _conic_rows(k, bound) if n == 2 else _common_scale_rows(k, n, bound)
-    rows.sort(key=_row_key(bound))
+    rows = _scan(k, n, bound, budget, 1)
     trivial = sum(1 for row in rows if all(q == 1 and -1 <= p <= 1 for p, q in row))
     return SearchReport(
         k=k,
@@ -370,25 +376,26 @@ class CoverageReport:
 def verify_orbit_coverage(bound: int) -> CoverageReport:
     """Solve (1, 0) -> p for every circle point p of height <= bound.
 
-    The points come from the exhaustive quadratic search as triples.  Each
-    solve composes the target's chart pair with the inverse of the base's,
-    as `CIRCLE.solve_delta` does, and exact action (`carries_pair`)
-    confirms it, so a full-coverage report is a machine check that the
-    rational rotations act transitively within the bound.
+    The points come as triples from the budgeted scan of the quadratic
+    search.  Each is solved by `CIRCLE.solve_pair`, which checks its pair
+    by exact action, and a point is missed exactly where that check fails,
+    so a full-coverage report is a machine check that the rational
+    rotations act transitively within the bound.
     """
     base = (1, 0, 1)
-    n0, m0 = CIRCLE.chart_pair(*base)
+    base_chart = CIRCLE.chart_pair(*base)
     reached = []
     missed = []
-    for (a, c), (b, _) in search_solutions(2, bound).rows:
+    for (a, c), (b, _) in _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, 1):
         triple = (a, b, c)
-        # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
-        n, m = CIRCLE.compose_pair(CIRCLE.chart_pair(*triple), (-n0, m0))
-        if CIRCLE.carries_pair((n, m), base, triple):
-            g = gcd(n, m)
-            reached.append((triple, (n // g, m // g)))
-        else:
+        try:
+            # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
+            n, m = CIRCLE.solve_pair(base, base_chart, triple, CIRCLE.chart_pair(*triple))
+        except ArithmeticError:
             missed.append(triple)
+            continue
+        g = gcd(n, m)
+        reached.append((triple, (n // g, m // g)))
     return CoverageReport(
         height_bound=bound,
         total=len(reached) + len(missed),
@@ -400,10 +407,7 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
 
 def _conic_points(bound: int, sign: int) -> list[Point]:
     """All rational points of x^2 + sign * y^2 = 1 with height <= bound, sorted, within the search budget."""
-    _check_scan(2, bound, DEFAULT_SEARCH_BUDGET)
-    rows = _conic_rows(2, bound, sign)
-    rows.sort(key=_row_key(bound))
-    return [(Fraction(a, c), Fraction(b, c)) for (a, c), (b, _) in rows]
+    return [(Fraction(a, c), Fraction(b, c)) for (a, c), (b, _) in _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, sign)]
 
 
 def hyperbola_points(bound: int) -> list[Point]:

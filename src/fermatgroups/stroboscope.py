@@ -110,12 +110,12 @@ def iterate(delta, start, steps: int) -> Trajectory:
     """
     integer(steps, 0, "step count")
     delta = as_projective(delta)
-    start = circle.require_on_circle(start)
+    start, start_triple, _ = CIRCLE.charted(start)
     delta_pair = n, m = projective_pair(delta)
     square = (m * m + n * n) ** 2
     triples: list[tuple[Decimal, Decimal, Decimal]] = []
     period = None
-    triple = start_triple = tuple(map(Decimal, CIRCLE.triple(start)))
+    triple = start_triple = tuple(map(Decimal, start_triple))
     with localcontext(EXACT):
         for step in range(1, steps + 1):
             a, b, c = CIRCLE.act_pair(delta_pair, triple)

@@ -285,6 +285,25 @@ class TestSearchCommands:
         assert payload["total"] == 4
         assert payload["unreachable"] == []
 
+    def test_coverage_reports_a_refused_point(self, run, monkeypatch):
+        from fermatgroups.conic import CIRCLE
+
+        carries_pair = CIRCLE.carries_pair
+        monkeypatch.setattr(
+            CIRCLE,
+            "carries_pair",
+            lambda delta, source, target: target != (0, 1, 1) and carries_pair(delta, source, target),
+        )
+        text = run("coverage", "--height", "5")
+        assert text.exit_code == 0
+        assert text.output.splitlines()[0] == "covered 11/12 (coverage 11/12)"
+        assert "0/1,1/1 <- delta" not in text.output
+        result = run("coverage", "--height", "5", "--format", "json")
+        assert result.exit_code == 0
+        assert '"unreachable":["0/1,1/1"]' in result.output
+        payload = json.loads(result.output)
+        assert (payload["total"], payload["covered"], payload["coverage"]) == (12, 11, "11/12")
+
     def test_counterexample(self, run):
         result = run("counterexample", "--k", "3", "--x1", "7/2", "--format", "json")
         payload = json.loads(result.output)

@@ -1,6 +1,7 @@
 """Cyclotomic polynomials and exact field arithmetic in Q(omega_k)."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fermatgroups.cyclotomic import (
     CyclotomicNumber,
+    _integer_repr,
     cyclotomic_polynomial,
     euler_phi,
     poly_divmod,
@@ -127,6 +129,34 @@ class TestCyclotomicNumber:
         assert repr(wide) == f"CyclotomicNumber(3, ['-1/<5001 digits>', '{'9' * 4300}'])"
         assert repr(CyclotomicNumber(3, [Fraction(1, 2), -3])) == "CyclotomicNumber(3, ['1/2', '-3'])"
 
+    def test_repr_digit_count_at_powers_of_ten_and_two(self):
+        # past the limit the count is estimated from the bit length: never high,
+        # and low by at most the one step the repr corrects.  The shorter ratio
+        # 30103/100000 would count one digit too many for 2^13301.
+        cases = {}
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            for bits in (37_767, 65_536, 100_003, 200_000):
+                digits = len(str(1 << bits))
+                cases.update({sign * ((1 << bits) + step): digits for sign in (1, -1) for step in (-1, 0, 1)})
+            # every 2^e, and every 25th e with the neighbours, powers of ten and negations
+            digits, ten_power = 1, 10
+            for e in range(1, 20_001):
+                power = 1 << e
+                while power >= ten_power:
+                    digits, ten_power = digits + 1, ten_power * 10
+                cases[power] = digits
+                if e % 25 == 0:
+                    near = {power - 1: digits, power: digits, power + 1: digits, 10**e - 1: e, 10**e: e + 1, 10**e + 1: e + 1}
+                    cases.update({sign * value: count for value, count in near.items() for sign in (1, -1)})
+            sys.set_int_max_str_digits(640)
+            for value, count in cases.items():
+                expected = f"{'-' * (value < 0)}<{count} digits>" if count > 640 else str(value)
+                assert _integer_repr(value) == expected, value.bit_length()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_constructor_folds_exponents(self):
         # omega^5 = omega^2 in Q(omega_3)
         assert CyclotomicNumber(3, (0, 0, 0, 0, 0, 1)) == CyclotomicNumber.root_of_unity(3, 2)
@@ -147,6 +177,17 @@ class TestCyclotomicNumber:
         assert hash(one) == hash(Fraction(1))
         irrational = CyclotomicNumber.root_of_unity(6, 1)
         assert irrational != 1
+
+    @pytest.mark.parametrize(
+        "other, equal",
+        [(1, True), (Fraction(1), True), (2, False), (Fraction(1, 2), False), (True, False), (1.0, False), (None, False)],
+    )
+    def test_equality_with_a_plain_operand(self, other, equal):
+        # ints and Fractions compare by value; a bool or float is not an exact operand
+        one = CyclotomicNumber.one(6)
+        assert (one == other) is equal and (other == one) is equal
+        assert (one != other) is not equal
+        assert (CyclotomicNumber.root_of_unity(6, 1) == other) is False
 
     def test_hash_matches_a_fresh_equal_value(self):
         value = CyclotomicNumber(5, [1, Fraction(2, 3), -4])

@@ -6,13 +6,16 @@ InvalidArgumentError instead of being truncated, parsed from text or read
 as a binary fraction.
 """
 
+import ast
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fermatgroups
 from fermatgroups import audit, circle, cyclotomic, monomial, search, stroboscope
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError
@@ -121,3 +124,36 @@ def test_integer_names_the_parameter_and_its_minimum():
     assert integer(-10**30, None, "seed") == -10**30
     with pytest.raises(InvalidArgumentError, match=r"^seed must be an integer, got 1.0$"):
         integer(1.0, None, "seed")
+
+
+# the diagnostics allowed a float or a clock: the height profile's log-slope,
+# the law sample's seeded draw, and the search's stderr timing
+INEXACT_SCOPES = {
+    "stroboscope.height_profile",
+    "stroboscope.HeightProfile",
+    "audit._random_pair",
+    "search.search_n",
+    "search.SearchReport",
+}
+INEXACT_CALLS = {"float", "log", "log2", "log10", "sqrt", "exp", "perf_counter", "time", "monotonic"}
+
+
+def _inexact_sites():
+    """(top-level definition, line, what) for every float literal and float or clock call in the package."""
+    for path in sorted(Path(fermatgroups.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            scope = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Constant) and type(node.value) is float:
+                    yield scope, node.lineno, repr(node.value)
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in INEXACT_CALLS:
+                        yield scope, node.lineno, f"{name}()"
+
+
+def test_floats_and_clocks_stay_in_the_diagnostics():
+    sites = list(_inexact_sites())
+    assert [site for site in sites if site[0] not in INEXACT_SCOPES] == []
+    # the scan sees the diagnostics themselves
+    assert {scope for scope, _, _ in sites} == INEXACT_SCOPES

@@ -480,6 +480,22 @@ class TestOrbitCoverage:
         assert len(calls) == report.total
 
 
+    def test_a_refused_point_is_reported_unreachable(self, monkeypatch):
+        from fermatgroups.conic import CIRCLE
+
+        carries_pair = CIRCLE.carries_pair
+        monkeypatch.setattr(
+            CIRCLE,
+            "carries_pair",
+            lambda delta, source, target: target != (0, 1, 1) and carries_pair(delta, source, target),
+        )
+        report = search.verify_orbit_coverage(5)
+        assert (report.total, report.covered) == (12, 11)
+        assert report.missed == [(0, 1, 1)]
+        assert report.unreachable == [(Fraction(0), Fraction(1))]
+        assert report.coverage == Fraction(11, 12)
+        assert (Fraction(0), Fraction(1)) not in [point for point, _ in report.entries]
+
     def test_entries_match_the_fraction_solver(self):
         for bound in range(1, 61):
             report = search.verify_orbit_coverage(bound)
