@@ -18,7 +18,7 @@ coordinate is put on one scale D = lcm(1..H)^k: p/q has x^k = P/D for the
 integer P = (p * lcm(1..H)/q)^k.  A prefix of n - 2 coordinates leaves the
 rest R = D - sum P, which the last two coordinates close exactly when R - P
 and P are both in the table of scaled powers: one set intersection per
-prefix, with no gcd.
+sorted prefix, with no gcd, then every distinct ordering of each hit.
 
 Rows sort by the integer keys p*H^2 // q.  Two distinct fractions of height
 <= H differ by at least 1/H^2, so the keys order them as the fractions are
@@ -28,6 +28,7 @@ ordered.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -205,7 +206,7 @@ class SearchReport:
 
 
 def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
-    """Every (x, y, z) with 0 <= x <= y <= z <= bound, z >= 1 and x^k + y^k = z^k.
+    """Every (x, y, z) with 0 <= x <= y <= z <= bound, x^k + y^k = z^k and gcd(x, z) = 1.
 
     x <= y exactly when y^k >= z^k - y^k, so for each z the y run from the
     least such y, `low`, which grows with z, up to z; one C-level pass looks
@@ -220,7 +221,8 @@ def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
         while 2 * powers[low] < zk:
             low += 1
         for xk in roots.keys() & map(zk.__sub__, powers[low : z + 1]):
-            triples.append((roots[xk], roots[zk - xk], z))
+            if gcd(roots[xk], z) == 1:
+                triples.append((roots[xk], roots[zk - xk], z))
     return triples
 
 
@@ -233,8 +235,9 @@ def _conic_rows(k: int, bound: int, sign: int) -> list[Row]:
     every component is at most z: (±x, ±y, z) and (±y, ±x, z) for even k;
     (x, y, z), (y, x, z) and, moving one term across, (-x, z, y),
     (z, -x, y), (-y, z, x) and (z, -y, x) for odd k; (±z, ±y, x) and
-    (±z, ±x, y) for a^k - b^k = c^k.  gcd(a, c) = 1 keeps an arrangement in
-    lowest terms on both sides, since a prime dividing b and c divides a^k.
+    (±z, ±x, y) for a^k - b^k = c^k.  A prime dividing two of a, b, c
+    divides the third, so the rows in lowest terms are exactly the
+    arrangements of the primitive triples, the only ones `_base_triples` keeps.
     """
     found = set()
     for x, y, z in _base_triples(k, bound):
@@ -244,7 +247,7 @@ def _conic_rows(k: int, bound: int, sign: int) -> list[Row]:
             arranged = [(a, b, z) for u, w in ((x, y), (y, x)) for a in (u, -u) for b in (w, -w)]
         else:
             arranged = [(x, y, z), (y, x, z), (-x, z, y), (z, -x, y), (-y, z, x), (z, -y, x)]
-        found.update(triple for triple in arranged if triple[2] > 0 and gcd(triple[0], triple[2]) == 1)
+        found.update(triple for triple in arranged if triple[2] > 0)
     return [((a, c), (b, c)) for a, b, c in found]
 
 
@@ -252,20 +255,27 @@ def _common_scale_rows(k: int, n: int, bound: int) -> list[Row]:
     """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted.
 
     Coordinates with one scaled power (p/q and -p/q for even k) share an
-    entry of the table, so the prefixes run over its distinct powers and
-    each hit expands into every choice of coordinates.
+    entry of the table.  The form is symmetric, so each multiset of powers
+    is found once, as a sorted head and a pair from its largest power up,
+    and expands into its distinct orderings (each power inserted at or
+    before the first equal one) and every choice of coordinates.
     """
     scale = lcm(*range(1, bound + 1))
     by_power: dict[int, list[tuple[int, int]]] = {}
     for p, q in _reduced_pairs(bound):
         by_power.setdefault((p * (scale // q)) ** k, []).append((p, q))
+    powers = sorted(by_power)
     total = scale**k
     rows = []
-    for head in itertools.product(by_power.items(), repeat=n - 2):
-        rest = total - sum(power for power, _ in head)
-        choices = [pairs for _, pairs in head]
-        for last in by_power.keys() & map(rest.__sub__, by_power):
-            rows.extend(itertools.product(*choices, by_power[rest - last], by_power[last]))
+    for head in itertools.combinations_with_replacement(range(len(powers)), n - 2):
+        values = [powers[i] for i in head]
+        rest = total - sum(values)
+        for last in by_power.keys() & map(rest.__sub__, powers[head[-1] : bisect_right(powers, rest // 2)]):
+            orderings = [()]
+            for value in (*values, rest - last, last):
+                orderings = [o[:i] + (value,) + o[i:] for o in orderings for i in range((*o, value).index(value) + 1)]
+            for ordering in orderings:
+                rows.extend(itertools.product(*map(by_power.__getitem__, ordering)))
     return rows
 
 

@@ -1,0 +1,46 @@
+"""The benchmark's recorded stdout digests replay for every op that reads the search scan.
+
+`bench/digests.json` maps the argv of each benchmark op, over seeds 0-9, to
+the sha256 of its stdout.  `search`, `coverage` and the `--height` sweeps of
+`circle audit-exy` and `hyper audit` all read `search._scan`, so replaying
+their argvs here fails the suite when a kernel change moves one byte of
+their output, not only the benchmark's share of passing ops.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from fermatgroups.cli import main
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "digests.json").read_text(encoding="utf-8")
+)
+
+
+def command(argv):
+    """The command of an argv that reads the search scan, else None."""
+    if argv[0] in ("search", "coverage"):
+        return argv[0]
+    if argv[:2] in (["circle", "audit-exy"], ["hyper", "audit"]) and "--height" in argv:
+        return " ".join(argv[:2])
+    return None
+
+
+SCAN_OPS = sorted(key for key in DIGESTS if command(key.split()))
+
+
+def test_every_scan_command_is_recorded():
+    assert {command(key.split()) for key in SCAN_OPS} == {"search", "coverage", "circle audit-exy", "hyper audit"}
+
+
+@pytest.mark.parametrize("key", SCAN_OPS)
+def test_stdout_matches_the_recorded_digest(key):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(key.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[key]

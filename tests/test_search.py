@@ -394,6 +394,36 @@ class TestKernelsAgainstFormerKernels:
         for bound in range(1, 4):
             assert search.search_n(k, 4, bound).rows == as_rows(power_table_scan(k, 4, bound)), bound
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_more_variables(self, k):
+        # heads of 2-8 coordinates, many with repeated powers, whose hits
+        # expand into every distinct ordering of their multisets
+        for n, bound in [(4, 4), (5, 1), (5, 2), (5, 3), (6, 1), (10, 1)]:
+            assert search.search_n(k, n, bound).rows == as_rows(power_table_scan(k, n, bound)), (n, bound)
+
+
+class TestPrimitiveTriples:
+    """The n = 2 kernel builds arrangements of primitive base triples only."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_base_triples_are_the_primitive_ones(self, k):
+        brute = [
+            (x, y, z)
+            for z in range(1, 41)
+            for y in range(z + 1)
+            for x in range(y + 1)
+            if x**k + y**k == z**k and gcd(x, z) == 1
+        ]
+        for bound in range(1, 41):
+            expected = sorted(triple for triple in brute if triple[2] <= bound)
+            assert sorted(search._base_triples(k, bound)) == expected, bound
+
+    @pytest.mark.parametrize("k, sign", [(k, 1) for k in range(2, 8)] + [(2, -1)])
+    def test_every_row_is_in_lowest_terms(self, k, sign):
+        for bound in (1, 5, 25, 60):
+            for (a, c), (b, d) in search._conic_rows(k, bound, sign):
+                assert c == d > 0 and gcd(a, c) == 1 and gcd(b, c) == 1, (a, b, c)
+
 
 class TestRowKey:
     """Rows sort by p*H^2 // q per component, never by Fraction comparison."""
