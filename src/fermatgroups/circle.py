@@ -38,22 +38,19 @@ def primitive_triples(bound: int) -> list[tuple[int, int, int]]:
     """Primitive Pythagorean triples from the rational rotation orbit.
 
     Clearing denominators in L(p/q)·(1, 0) for 0 < p < q <= bound with
-    gcd(p, q) = 1 yields (q^2 - p^2, 2pq, q^2 + p^2); dividing by the content
-    makes the triple primitive.  Legs are ordered increasingly, duplicates
-    merged, and the list is sorted by hypotenuse then legs.
+    gcd(p, q) = 1 and p + q odd yields the primitive triple
+    (q^2 - p^2, 2pq, q^2 + p^2), each exactly once (Euclid).  An odd pair
+    would give twice the triple of ((q - p)/2 : (q + p)/2), a pair with
+    smaller q already inside the bound.  Legs are ordered increasingly and
+    the list is sorted by hypotenuse then legs.
     """
     integer(bound, 1, "height bound")
-    triples = set()
+    triples = []
     for q in range(2, bound + 1):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
-            a = q * q - p * p
-            b = 2 * p * q
-            c = q * q + p * p
-            g = gcd(gcd(a, b), c)
-            a, b, c = a // g, b // g, c // g
-            if a > b:
-                a, b = b, a
-            triples.add((a, b, c))
+        for p in range(1 + q % 2, q, 2):
+            if gcd(p, q) == 1:
+                a, b = q * q - p * p, 2 * p * q
+                if a > b:
+                    a, b = b, a
+                triples.append((a, b, q * q + p * p))
     return sorted(triples, key=lambda t: (t[2], t[0], t[1]))

@@ -192,7 +192,7 @@ class Conic:
         chart never takes the excluded values |Delta| = 1.  Points off the
         curve are rejected.
         """
-        return projective_ratio(*self.chart_pair(*self.triple(point)))
+        return projective_ratio(*self.charted(point)[2])
 
     def solve_delta(self, source, target):
         """The unique rotation or boost carrying one rational point to another.
@@ -204,13 +204,8 @@ class Conic:
         return self.element(projective_ratio(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
-        """The reduced triple (a, b, c) of the curve point (a/c, b/c).
-
-        Both coordinates of a rational curve point share their denominator
-        (the common-denominator lemma), so it is read off directly.
-        """
-        x, y = self.require_on_curve(point)
-        return x.numerator, y.numerator, x.denominator
+        """The reduced triple (a, b, c) of the curve point (a/c, b/c), as `charted` reads it off."""
+        return self.charted(point)[1]
 
     def chart_pair(self, a: int, b: int, c: int) -> tuple[int, int]:
         """`chart` of the curve point (a/c, b/c) as a pair: (b : a + c), inf at (-1, 0).
@@ -272,7 +267,11 @@ class Conic:
         )
 
     def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
-        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `audit_pair`."""
+        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `audit_pair`.
+
+        Both coordinates of a rational curve point share their denominator
+        (the common-denominator lemma), so the triple is read off directly.
+        """
         x, y = point = self.require_on_curve(point)
         triple = x.numerator, y.numerator, x.denominator
         return point, triple, self.chart_pair(*triple)

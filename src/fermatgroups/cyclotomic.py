@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidArgumentError
 from .rationals import exact, format_rational, integer, parse_rational
@@ -26,8 +26,6 @@ __all__ = [
     "CyclotomicNumber",
     "cyclotomic_polynomial",
     "euler_phi",
-    "poly_divmod",
-    "poly_mul",
 ]
 
 
@@ -37,64 +35,31 @@ def euler_phi(k: int) -> int:
     return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Product of integer polynomials, coefficients lowest degree first."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Long division of integer polynomials by a monic divisor."""
-    den = _trim(list(den))
-    if not den or den[-1] != 1:
-        raise InvalidArgumentError("polynomial divisor must be monic")
-    work = list(num)
-    deg = len(den) - 1
-    if len(work) - 1 < deg:
-        return (), _trim(work)
-    quotient = [0] * (len(work) - deg)
-    for e in range(len(work) - 1, deg - 1, -1):
-        c = work[e]
-        if c:
-            quotient[e - deg] = c
-            for i, dc in enumerate(den):
-                work[e - deg + i] -= c * dc
-    return _trim(quotient), _trim(work)
-
-
 # typed, so that a cached 1 cannot answer for True or 1.0, which the check rejects
 @lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, lowest degree first.
 
-    Computed exactly by dividing x^k - 1 by the product of Phi_d over the
-    proper divisors d of k; the division is integer-exact because every
-    cyclotomic polynomial is monic with integer coefficients.
+    Starts from x^k - 1 and divides it in place by Phi_d for each proper
+    divisor d of k.  Each division is integer-exact because every Phi_d is
+    monic with integer coefficients; a nonzero remainder raises.
     """
     integer(k, 1, "cyclotomic polynomial order k")
-    if k == 1:
-        return (-1, 1)
-    divisor = (1,)
+    poly = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            divisor = poly_mul(divisor, cyclotomic_polynomial(d))
-    x_k_minus_one = (-1,) + (0,) * (k - 1) + (1,)
-    quotient, remainder = poly_divmod(x_k_minus_one, divisor)
-    if remainder:
-        raise ArithmeticError(f"cyclotomic division left a remainder for k={k}")
-    return quotient
+            phi = cyclotomic_polynomial(d)
+            deg = len(phi) - 1
+            # each leading coefficient stays in place as the quotient's
+            for e in range(len(poly) - 1, deg - 1, -1):
+                c = poly[e]
+                if c:
+                    for i in range(deg):
+                        poly[e - deg + i] -= c * phi[i]
+            if any(poly[:deg]):
+                raise ArithmeticError(f"cyclotomic division left a remainder for k={k}")
+            del poly[:deg]
+    return tuple(poly)
 
 
 def _reduce_mod_phi(k: int, folded: list[int]) -> list[int]:

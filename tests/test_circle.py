@@ -252,3 +252,17 @@ class TestPrimitiveTriples:
     def test_rejects_bad_bound(self):
         with pytest.raises(InvalidArgumentError):
             circle.primitive_triples(0)
+
+    def test_matches_the_content_dividing_enumerator(self):
+        # the former enumerator: every coprime p < q, divided by its content, deduplicated
+        # grown one q at a time, so after each q it holds the triples of the bound H = q
+        oracle = set()
+        for q in range(1, 151):
+            for p in range(1, q):
+                if gcd(p, q) == 1:
+                    a, b, c = q * q - p * p, 2 * p * q, q * q + p * p
+                    g = gcd(a, b, c)
+                    oracle.add((min(a, b) // g, max(a, b) // g, c // g))
+            triples = circle.primitive_triples(q)
+            assert len(triples) == len(set(triples))
+            assert triples == sorted(oracle, key=lambda t: (t[2], t[0], t[1]))

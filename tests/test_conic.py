@@ -1,5 +1,7 @@
 """The seams of the conic group: one construction, two distinct curves."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import gcd
 
@@ -8,15 +10,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fermatgroups
 from fermatgroups import circle, conic, hyperbola, search
 from fermatgroups.audit import render_identity_audit
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.rationals import INF, projective_pair
 
+PACKAGE_MODULES = [fermatgroups] + [
+    importlib.import_module(f"fermatgroups.{info.name}") for info in pkgutil.iter_modules(fermatgroups.__path__)
+]
 
-@pytest.mark.parametrize("module", [circle, hyperbola])
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
 def test_every_exported_name_resolves(module):
-    for name in module.__all__:
+    for name in getattr(module, "__all__", ()):
         assert getattr(module, name) is not None
 
 
