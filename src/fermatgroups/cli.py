@@ -2,9 +2,9 @@
 
 Every payload is exact: rationals print as "p/q" (denominator always
 present), the point at infinity as "inf", and no floating-point value ever
-reaches stdout.  Identical invocations print identical bytes; wall-clock
-diagnostics go to stderr only.  Exit codes: 0 success, 1 stdout closed
-early, 2 invalid argument or usage, 3 resource limit exceeded.
+reaches stdout.  No command reads a clock, so identical invocations print
+identical bytes on stdout and on stderr.  Exit codes: 0 success, 1 stdout
+closed early, 2 invalid argument or usage, 3 resource limit exceeded.
 
 Every command prints through `_emit`: it passes one builder per format it
 accepts, each returning that format's whole output text, and only the
@@ -308,7 +308,6 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     as_json = functools.cache(lambda: _json(report.payload()))
     if json_path is not None:
         _write_file(json_path, as_json())
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     _emit(
         fmt,
         text=lambda: _lines(

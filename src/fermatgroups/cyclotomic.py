@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import InvalidArgumentError
-from .rationals import exact, format_rational, integer, parse_rational
+from .rationals import exact, format_rational, integer, parse_rational, power
 
 __all__ = [
     "CyclotomicNumber",
@@ -252,14 +252,7 @@ class CyclotomicNumber:
 
     def __pow__(self, exponent: int) -> "CyclotomicNumber":
         integer(exponent, 0, "cyclotomic power exponent")
-        result = CyclotomicNumber.one(self._k)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(CyclotomicNumber.one(self._k), self, exponent)
 
     def __bool__(self) -> bool:
         return any(self._nums)
@@ -296,8 +289,8 @@ class CyclotomicNumber:
             if exponent == 0:
                 terms.append(text)
             else:
-                power = "w" if exponent == 1 else f"w^{exponent}"
-                terms.append(power if c == 1 else f"{text}*{power}")
+                omega = "w" if exponent == 1 else f"w^{exponent}"
+                terms.append(omega if c == 1 else f"{text}*{omega}")
         return " + ".join(terms)
 
     def as_dict(self) -> dict:

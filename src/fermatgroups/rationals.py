@@ -41,6 +41,7 @@ __all__ = [
     "parse_point",
     "parse_projective",
     "parse_rational",
+    "power",
     "pr_neg",
     "projective_pair",
     "projective_ratio",
@@ -82,6 +83,17 @@ def integer(value: int, minimum: "int | None", what: str) -> int:
         return value
     bound = "" if minimum is None else f" >= {minimum}"
     raise InvalidArgumentError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def power(one, base, exponent: int):
+    """base ** exponent by square-and-multiply from `one`, for a checked exponent >= 0."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
 
 
 def rational(num: int, den: int = 1) -> Fraction:
@@ -265,14 +277,7 @@ class Mat2:
 
     def __pow__(self, exponent: int) -> "Mat2":
         integer(exponent, 0, "matrix power exponent")
-        result = Mat2.identity()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(Mat2.identity(), self, exponent)
 
     def det(self) -> Fraction:
         return self.a11 * self.a22 - self.a12 * self.a21

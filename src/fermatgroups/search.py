@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from time import perf_counter
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -109,21 +108,13 @@ def _reduced_fraction_count(bound: int) -> int:
 
 
 def _integer_root(value: int, k: int) -> tuple[int, bool]:
-    # floor k-th root of value >= 0 by Newton iteration, then exactness flag
+    # floor k-th root of value >= 0, one bit at a time from the top, then exactness flag
     if value < 0:
         raise InvalidArgumentError("integer root of a negative value")
-    if value in (0, 1) or k == 1:
-        return value, True
-    root = 1 << ((value.bit_length() + k - 1) // k)
-    while True:
-        better = ((k - 1) * root + value // root ** (k - 1)) // k
-        if better >= root:
-            break
-        root = better
-    while root**k > value:
-        root -= 1
-    while (root + 1) ** k <= value:
-        root += 1
+    root = 0
+    for bit in range(value.bit_length() // k, -1, -1):
+        if (root | 1 << bit) ** k <= value:
+            root |= 1 << bit
     return root, root**k == value
 
 
@@ -172,9 +163,8 @@ class SearchReport:
     `rows` is the complete list of solutions within the bound, each a tuple
     of reduced integer pairs (p, q) with q > 0, sorted as the tuples of
     fractions p/q sort.  `solutions` builds those Fraction tuples on access;
-    `texts` formats each component as "p/q" once per report.  `elapsed` is
-    a wall-clock diagnostic and deliberately excluded from `payload()`, the
-    JSON-able form.
+    `texts` formats each component as "p/q" once per report; `payload()` is
+    the JSON-able form.
     """
 
     k: int
@@ -183,7 +173,6 @@ class SearchReport:
     rows: list[Row]
     trivial_count: int
     nontrivial_count: int
-    elapsed: float = field(repr=False, default=0.0)
 
     @property
     def solutions(self) -> list[tuple[Fraction, ...]]:
@@ -313,7 +302,6 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
     """
     integer(k, 2, "form degree k")
     integer(n, 2, "tuple length n")
-    started = perf_counter()
     rows = _scan(k, n, bound, budget, 1)
     trivial = sum(1 for row in rows if all(q == 1 and -1 <= p <= 1 for p, q in row))
     return SearchReport(
@@ -323,7 +311,6 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
         rows=rows,
         trivial_count=trivial,
         nontrivial_count=len(rows) - trivial,
-        elapsed=perf_counter() - started,
     )
 
 

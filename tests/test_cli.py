@@ -273,11 +273,6 @@ class TestSearchCommands:
         assert rows[0] == ["x1", "x2"]
         assert ["1/1", "0/1"] in rows[1:]
 
-    def test_elapsed_goes_to_stderr_not_stdout(self, run):
-        result = run("search", "--k", "3", "--height", "3", "--format", "json")
-        assert "elapsed" not in result.output
-        assert result.stderr.startswith("elapsed: ")
-
     def test_coverage(self, run):
         result = run("coverage", "--height", "1", "--format", "json")
         payload = json.loads(result.output)

@@ -126,22 +126,31 @@ def test_integer_names_the_parameter_and_its_minimum():
         integer(1.0, None, "seed")
 
 
-# the diagnostics allowed a float or a clock: the height profile's log-slope,
-# the law sample's seeded draw, and the search's stderr timing
+# the diagnostics allowed a float: the height profile's log-slope and the law
+# sample's seeded draw; no scope may read a clock
 INEXACT_SCOPES = {
     "stroboscope.height_profile",
     "stroboscope.HeightProfile",
     "audit._random_pair",
-    "search.search_n",
-    "search.SearchReport",
 }
-INEXACT_CALLS = {"float", "log", "log2", "log10", "sqrt", "exp", "perf_counter", "time", "monotonic"}
+INEXACT_CALLS = {
+    "float", "log", "log2", "log10", "sqrt", "exp",
+    "perf_counter", "perf_counter_ns", "time", "time_ns", "monotonic", "monotonic_ns", "process_time",
+    "now", "utcnow", "today",
+}
+CLOCK_MODULES = {"time", "datetime"}
+
+
+def _package_trees():
+    """(path, parsed module) for every module of the package."""
+    for path in sorted(Path(fermatgroups.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def _inexact_sites():
     """(top-level definition, line, what) for every float literal and float or clock call in the package."""
-    for path in sorted(Path(fermatgroups.__file__).parent.glob("*.py")):
-        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+    for path, tree in _package_trees():
+        for statement in tree.body:
             scope = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
             for node in ast.walk(statement):
                 if isinstance(node, ast.Constant) and type(node.value) is float:
@@ -157,3 +166,22 @@ def test_floats_and_clocks_stay_in_the_diagnostics():
     assert [site for site in sites if site[0] not in INEXACT_SCOPES] == []
     # the scan sees the diagnostics themselves
     assert {scope for scope, _, _ in sites} == INEXACT_SCOPES
+
+
+def _imported_modules():
+    """(file, line, module) for every absolute import in the package."""
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                yield path.name, node.lineno, name
+
+
+def test_no_module_imports_a_clock():
+    # a clock read through `datetime.now()` or `time.time()` would need one of these imports
+    assert [site for site in _imported_modules() if site[2].partition(".")[0] in CLOCK_MODULES] == []

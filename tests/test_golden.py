@@ -5,8 +5,6 @@ its exit code, and the files it writes.  Each README example is recorded
 once per `--format` it accepts, plus calls that must fail.  Next to the
 manifest lie the recorded bytes: `<name>.stdout`, `<name>.stderr` and
 `<name>.<file>` for each file the call writes into its working directory.
-`search` prints its wall-clock time on stderr, so its stderr is not
-recorded.
 
 Calls run in-process through `fermatgroups.cli.main`, as the installed
 `fermatgroups` script runs them.  After an intended change of output,
@@ -47,18 +45,13 @@ def run_case(argv, workdir: Path):
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"), files
 
 
-def _records_stderr(argv) -> bool:
-    return argv[0] != "search"
-
-
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_replays_byte_identically(case, tmp_path):
     code, stdout, stderr, files = run_case(case["argv"], tmp_path)
     name = case["name"]
     assert code == case["exit"]
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
-    if _records_stderr(case["argv"]):
-        assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+    assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
     assert sorted(files) == case["files"]
     for filename, data in files.items():
         assert data == (GOLDEN / f"{name}.{filename}").read_bytes()
@@ -105,8 +98,7 @@ def record(names=()) -> None:
         case["exit"] = code
         case["files"] = sorted(files)
         (GOLDEN / f"{name}.stdout").write_bytes(stdout)
-        if _records_stderr(case["argv"]):
-            (GOLDEN / f"{name}.stderr").write_bytes(stderr)
+        (GOLDEN / f"{name}.stderr").write_bytes(stderr)
         for filename, data in files.items():
             (GOLDEN / f"{name}.{filename}").write_bytes(data)
     manifest = json.dumps(CASES, indent=1) + "\n"

@@ -1,6 +1,7 @@
 """Bounded-height search: roots, exhaustive scans, coverage, counterexamples."""
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -356,8 +357,13 @@ class TestIntegerKernelsAgainstFractionScan:
                 if y is not None and height(y) <= bound:
                     expected += [(x, y), (x, -y)] if k % 2 == 0 and y else [(x, y)]
             assert search.search_n(k, 2, bound).solutions == sorted(expected)
-        for value in [0, 1, 2, 10**6, 3**40, 3**40 + 1, 7**35 - 1]:
-            for k in range(1, 8):
+        # random values up to 400 bits, and exact k-th powers with their neighbours
+        rng = random.Random(0)
+        values = [0, 1, 2, 10**6, 3**40, 3**40 + 1, 7**35 - 1]
+        values += [rng.getrandbits(rng.randint(1, 400)) for _ in range(200)]
+        for k in range(1, 9):
+            powers = [rng.getrandbits(rng.randint(1, 400 // k)) ** k for _ in range(50)]
+            for value in values + [v + step for v in powers for step in (-1, 0, 1) if v + step >= 0]:
                 assert search._integer_root(value, k) == tuple(sympy.integer_nthroot(value, k))
 
     def test_totient_sum_against_sympy(self):
