@@ -311,7 +311,7 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     _emit(
         fmt,
         text=lambda: _lines(
-            f"k={report.k} n={report.n} height={report.height_bound}: {len(report.rows)} solutions "
+            f"k={report.k} n={report.n} height={report.height_bound}: {len(report.ranks)} solutions "
             f"({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)",
             *map(",".join, report.texts),
         ),

@@ -2,8 +2,9 @@
 
 The search space for height bound H is the set of reduced fractions p/q with
 max(|p|, q) <= H.  The scans run over integers and a solution stays a row of
-integer pairs (p, q) until it is printed, so reported solutions are exact and
-exhaustiveness within the bound is structural rather than numerical.
+indices into a table of integer pairs (p, q) until it is printed, so reported
+solutions are exact and exhaustiveness within the bound is structural rather
+than numerical.
 
 For n = 2 the common-denominator lemma applies: if a/c and b/d are in lowest
 terms and (a/c)^k + (b/d)^k = 1, then c^k divides a^k d^k, so c divides d,
@@ -20,9 +21,11 @@ rest R = D - sum P, which the last two coordinates close exactly when R - P
 and P are both in the table of scaled powers: one set intersection per
 sorted prefix, with no gcd, then every distinct ordering of each hit.
 
-Rows sort by the integer keys p*H^2 // q.  Two distinct fractions of height
-<= H differ by at least 1/H^2, so the keys order them as the fractions are
-ordered.
+Each scan returns the distinct coordinates of its solutions once, sorted by
+the integer key p*H^2 // q, and each solution as a row of indices into that
+list.  Two distinct fractions of height <= H differ by at least 1/H^2, so
+the keys order the coordinates as the fractions are ordered, and the rows,
+sorted as plain int tuples, sort as the tuples of fractions.
 """
 
 from __future__ import annotations
@@ -57,8 +60,12 @@ __all__ = [
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 Point = tuple[Fraction, Fraction]
+#: A coordinate p/q as its reduced integer pair (p, q), q > 0.
+Coordinate = tuple[int, int]
 #: A solution as reduced integer pairs (p, q), q > 0, one per coordinate p/q.
-Row = tuple[tuple[int, int], ...]
+Row = tuple[Coordinate, ...]
+#: A solution as the indices of its coordinates in a sorted coordinate list.
+RankRow = tuple[int, ...]
 
 
 def _reduced_pairs(bound: int) -> list[tuple[int, int]]:
@@ -144,50 +151,67 @@ def is_trivial_tuple(solution) -> bool:
     return all(component in (0, 1, -1) for component in solution)
 
 
-def _row_key(bound: int):
-    """The sort key of a row of height <= bound: p*bound^2 // q for each pair (p, q).
+def _coordinate_key(bound: int):
+    """The sort key of a coordinate (p, q) of height <= bound: p*bound^2 // q.
 
     Distinct fractions p/q < p'/q' of height <= bound differ by at least
     1/(q*q') >= 1/bound^2, so their keys differ by at least 1: the keys
-    order rows as Fraction tuples are ordered, and are equal only for equal
-    fractions.
+    order coordinates as fractions are ordered, and are equal only for
+    equal fractions.
     """
     square = bound * bound
-    return lambda row: tuple([p * square // q for p, q in row])
+    return lambda pair: pair[0] * square // pair[1]
+
+
+def _ranked(pairs, bound: int) -> tuple[list[Coordinate], dict[Coordinate, int]]:
+    """The distinct `pairs` sorted as fractions, and the index of each in that list."""
+    coordinates = sorted(set(pairs), key=_coordinate_key(bound))
+    return coordinates, {pair: rank for rank, pair in enumerate(coordinates)}
 
 
 @dataclass
 class SearchReport:
     """Outcome of one exhaustive bounded-height scan.
 
-    `rows` is the complete list of solutions within the bound, each a tuple
-    of reduced integer pairs (p, q) with q > 0, sorted as the tuples of
-    fractions p/q sort.  `solutions` builds those Fraction tuples on access;
-    `texts` formats each component as "p/q" once per report; `payload()` is
-    the JSON-able form.
+    `coordinates` lists the distinct reduced pairs (p, q), q > 0, of the
+    solutions within the bound, sorted as the fractions p/q sort; `ranks`
+    is the complete list of solutions, each a tuple of indices into
+    `coordinates`, sorted as int tuples and so as the tuples of fractions.
+    `rows` (the pairs), `solutions` (the Fractions) and `texts` (the "p/q"
+    strings, each coordinate formatted once) are read through the indices;
+    `payload()` is the JSON-able form.
     """
 
     k: int
     n: int
     height_bound: int
-    rows: list[Row]
+    coordinates: list[Coordinate]
+    ranks: list[RankRow]
     trivial_count: int
     nontrivial_count: int
 
+    def _through(self, values: list) -> list[tuple]:
+        return [tuple(map(values.__getitem__, row)) for row in self.ranks]
+
+    @property
+    def rows(self) -> list[Row]:
+        return self._through(self.coordinates)
+
     @property
     def solutions(self) -> list[tuple[Fraction, ...]]:
-        return [tuple([Fraction(p, q) for p, q in row]) for row in self.rows]
+        return self._through([Fraction(p, q) for p, q in self.coordinates])
 
     @cached_property
     def texts(self) -> list[list[str]]:
-        return [[format_pair(p, q) for p, q in row] for row in self.rows]
+        names = [format_pair(p, q) for p, q in self.coordinates]
+        return [list(map(names.__getitem__, row)) for row in self.ranks]
 
     def payload(self) -> dict:
         return {
             "k": self.k,
             "n": self.n,
             "height": self.height_bound,
-            "count": len(self.rows),
+            "count": len(self.ranks),
             "trivial": self.trivial_count,
             "nontrivial": self.nontrivial_count,
             "solutions": self.texts,
@@ -215,8 +239,8 @@ def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _conic_rows(k: int, bound: int, sign: int) -> list[Row]:
-    """Every ((a, c), (b, c)) of height <= bound with a^k + sign * b^k = c^k, unsorted.
+def _conic_rows(k: int, bound: int, sign: int) -> tuple[list[Coordinate], list[RankRow]]:
+    """Every ((a, c), (b, c)) of height <= bound with a^k + sign * b^k = c^k, unsorted, ranked by `_ranked`.
 
     By the common-denominator lemma these are all rational points of
     x^k + sign * y^k = 1 within the bound (sign = -1 for even k only).  Each
@@ -237,35 +261,43 @@ def _conic_rows(k: int, bound: int, sign: int) -> list[Row]:
         else:
             arranged = [(x, y, z), (y, x, z), (-x, z, y), (z, -x, y), (-y, z, x), (z, -y, x)]
         found.update(triple for triple in arranged if triple[2] > 0)
-    return [((a, c), (b, c)) for a, b, c in found]
+    coordinates, rank = _ranked([pair for a, b, c in found for pair in ((a, c), (b, c))], bound)
+    return coordinates, [(rank[a, c], rank[b, c]) for a, b, c in found]
 
 
-def _common_scale_rows(k: int, n: int, bound: int) -> list[Row]:
-    """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted.
+def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], list[RankRow]]:
+    """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted, ranked by `_ranked`.
 
     Coordinates with one scaled power (p/q and -p/q for even k) share an
     entry of the table.  The form is symmetric, so each multiset of powers
-    is found once, as a sorted head and a pair from its largest power up,
-    and expands into its distinct orderings (each power inserted at or
-    before the first equal one) and every choice of coordinates.
+    is found once, as a sorted head and a pair from its largest power up.
+    Only then are the coordinates of the powers found ranked, and each
+    multiset expands into its distinct orderings (each power inserted at
+    or before the first equal one) and every choice of coordinate ranks.
     """
     scale = lcm(*range(1, bound + 1))
-    by_power: dict[int, list[tuple[int, int]]] = {}
+    by_power: dict[int, list[Coordinate]] = {}
     for p, q in _reduced_pairs(bound):
         by_power.setdefault((p * (scale // q)) ** k, []).append((p, q))
     powers = sorted(by_power)
     total = scale**k
-    rows = []
+    multisets = []
     for head in itertools.combinations_with_replacement(range(len(powers)), n - 2):
         values = [powers[i] for i in head]
         rest = total - sum(values)
         for last in by_power.keys() & map(rest.__sub__, powers[head[-1] : bisect_right(powers, rest // 2)]):
-            orderings = [()]
-            for value in (*values, rest - last, last):
-                orderings = [o[:i] + (value,) + o[i:] for o in orderings for i in range((*o, value).index(value) + 1)]
-            for ordering in orderings:
-                rows.extend(itertools.product(*map(by_power.__getitem__, ordering)))
-    return rows
+            multisets.append((*values, rest - last, last))
+    found = {value for values in multisets for value in values}
+    coordinates, rank = _ranked([pair for value in found for pair in by_power[value]], bound)
+    by_rank = {value: [rank[pair] for pair in by_power[value]] for value in found}
+    rows = []
+    for values in multisets:
+        orderings = [()]
+        for value in values:
+            orderings = [o[:i] + (value,) + o[i:] for o in orderings for i in range((*o, value).index(value) + 1)]
+        for ordering in orderings:
+            rows.extend(itertools.product(*map(by_rank.__getitem__, ordering)))
+    return coordinates, rows
 
 
 def _check_scan(n: int, bound: int, budget: int) -> None:
@@ -285,12 +317,12 @@ def _check_scan(n: int, bound: int, budget: int) -> None:
         )
 
 
-def _scan(k: int, n: int, bound: int, budget: int, sign: int) -> list[Row]:
-    """The rows of `_conic_rows(k, bound, sign)` (n = 2) or `_common_scale_rows`, sorted, within the budget."""
+def _scan(k: int, n: int, bound: int, budget: int, sign: int) -> tuple[list[Coordinate], list[RankRow]]:
+    """The coordinates and rank rows of `_conic_rows(k, bound, sign)` (n = 2) or `_common_scale_rows`, rows sorted, within the budget."""
     _check_scan(n, bound, budget)
-    rows = _conic_rows(k, bound, sign) if n == 2 else _common_scale_rows(k, n, bound)
-    rows.sort(key=_row_key(bound))
-    return rows
+    coordinates, rows = _conic_rows(k, bound, sign) if n == 2 else _common_scale_rows(k, n, bound)
+    rows.sort()
+    return coordinates, rows
 
 
 def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchReport:
@@ -302,13 +334,15 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
     """
     integer(k, 2, "form degree k")
     integer(n, 2, "tuple length n")
-    rows = _scan(k, n, bound, budget, 1)
-    trivial = sum(1 for row in rows if all(q == 1 and -1 <= p <= 1 for p, q in row))
+    coordinates, rows = _scan(k, n, bound, budget, 1)
+    units = {rank for rank, (p, q) in enumerate(coordinates) if q == 1 and -1 <= p <= 1}
+    trivial = sum(1 for row in rows if units.issuperset(row))
     return SearchReport(
         k=k,
         n=n,
         height_bound=bound,
-        rows=rows,
+        coordinates=coordinates,
+        ranks=rows,
         trivial_count=trivial,
         nontrivial_count=len(rows) - trivial,
     )
@@ -383,7 +417,9 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     base_chart = CIRCLE.chart_pair(*base)
     reached = []
     missed = []
-    for (a, c), (b, _) in _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, 1):
+    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, 1)
+    for i, j in rows:
+        (a, c), (b, _) = coordinates[i], coordinates[j]
         triple = (a, b, c)
         try:
             # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
@@ -404,7 +440,9 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
 
 def _conic_points(bound: int, sign: int) -> list[Point]:
     """All rational points of x^2 + sign * y^2 = 1 with height <= bound, sorted, within the search budget."""
-    return [(Fraction(a, c), Fraction(b, c)) for (a, c), (b, _) in _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, sign)]
+    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, sign)
+    values = [Fraction(p, q) for p, q in coordinates]
+    return [(values[i], values[j]) for i, j in rows]
 
 
 def hyperbola_points(bound: int) -> list[Point]:

@@ -265,7 +265,7 @@ class TestSearchCommands:
         assert payload["k"] == 3 and payload["height"] == 8
         assert payload["nontrivial"] == 0
         assert ["0/1", "1/1"] in payload["solutions"]
-        assert "elapsed" not in payload
+        assert payload.keys() == {"k", "n", "height", "count", "trivial", "nontrivial", "solutions"}
 
     def test_search_csv(self, run):
         result = run("search", "--k", "2", "--height", "1", "--format", "csv")

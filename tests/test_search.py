@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fermatgroups import circle, search
 from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
-from fermatgroups.rationals import INF, height
+from fermatgroups.rationals import INF, format_pair, height
 
 fractions_st = st.fractions(max_denominator=30)
 
@@ -281,12 +281,12 @@ class TestSearchSolutions:
         with pytest.raises(InvalidArgumentError):
             search.search_n(3, 1, 5)
 
-    def test_payload_is_json_ready_and_excludes_elapsed(self):
+    def test_payload_is_json_ready(self):
         report = search.search_solutions(3, 3)
         payload = report.payload()
+        assert payload.keys() == {"k", "n", "height", "count", "trivial", "nontrivial", "solutions"}
         assert payload["k"] == 3 and payload["n"] == 2 and payload["height"] == 3
         assert payload["count"] == len(report.solutions)
-        assert "elapsed" not in payload
         assert all(isinstance(row, list) for row in payload["solutions"])
 
 
@@ -390,7 +390,8 @@ class TestKernelsAgainstFormerKernels:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_three_variables(self, k):
-        for bound in range(1, 11):
+        # every bound to 10, then the largest n = 3 shapes of the scan workload
+        for bound in [*range(1, 11), *{3: [12], 5: [8]}.get(k, [])]:
             report = search.search_n(k, 3, bound)
             assert report.rows == as_rows(power_table_scan(k, 3, bound)), bound
             assert report.trivial_count == sum(map(search.is_trivial_tuple, report.solutions))
@@ -427,12 +428,13 @@ class TestPrimitiveTriples:
     @pytest.mark.parametrize("k, sign", [(k, 1) for k in range(2, 8)] + [(2, -1)])
     def test_every_row_is_in_lowest_terms(self, k, sign):
         for bound in (1, 5, 25, 60):
-            for (a, c), (b, d) in search._conic_rows(k, bound, sign):
+            coordinates, rows = search._conic_rows(k, bound, sign)
+            for (a, c), (b, d) in ([coordinates[i] for i in row] for row in rows):
                 assert c == d > 0 and gcd(a, c) == 1 and gcd(b, c) == 1, (a, b, c)
 
 
-class TestRowKey:
-    """Rows sort by p*H^2 // q per component, never by Fraction comparison."""
+class TestCoordinateKey:
+    """Coordinates sort by p*H^2 // q, never by Fraction comparison, and rows index them."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -443,8 +445,8 @@ class TestRowKey:
             st.lists(st.builds(Fraction, component, st.integers(min_value=1, max_value=bound)), max_size=30),
             label="values",
         )
-        key = search._row_key(bound)
-        keys = {value: key(((value.numerator, value.denominator),)) for value in values}
+        key = search._coordinate_key(bound)
+        keys = {value: key((value.numerator, value.denominator)) for value in values}
         assert sorted(values, key=keys.__getitem__) == sorted(values)
         for value in values:
             for other in values:
@@ -452,9 +454,19 @@ class TestRowKey:
 
     def test_every_fraction_of_small_height(self):
         for bound in range(1, 41):
-            key = search._row_key(bound)
-            keys = [key(((value.numerator, value.denominator),)) for value in search.reduced_fractions(bound)]
+            key = search._coordinate_key(bound)
+            keys = [key((value.numerator, value.denominator)) for value in search.reduced_fractions(bound)]
             assert all(first < second for first, second in zip(keys, keys[1:])), bound
+
+    @pytest.mark.parametrize("k, n, bound", [(2, 2, 60), (3, 2, 30), (2, 3, 8), (3, 3, 12), (5, 3, 8), (4, 4, 3)])
+    def test_coordinates_strictly_increase_and_rows_index_them(self, k, n, bound):
+        report = search.search_n(k, n, bound)
+        values = [Fraction(p, q) for p, q in report.coordinates]
+        assert all(first < second for first, second in zip(values, values[1:]))
+        assert {rank for row in report.ranks for rank in row} == set(range(len(values)))
+        assert report.ranks == sorted(report.ranks)
+        for row, texts in zip(report.rows, report.texts, strict=True):
+            assert texts == [format_pair(*pair) for pair in row]
 
 
 class TestNCounterexample:
