@@ -307,9 +307,8 @@ def orbit_cardinality_audit(ks=(3, 4, 5, 6, 7, 8)) -> list[dict]:
             ("diagonal", (1, 1)),
         ):
             vector = monomial.cyclo_vector(k, components)
-            _, points = monomial.orbit_ranks(vector)
+            _, points, stab_size = monomial._orbit_census(vector)
             orbit_size = len(points)
-            stab_size = len(monomial.stabilizer(vector))
             rows[label] = {
                 "vector": f"{components[0]},{components[1]}",
                 "orbit": orbit_size,

@@ -3,14 +3,18 @@
 For k >= 3 the linear symmetries of the form are generalized permutation
 matrices whose nonzero entries are k-th roots of unity: row i holds
 omega^(l_i) in column sigma(i).  An element is therefore the pair
-(sigma, l), and the group law needs only permutation composition plus
-integer exponent arithmetic mod k; dense cyclotomic matrices appear solely
-in verification oracles.  The resulting group has order k^n * n!.  k = 2 is
+(sigma, l).  The group law is one permutation composition: (sigma, l)
+permutes the n*k lines omega^e * e_i (fewer when every exponent lies in a
+subgroup of Z_k), so products and inverses are taken on those permutations
+and read back as pairs; dense cyclotomic matrices appear solely in
+verification oracles.  The resulting group has order k^n * n!.  k = 2 is
 excluded: the quadratic form has an infinite symmetry group and belongs to
 the circle and hyperbola modules.
 
 Enumerations and orbits are capped.  The default cap is 10**6 elements,
 overridable per call or through the FERMAT_ORBIT_LIMIT environment variable.
+A product or inverse of elements is taken on up to 10**6 lines, or more
+when the cap allows.
 Counts k^n * n! are built one factor at a time and abandoned once they pass
 the cap, or the int-to-str digit limit, so a huge n is refused at once.
 """
@@ -23,9 +27,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -53,6 +57,7 @@ ENV_LIMIT = "FERMAT_ORBIT_LIMIT"
 
 CyclotomicVector = tuple[CyclotomicNumber, ...]
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (perm, exponents) of one element
+Lines = tuple[int, ...]  # the permutation an element induces on its lines
 
 
 def element_limit(override: "int | None" = None) -> int:
@@ -136,18 +141,31 @@ class MonomialMatrix:
             )
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Matrix product self·other, computed on the (sigma, l) data.
+        """Matrix product self·other: one composition of the two line permutations.
 
         Row i of the product reaches column other.sigma(self.sigma(i)) with
-        entry omega^(self.l_i + other.l_(self.sigma(i))): the law `_product`.
+        entry omega^(self.l_i + other.l_(self.sigma(i))), which is what
+        `_times` gives on the lines, read back as a pair.
         """
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         self._require_compatible(other)
-        return MonomialMatrix(self._k, *_product(self._k, (self._perm, self._exps), (other._perm, other._exps)))
+        k, m = self._k, self._line_modulus(self._exps + other._exps)
+        product = _times(_lines(k, m, self._perm, self._exps))(_lines(k, m, other._perm, other._exps))
+        return MonomialMatrix(k, *_pair(k, m, product))
 
     def inverse(self) -> "MonomialMatrix":
-        return MonomialMatrix(self._k, *_inverse_pair(self._k, self._perm, self._exps))
+        """The inverse matrix: the inverse permutation of the lines, read back as a pair."""
+        k, m = self._k, self._line_modulus(self._exps)
+        return MonomialMatrix(k, *_pair(k, m, _inverse(_lines(k, m, self._perm, self._exps))))
+
+    def _line_modulus(self, exponents: tuple[int, ...]) -> int:
+        # the line form holds all n*m lines: past the default cap they must
+        # pass the element cap too, which only then is read
+        n, m = len(self._perm), _modulus(self._k, exponents)
+        if n * m > DEFAULT_ELEMENT_LIMIT and n * m > (cap := element_limit()):
+            raise ResourceLimitError(f"line form of {n} * {m} lines exceeds the element cap {cap}")
+        return m
 
     def apply(self, vector: Sequence[CyclotomicNumber]) -> CyclotomicVector:
         """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
@@ -243,19 +261,52 @@ def _check_cap(base: int, n: int, limit, what: str) -> None:
         raise ResourceLimitError(f"{what} {shown} exceeds the element cap {cap}")
 
 
-def _product(k: int, first: Pair, second: Pair) -> Pair:
-    """The group law on raw (perm, exponents) pairs: (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k)."""
-    (perm, exps), (other_perm, other_exps) = first, second
+def _modulus(k: int, exponents: Iterable[int]) -> int:
+    """Order m of the subgroup of Z_k that the exponents generate.
+
+    Exponents that are all multiples of k/m stay so under products and
+    inverses, so the line form needs only the n*m lines omega^(e*k/m) * e_i.
+    That is two lines per axis for the rational subgroup of an even k and
+    one for an odd k, whatever k is.
+    """
+    return k // gcd(k, *exponents)
+
+
+def _lines(k: int, m: int, perm: Sequence[int], exps: Sequence[int]) -> Lines:
+    """The permutation (sigma, l) induces on the n*m lines, exponents multiples of k/m.
+
+    Line i*m + e stands for omega^(e*k/m) * e_i, and it goes to line
+    sigma(i)*m + (e + l_i*m/k) mod m.  This is C_m wr S_n acting on n*m
+    points, so the map from pairs to line permutations is one-to-one.
+    """
+    step = k // m
+    return tuple([j * m + (e + l // step) % m for j, l in zip(perm, exps) for e in range(m)])
+
+
+def _pair(k: int, m: int, lines: Lines) -> Pair:
+    """The (perm, exponents) pair of a line permutation: line i*m goes to sigma(i)*m + l_i*m/k."""
+    heads, step = lines[::m], k // m
+    return tuple([x // m for x in heads]), tuple([x % m * step for x in heads])
+
+
+def _times(lines: Lines) -> Callable[[Lines], Lines]:
+    """The group law: `_times(f)(g)` is the line form of the product f·g.
+
+    Line p of f·g is g[f[p]], so the product (sigma, l)(tau, t) comes out as
+    (tau o sigma, l + t o sigma mod k), the matrix product the dense oracle
+    fixes.
+    """
     # itemgetter of one index returns the bare item, but the only
-    # permutation of one point is the identity
-    pick = itemgetter(*perm) if len(perm) > 1 else tuple
-    return pick(other_perm), tuple([(a + b) % k for a, b in zip(exps, pick(other_exps))])
+    # permutation of one line is the identity
+    return itemgetter(*lines) if len(lines) > 1 else tuple
 
 
-def _inverse_pair(k: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> Pair:
-    """The inverse (sigma^-1, -l o sigma^-1 mod k) of a (perm, exponents) pair."""
-    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple(inv_perm), tuple([-exps[i] % k for i in inv_perm])
+def _inverse(lines: Lines) -> Lines:
+    """The inverse permutation."""
+    inverse = [0] * len(lines)
+    for point, image in enumerate(lines):
+        inverse[image] = point
+    return tuple(inverse)
 
 
 def _enumerate_allowed(k: int, allowed: Sequence[Sequence[Sequence[int]]]) -> list[MonomialMatrix]:
@@ -327,6 +378,45 @@ def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVec
     return k, vec, twisted
 
 
+def _orbit_census(
+    vector, k: "int | None" = None, limit: "int | None" = None
+) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]], int]:
+    """`orbit_ranks` and the order of the stabilizer, from one table of twists.
+
+    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
+    position i, so the stabilizer has sum over sigma of prod over i of
+    |{l : omega^l * v[sigma(i)] = v_i}| elements.  Those counts are read off
+    the twist indices, so no element is built, and the order is counted
+    rather than derived from the orbit's size, which leaves orbit size times
+    stabilizer order = group order a check.
+    """
+    _, vec, twisted = _twists(vector, k, limit)
+    # the twists of v_j keep its denominator, so over the common denominator
+    # of all positions each twist is an integer vector: equal vectors are
+    # equal values, and they order as the coefficient vectors do
+    scale = lcm(*(component._den for component in vec))
+    by_key, rows = {}, []
+    for component, twists in zip(vec, twisted):
+        m = scale // component._den
+        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
+        by_key.update(zip(keys, twists))
+        rows.append(keys)
+    order = sorted(by_key)
+    index = {key: i for i, key in enumerate(order)}
+    # table[j][l] is the index of omega^l * v_j, so table[i][0] is v_i's
+    table = [[index[key] for key in keys] for keys in rows]
+    components = [by_key[key] for key in order]
+    points: set[tuple[int, ...]] = set()
+    for perm in itertools.permutations(map(set, table)):
+        points.update(itertools.product(*perm))
+    # fixing[i][j]: the exponents l with omega^l * v_j = v_i
+    fixing = [[twists.count(target[0]) for twists in table] for target in table]
+    stabilizer_order = sum(
+        prod(map(list.__getitem__, fixing, perm)) for perm in itertools.permutations(range(len(table)))
+    )
+    return components, points, stabilizer_order
+
+
 def orbit_ranks(
     vector, k: "int | None" = None, limit: "int | None" = None
 ) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]]]:
@@ -342,24 +432,7 @@ def orbit_ranks(
     order: n*k field elements are built, not k^n * n! images, and the
     points are tuples of small ints.
     """
-    _, vec, twisted = _twists(vector, k, limit)
-    # the twists of v_j keep its denominator, so over the common denominator
-    # of all positions each twist is an integer vector: equal vectors are
-    # equal values, and they order as the coefficient vectors do
-    scale = lcm(*(component._den for component in vec))
-    by_key, rows = {}, []
-    for component, twists in zip(vec, twisted):
-        m = scale // component._den
-        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
-        by_key.update(zip(keys, twists))
-        rows.append(keys)
-    order = sorted(by_key)
-    index = {key: i for i, key in enumerate(order)}
-    rows = [{index[key] for key in keys} for keys in rows]
-    components = [by_key[key] for key in order]
-    points: set[tuple[int, ...]] = set()
-    for perm in itertools.permutations(rows):
-        points.update(itertools.product(*perm))
+    components, points, _ = _orbit_census(vector, k, limit)
     return components, points
 
 
@@ -391,9 +464,11 @@ class RationalSubgroupReport:
     An entry omega^l is rational only for l = 0 (value 1) and, when k is
     even, l = k/2 (value -1); the elements listed here are exactly those
     built from such exponents.  The closure flags certify the subgroup
-    property: closure under product by growing the subgroup the listed
-    elements generate and checking that it is exactly the list, closure
-    under inverse element by element.  `permutations_only` records whether
+    property on the elements' line permutations, two lines per axis for
+    even k and one for odd k: closure under product by growing the subgroup
+    the listed elements generate and checking that it is exactly the list,
+    closure under inverse by inverting every permutation and checking that
+    each inverse is listed.  `permutations_only` records whether
     the subgroup is just the plain permutation matrices (true for odd k;
     even k admits all sign changes as well).
     """
@@ -415,48 +490,57 @@ class RationalSubgroupReport:
         return self.closed_under_product and self.closed_under_inverse and self.contains_identity
 
 
+def _line_forms(k: int, pairs: Sequence[Pair]) -> list[Lines]:
+    """The line permutation of each pair, all over the lines their exponents need."""
+    if not pairs:
+        return []
+    m = _modulus(k, itertools.chain.from_iterable(exps for _, exps in pairs))
+    return [_lines(k, m, *pair) for pair in pairs]
+
+
 def _closed_under_product(k: int, pairs: Sequence[Pair]) -> bool:
     """Whether every product of two (perm, exponents) pairs is again one of them.
 
     A nonempty finite set closed under product is a group, so it holds the
     identity; with the identity, the set is grown from it one generator at
     a time.  Each member not yet reached becomes a generator, and `reached`
-    is extended until right multiplication by every generator stays inside
+    is extended until left multiplication by every generator stays inside
     it, so it is the subgroup the generators span.  A product outside the
     set refutes closure at once; otherwise every member ends up reached and
     the set is that subgroup.  By Lagrange each generator at least doubles
     `reached`, so this takes about |S|·log2|S| products, not |S|^2.
 
-    Products follow `_product`, the law of `MonomialMatrix.__mul__`.
-    Members are valid elements with exponents reduced mod k, so a product
-    that matches one is a valid element too.
+    Each member is turned into its line permutation once, and products are
+    `_times`, the law of `MonomialMatrix.__mul__`: a whole frontier is
+    multiplied by one generator at a time, and the new products are checked
+    against the members by one subset test.  Members are valid elements with
+    exponents reduced mod k, so a product that matches one is a valid
+    element too.
     """
-    members = set(pairs)
-    if not members:
+    lines = _line_forms(k, pairs)
+    if not lines:
         return True
-    n = len(pairs[0][0])
-    identity = (tuple(range(n)), (0,) * n)
+    members = set(lines)
+    identity = tuple(range(len(lines[0])))
     if identity not in members:
         return False
     reached = {identity}
-    generators = []
-    for member in pairs:
+    generators: list[Callable[[Lines], Lines]] = []
+    for member in lines:
         if member in reached:
             continue
-        generators.append(member)
+        generators.append(_times(member))
         # `reached` is closed under the earlier generators already, so its
         # elements need only the new one; each element found needs them all
-        frontier, multipliers = list(reached), [member]
+        frontier, multipliers = reached, generators[-1:]
         while frontier:
-            found = []
-            for element in frontier:
-                for multiplier in multipliers:
-                    product = _product(k, element, multiplier)
-                    if product not in reached:
-                        if product not in members:
-                            return False
-                        reached.add(product)
-                        found.append(product)
+            found = set()
+            for multiply in multipliers:
+                found.update(map(multiply, frontier))
+            found -= reached
+            if not found <= members:
+                return False
+            reached |= found
             frontier, multipliers = found, generators
     return True
 
@@ -465,17 +549,17 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     """Enumerate and certify the rational-entry subgroup."""
     _check_size(k, n)
     # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
-    rational_exps = [l for l in range(k) if 2 * l % k == 0]
+    rational_exps = [0, k // 2] if k % 2 == 0 else [0]
     elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
     pairs = [(e.perm, e.exponents) for e in elements]
-    members = set(pairs)
+    members = set(_line_forms(k, pairs))
     return RationalSubgroupReport(
         k=k,
         n=n,
         elements=tuple(elements),
         closed_under_product=_closed_under_product(k, pairs),
-        closed_under_inverse=all(_inverse_pair(k, *pair) in members for pair in pairs),
-        contains_identity=(tuple(range(n)), (0,) * n) in members,
+        closed_under_inverse=set(map(_inverse, members)) <= members,
+        contains_identity=(tuple(range(n)), (0,) * n) in pairs,
         permutations_only=all(not any(element.exponents) for element in elements),
     )
 

@@ -32,8 +32,9 @@ class TestMonomialLawSample:
         assert report["pairs_checked"] == 60
 
     def test_reports_a_broken_law(self, monkeypatch):
-        product = monomial._product
-        monkeypatch.setattr(monomial, "_product", lambda k, first, second: product(k, second, first))
+        # the law composed in the reverse order: f·g taken as g·f
+        times = monomial._times
+        monkeypatch.setattr(monomial, "_times", lambda first: lambda second: times(second)(first))
         report = audit.monomial_law_sample(random.Random(0), 60)
         assert report["holds"] is False
         assert report["mismatches"]

@@ -17,7 +17,7 @@ import pytest
 
 import fermatgroups
 from fermatgroups import cli as cli_module
-from fermatgroups import stroboscope
+from fermatgroups import cyclotomic, stroboscope
 from fermatgroups.cli import main
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.monomial import MonomialMatrix
@@ -535,6 +535,16 @@ class TestLimitsAndRanges:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert len(captured.err) < 200
+
+    @pytest.mark.parametrize("vector", ["[1,2],3", "1,2"])
+    def test_over_cap_orbit_is_refused_before_phi_k(self, vector, capsys, monkeypatch):
+        # building any component of Q(omega_24000) computes Phi_24000
+        calls = []
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", calls.append)
+        monkeypatch.delenv("FERMAT_ORBIT_LIMIT", raising=False)
+        assert main(["kgroup", "orbit", "--k", "24000", "--point", vector]) == 3
+        assert calls == []
+        assert capsys.readouterr().err == "error: group order 1152000000 exceeds the element cap 1000000\n"
 
     def test_small_cap_message_prints_the_count(self, capsys):
         assert main(["kgroup", "enumerate", "--k", "3", "--n", "2", "--limit", "5"]) == 3

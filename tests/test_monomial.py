@@ -72,8 +72,8 @@ def pairs(elements):
 def all_pairs_closed(k, pairs):
     """Oracle: the former closure check, every product of two pairs looked up among them.
 
-    Uses the tuple law of `monomial._closed_under_product`,
-    (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k), over all |S|^2 pairs.
+    Uses the pair law (sigma, l)(tau, m) = (tau o sigma, l + m o sigma mod k),
+    which `monomial._times` gives on line permutations, over all |S|^2 pairs.
     """
     members = set(pairs)
     for perm, exps in pairs:
@@ -381,6 +381,14 @@ def orbit_vectors(k, n):
     return bases.flatmap(lambda base: st.lists(component(base), min_size=n, max_size=n).map(tuple))
 
 
+class TestStabilizerOrder:
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_counts_the_stabilizer(self, k, n):
+        for vector in shaped_vectors(k, n):
+            assert monomial._orbit_census(vector)[2] == len(monomial.stabilizer(vector))
+
+
 class TestOrbitRanks:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -555,25 +563,25 @@ class TestClosureCertificate:
         assert monomial._closed_under_product(3, [identity, swap]) is True
 
     def test_products_grow_as_s_log_s(self, monkeypatch):
-        # each product picks from two tuples with the first factor's permutation
-        picks = []
+        # each product is one composition of line permutations, made by the law `_times`
+        compositions = []
+        times = monomial._times
 
-        def counting_itemgetter(*indices):
-            getter = itemgetter(*indices)
+        def counting_times(lines):
+            multiply = times(lines)
 
-            def pick(sequence):
-                picks.append(None)
-                return getter(sequence)
+            def counted(other):
+                compositions.append(None)
+                return multiply(other)
 
-            return pick
+            return counted
 
-        monkeypatch.setattr(monomial, "itemgetter", counting_itemgetter)
+        monkeypatch.setattr(monomial, "_times", counting_times)
         listed = pairs(monomial.rational_elements(4, 4).elements)
-        picks.clear()
+        compositions.clear()
         assert monomial._closed_under_product(4, listed) is True
-        products = len(picks) // 2
         # the all-pairs check made len(listed) ** 2 = 147,456
-        assert 0 < products <= 2 * len(listed) * ceil(log2(len(listed)))
+        assert len(compositions) == 2688 <= 2 * len(listed) * ceil(log2(len(listed)))
 
     def test_k6_n5_certifies_quickly(self):
         started = time.perf_counter()
@@ -583,6 +591,42 @@ class TestClosureCertificate:
         assert report.is_group
         # the all-pairs check needed 14.7 M products here
         assert elapsed < 2.0
+
+
+class TestLineForm:
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_decode_inverts_encode(self, k, n):
+        identity = tuple(range(n * k))
+        assert monomial._lines(k, k, range(n), (0,) * n) == identity
+        for element in monomial.enumerate_group(k, n):
+            pair = (element.perm, element.exponents)
+            lines = monomial._lines(k, k, *pair)
+            assert sorted(lines) == list(identity)
+            assert monomial._pair(k, k, lines) == pair
+            # over the lines of the subgroup of Z_k its exponents generate
+            m = monomial._modulus(k, element.exponents)
+            assert monomial._pair(k, m, monomial._lines(k, m, *pair)) == pair
+
+    def test_lines_past_the_cap_are_refused(self, monkeypatch):
+        # 2 * 10**12 lines are refused before any is built
+        monkeypatch.delenv(monomial.ENV_LIMIT, raising=False)
+        k = 10**12
+        element = MonomialMatrix(k, (1, 0), (1, 0))
+        message = r"^line form of 2 \* 1000000000000 lines exceeds the element cap 1000000$"
+        for operation in (lambda: element * element, element.inverse):
+            with pytest.raises(ResourceLimitError, match=message):
+                operation()
+        # past the default the cap decides, and a lowered cap leaves small forms alone
+        monkeypatch.setenv(monomial.ENV_LIMIT, str(10**7))
+        with pytest.raises(ResourceLimitError, match=r"exceeds the element cap 10000000$"):
+            element * element
+        monkeypatch.setenv(monomial.ENV_LIMIT, "1")
+        assert MonomialMatrix(3, (1, 0), (1, 0)).inverse() == MonomialMatrix(3, (1, 0), (0, 2))
+        # exponents 0 and k/2 need two lines per axis, whatever k is
+        half = MonomialMatrix(k, (1, 0), (0, k // 2))
+        assert half * half == MonomialMatrix(k, (0, 1), (k // 2, k // 2))
+        assert half.inverse() == MonomialMatrix(k, (1, 0), (k // 2, 0))
 
 
 class TestRationalSubgroup:
@@ -601,6 +645,11 @@ class TestRationalSubgroup:
         report = monomial.rational_elements(4, 2)
         assert report.order == 8 == 2**2 * factorial(2)
         assert not report.permutations_only
+        assert report.is_group
+
+    def test_huge_even_k_is_certified_on_two_lines_per_axis(self):
+        report = monomial.rational_elements(10**12, 3)
+        assert report.order == 48
         assert report.is_group
 
     def test_even_k_six(self):
@@ -623,11 +672,11 @@ class TestRationalSubgroup:
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5, 6) for n in (1, 2, 3)])
     def test_inverse_pair_is_the_matrix_inverse(self, k, n):
-        # `MonomialMatrix.inverse` wraps `_inverse_pair`, so the check is on dense matrices
+        # the inverse check of `rational_elements` is `MonomialMatrix.inverse`'s
+        # inverse line permutation, so the check is on dense matrices
         identity = dense(MonomialMatrix.identity(k, n))
         for element in monomial.enumerate_group(k, n):
-            inverse = MonomialMatrix(k, *monomial._inverse_pair(k, element.perm, element.exponents))
-            assert dense_mul(dense(element), dense(inverse)) == identity
+            assert dense_mul(dense(element), dense(element.inverse())) == identity
 
     def test_a_set_missing_an_inverse_is_not_closed_under_inverse(self, monkeypatch):
         # (1 2 0) with exponents (1, 0, 0) has order 9 at k=3; its inverse is left out
