@@ -306,8 +306,7 @@ def orbit_cardinality_audit(ks=(3, 4, 5, 6, 7, 8)) -> list[dict]:
             ("axis", (1, 0)),
             ("diagonal", (1, 1)),
         ):
-            vector = monomial.cyclo_vector(k, components)
-            _, points, stab_size = monomial._orbit_census(vector)
+            _, points, stab_size = monomial.orbit_census(components, k)
             orbit_size = len(points)
             rows[label] = {
                 "vector": f"{components[0]},{components[1]}",

@@ -207,14 +207,8 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _parse_vector(k: int, text: str, limit=None):
-    """The vector of `--point`, refused past the element cap before any component is built.
-
-    Building a component computes Phi_k, so the rationals are parsed first
-    and the group of a valid k passes the cap before that.
-    """
-    from .cyclotomic import CyclotomicNumber
-    from .monomial import _check_cap, cyclo_vector
+def _parse_vector(text: str) -> list:
+    """The components of `--point`, rationals and coefficient lists, as `monomial.cyclo_vector` lifts them."""
     parsed = []
     for token in _split_top_level(text):
         token = token.strip()
@@ -227,10 +221,7 @@ def _parse_vector(k: int, text: str, limit=None):
             parsed.append([parse_rational(part) for part in inner.split(",")] if inner else [])
         else:
             parsed.append(parse_rational(token))
-    # below k = 3, building the vector raises the order error it always did
-    if k >= 3:
-        _check_cap(k, len(parsed), limit, "group order")
-    return cyclo_vector(k, [CyclotomicNumber(k, c) if isinstance(c, list) else c for c in parsed])
+    return parsed
 
 
 def _component_payload(component):
@@ -247,8 +238,8 @@ _VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]
           _K, Option("--point", "point_text", required=True, help=_VECTOR), _LIMIT, _TJ)
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     from . import monomial
-    vector = _parse_vector(k, point_text, limit)
-    components, points, stabilizer_order = monomial._orbit_census(vector, limit=limit)
+    vector = _parse_vector(point_text)
+    components, points, stabilizer_order = monomial.orbit_census(vector, k, limit)
     # the indices follow the components' coefficient vectors, so the int
     # tuples sort as the points print; each component is formatted once
     points = sorted(points)

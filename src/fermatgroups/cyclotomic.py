@@ -41,39 +41,39 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, lowest degree first.
 
     Starts from x^k - 1 and divides it in place by Phi_d for each proper
-    divisor d of k.  Each division is integer-exact because every Phi_d is
-    monic with integer coefficients; a nonzero remainder raises.
+    divisor d of k.  A nonzero remainder raises.
     """
     integer(k, 1, "cyclotomic polynomial order k")
     poly = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            phi = cyclotomic_polynomial(d)
-            deg = len(phi) - 1
-            # each leading coefficient stays in place as the quotient's
-            for e in range(len(poly) - 1, deg - 1, -1):
-                c = poly[e]
-                if c:
-                    for i in range(deg):
-                        poly[e - deg + i] -= c * phi[i]
+            deg = _divide_monic(poly, cyclotomic_polynomial(d))
             if any(poly[:deg]):
                 raise ArithmeticError(f"cyclotomic division left a remainder for k={k}")
             del poly[:deg]
     return tuple(poly)
 
 
-def _reduce_mod_phi(k: int, folded: list[int]) -> list[int]:
-    # folded has length k (exponents already taken mod k) and is reduced in
-    # place; Phi_k is monic with integer coefficients, so long division
-    # stays in the integers
-    phi = cyclotomic_polynomial(k)
-    deg = len(phi) - 1
-    for e in range(k - 1, deg - 1, -1):
-        c = folded[e]
+def _divide_monic(poly: list[int], divisor: tuple[int, ...]) -> int:
+    """Long division of poly by a monic divisor in place, both lowest degree first.
+
+    Returns the divisor's degree deg, and leaves the remainder in poly[:deg]
+    and the quotient in poly[deg:]: each leading coefficient stays in place
+    as the quotient's.  A monic divisor with integer coefficients keeps
+    the division in the integers.
+    """
+    deg = len(divisor) - 1
+    for e in range(len(poly) - 1, deg - 1, -1):
+        c = poly[e]
         if c:
             for i in range(deg):
-                folded[e - deg + i] -= c * phi[i]
-    return folded[:deg]
+                poly[e - deg + i] -= c * divisor[i]
+    return deg
+
+
+def _reduce_mod_phi(k: int, folded: list[int]) -> list[int]:
+    # folded has length k (exponents already taken mod k) and is reduced in place
+    return folded[:_divide_monic(folded, cyclotomic_polynomial(k))]
 
 
 def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:

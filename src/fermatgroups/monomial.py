@@ -13,6 +13,10 @@ the circle and hyperbola modules.
 
 Enumerations and orbits are capped.  The default cap is 10**6 elements,
 overridable per call or through the FERMAT_ORBIT_LIMIT environment variable.
+Orbits, stabilizers and `orbit_census` take vectors whose components are
+rationals, cyclotomic numbers or coefficient lists, as `cyclo_vector` lifts
+them, and check the cap on k^n * n! before any component is lifted, since
+lifting computes Phi_k.
 A product or inverse of elements is taken on up to 10**6 lines, or more
 when the cap allows.
 Counts k^n * n! are built one factor at a time and abandoned once they pass
@@ -23,17 +27,15 @@ from __future__ import annotations
 
 import itertools
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import integer
+from .rationals import int_digit_limit, integer
 
 __all__ = [
     "DEFAULT_ELEMENT_LIMIT",
@@ -46,8 +48,8 @@ __all__ = [
     "form_value",
     "group_order",
     "orbit",
+    "orbit_census",
     "orbit_rational_points",
-    "orbit_ranks",
     "rational_elements",
     "stabilizer",
 ]
@@ -225,17 +227,6 @@ def _count(base: int, n: int, ceiling: "int | None") -> "int | None":
     return count
 
 
-@cache
-def _ceiling(digits: int) -> int:
-    return 10**digits - 1
-
-
-def _digit_ceiling() -> "int | None":
-    # the largest integer Python converts to text; None when the limit is off
-    digits = sys.get_int_max_str_digits()
-    return _ceiling(digits) if digits else None
-
-
 def group_order(k: int, n: int) -> int:
     """Order of the full monomial group: k^n * n!.
 
@@ -243,10 +234,11 @@ def group_order(k: int, n: int) -> int:
     raises ResourceLimitError.
     """
     _check_size(k, n)
-    order = _count(k, n, _digit_ceiling())
+    digits, ceiling = int_digit_limit()
+    order = _count(k, n, ceiling)
     if order is None:
         raise ResourceLimitError(
-            f"group order {k}^{n} * {n}! has more than {sys.get_int_max_str_digits()} digits"
+            f"group order {k}^{n} * {n}! has more than {digits} digits"
             " (Python's int-to-str conversion limit)"
         )
     return order
@@ -256,7 +248,7 @@ def _check_cap(base: int, n: int, limit, what: str) -> None:
     """Refuse base^n * n! elements past the cap; the message spells out a count past the digit limit."""
     cap = element_limit(limit)
     if _count(base, n, cap) is None:
-        count = _count(base, n, _digit_ceiling())
+        count = _count(base, n, int_digit_limit()[1])
         shown = f"{base}^{n} * {n}!" if count is None else count
         raise ResourceLimitError(f"{what} {shown} exceeds the element cap {cap}")
 
@@ -333,7 +325,7 @@ def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[Monomial
 
 
 def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
-    """Lift rational (or already cyclotomic) components into Q(omega_k)^n."""
+    """Lift components into Q(omega_k)^n: rationals, cyclotomic numbers, or lists of coefficients on 1, omega, omega^2, ..."""
     _check_order(k)
     out = []
     for component in components:
@@ -343,6 +335,8 @@ def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
                     f"order mismatch: expected k={k}, component has k={component.k}"
                 )
             out.append(component)
+        elif isinstance(component, list):
+            out.append(CyclotomicNumber(k, component))
         else:
             out.append(CyclotomicNumber.from_rational(k, component))
     if not out:
@@ -352,36 +346,48 @@ def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
 
 def form_value(vector: Sequence[CyclotomicNumber], k: "int | None" = None) -> CyclotomicNumber:
     """Exact value of x_1^k + ... + x_n^k on a cyclotomic vector."""
-    k, vec = _vector_with_order(vector, k)
+    k, components = _with_order(vector, k)
     total = CyclotomicNumber.zero(k)
-    for component in vec:
+    for component in cyclo_vector(k, components):
         total = total + component**k
     return total
 
 
-def _vector_with_order(vector, k: "int | None") -> tuple[int, CyclotomicVector]:
-    # k defaults to the order of the first cyclotomic component
+def _with_order(vector, k: "int | None") -> tuple[int, tuple]:
+    # the components, not yet lifted, and k, by default the order of the first cyclotomic one
     components = tuple(vector)
     if k is None:
         k = next((c.k for c in components if isinstance(c, CyclotomicNumber)), None)
     if k is None:
         raise InvalidArgumentError("order k is required for purely rational vectors")
-    return k, cyclo_vector(k, components)
+    return k, components
 
 
 def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVector]]:
     # twisted[j][l] = omega^l * v_j by the coefficient shift `apply` uses;
-    # the group must pass the element cap before any of them is built
-    k, vec = _vector_with_order(vector, k)
-    _check_cap(k, len(vec), limit, "group order")
+    # k and n are known unlifted, so the group passes the element cap before
+    # any component is lifted, which computes Phi_k
+    k, components = _with_order(vector, k)
+    _check_cap(_check_order(k), len(components), limit, "group order")
+    vec = cyclo_vector(k, components)
     twisted = [tuple(component._rotated(l) for l in range(k)) for component in vec]
     return k, vec, twisted
 
 
-def _orbit_census(
+def orbit_census(
     vector, k: "int | None" = None, limit: "int | None" = None
 ) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]], int]:
-    """`orbit_ranks` and the order of the stabilizer, from one table of twists.
+    """The orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
+
+    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
+    component of every image is a twist omega^l * v_j.  Each distinct twist
+    is numbered once, across all positions, so a twist that two positions
+    share has one index.  The indices follow the components' coefficient
+    vectors upward, so index tuples sort as their points' coefficient
+    vectors do.  Row j holds the indices of v_j's distinct twists, and the
+    orbit is the union over sigma of the products of the rows in sigma's
+    order: n*k field elements are built, not k^n * n! images, and the
+    points are tuples of small ints.
 
     (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
     position i, so the stabilizer has sum over sigma of prod over i of
@@ -417,28 +423,9 @@ def _orbit_census(
     return components, points, stabilizer_order
 
 
-def orbit_ranks(
-    vector, k: "int | None" = None, limit: "int | None" = None
-) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]]]:
-    """The orbit of a vector as tuples of indices into its distinct components.
-
-    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
-    component of every image is a twist omega^l * v_j.  Each distinct twist
-    is numbered once, across all positions, so a twist that two positions
-    share has one index.  The indices follow the components' coefficient
-    vectors upward, so index tuples sort as their points' coefficient
-    vectors do.  Row j holds the indices of v_j's distinct twists, and the
-    orbit is the union over sigma of the products of the rows in sigma's
-    order: n*k field elements are built, not k^n * n! images, and the
-    points are tuples of small ints.
-    """
-    components, points, _ = _orbit_census(vector, k, limit)
-    return components, points
-
-
 def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[CyclotomicVector]:
-    """All images of a vector under the full monomial group (a finite set): `orbit_ranks` read back as vectors."""
-    components, points = orbit_ranks(vector, k, limit)
+    """All images of a vector under the full monomial group (a finite set): `orbit_census` read back as vectors."""
+    components, points, _ = orbit_census(vector, k, limit)
     return {tuple(map(components.__getitem__, point)) for point in points}
 
 
@@ -498,8 +485,8 @@ def _line_forms(k: int, pairs: Sequence[Pair]) -> list[Lines]:
     return [_lines(k, m, *pair) for pair in pairs]
 
 
-def _closed_under_product(k: int, pairs: Sequence[Pair]) -> bool:
-    """Whether every product of two (perm, exponents) pairs is again one of them.
+def _closed_under_product(lines: Sequence[Lines]) -> bool:
+    """Whether every product of two elements, given by their `_line_forms`, is again one of them.
 
     A nonempty finite set closed under product is a group, so it holds the
     identity; with the identity, the set is grown from it one generator at
@@ -510,14 +497,12 @@ def _closed_under_product(k: int, pairs: Sequence[Pair]) -> bool:
     the set is that subgroup.  By Lagrange each generator at least doubles
     `reached`, so this takes about |S|·log2|S| products, not |S|^2.
 
-    Each member is turned into its line permutation once, and products are
-    `_times`, the law of `MonomialMatrix.__mul__`: a whole frontier is
-    multiplied by one generator at a time, and the new products are checked
-    against the members by one subset test.  Members are valid elements with
-    exponents reduced mod k, so a product that matches one is a valid
-    element too.
+    Products are `_times`, the law of `MonomialMatrix.__mul__`: a whole
+    frontier is multiplied by one generator at a time, and the new products
+    are checked against the members by one subset test.  Members are valid
+    elements with exponents reduced mod k, so a product that matches one is
+    a valid element too.
     """
-    lines = _line_forms(k, pairs)
     if not lines:
         return True
     members = set(lines)
@@ -552,12 +537,13 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     rational_exps = [0, k // 2] if k % 2 == 0 else [0]
     elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
     pairs = [(e.perm, e.exponents) for e in elements]
-    members = set(_line_forms(k, pairs))
+    lines = _line_forms(k, pairs)
+    members = set(lines)
     return RationalSubgroupReport(
         k=k,
         n=n,
         elements=tuple(elements),
-        closed_under_product=_closed_under_product(k, pairs),
+        closed_under_product=_closed_under_product(lines),
         closed_under_inverse=set(map(_inverse, members)) <= members,
         contains_identity=(tuple(range(n)), (0,) * n) in pairs,
         permutations_only=all(not any(element.exponents) for element in elements),
@@ -566,7 +552,7 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
 
 def orbit_rational_points(k: int, limit: "int | None" = None) -> set[tuple[Fraction, Fraction]]:
     """Rational points of x^k + y^k = 1 reached from (1, 0) by the group."""
-    components, points = orbit_ranks(cyclo_vector(k, (1, 0)), limit=limit)
+    components, points, _ = orbit_census((1, 0), k, limit)
     # each distinct twist is tested once; a point is rational when all its indices are
     values = [component.is_rational() for component in components]
     rational = {i for i, value in enumerate(values) if value is not None}

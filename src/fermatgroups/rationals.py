@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -37,6 +38,7 @@ __all__ = [
     "format_rational",
     "format_triple",
     "height",
+    "int_digit_limit",
     "integer",
     "parse_point",
     "parse_projective",
@@ -211,6 +213,20 @@ def format_triple(a: Decimal, b: Decimal, c: Decimal) -> tuple[str, str, str]:
         raise _print_limit_error()
     c_text = str(c)
     return f"{a!s}/{c_text}", f"{b!s}/{c_text}", c_text
+
+
+def int_digit_limit() -> tuple[int, "int | None"]:
+    """Python's int-to-str digit limit and the largest integer it lets print; (0, None) when the limit is off.
+
+    The bound is cached per limit, so a count checked against it on every
+    call builds 10**digits once.
+    """
+    return _digit_limit(sys.get_int_max_str_digits())
+
+
+@cache
+def _digit_limit(digits: int) -> tuple[int, "int | None"]:
+    return digits, (10**digits - 1 if digits else None)
 
 
 def _print_limit_error() -> ResourceLimitError:

@@ -17,7 +17,7 @@ import pytest
 
 import fermatgroups
 from fermatgroups import cli as cli_module
-from fermatgroups import cyclotomic, stroboscope
+from fermatgroups import cyclotomic, monomial, stroboscope
 from fermatgroups.cli import main
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.monomial import MonomialMatrix
@@ -250,7 +250,7 @@ class TestKgroupPayloads:
 )
 def test_orbit_json_equals_json_dumps_of_the_former_payload(k, vector, capsys):
     assert main(["kgroup", "orbit", "--k", str(k), "--point", vector, "--format", "json"]) == 0
-    expected = monomial_oracle.kgroup_orbit_json(k, cli_module._parse_vector(k, vector))
+    expected = monomial_oracle.kgroup_orbit_json(k, monomial.cyclo_vector(k, cli_module._parse_vector(vector)))
     assert capsys.readouterr().out == expected
 
 
@@ -545,6 +545,19 @@ class TestLimitsAndRanges:
         assert main(["kgroup", "orbit", "--k", "24000", "--point", vector]) == 3
         assert calls == []
         assert capsys.readouterr().err == "error: group order 1152000000 exceeds the element cap 1000000\n"
+
+    def test_over_cap_orbit_rational_is_refused_before_phi_k(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", calls.append)
+        monkeypatch.delenv("FERMAT_ORBIT_LIMIT", raising=False)
+        assert main(["kgroup", "orbit-rational", "--k", "24000"]) == 3
+        assert calls == []
+        assert capsys.readouterr().err == "error: group order 1152000000 exceeds the element cap 1000000\n"
+
+    def test_orbit_below_k_3_names_the_group_degree(self, capsys):
+        # a coefficient-list component is lifted only after k is checked
+        assert main(["kgroup", "orbit", "--k", "0", "--point", "[1,2],3"]) == 2
+        assert capsys.readouterr().err == "error: monomial group degree k must be an integer >= 3, got 0\n"
 
     def test_small_cap_message_prints_the_count(self, capsys):
         assert main(["kgroup", "enumerate", "--k", "3", "--n", "2", "--limit", "5"]) == 3

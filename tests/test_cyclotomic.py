@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fermatgroups.cyclotomic import (
     CyclotomicNumber,
+    _divide_monic,
     _integer_repr,
     cyclotomic_polynomial,
     euler_phi,
@@ -365,3 +366,25 @@ class TestAgainstSympy:
         x = sympy.Symbol("x")
         expected = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(k) == tuple(int(c) for c in expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        poly=st.lists(st.integers(-(10**6), 10**6), max_size=40),
+        divisor=st.one_of(
+            st.integers(1, 60).map(cyclotomic_polynomial),
+            st.lists(st.integers(-20, 20), max_size=10).map(lambda low: (*low, 1)),
+        ),
+    )
+    def test_long_division(self, poly, divisor):
+        # remainder in poly[:deg], quotient in poly[deg:], both lowest degree first
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def as_poly(coeffs):
+            return sympy.Poly.from_list(coeffs[::-1] or [0], x)
+
+        quotient, remainder = sympy.div(as_poly(poly), as_poly(list(divisor)))
+        divided = list(poly)
+        deg = _divide_monic(divided, divisor)
+        assert deg == len(divisor) - 1
+        assert (as_poly(divided[deg:]), as_poly(divided[:deg])) == (quotient, remainder)

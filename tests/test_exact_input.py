@@ -185,3 +185,13 @@ def _imported_modules():
 def test_no_module_imports_a_clock():
     # a clock read through `datetime.now()` or `time.time()` would need one of these imports
     assert [site for site in _imported_modules() if site[2].partition(".")[0] in CLOCK_MODULES] == []
+
+
+def test_only_rationals_reads_the_int_str_digit_limit():
+    # the limit's reads, its bound and its messages live in one module, so they cannot disagree
+    def reads(node):
+        name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+        return isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name == "get_int_max_str_digits"
+
+    readers = {path.stem for path, tree in _package_trees() for node in ast.walk(tree) if reads(node)}
+    assert readers == {"rationals"}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatgroups import monomial
+from fermatgroups import cyclotomic, monomial
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
 from fermatgroups.monomial import MonomialMatrix
@@ -332,6 +332,15 @@ class TestOrbits:
         with pytest.raises(InvalidArgumentError):
             monomial.orbit((Fraction(1), Fraction(0)))
 
+    def test_unlifted_components_match_lifted_ones(self):
+        # rationals and coefficient lists, which `cyclo_vector` lifts after the cap check
+        components = ([1, 0, -2], Fraction(3, 4), 0)
+        lifted = monomial.cyclo_vector(6, components)
+        assert lifted == (CyclotomicNumber(6, [1, 0, -2]), CyclotomicNumber(6, [Fraction(3, 4)]), CyclotomicNumber(6))
+        assert monomial.orbit(components, k=6) == monomial.orbit(lifted)
+        assert monomial.stabilizer(components, k=6) == monomial.stabilizer(lifted)
+        assert monomial.orbit_census(components, 6) == monomial.orbit_census(lifted)
+
     def test_orbit_respects_cap(self):
         with pytest.raises(ResourceLimitError):
             monomial.orbit(monomial.cyclo_vector(3, (2, 3)), limit=5)
@@ -386,7 +395,7 @@ class TestStabilizerOrder:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_counts_the_stabilizer(self, k, n):
         for vector in shaped_vectors(k, n):
-            assert monomial._orbit_census(vector)[2] == len(monomial.stabilizer(vector))
+            assert monomial.orbit_census(vector)[2] == len(monomial.stabilizer(vector))
 
 
 class TestOrbitRanks:
@@ -395,7 +404,7 @@ class TestOrbitRanks:
     def test_matches_the_former_orbit(self, data):
         k = data.draw(st.integers(3, 8))
         vector = data.draw(orbit_vectors(k, data.draw(st.integers(1, 3))))
-        components, points = monomial.orbit_ranks(vector)
+        components, points, _ = monomial.orbit_census(vector)
         assert {tuple(components[i] for i in point) for point in points} == monomial_oracle.orbit(vector)
         # each value has one index, and the indices follow the coefficient vectors
         assert len(set(components)) == len(components)
@@ -405,7 +414,7 @@ class TestOrbitRanks:
     def test_a_twist_shared_by_two_positions_has_one_index(self):
         omega = CyclotomicNumber.root_of_unity(6, 1)
         vector = monomial.cyclo_vector(6, (1, omega, omega))
-        components, points = monomial.orbit_ranks(vector)
+        components, points, _ = monomial.orbit_census(vector)
         # 1 and omega have the same six twists, the sixth roots of unity
         assert len(components) == 6
         assert len(points) == 6**3
@@ -413,7 +422,7 @@ class TestOrbitRanks:
 
     def test_repeated_and_zero_components(self):
         vector = monomial.cyclo_vector(4, (1, 1, 0))
-        components, points = monomial.orbit_ranks(vector)
+        components, points, _ = monomial.orbit_census(vector)
         assert components == [CyclotomicNumber(4, c) for c in ((-1,), (0, -1), (0,), (0, 1), (1,))]
         assert len(points) == 48
 
@@ -449,6 +458,25 @@ class TestCaps:
             tracemalloc.stop()
         assert str(caught.value) == "group order 264539520 exceeds the element cap 1000000"
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: monomial.orbit((1, 2), k=24000),
+            lambda: monomial.stabilizer([[1, 2], 3], k=24000),
+            lambda: monomial.orbit_census((1, 2), 24000),
+            lambda: monomial.orbit_rational_points(24000),
+        ],
+        ids=["orbit", "stabilizer", "orbit_census", "orbit_rational_points"],
+    )
+    def test_over_cap_group_is_refused_before_phi_k(self, call, monkeypatch):
+        # lifting any component into Q(omega_24000) computes Phi_24000, which takes seconds
+        calls = []
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", calls.append)
+        monkeypatch.delenv(monomial.ENV_LIMIT, raising=False)
+        with pytest.raises(ResourceLimitError, match=r"^group order 1152000000 exceeds the element cap 1000000$"):
+            call()
+        assert calls == []
 
     @pytest.mark.parametrize(
         "call,message",
@@ -505,7 +533,7 @@ CLOSURE_CASES = list(
 class TestClosureKernel:
     @pytest.mark.parametrize("k,elements", CLOSURE_CASES)
     def test_matches_product_oracle(self, k, elements):
-        assert monomial._closed_under_product(k, pairs(elements)) is closure_oracle(elements) is True
+        assert monomial._closed_under_product(monomial._line_forms(k, pairs(elements))) is closure_oracle(elements) is True
 
     # a group of order 1 or 2 stays closed without its non-identity element
     @pytest.mark.parametrize("k,elements", [case for case in CLOSURE_CASES if len(case[1]) >= 3])
@@ -513,7 +541,7 @@ class TestClosureKernel:
         # elements[0] is the identity, and every other element is a product
         # of two elements other than itself
         for dropped in (elements[1:], elements[:-1]):
-            assert monomial._closed_under_product(k, pairs(dropped)) is closure_oracle(dropped) is False
+            assert monomial._closed_under_product(monomial._line_forms(k, pairs(dropped))) is closure_oracle(dropped) is False
 
     @pytest.mark.parametrize("k", range(3, 9))
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -521,23 +549,23 @@ class TestClosureKernel:
         # omega on the first axis is irrational, so outside the rational subgroup
         stranger = MonomialMatrix(k, range(n), (1,) + (0,) * (n - 1))
         grown = monomial.rational_elements(k, n).elements + (stranger,)
-        assert monomial._closed_under_product(k, pairs(grown)) is closure_oracle(grown) is False
+        assert monomial._closed_under_product(monomial._line_forms(k, pairs(grown))) is closure_oracle(grown) is False
 
 
 class TestClosureCertificate:
     @pytest.mark.parametrize("k,elements", CLOSURE_CASES)
     def test_matches_all_pairs_oracle(self, k, elements):
         listed = pairs(elements)
-        assert monomial._closed_under_product(k, listed) is all_pairs_closed(k, listed) is True
+        assert monomial._closed_under_product(monomial._line_forms(k, listed)) is all_pairs_closed(k, listed) is True
         for variant in (listed[1:], listed[:-1], listed[::-1], listed[1:] + listed[:1]):
-            assert monomial._closed_under_product(k, variant) is all_pairs_closed(k, variant)
+            assert monomial._closed_under_product(monomial._line_forms(k, variant)) is all_pairs_closed(k, variant)
 
     @pytest.mark.parametrize("k", (4, 6))
     def test_rational_subgroups_at_n_4(self, k):
         listed = pairs(monomial.rational_elements(k, 4).elements)
         assert len(listed) == 384
-        assert monomial._closed_under_product(k, listed) is all_pairs_closed(k, listed) is True
-        assert monomial._closed_under_product(k, listed[:-1]) is all_pairs_closed(k, listed[:-1]) is False
+        assert monomial._closed_under_product(monomial._line_forms(k, listed)) is all_pairs_closed(k, listed) is True
+        assert monomial._closed_under_product(monomial._line_forms(k, listed[:-1])) is all_pairs_closed(k, listed[:-1]) is False
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -546,21 +574,21 @@ class TestClosureCertificate:
         k = data.draw(st.sampled_from((3, 4)))
         group = pairs(monomial.enumerate_group(k, 2))
         subset = data.draw(st.lists(st.sampled_from(group), unique=True))
-        assert monomial._closed_under_product(k, subset) is all_pairs_closed(k, subset)
+        assert monomial._closed_under_product(monomial._line_forms(k, subset)) is all_pairs_closed(k, subset)
         generators = [MonomialMatrix(k, *pair) for pair in subset]
         spanned = frontier = {MonomialMatrix.identity(k, 2)}
         while frontier:
             frontier = {element * generator for element in frontier for generator in generators} - spanned
             spanned = spanned | frontier
         order = data.draw(st.permutations(sorted(pairs(spanned))))
-        assert monomial._closed_under_product(k, order) is True
+        assert monomial._closed_under_product(monomial._line_forms(k, order)) is True
 
     def test_empty_and_identity_free_sets(self):
         identity = ((0, 1), (0, 0))
         swap = ((1, 0), (0, 0))
-        assert monomial._closed_under_product(3, []) is all_pairs_closed(3, []) is True
-        assert monomial._closed_under_product(3, [swap]) is all_pairs_closed(3, [swap]) is False
-        assert monomial._closed_under_product(3, [identity, swap]) is True
+        assert monomial._closed_under_product(monomial._line_forms(3, [])) is all_pairs_closed(3, []) is True
+        assert monomial._closed_under_product(monomial._line_forms(3, [swap])) is all_pairs_closed(3, [swap]) is False
+        assert monomial._closed_under_product(monomial._line_forms(3, [identity, swap])) is True
 
     def test_products_grow_as_s_log_s(self, monkeypatch):
         # each product is one composition of line permutations, made by the law `_times`
@@ -579,7 +607,7 @@ class TestClosureCertificate:
         monkeypatch.setattr(monomial, "_times", counting_times)
         listed = pairs(monomial.rational_elements(4, 4).elements)
         compositions.clear()
-        assert monomial._closed_under_product(4, listed) is True
+        assert monomial._closed_under_product(monomial._line_forms(4, listed)) is True
         # the all-pairs check made len(listed) ** 2 = 147,456
         assert len(compositions) == 2688 <= 2 * len(listed) * ceil(log2(len(listed)))
 
