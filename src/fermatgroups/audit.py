@@ -36,13 +36,9 @@ SPECIAL_DELTAS = (Fraction(0), Fraction(1), Fraction(-1), INF)
 _SPECIAL_PAIRS = tuple(map(projective_pair, SPECIAL_DELTAS))
 
 
-def _format_pair(source, target) -> str:
-    return f"({format_point(source)}) -> ({format_point(target)})"
-
-
 def render_identity_audit(audit) -> dict:
     return {
-        "pair": _format_pair(audit.source, audit.target),
+        "pair": f"({format_point(audit.source)}) -> ({format_point(audit.target)})",
         "left": None if audit.left is None else format_projective(audit.left),
         "right": None if audit.right is None else format_projective(audit.right),
         "solver": format_projective(audit.solver_delta),

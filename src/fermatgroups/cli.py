@@ -7,10 +7,12 @@ identical bytes on stdout and on stderr.  Exit codes: 0 success, 1 stdout
 closed early, 2 invalid argument or usage, 3 resource limit exceeded.
 
 Every command prints through `_emit`: it passes one builder per format it
-accepts, each returning that format's whole output text, and only the
-chosen format's builder runs.  The text is written to stdout in one write
-and flushed inside the command, after any --csv or --json file, so a call
-that fails prints nothing.
+accepts, each returning that format's whole output text.  Only the chosen
+format's builder runs, and the builder of a --csv or --json side file when
+one is asked for; one text serves both when the formats agree.  The side
+file is written first, then the text goes to stdout in one write, flushed
+inside the command, so a call that fails prints nothing.  No other
+function writes stdout or a file.
 
 `COMMANDS` maps each command path to its handler, its help line and its
 options; `_parse` reads a call's arguments against the options.  An
@@ -22,7 +24,6 @@ loads only those.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from collections import namedtuple
@@ -62,9 +63,16 @@ _N = Option("--n", "n", int, required=True, help="Number of variables.")
 _LIMIT = Option("--limit", "limit", int, help="Element cap (default 10^6 or FERMAT_ORBIT_LIMIT).")
 
 
-def _emit(fmt: str, **builders) -> None:
-    """Build the output text of the chosen format only, and write it to stdout at once."""
+def _emit(fmt: str, side_file: "tuple[str, str | None]" = ("", None), **builders) -> None:
+    """Build the output text of the chosen format only, and write it to stdout at once.
+
+    `side_file` is a format and a path: when the path is given, that
+    format's text is first written to the file.
+    """
+    side, path = side_file
     text = builders[fmt]()
+    if path is not None:
+        _write_file(path, text if side == fmt else builders[side]())
     sys.stdout.write(text)
     # flushed inside the command, so that a closed stdout pipe raises
     # BrokenPipeError inside `main` (exit 1) instead of failing at interpreter exit
@@ -300,19 +308,16 @@ def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
 def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     from .search import search_n
     report = search_n(k, n, bound)
-    # every format prints the report's "p/q" strings, each formatted once; the
-    # JSON payload is built once, only when it is printed or written
-    as_json = functools.cache(lambda: _json(report.payload()))
-    if json_path is not None:
-        _write_file(json_path, as_json())
+    # every format prints the report's "p/q" strings, each formatted once
     _emit(
         fmt,
+        ("json", json_path),
         text=lambda: _lines(
             f"k={report.k} n={report.n} height={report.height_bound}: {len(report.ranks)} solutions "
             f"({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)",
             *map(",".join, report.texts),
         ),
-        json=as_json,
+        json=lambda: _json(report.payload()),
         csv=lambda: _csv_text(tuple(f"x{i}" for i in range(1, n + 1)), report.texts),
     )
 
@@ -360,17 +365,15 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
     rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
-    as_csv = functools.cache(lambda: _csv_text(("step", "x", "y", "height"), rows))
-    if csv_path is not None:
-        _write_file(csv_path, as_csv())
     _emit(
         fmt,
+        ("csv", csv_path),
         text=lambda: _lines(
             *(f"step {step}: {x},{y} height {h}" for step, x, y, h in rows),
             f"period: {trajectory.period if trajectory.period is not None else 'none'}",
         ),
         json=lambda: _iterate_json(trajectory, rows),
-        csv=as_csv,
+        csv=lambda: _csv_text(("step", "x", "y", "height"), rows),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidArgumentError
@@ -117,17 +117,12 @@ class CyclotomicNumber:
 
     def __init__(self, k: int, coeffs: Iterable = ()) -> None:
         integer(k, 1, "cyclotomic order")
-        # fold over one common denominator, kept as the lcm of those seen
+        # fold over one common denominator
+        coeffs = [exact(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
         folded = [0] * k
-        den = 1
         for exponent, c in enumerate(coeffs):
-            if exact(c):
-                num, q = c.numerator, c.denominator
-                if den % q:
-                    scale = q // gcd(den, q)
-                    folded = [x * scale for x in folded]
-                    den *= scale
-                folded[exponent % k] += num * (den // q)
+            folded[exponent % k] += c.numerator * (den // c.denominator)
         self._k = k
         self._nums, self._den = _lowest_terms(_reduce_mod_phi(k, folded), den)
 

@@ -16,7 +16,9 @@ overridable per call or through the FERMAT_ORBIT_LIMIT environment variable.
 Orbits, stabilizers and `orbit_census` take vectors whose components are
 rationals, cyclotomic numbers or coefficient lists, as `cyclo_vector` lifts
 them, and check the cap on k^n * n! before any component is lifted, since
-lifting computes Phi_k.
+lifting computes Phi_k.  All three read one table of the components' twists
+omega^l * v_j, told apart by index, so no element is applied to the vector
+and no two cyclotomic numbers are compared.
 A product or inverse of elements is taken on up to 10**6 lines, or more
 when the cap allows.
 Counts k^n * n! are built one factor at a time and abandoned once they pass
@@ -363,15 +365,41 @@ def _with_order(vector, k: "int | None") -> tuple[int, tuple]:
     return k, components
 
 
-def _twists(vector, k, limit) -> tuple[int, CyclotomicVector, list[CyclotomicVector]]:
-    # twisted[j][l] = omega^l * v_j by the coefficient shift `apply` uses;
-    # k and n are known unlifted, so the group passes the element cap before
-    # any component is lifted, which computes Phi_k
+def _twist_table(vector, k, limit) -> tuple[int, list[CyclotomicNumber], list[list[int]], list[list[list[int]]]]:
+    """k, the distinct twists omega^l * v_j of a vector's components, their index table and the fixing exponents.
+
+    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
+    component of every image is a twist omega^l * v_j, taken by the
+    coefficient shift `apply` uses.  Each distinct twist is numbered once,
+    across all positions, so a twist that two positions share has one index,
+    and the indices follow the twists' coefficient vectors upward.
+    `table[j][l]` is the index of omega^l * v_j, so `table[i][0]` is v_i's.
+    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
+    position i, so `fixing[i][j]` lists, ascending, the exponents l with
+    omega^l * v_j = v_i, read off the indices.
+
+    k and n are known unlifted, so the group passes the element cap before
+    any component is lifted, which computes Phi_k.
+    """
     k, components = _with_order(vector, k)
     _check_cap(_check_order(k), len(components), limit, "group order")
     vec = cyclo_vector(k, components)
-    twisted = [tuple(component._rotated(l) for l in range(k)) for component in vec]
-    return k, vec, twisted
+    # the twists of v_j keep its denominator, so over the common denominator
+    # of all positions each twist is an integer vector: equal vectors are
+    # equal values, and they order as the coefficient vectors do
+    scale = lcm(*(component._den for component in vec))
+    by_key, rows = {}, []
+    for component in vec:
+        twists = [component._rotated(l) for l in range(k)]
+        m = scale // component._den
+        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
+        by_key.update(zip(keys, twists))
+        rows.append(keys)
+    order = sorted(by_key)
+    index = {key: i for i, key in enumerate(order)}
+    table = [[index[key] for key in keys] for keys in rows]
+    fixing = [[[l for l, i in enumerate(row) if i == target[0]] for row in table] for target in table]
+    return k, [by_key[key] for key in order], table, fixing
 
 
 def orbit_census(
@@ -379,46 +407,25 @@ def orbit_census(
 ) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]], int]:
     """The orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
 
-    Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
-    component of every image is a twist omega^l * v_j.  Each distinct twist
-    is numbered once, across all positions, so a twist that two positions
-    share has one index.  The indices follow the components' coefficient
-    vectors upward, so index tuples sort as their points' coefficient
-    vectors do.  Row j holds the indices of v_j's distinct twists, and the
-    orbit is the union over sigma of the products of the rows in sigma's
-    order: n*k field elements are built, not k^n * n! images, and the
-    points are tuples of small ints.
+    Every component of every image is a twist of some v_j, numbered by
+    `_twist_table`, so index tuples sort as their points' coefficient
+    vectors do.  Row j of the table holds the indices of v_j's twists, and
+    the orbit is the union over sigma of the products of the rows' distinct
+    indices in sigma's order: n*k field elements are built, not k^n * n!
+    images, and the points are tuples of small ints.
 
-    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
-    position i, so the stabilizer has sum over sigma of prod over i of
-    |{l : omega^l * v[sigma(i)] = v_i}| elements.  Those counts are read off
-    the twist indices, so no element is built, and the order is counted
-    rather than derived from the orbit's size, which leaves orbit size times
-    stabilizer order = group order a check.
+    The stabilizer has sum over sigma of prod over i of |fixing[i][sigma(i)]|
+    elements, so no element is built, and the order is counted rather than
+    derived from the orbit's size, which leaves orbit size times stabilizer
+    order = group order a check.
     """
-    _, vec, twisted = _twists(vector, k, limit)
-    # the twists of v_j keep its denominator, so over the common denominator
-    # of all positions each twist is an integer vector: equal vectors are
-    # equal values, and they order as the coefficient vectors do
-    scale = lcm(*(component._den for component in vec))
-    by_key, rows = {}, []
-    for component, twists in zip(vec, twisted):
-        m = scale // component._den
-        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
-        by_key.update(zip(keys, twists))
-        rows.append(keys)
-    order = sorted(by_key)
-    index = {key: i for i, key in enumerate(order)}
-    # table[j][l] is the index of omega^l * v_j, so table[i][0] is v_i's
-    table = [[index[key] for key in keys] for keys in rows]
-    components = [by_key[key] for key in order]
+    _, components, table, fixing = _twist_table(vector, k, limit)
     points: set[tuple[int, ...]] = set()
     for perm in itertools.permutations(map(set, table)):
         points.update(itertools.product(*perm))
-    # fixing[i][j]: the exponents l with omega^l * v_j = v_i
-    fixing = [[twists.count(target[0]) for twists in table] for target in table]
+    sizes = [list(map(len, row)) for row in fixing]
     stabilizer_order = sum(
-        prod(map(list.__getitem__, fixing, perm)) for perm in itertools.permutations(range(len(table)))
+        prod(map(list.__getitem__, sizes, perm)) for perm in itertools.permutations(range(len(sizes)))
     )
     return components, points, stabilizer_order
 
@@ -432,15 +439,10 @@ def orbit(vector, k: "int | None" = None, limit: "int | None" = None) -> set[Cyc
 def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> list[MonomialMatrix]:
     """Every group element fixing the vector, in (perm, exponents) lexicographic order.
 
-    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
-    position i, so the exponents allowed at position i depend only on i and
-    sigma(i) and are found once per pair.
+    The exponents allowed at position i depend only on i and sigma(i): they
+    are the ascending `fixing[i][sigma(i)]` of `_twist_table`.
     """
-    k, vec, twisted = _twists(vector, k, limit)
-    fixing = [
-        [[l for l, image in enumerate(twists) if image == target] for twists in twisted]
-        for target in vec
-    ]
+    k, _, _, fixing = _twist_table(vector, k, limit)
     return _enumerate_allowed(k, fixing)
 
 

@@ -11,8 +11,9 @@ terms and (a/c)^k + (b/d)^k = 1, then c^k divides a^k d^k, so c divides d,
 and by symmetry c = d.  Every solution (a/c, b/c) is then a signed or
 permuted arrangement of a base triple 0 <= x <= y <= z <= H with
 x^k + y^k = z^k, and the scan looks z^k - y^k up among the k-th powers for
-each y with y^k >= z^k - y^k.  x^2 - y^2 = 1 gives a^2 = b^2 + c^2, arranged
-from the same triples.
+each y with y^k >= z^k - y^k.  The points of x^2 - y^2 = 1 are those of the
+circle with x != 0 under (x, y) -> (1/x, y/x), which keeps the integers a,
+b, c of a point and so its height.
 
 For n >= 3 denominators differ (e.g. 1/2, 2/3, 5/6 for k = 3), so every
 coordinate is put on one scale D = lcm(1..H)^k: p/q has x^k = P/D for the
@@ -239,24 +240,21 @@ def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _conic_rows(k: int, bound: int, sign: int) -> tuple[list[Coordinate], list[RankRow]]:
-    """Every ((a, c), (b, c)) of height <= bound with a^k + sign * b^k = c^k, unsorted, ranked by `_ranked`.
+def _conic_rows(k: int, bound: int) -> tuple[list[Coordinate], list[RankRow]]:
+    """Every ((a, c), (b, c)) of height <= bound with a^k + b^k = c^k, unsorted, ranked by `_ranked`.
 
     By the common-denominator lemma these are all rational points of
-    x^k + sign * y^k = 1 within the bound (sign = -1 for even k only).  Each
-    is an arrangement (a, b, c) of a base triple (x, y, z) with c > 0, so
-    every component is at most z: (±x, ±y, z) and (±y, ±x, z) for even k;
-    (x, y, z), (y, x, z) and, moving one term across, (-x, z, y),
-    (z, -x, y), (-y, z, x) and (z, -y, x) for odd k; (±z, ±y, x) and
-    (±z, ±x, y) for a^k - b^k = c^k.  A prime dividing two of a, b, c
-    divides the third, so the rows in lowest terms are exactly the
-    arrangements of the primitive triples, the only ones `_base_triples` keeps.
+    x^k + y^k = 1 within the bound.  Each is an arrangement (a, b, c) of a
+    base triple (x, y, z) with c > 0, so every component is at most z:
+    (±x, ±y, z) and (±y, ±x, z) for even k; (x, y, z), (y, x, z) and, moving
+    one term across, (-x, z, y), (z, -x, y), (-y, z, x) and (z, -y, x) for
+    odd k.  A prime dividing two of a, b, c divides the third, so the rows
+    in lowest terms are exactly the arrangements of the primitive triples,
+    the only ones `_base_triples` keeps.
     """
     found = set()
     for x, y, z in _base_triples(k, bound):
-        if sign < 0:
-            arranged = [(a, b, c) for c, w in ((x, y), (y, x)) for a in (z, -z) for b in (w, -w)]
-        elif k % 2 == 0:
+        if k % 2 == 0:
             arranged = [(a, b, z) for u, w in ((x, y), (y, x)) for a in (u, -u) for b in (w, -w)]
         else:
             arranged = [(x, y, z), (y, x, z), (-x, z, y), (z, -x, y), (-y, z, x), (z, -y, x)]
@@ -317,10 +315,10 @@ def _check_scan(n: int, bound: int, budget: int) -> None:
         )
 
 
-def _scan(k: int, n: int, bound: int, budget: int, sign: int) -> tuple[list[Coordinate], list[RankRow]]:
-    """The coordinates and rank rows of `_conic_rows(k, bound, sign)` (n = 2) or `_common_scale_rows`, rows sorted, within the budget."""
+def _scan(k: int, n: int, bound: int, budget: int) -> tuple[list[Coordinate], list[RankRow]]:
+    """The coordinates and rank rows of `_conic_rows` (n = 2) or `_common_scale_rows`, rows sorted, within the budget."""
     _check_scan(n, bound, budget)
-    coordinates, rows = _conic_rows(k, bound, sign) if n == 2 else _common_scale_rows(k, n, bound)
+    coordinates, rows = _conic_rows(k, bound) if n == 2 else _common_scale_rows(k, n, bound)
     rows.sort()
     return coordinates, rows
 
@@ -334,7 +332,7 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
     """
     integer(k, 2, "form degree k")
     integer(n, 2, "tuple length n")
-    coordinates, rows = _scan(k, n, bound, budget, 1)
+    coordinates, rows = _scan(k, n, bound, budget)
     units = {rank for rank, (p, q) in enumerate(coordinates) if q == 1 and -1 <= p <= 1}
     trivial = sum(1 for row in rows if units.issuperset(row))
     return SearchReport(
@@ -417,7 +415,7 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     base_chart = CIRCLE.chart_pair(*base)
     reached = []
     missed = []
-    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, 1)
+    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET)
     for i, j in rows:
         (a, c), (b, _) = coordinates[i], coordinates[j]
         triple = (a, b, c)
@@ -438,18 +436,17 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     )
 
 
-def _conic_points(bound: int, sign: int) -> list[Point]:
-    """All rational points of x^2 + sign * y^2 = 1 with height <= bound, sorted, within the search budget."""
-    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET, sign)
+def circle_points(bound: int) -> list[Point]:
+    """All rational points of x^2 + y^2 = 1 with height <= bound, sorted, within the search budget."""
+    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET)
     values = [Fraction(p, q) for p, q in coordinates]
     return [(values[i], values[j]) for i, j in rows]
 
 
 def hyperbola_points(bound: int) -> list[Point]:
-    """All rational points of x^2 - y^2 = 1 with height <= bound, sorted."""
-    return _conic_points(bound, -1)
+    """All rational points of x^2 - y^2 = 1 with height <= bound, sorted, within the search budget.
 
-
-def circle_points(bound: int) -> list[Point]:
-    """All rational points of x^2 + y^2 = 1 with height <= bound, sorted."""
-    return _conic_points(bound, 1)
+    (x, y) -> (1/x, y/x) carries the circle points with x != 0 onto the
+    hyperbola: (a/c, b/c) goes to (c/a, b/a), the same three integers.
+    """
+    return sorted((1 / x, y / x) for x, y in circle_points(bound) if x)

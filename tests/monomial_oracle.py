@@ -11,16 +11,21 @@ import itertools
 import json
 
 from fermatgroups import monomial
+from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.rationals import format_rational
 
 
-def orbit(vector, k=None, limit=None):
-    """All images of a vector: the distinct twists of each component, multiplied out in every order of the positions."""
-    _, vec, twisted = monomial._twists(vector, k, limit)
-    rows = [tuple(dict.fromkeys(twists)) for twists in twisted]
+def orbit(vector):
+    """All images of a cyclotomic vector: the distinct twists of each component, multiplied out in every order of the positions.
+
+    A twist omega^l * v_j is a field product with a root of unity, so the
+    oracle shares no code with the census's coefficient shift.
+    """
+    k = vector[0].k
+    rows = [tuple(dict.fromkeys(CyclotomicNumber.root_of_unity(k, l) * c for l in range(k))) for c in vector]
     return {
         point
-        for perm in itertools.permutations(range(len(vec)))
+        for perm in itertools.permutations(range(len(vector)))
         for point in itertools.product(*(rows[j] for j in perm))
     }
 

@@ -195,3 +195,26 @@ def test_only_rationals_reads_the_int_str_digit_limit():
 
     readers = {path.stem for path, tree in _package_trees() for node in ast.walk(tree) if reads(node)}
     assert readers == {"rationals"}
+
+
+def _output_sites():
+    """(top-level definition, line, what) for every stdout reference, bare print and `_write_file` call in the package."""
+    for path, tree in _package_trees():
+        for statement in tree.body:
+            scope = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+            for node in ast.walk(statement):
+                name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+                if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in ("stdout", "__stdout__"):
+                    yield scope, node.lineno, name
+                elif isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called == "_write_file" or called == "print" and "file" not in {kw.arg for kw in node.keywords}:
+                        yield scope, node.lineno, f"{called}()"
+
+
+def test_only_emit_writes_stdout_or_a_side_file():
+    # one writer keeps every payload one write, after its side file, so a failing call prints nothing
+    sites = list(_output_sites())
+    assert [site for site in sites if site[0] != "cli._emit"] == []
+    # the scan sees the writer itself
+    assert {what for _, _, what in sites} == {"stdout", "_write_file()"}

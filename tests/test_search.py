@@ -428,8 +428,13 @@ class TestPrimitiveTriples:
     @pytest.mark.parametrize("k, sign", [(k, 1) for k in range(2, 8)] + [(2, -1)])
     def test_every_row_is_in_lowest_terms(self, k, sign):
         for bound in (1, 5, 25, 60):
-            coordinates, rows = search._conic_rows(k, bound, sign)
-            for (a, c), (b, d) in ([coordinates[i] for i in row] for row in rows):
+            if sign > 0:
+                coordinates, rows = search._conic_rows(k, bound)
+                pairs = [[coordinates[i] for i in row] for row in rows]
+            else:
+                # x^2 - y^2 = 1 has no rows of its own: its points are carried over from the circle's
+                pairs = [[(x.numerator, x.denominator), (y.numerator, y.denominator)] for x, y in search.hyperbola_points(bound)]
+            for (a, c), (b, d) in pairs:
                 assert c == d > 0 and gcd(a, c) == 1 and gcd(b, c) == 1, (a, b, c)
 
 
