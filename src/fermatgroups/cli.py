@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import format_pair, format_point, format_projective, format_rational, format_triple
@@ -181,21 +182,39 @@ def kgroup_order_cmd(k: int, n: int, fmt: str) -> None:
     _emit(fmt, text=lambda: f"{order}\n", json=lambda: _json(order))
 
 
-def _element_line(element) -> str:
-    return f"perm={','.join(map(str, element.perm))} exp={','.join(map(str, element.exponents))}"
+# how each format prints an element (perm, exp): the separator inside
+# either vector, then the text before, between and after the two vectors
+_ELEMENT_TEXT = ",", "perm=", " exp=", ""
+_ELEMENT_JSON = ",", '{"perm":[', '],"exp":[', "]}"
+_ELEMENT_CSV = " ", "", ",", ""
+
+
+def _elements_text(factors, form, joiner: str) -> str:
+    """Every element of a product of permutations and exponent vectors, printed in `form` and joined by `joiner`.
+
+    The elements run through each permutation in turn with every vector,
+    the order of `monomial.enumerate_group`, so each permutation's and each
+    vector's text is formatted once and no element is built.
+    """
+    permutations, vectors = factors
+    sep, head, middle, tail = form
+    vector_texts = [sep.join(map(str, vector)) for vector in vectors]
+    blocks = []
+    for perm in permutations:
+        prefix = f"{head}{sep.join(map(str, perm))}{middle}"
+        blocks.append(prefix + f"{tail}{joiner}{prefix}".join(vector_texts) + tail)
+    return joiner.join(blocks)
 
 
 @_command("kgroup enumerate", "List every group element as its permutation and exponent vector.", _K, _N, _LIMIT, _TJC)
 def kgroup_enumerate_cmd(k: int, n: int, limit, fmt: str) -> None:
-    from .monomial import enumerate_group
-    elements = enumerate_group(k, n, limit)
+    from .monomial import group_factors
+    factors = group_factors(k, n, limit)
     _emit(
         fmt,
-        text=lambda: _lines(*map(_element_line, elements)),
-        json=lambda: _json([e.as_dict() for e in elements]),
-        csv=lambda: _csv_text(
-            ("perm", "exp"), [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in elements]
-        ),
+        text=lambda: _lines(_elements_text(factors, _ELEMENT_TEXT, "\n")),
+        json=lambda: f"[{_elements_text(factors, _ELEMENT_JSON, ',')}]\n",
+        csv=lambda: _lines("perm,exp", _elements_text(factors, _ELEMENT_CSV, "\n")),
     )
 
 
@@ -232,11 +251,26 @@ def _parse_vector(text: str) -> list:
     return parsed
 
 
-def _component_payload(component):
-    value = component.is_rational()
-    if value is not None:
-        return format_rational(value)
-    return component.as_dict()
+def _component_json(component) -> str:
+    """`_json` of a component's payload, without the newline: "p/q" when it is rational, else its `as_dict`.
+
+    A "p/q" text needs no JSON escaping, so the fragment is joined from the
+    coefficient texts; a coefficient is zero exactly when it prints "0/1".
+    """
+    first, *rest = texts = component.coefficient_texts()
+    if set(rest) <= {"0/1"}:
+        return f'"{first}"'
+    return '{"k":%d,"coeffs":["%s"]}' % (component.k, '","'.join(texts))
+
+
+def _points_text(texts, points, sep: str, joiner: str) -> str:
+    """The points, index tuples into `texts`, each joined by `sep` and all by `joiner`.
+
+    The indices run as one flat stream, and zipping n copies of one iterator
+    cuts it back into points, so no Python code runs per point.
+    """
+    flat = map(texts.__getitem__, chain.from_iterable(points))
+    return joiner.join(map(sep.join, zip(*[flat] * len(points[0]))))
 
 
 _VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]", comma separated.'
@@ -257,14 +291,12 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
         head = _json({"k": k, "n": len(vector), "orbit_size": len(points),
                       "stabilizer_order": stabilizer_order, "group_order": group_order})
         # a component's JSON is the same fragment wherever it appears
-        fragments = [json.dumps(_component_payload(c), separators=(",", ":")) for c in components]
-        body = "],[".join([",".join(map(fragments.__getitem__, point)) for point in points])
+        body = _points_text(list(map(_component_json, components)), points, ",", "],[")
         return f'{head[:-2]},"points":[[{body}]]}}\n'
 
     def as_text() -> str:
-        texts = [str(c) for c in components]
         head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {group_order}"
-        return _lines(head, *[" | ".join(map(texts.__getitem__, point)) for point in points])
+        return _lines(head, _points_text(list(map(str, components)), points, " | ", "\n"))
 
     _emit(fmt, text=as_text, json=as_json)
 
@@ -274,16 +306,20 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
 def kgroup_rational_cmd(k: int, n: int, limit, fmt: str) -> None:
     from .monomial import rational_elements
     report = rational_elements(k, n, limit)
+    factors = report.permutations, report.exponent_vectors
+
+    def as_json() -> str:
+        head = _json({"k": report.k, "n": report.n, "order": report.order, "is_group": report.is_group,
+                      "permutations_only": report.permutations_only})
+        return f'{head[:-2]},"elements":[{_elements_text(factors, _ELEMENT_JSON, ",")}]}}\n'
+
     _emit(
         fmt,
         text=lambda: _lines(
             f"order {report.order} (group: {report.is_group}, permutations only: {report.permutations_only})",
-            *map(_element_line, report.elements),
+            _elements_text(factors, _ELEMENT_TEXT, "\n"),
         ),
-        json=lambda: _json({
-            "k": report.k, "n": report.n, "order": report.order, "is_group": report.is_group,
-            "permutations_only": report.permutations_only, "elements": [e.as_dict() for e in report.elements],
-        }),
+        json=as_json,
     )
 
 

@@ -7,7 +7,8 @@ x^k - 1 alone would not give a field (that quotient has zero divisors), so
 exponent folding mod k is only a transient first step and every visible
 value is divided down by Phi_k; Phi_k is monic with integer coefficients,
 so the division never leaves the integers.  Fractions are built, anew
-on each call, only when a caller reads `coeffs` or `is_rational`.
+on each call, only when a caller reads `coeffs` or `is_rational`; the
+text forms (`coefficient_texts`, `str`, `as_dict`) read the numerators.
 Equality is structural on the reduced numerators and denominator;
 hashing agrees with Fraction for rational values.
 """
@@ -20,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .errors import InvalidArgumentError
-from .rationals import exact, format_rational, integer, parse_rational, power
+from .rationals import exact, format_pair, integer, parse_rational, power
 
 __all__ = [
     "CyclotomicNumber",
@@ -272,28 +273,35 @@ class CyclotomicNumber:
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self._k}, {[_coefficient_repr(c) for c in self.coeffs]})"
 
+    def coefficient_texts(self) -> list[str]:
+        """`format_rational` of each coefficient, read off the numerators: one gcd each, no Fraction.
+
+        A zero coefficient prints "0/1".  A numerator or denominator past the
+        int-to-str digit limit raises ResourceLimitError, as in
+        `format_rational`.
+        """
+        den = self._den
+        return [format_pair(c // (g := gcd(c, den)), den // g) for c in self._nums]
+
     def __str__(self) -> str:
         if not any(self._nums):
             return "0"
         terms = []
-        for exponent, c in enumerate(self.coeffs):
-            if not c:
+        for exponent, text in enumerate(self.coefficient_texts()):
+            if text == "0/1":
                 continue
             # integer coefficients print bare, as in "-3 + 2*w"
-            text = format_rational(c).removesuffix("/1")
+            text = text.removesuffix("/1")
             if exponent == 0:
                 terms.append(text)
             else:
                 omega = "w" if exponent == 1 else f"w^{exponent}"
-                terms.append(omega if c == 1 else f"{text}*{omega}")
+                terms.append(omega if text == "1" else f"{text}*{omega}")
         return " + ".join(terms)
 
     def as_dict(self) -> dict:
         """JSON form: {"k": k, "coeffs": ["p/q", ...]} on the canonical basis."""
-        return {
-            "k": self._k,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
+        return {"k": self._k, "coeffs": self.coefficient_texts()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CyclotomicNumber":

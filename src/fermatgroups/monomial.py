@@ -11,6 +11,9 @@ verification oracles.  The resulting group has order k^n * n!.  k = 2 is
 excluded: the quadratic form has an infinite symmetry group and belongs to
 the circle and hyperbola modules.
 
+A group is listed as a product, every permutation with every exponent
+vector (`group_factors`), so a printer formats each factor once; elements
+the module generates itself are wrapped without the constructor's checks.
 Enumerations and orbits are capped.  The default cap is 10**6 elements,
 overridable per call or through the FERMAT_ORBIT_LIMIT environment variable.
 Orbits, stabilizers and `orbit_census` take vectors whose components are
@@ -31,6 +34,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -48,6 +52,7 @@ __all__ = [
     "element_limit",
     "enumerate_group",
     "form_value",
+    "group_factors",
     "group_order",
     "orbit",
     "orbit_census",
@@ -61,6 +66,7 @@ ENV_LIMIT = "FERMAT_ORBIT_LIMIT"
 
 CyclotomicVector = tuple[CyclotomicNumber, ...]
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (perm, exponents) of one element
+Factors = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # permutations, exponent vectors
 Lines = tuple[int, ...]  # the permutation an element induces on its lines
 
 
@@ -115,6 +121,14 @@ class MonomialMatrix:
         self._perm = perm
         self._exps = exps
 
+    @classmethod
+    def _make(cls, k: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> "MonomialMatrix":
+        # wrap a pair this module generated, already int tuples with exponents
+        # reduced mod k, bypassing the constructor's checks
+        out = object.__new__(cls)
+        out._k, out._perm, out._exps = k, perm, exps
+        return out
+
     @property
     def k(self) -> int:
         return self._k
@@ -156,12 +170,12 @@ class MonomialMatrix:
         self._require_compatible(other)
         k, m = self._k, self._line_modulus(self._exps + other._exps)
         product = _times(_lines(k, m, self._perm, self._exps))(_lines(k, m, other._perm, other._exps))
-        return MonomialMatrix(k, *_pair(k, m, product))
+        return MonomialMatrix._make(k, *_pair(k, m, product))
 
     def inverse(self) -> "MonomialMatrix":
         """The inverse matrix: the inverse permutation of the lines, read back as a pair."""
         k, m = self._k, self._line_modulus(self._exps)
-        return MonomialMatrix(k, *_pair(k, m, _inverse(_lines(k, m, self._perm, self._exps))))
+        return MonomialMatrix._make(k, *_pair(k, m, _inverse(_lines(k, m, self._perm, self._exps))))
 
     def _line_modulus(self, exponents: tuple[int, ...]) -> int:
         # the line form holds all n*m lines: past the default cap they must
@@ -303,27 +317,36 @@ def _inverse(lines: Lines) -> Lines:
     return tuple(inverse)
 
 
-def _enumerate_allowed(k: int, allowed: Sequence[Sequence[Sequence[int]]]) -> list[MonomialMatrix]:
-    # every (perm, exps) with exps[i] drawn from allowed[i][perm[i]]; when
-    # each list ascends, the result is in (perm, exps) lexicographic order,
-    # which callers return without sorting
-    return [
-        MonomialMatrix(k, perm, exps)
-        for perm in itertools.permutations(range(len(allowed)))
-        for exps in itertools.product(*(allowed[i][j] for i, j in enumerate(perm)))
-    ]
+def _wrap(k: int, pairs: Iterable[Pair]) -> list[MonomialMatrix]:
+    """The elements of pairs the module generated, wrapped without the constructor's checks."""
+    make = MonomialMatrix._make
+    return [make(k, perm, exps) for perm, exps in pairs]
 
 
-def _elements(k: int, n: int, exponents: Sequence[int], limit, what: str) -> list[MonomialMatrix]:
-    # every (perm, exps) with exps drawn from the ascending `exponents`, after the cap check
+def _factors(n: int, exponents: Sequence[int], limit, what: str) -> Factors:
+    """Every permutation of 0..n-1 and every vector over the ascending `exponents`, after the cap check.
+
+    The elements they list are their product, each permutation in turn with
+    every vector, which is (perm, exponents) lexicographic order.
+    """
     _check_cap(len(exponents), n, limit, what)
-    return _enumerate_allowed(k, [[exponents] * n] * n)
+    return tuple(itertools.permutations(range(n))), tuple(itertools.product(exponents, repeat=n))
+
+
+def group_factors(k: int, n: int, limit: "int | None" = None) -> Factors:
+    """The monomial group as a product: every permutation of 0..n-1 and every exponent vector mod k.
+
+    `enumerate_group` lists each permutation in turn with every vector, so
+    a printer can format each factor once instead of building k^n * n!
+    elements.  The group order passes the element cap first.
+    """
+    _check_size(k, n)
+    return _factors(n, range(k), limit, "group order")
 
 
 def enumerate_group(k: int, n: int, limit: "int | None" = None) -> list[MonomialMatrix]:
     """Every element of the monomial group, in (perm, exponents) lexicographic order."""
-    _check_size(k, n)
-    return _elements(k, n, range(k), limit, "group order")
+    return _wrap(k, itertools.product(*group_factors(k, n, limit)))
 
 
 def cyclo_vector(k: int, components: Iterable) -> CyclotomicVector:
@@ -443,7 +466,11 @@ def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> li
     are the ascending `fixing[i][sigma(i)]` of `_twist_table`.
     """
     k, _, _, fixing = _twist_table(vector, k, limit)
-    return _enumerate_allowed(k, fixing)
+    return _wrap(k, (
+        (perm, exps)
+        for perm in itertools.permutations(range(len(fixing)))
+        for exps in itertools.product(*map(list.__getitem__, fixing, perm))
+    ))
 
 
 @dataclass(frozen=True)
@@ -452,7 +479,10 @@ class RationalSubgroupReport:
 
     An entry omega^l is rational only for l = 0 (value 1) and, when k is
     even, l = k/2 (value -1); the elements listed here are exactly those
-    built from such exponents.  The closure flags certify the subgroup
+    built from such exponents: every permutation in `permutations` with
+    every vector in `exponent_vectors`, listed as in `enumerate_group`.
+    `elements` wraps those pairs as matrices when first read.  The
+    closure flags certify the subgroup
     property on the elements' line permutations, two lines per axis for
     even k and one for odd k: closure under product by growing the subgroup
     the listed elements generate and checking that it is exactly the list,
@@ -464,15 +494,20 @@ class RationalSubgroupReport:
 
     k: int
     n: int
-    elements: tuple[MonomialMatrix, ...]
+    permutations: tuple[tuple[int, ...], ...]
+    exponent_vectors: tuple[tuple[int, ...], ...]
     closed_under_product: bool
     closed_under_inverse: bool
     contains_identity: bool
     permutations_only: bool
 
+    @cached_property
+    def elements(self) -> tuple[MonomialMatrix, ...]:
+        return tuple(_wrap(self.k, itertools.product(self.permutations, self.exponent_vectors)))
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.permutations) * len(self.exponent_vectors)
 
     @property
     def is_group(self) -> bool:
@@ -480,11 +515,19 @@ class RationalSubgroupReport:
 
 
 def _line_forms(k: int, pairs: Sequence[Pair]) -> list[Lines]:
-    """The line permutation of each pair, all over the lines their exponents need."""
+    """The line permutation of each pair, all over the lines their exponents need.
+
+    Position i of (sigma, l) sends its m lines to a block that depends only
+    on the column sigma(i) and the exponent l_i, so each such block is
+    encoded once, by `_lines`, and a pair's form is its blocks joined.
+    """
     if not pairs:
         return []
-    m = _modulus(k, itertools.chain.from_iterable(exps for _, exps in pairs))
-    return [_lines(k, m, *pair) for pair in pairs]
+    exponents = set(itertools.chain.from_iterable(exps for _, exps in pairs))
+    m = _modulus(k, exponents)
+    blocks = {(j, l): _lines(k, m, (j,), (l,)) for j in range(len(pairs[0][0])) for l in exponents}
+    chain = itertools.chain.from_iterable
+    return [tuple(chain(map(blocks.__getitem__, zip(perm, exps)))) for perm, exps in pairs]
 
 
 def _closed_under_product(lines: Sequence[Lines]) -> bool:
@@ -537,18 +580,18 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     _check_size(k, n)
     # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
     rational_exps = [0, k // 2] if k % 2 == 0 else [0]
-    elements = _elements(k, n, rational_exps, limit, "rational subgroup size")
-    pairs = [(e.perm, e.exponents) for e in elements]
-    lines = _line_forms(k, pairs)
+    permutations, vectors = _factors(n, rational_exps, limit, "rational subgroup size")
+    lines = _line_forms(k, list(itertools.product(permutations, vectors)))
     members = set(lines)
     return RationalSubgroupReport(
         k=k,
         n=n,
-        elements=tuple(elements),
+        permutations=permutations,
+        exponent_vectors=vectors,
         closed_under_product=_closed_under_product(lines),
         closed_under_inverse=set(map(_inverse, members)) <= members,
-        contains_identity=(tuple(range(n)), (0,) * n) in pairs,
-        permutations_only=all(not any(element.exponents) for element in elements),
+        contains_identity=tuple(range(n)) in permutations and (0,) * n in vectors,
+        permutations_only=not any(map(any, vectors)),
     )
 
 

@@ -31,8 +31,16 @@ def orbit(vector):
 
 
 def _payload(component):
+    # the former `as_dict`, formatting each Fraction coefficient
     value = component.is_rational()
-    return component.as_dict() if value is None else format_rational(value)
+    if value is None:
+        return {"k": component.k, "coeffs": [format_rational(c) for c in component.coeffs]}
+    return format_rational(value)
+
+
+def component_json(component):
+    """A component's fragment of the `kgroup orbit` JSON payload, as the former printer encoded it."""
+    return json.dumps(_payload(component), separators=(",", ":"))
 
 
 def kgroup_orbit_json(k, vector):
@@ -50,3 +58,41 @@ def kgroup_orbit_json(k, vector):
         "points": [[_payload(c) for c in point] for point in points],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _validated_elements(k, n, exponents):
+    """Every (perm, exps) pair over the exponents, in lexicographic order, each built by the validating constructor."""
+    return [
+        monomial.MonomialMatrix(k, perm, exps)
+        for perm in itertools.permutations(range(n))
+        for exps in itertools.product(exponents, repeat=n)
+    ]
+
+
+def _element_line(element):
+    return f"perm={','.join(map(str, element.perm))} exp={','.join(map(str, element.exponents))}"
+
+
+def kgroup_enumerate_stdout(k, n, fmt):
+    """The stdout of `kgroup enumerate`, printed one element at a time as the former printer did."""
+    elements = _validated_elements(k, n, range(k))
+    if fmt == "json":
+        return json.dumps([e.as_dict() for e in elements], separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        rows = [("perm", "exp")] + [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in elements]
+        return "".join(f"{perm},{exp}\n" for perm, exp in rows)
+    return "".join(f"{_element_line(e)}\n" for e in elements)
+
+
+def kgroup_rational_stdout(k, n, fmt):
+    """The stdout of `kgroup rational`, printed one element at a time as the former printer did."""
+    report = monomial.rational_elements(k, n)
+    elements = _validated_elements(k, n, [0, k // 2] if k % 2 == 0 else [0])
+    if fmt == "json":
+        payload = {
+            "k": k, "n": n, "order": len(elements), "is_group": report.is_group,
+            "permutations_only": report.permutations_only, "elements": [e.as_dict() for e in elements],
+        }
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    head = f"order {len(elements)} (group: {report.is_group}, permutations only: {report.permutations_only})\n"
+    return head + "".join(f"{_element_line(e)}\n" for e in elements)

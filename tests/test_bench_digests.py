@@ -1,9 +1,11 @@
-"""The benchmark's recorded stdout digests replay for every op that reads the search scan.
+"""The benchmark's recorded stdout digests replay for every op that reads the search scan or the monomial group.
 
 `bench/digests.json` maps the argv of each benchmark op, over seeds 0-9, to
 the sha256 of its stdout.  `search`, `coverage` and the `--height` sweeps of
-`circle audit-exy` and `hyper audit` all read `search._scan`, so replaying
-their argvs here fails the suite when a kernel change moves one byte of
+`circle audit-exy` and `hyper audit` all read `search._scan`, and every
+`kgroup` op (`orbit`, `rational` and `orbit-rational`, the whole `orbit`
+workload) reads the monomial group's index tables.  Replaying their argvs
+here fails the suite when a kernel or printer change moves one byte of
 their output, not only the benchmark's share of passing ops.
 """
 
@@ -23,22 +25,32 @@ DIGESTS = json.loads(
 
 
 def command(argv):
-    """The command of an argv that reads the search scan, else None."""
+    """The command of an argv that reads the search scan or the monomial group, else None."""
     if argv[0] in ("search", "coverage"):
         return argv[0]
     if argv[:2] in (["circle", "audit-exy"], ["hyper", "audit"]) and "--height" in argv:
         return " ".join(argv[:2])
+    if argv[0] == "kgroup":
+        return " ".join(argv[:2])
     return None
 
 
-SCAN_OPS = sorted(key for key in DIGESTS if command(key.split()))
+SCAN_COMMANDS = {"search", "coverage", "circle audit-exy", "hyper audit"}
+KGROUP_COMMANDS = {"kgroup orbit", "kgroup rational", "kgroup orbit-rational"}
+SCAN_OPS = sorted(key for key in DIGESTS if command(key.split()) in SCAN_COMMANDS)
+KGROUP_OPS = sorted(key for key in DIGESTS if command(key.split()) in KGROUP_COMMANDS)
 
 
 def test_every_scan_command_is_recorded():
-    assert {command(key.split()) for key in SCAN_OPS} == {"search", "coverage", "circle audit-exy", "hyper audit"}
+    assert {command(key.split()) for key in SCAN_OPS} == SCAN_COMMANDS
 
 
-@pytest.mark.parametrize("key", SCAN_OPS)
+def test_every_kgroup_op_is_replayed():
+    assert {command(key.split()) for key in KGROUP_OPS} == KGROUP_COMMANDS
+    assert len(KGROUP_OPS) == len([key for key in DIGESTS if key.startswith("kgroup ")]) == 319
+
+
+@pytest.mark.parametrize("key", SCAN_OPS + KGROUP_OPS)
 def test_stdout_matches_the_recorded_digest(key):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):

@@ -14,12 +14,15 @@ from types import SimpleNamespace
 
 import monomial_oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fermatgroups
 from fermatgroups import cli as cli_module
 from fermatgroups import cyclotomic, monomial, stroboscope
 from fermatgroups.cli import main
 from fermatgroups.cyclotomic import CyclotomicNumber
+from fermatgroups.errors import ResourceLimitError
 from fermatgroups.monomial import MonomialMatrix
 from fermatgroups.rationals import format_point, format_projective, format_rational, parse_point, parse_projective
 from fermatgroups.search import SearchReport
@@ -252,6 +255,58 @@ def test_orbit_json_equals_json_dumps_of_the_former_payload(k, vector, capsys):
     assert main(["kgroup", "orbit", "--k", str(k), "--point", vector, "--format", "json"]) == 0
     expected = monomial_oracle.kgroup_orbit_json(k, monomial.cyclo_vector(k, cli_module._parse_vector(vector)))
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+def test_enumerate_and_rational_print_as_the_former_printers(k, n, fmt, capsys):
+    assert main(["kgroup", "enumerate", "--k", str(k), "--n", str(n), "--limit", "1296", "--format", fmt]) == 0
+    assert capsys.readouterr().out == monomial_oracle.kgroup_enumerate_stdout(k, n, fmt)
+    if fmt != "csv":
+        assert main(["kgroup", "rational", "--k", str(k), "--n", str(n), "--limit", "48", "--format", fmt]) == 0
+        assert capsys.readouterr().out == monomial_oracle.kgroup_rational_stdout(k, n, fmt)
+
+
+@pytest.mark.parametrize(
+    "command, fmt", [("enumerate", "text"), ("enumerate", "json"), ("enumerate", "csv"), ("rational", "text"), ("rational", "json")]
+)
+def test_enumerate_and_rational_print_without_building_an_element(command, fmt, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, MonomialMatrix, "_make")
+    assert main(["kgroup", command, "--k", "4", "--n", "3", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+
+
+fragment_coefficient = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def orbit_components(draw):
+    k = draw(st.integers(3, 12))
+    return CyclotomicNumber(k, draw(st.lists(fragment_coefficient, max_size=2 * k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_components())
+@example(CyclotomicNumber(3, []))  # zero
+@example(CyclotomicNumber(4, [Fraction(-3, 4)]))  # a negative rational
+@example(CyclotomicNumber(5, [7] + [0] * 9))  # a rational written on more than phi(k) places
+@example(CyclotomicNumber(6, [Fraction(1, 2), Fraction(-1, 3)]))  # cyclotomic, two denominators
+@example(CyclotomicNumber(12, [0, 0, 0, 0, -2]))  # cyclotomic and negative
+def test_component_json_equals_json_dumps_of_the_former_payload(component):
+    assert cli_module._component_json(component) == monomial_oracle.component_json(component)
+
+
+def test_component_json_past_the_digit_limit_raises():
+    digits = sys.get_int_max_str_digits()
+    for coeffs in ([10**digits, 1], [Fraction(1, 10**digits), 1], [10**digits]):
+        with pytest.raises(ResourceLimitError, match=f"more than {digits} digits"):
+            cli_module._component_json(CyclotomicNumber(3, coeffs))
 
 
 class TestSearchCommands:
@@ -591,7 +646,7 @@ def _csv_writer_text(header, rows) -> str:
 
 
 @pytest.mark.parametrize("argv", CSV_ARGVS, ids=" ".join)
-def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path):
+def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path, capsys):
     # the CLI joins CSV fields itself; csv.writer would quote none of them
     calls = []
     csv_text = cli_module._csv_text
@@ -604,6 +659,13 @@ def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path):
     monkeypatch.setattr(cli_module, "_csv_text", recording_csv_text)
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0
+    if argv[:2] == ("kgroup", "enumerate"):
+        # joined from the permutation and vector texts, not row by row: the
+        # rows are those of every element the library enumerates
+        k, n = int(argv[argv.index("--k") + 1]), int(argv[argv.index("--n") + 1])
+        rows = [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in monomial.enumerate_group(k, n)]
+        calls.append((("perm", "exp"), rows))
+        assert capsys.readouterr().out == _csv_writer_text(*calls[0])
     assert calls
     for header, rows in calls:
         assert csv_text(header, rows) == _csv_writer_text(header, rows)
@@ -626,7 +688,7 @@ def _count_calls(monkeypatch, owner, name):
     "argv, owner, name",
     [
         (["kgroup", "orbit", "--k", "3", "--point", "[0,1],2", "--format", "json"], CyclotomicNumber, "__str__"),
-        (["kgroup", "orbit", "--k", "3", "--point", "[0,1],2", "--format", "text"], cli_module, "_component_payload"),
+        (["kgroup", "orbit", "--k", "3", "--point", "[0,1],2", "--format", "text"], cli_module, "_component_json"),
         (["kgroup", "rational", "--k", "4", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
         (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
         (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "csv"], MonomialMatrix, "as_dict"),

@@ -17,7 +17,8 @@ from fermatgroups.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
 )
-from fermatgroups.errors import InvalidArgumentError
+from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
+from fermatgroups.rationals import format_rational
 
 # frozen expected values, lowest degree first; independently known closed forms
 KNOWN_PHI = {
@@ -219,6 +220,14 @@ class TestCyclotomicNumber:
             assert a * (b + c) == a * b + a * c
             assert a + (-a) == CyclotomicNumber.zero(k)
 
+    def test_coefficient_texts_past_the_digit_limit_raise(self):
+        digits = sys.get_int_max_str_digits()
+        for coeffs in ([10**digits], [0, Fraction(-1, 10**digits)]):
+            value = CyclotomicNumber(4, coeffs)
+            for text_form in (value.coefficient_texts, value.as_dict, value.__str__):
+                with pytest.raises(ResourceLimitError, match=f"more than {digits} digits"):
+                    text_form()
+
     def test_dict_round_trip(self):
         value = CyclotomicNumber(8, (Fraction(1, 2), 0, -3))
         assert CyclotomicNumber.from_dict(value.as_dict()) == value
@@ -316,6 +325,13 @@ class TestAgainstFractionOracle:
         rational, rational_oracle = both(k, [scalar])
         assert (rational == scalar) is (rational_oracle == scalar) is True
         assert hash(rational) == hash(Fraction(scalar))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_pairs(count=1))
+    def test_coefficient_texts_format_the_fraction_coefficients(self, case):
+        k, (coeffs,) = case
+        value = CyclotomicNumber(k, coeffs)
+        assert value.coefficient_texts() == [format_rational(c) for c in value.coeffs]
 
     @settings(max_examples=200, deadline=None)
     @given(value_pairs(count=1), st.integers(0, 40))

@@ -707,11 +707,15 @@ class TestRationalSubgroup:
             assert dense_mul(dense(element), dense(element.inverse())) == identity
 
     def test_a_set_missing_an_inverse_is_not_closed_under_inverse(self, monkeypatch):
-        # (1 2 0) with exponents (1, 0, 0) has order 9 at k=3; its inverse is left out
+        # (1 2 0) with exponents (1, 0, 0) has order 9 at k=3; listed with the
+        # identity as a product of two permutations and two vectors, its
+        # inverse is left out
         element = MonomialMatrix(3, (1, 2, 0), (1, 0, 0))
-        listed = [MonomialMatrix.identity(3, 3), element]
-        monkeypatch.setattr(monomial, "_elements", lambda *args: listed)
+        factors = ((0, 1, 2), (1, 2, 0)), ((0, 0, 0), (1, 0, 0))
+        monkeypatch.setattr(monomial, "_factors", lambda *args: factors)
         report = monomial.rational_elements(3, 3)
+        assert {MonomialMatrix.identity(3, 3), element} <= set(report.elements)
+        assert element.inverse() not in report.elements
         assert report.contains_identity
         assert not report.closed_under_inverse
         assert not report.closed_under_product
@@ -733,6 +737,55 @@ class TestOrbitRationalPoints:
         }
         for k in (4, 6):
             assert monomial.orbit_rational_points(k) == expected
+
+
+def assert_checked(element):
+    """The element equals, hashes and prints as the validating constructor builds it from its pair."""
+    k, perm, exps = element.k, element.perm, element.exponents
+    checked = MonomialMatrix(k, perm, exps)
+    assert (element, hash(element), repr(element)) == (checked, hash(checked), repr(checked))
+    assert type(perm) is tuple and type(exps) is tuple
+    assert {*map(type, perm), *map(type, exps)} <= {int}
+    assert all(0 <= e < k for e in exps)
+
+
+class TestUncheckedElements:
+    """Elements wrapped from pairs the module generated skip the constructor's checks; they must pass them."""
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_every_returned_element_is_a_checked_one(self, k, n):
+        rng = random.Random(10 * k + n)
+        group = monomial.enumerate_group(k, n)
+        returned = [
+            *group,
+            *monomial.rational_elements(k, n).elements,
+            *(e for vector in shaped_vectors(k, n) for e in monomial.stabilizer(vector)),
+            *(a * b for a, b in zip(group, rng.sample(group, len(group)))),
+            *(e.inverse() for e in group),
+            MonomialMatrix.identity(k, n),
+        ]
+        for element in returned:
+            assert_checked(element)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_factors_list_the_group(self, k, n):
+        permutations, vectors = monomial.group_factors(k, n)
+        pairs = [(e.perm, e.exponents) for e in monomial.enumerate_group(k, n)]
+        assert pairs == sorted(pairs) == [(p, v) for p in permutations for v in vectors]
+        assert len(pairs) == monomial.group_order(k, n)
+        report = monomial.rational_elements(k, n)
+        assert [(e.perm, e.exponents) for e in report.elements] == [
+            (p, v) for p in report.permutations for v in report.exponent_vectors
+        ]
+        assert report.order == len(report.elements)
+
+    def test_factors_are_refused_past_the_cap(self):
+        with pytest.raises(ResourceLimitError, match="group order 18 exceeds the element cap 17"):
+            monomial.group_factors(3, 2, limit=17)
+        with pytest.raises(InvalidArgumentError):
+            monomial.group_factors(2, 2)
 
 
 class TestSerialization:
