@@ -19,8 +19,11 @@ For n >= 3 denominators differ (e.g. 1/2, 2/3, 5/6 for k = 3), so every
 coordinate is put on one scale D = lcm(1..H)^k: p/q has x^k = P/D for the
 integer P = (p * lcm(1..H)/q)^k.  A prefix of n - 2 coordinates leaves the
 rest R = D - sum P, which the last two coordinates close exactly when R - P
-and P are both in the table of scaled powers: one set intersection per
-sorted prefix, with no gcd, then every distinct ordering of each hit.
+and P are both in the table of scaled powers.  Taking P as the larger of the
+two, from R/2 up, where the powers are sparse, that is one set intersection
+per sorted prefix over a short slice of the table, with no gcd; each hit
+then expands into its distinct orderings, built once per pattern of equal
+powers.
 
 Each scan returns the distinct coordinates of its solutions once, sorted by
 the integer key p*H^2 // q, and each solution as a row of indices into that
@@ -32,11 +35,12 @@ sorted as plain int tuples, sort as the tuples of fractions.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -263,15 +267,36 @@ def _conic_rows(k: int, bound: int) -> tuple[list[Coordinate], list[RankRow]]:
     return coordinates, [(rank[a, c], rank[b, c]) for a, b, c in found]
 
 
+def _orderings(pattern: tuple[bool, ...]) -> list[itemgetter]:
+    """One getter per distinct ordering of a sorted multiset whose entries i and i + 1 are equal where `pattern[i]`.
+
+    Each ordering is a tuple of positions, each position inserted at or
+    before its equal predecessor, so every distinct arrangement of the
+    entries comes out exactly once.
+    """
+    orderings = [()]
+    for position, tied in enumerate((False, *pattern)):
+        orderings = [
+            o[:i] + (position,) + o[i:]
+            for o in orderings
+            for i in range((o.index(position - 1) if tied else len(o)) + 1)
+        ]
+    return [itemgetter(*ordering) for ordering in orderings]
+
+
 def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], list[RankRow]]:
     """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted, ranked by `_ranked`.
 
     Coordinates with one scaled power (p/q and -p/q for even k) share an
     entry of the table.  The form is symmetric, so each multiset of powers
-    is found once, as a sorted head and a pair from its largest power up.
-    Only then are the coordinates of the powers found ranked, and each
-    multiset expands into its distinct orderings (each power inserted at
-    or before the first equal one) and every choice of coordinate ranks.
+    is found once, as a sorted head and a closing pair no smaller than its
+    largest power: for the rest R the larger power P of the pair runs from
+    R/2 up to R less the head's largest, where the table is sparsest, and
+    R - P is looked up.  Only then are the coordinates of the powers found
+    ranked.  The distinct orderings of a multiset depend only on which of
+    its sorted entries are equal, so they are built once per such pattern
+    as position getters, and each maps every choice of coordinate ranks to
+    a row.
     """
     scale = lcm(*range(1, bound + 1))
     by_power: dict[int, list[Coordinate]] = {}
@@ -283,18 +308,21 @@ def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], li
     for head in itertools.combinations_with_replacement(range(len(powers)), n - 2):
         values = [powers[i] for i in head]
         rest = total - sum(values)
-        for last in by_power.keys() & map(rest.__sub__, powers[head[-1] : bisect_right(powers, rest // 2)]):
-            multisets.append((*values, rest - last, last))
+        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - values[-1])]
+        for smaller in by_power.keys() & map(rest.__sub__, larger):
+            multisets.append((*values, smaller, rest - smaller))
     found = {value for values in multisets for value in values}
     coordinates, rank = _ranked([pair for value in found for pair in by_power[value]], bound)
     by_rank = {value: [rank[pair] for pair in by_power[value]] for value in found}
+    by_pattern: dict[tuple[bool, ...], list[itemgetter]] = {}
     rows = []
     for values in multisets:
-        orderings = [()]
-        for value in values:
-            orderings = [o[:i] + (value,) + o[i:] for o in orderings for i in range((*o, value).index(value) + 1)]
-        for ordering in orderings:
-            rows.extend(itertools.product(*map(by_rank.__getitem__, ordering)))
+        pattern = tuple(map(int.__eq__, values, values[1:]))
+        if pattern not in by_pattern:
+            by_pattern[pattern] = _orderings(pattern)
+        choices = list(itertools.product(*map(by_rank.__getitem__, values)))
+        for ordering in by_pattern[pattern]:
+            rows.extend(map(ordering, choices))
     return coordinates, rows
 
 
@@ -308,6 +336,10 @@ def _check_scan(n: int, bound: int, budget: int) -> None:
         raise ResourceLimitError(
             f"scan at height {bound} with n = {n} has more coordinate prefixes than the budget {budget}"
         )
+    # and it is below (2 * bound * (bound + 1))^(n - 1), since Phi(bound) <=
+    # bound * (bound + 1) / 2: count it exactly only when that could bind
+    if (2 * bound * (bound + 1)) ** (n - 1) <= budget:
+        return
     prefix_count = _reduced_fraction_count(bound) ** (n - 1)
     if prefix_count > budget:
         raise ResourceLimitError(
@@ -334,7 +366,7 @@ def search_n(k: int, n: int, bound: int, budget: int = DEFAULT_SEARCH_BUDGET) ->
     integer(n, 2, "tuple length n")
     coordinates, rows = _scan(k, n, bound, budget)
     units = {rank for rank, (p, q) in enumerate(coordinates) if q == 1 and -1 <= p <= 1}
-    trivial = sum(1 for row in rows if units.issuperset(row))
+    trivial = sum(map(units.issuperset, rows))
     return SearchReport(
         k=k,
         n=n,

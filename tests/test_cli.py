@@ -852,6 +852,31 @@ def test_start_up_loads_only_what_the_call_uses():
     assert result.stdout == "False\n18\n[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--k", "3", "--height", "5"],
+        ["search", "--n", "3", "--k", "3", "--height", "5"],
+        ["coverage", "--height", "5"],
+    ],
+)
+def test_search_calls_load_only_the_search_modules(argv):
+    # start-up is part of every call's time: past the CLI import, a search
+    # loads its own module and the conic it solves on, and nothing else
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import fermatgroups.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(set(sys.modules) - before))\n"
+    )
+    result = _python(code, *argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "0 ['fermatgroups.conic', 'fermatgroups.search']\n"
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     # the reader of stdout is gone before the command prints
     code = (

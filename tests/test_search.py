@@ -4,7 +4,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from time import perf_counter
 
 import pytest
@@ -309,6 +309,50 @@ class TestSearchN:
         for x, y, z in solutions:
             assert (y, x, z) in solutions
             assert (z, y, x) in solutions
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_height_one_counts_match_their_closed_form(self, k):
+        # coordinates in {-1, 0, 1}: odd k needs j + 1 ones, j minus ones
+        # and zeros elsewhere, even k one +-1 and zeros elsewhere; this
+        # reaches past n = 10, where the power-table oracle stops
+        for n in range(3, 13):
+            if k % 2:
+                expected = sum(
+                    factorial(n) // (factorial(j) * factorial(j + 1) * factorial(n - 2 * j - 1))
+                    for j in range((n - 1) // 2 + 1)
+                )
+            else:
+                expected = 2 * n
+            rows = search.search_n(k, n, 1).ranks
+            assert len(rows) == expected, n
+            assert all(a < b for a, b in zip(rows, rows[1:])), n
+        assert expected == (69_576 if k % 2 else 24)
+
+
+class TestBudgetBoundary:
+    """The prefix count C = (4 * Phi(H) - 1)^(n - 1) is the last budget that passes.
+
+    The check counts C only when (2H(H + 1))^(n - 1), an upper bound of it,
+    exceeds the budget, so budgets on both sides of that bound are tried too.
+    """
+
+    GRID = [(n, bound) for n in (2, 3, 4) for bound in (1, 2, 3, 5)]
+
+    @pytest.mark.parametrize("n, bound", GRID)
+    def test_exact_count_is_the_last_budget_that_passes(self, n, bound):
+        count = search._reduced_fraction_count(bound) ** (n - 1)
+        assert search.search_n(3, n, bound, budget=count).ranks == search.search_n(3, n, bound).ranks
+        with pytest.raises(ResourceLimitError) as caught:
+            search.search_n(3, n, bound, budget=count - 1)
+        assert str(caught.value) == f"scan of {count} coordinate prefixes exceeds the budget {count - 1}"
+
+    @pytest.mark.parametrize("n, bound", GRID)
+    def test_budgets_at_the_upper_bound_pass(self, n, bound):
+        upper = (2 * bound * (bound + 1)) ** (n - 1)
+        assert search._reduced_fraction_count(bound) ** (n - 1) < upper
+        expected = search.search_n(3, n, bound).ranks
+        for budget in (upper, upper - 1):
+            assert search.search_n(3, n, bound, budget=budget).ranks == expected, budget
 
 
 class TestIntegerKernelsAgainstFractionScan:
