@@ -49,11 +49,17 @@ def render_identity_audit(audit) -> dict:
     }
 
 
+def _rendered(curve, pair) -> dict:
+    """`render_identity_audit` of one pair `_pair_sweep` yielded."""
+    return render_identity_audit(curve.identity_record(*pair))
+
+
 def _random_pair(rng: random.Random, span: int = 30) -> tuple[int, int]:
     """A reduced parameter pair (n : m): inf one time in twenty, else n/m with |n| <= span, 1 <= m <= span."""
     if rng.random() < 0.05:
         return 1, 0
-    n, m = rng.randint(-span, span), rng.randint(1, span)
+    # randint(a, b) is randrange(a, b + 1), so the stream is randint's
+    n, m = rng.randrange(-span, span + 1), rng.randrange(1, span + 1)
     common = gcd(n, m)
     return n // common, m // common
 
@@ -70,27 +76,26 @@ def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
     entries cross-multiplied by the other's scale are.
     """
     integer(pairs, 0, "law pairs")
-    checked = 0
     mismatches = []
     special = [(first, second) for first in _SPECIAL_PAIRS for second in _SPECIAL_PAIRS]
     sampled = ((_random_pair(rng), _random_pair(rng)) for _ in range(pairs - len(special)))
+    compose, matrix = CIRCLE.compose_pair, CIRCLE.matrix_pair
     for first, second in chain(special, sampled):
-        law, law_scale = CIRCLE.matrix_pair(*CIRCLE.compose_pair(first, second))
-        (p11, p12, p21, p22), p_scale = CIRCLE.matrix_pair(*first)
-        (q11, q12, q21, q22), q_scale = CIRCLE.matrix_pair(*second)
-        product = (
-            p11 * q11 + p12 * q21,
-            p11 * q12 + p12 * q22,
-            p21 * q11 + p22 * q21,
-            p21 * q12 + p22 * q22,
-        )
+        (l11, l12, l21, l22), law_scale = matrix(*compose(first, second))
+        (p11, p12, p21, p22), p_scale = matrix(*first)
+        (q11, q12, q21, q22), q_scale = matrix(*second)
         scale = p_scale * q_scale
-        checked += 1
         # a zero scale is the indeterminate (0 : 0), which no rotation has
-        if not law_scale or any(entry * law_scale != law_entry * scale for entry, law_entry in zip(product, law)):
+        if not (
+            law_scale
+            and (p11 * q11 + p12 * q21) * law_scale == l11 * scale
+            and (p11 * q12 + p12 * q22) * law_scale == l12 * scale
+            and (p21 * q11 + p22 * q21) * law_scale == l21 * scale
+            and (p21 * q12 + p22 * q22) * law_scale == l22 * scale
+        ):
             mismatches.append((format_pair(*first), format_pair(*second)))
     return {
-        "pairs_checked": checked,
+        "pairs_checked": max(pairs, len(special)),
         "special_pairs": len(special),
         "mismatches": mismatches,
         "holds": not mismatches,
@@ -159,15 +164,13 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
 
 
 def _pair_sweep(curve, points):
-    """Stream `curve.audit_pair` over every ordered pair of curve points.
+    """`curve.identity_pairs` over every ordered pair of curve points, each point charted once.
 
-    Each point is charted once, into its triple and chart pair; the records
-    are yielded one at a time, so no per-pair list is held.
+    The pairs are yielded one at a time as plain integers, so no per-pair
+    list or record is held.
     """
     charted = [curve.charted(point) for point in points]
-    for source in charted:
-        for target in charted:
-            yield curve.audit_pair(source, target)
+    return curve.identity_pairs(charted, charted)
 
 
 def circle_identity_sweep(bound: int = 50) -> dict:
@@ -176,27 +179,29 @@ def circle_identity_sweep(bound: int = 50) -> dict:
     On the circle the two forms agree with each other and with the solver on
     every pair where both are defined; pairs with an indeterminate side are
     counted separately.  The returned witness is the smallest nontrivial
-    point pair in the sweep order.
+    point pair in the sweep order.  The pairs are tallied by cross-products,
+    and a record is built only for a pair the report prints.
     """
     points = search.circle_points(bound)
-    pairs = both_defined = agree = 0
+    both_defined = agree = 0
     side_mismatches: list[dict] = []
     solver_mismatches: list[dict] = []
     witness = None
-    for record in _pair_sweep(CIRCLE, points):
-        pairs += 1
-        sides_equal = record.sides_equal
-        if sides_equal is None:
+    for pair in _pair_sweep(CIRCLE, points):
+        _, _, (ln, lm), (rn, rm), (n, m) = pair
+        # (0 : 0) is an indeterminate side
+        if not (ln or lm) or not (rn or rm):
             continue
         both_defined += 1
-        if sides_equal:
+        if ln * rm == rn * lm:
             agree += 1
         else:
-            side_mismatches.append(render_identity_audit(record))
-        if not (record.left_matches_solver and record.right_matches_solver):
-            solver_mismatches.append(render_identity_audit(record))
-        if witness is None and record.solver_delta != 0:
-            witness = render_identity_audit(record)
+            side_mismatches.append(_rendered(CIRCLE, pair))
+        if ln * m != n * lm or rn * m != n * rm:
+            solver_mismatches.append(_rendered(CIRCLE, pair))
+        if witness is None and n:
+            witness = _rendered(CIRCLE, pair)
+    pairs = len(points) ** 2
     return {
         "height": bound,
         "points": len(points),
@@ -217,33 +222,35 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
     The right-hand form tracks the verified solver wherever defined.  The
     left-hand form does not: the sweep counts how often the two sides agree
     and preserves the first disagreements verbatim, because the mismatch is
-    itself the finding.
+    itself the finding.  As in `circle_identity_sweep`, only printed pairs
+    get a record.
     """
     points = search.hyperbola_points(bound)
-    pairs = both_defined = agree = 0
+    both_defined = agree = 0
     right_defined = right_agrees_solver = 0
     disagreement_witnesses: list[dict] = []
     right_solver_mismatches: list[dict] = []
     witness = render_identity_audit(
         HYPERBOLA.delta_identity_audit((Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3)))
     )
-    for record in _pair_sweep(HYPERBOLA, points):
-        pairs += 1
-        right_matches_solver = record.right_matches_solver
-        if right_matches_solver is not None:
-            right_defined += 1
-            if right_matches_solver:
-                right_agrees_solver += 1
-            else:
-                right_solver_mismatches.append(render_identity_audit(record))
-        sides_equal = record.sides_equal
-        if sides_equal is None:
+    for pair in _pair_sweep(HYPERBOLA, points):
+        _, _, (ln, lm), (rn, rm), (n, m) = pair
+        # (0 : 0) is an indeterminate side; both sides are defined only where the right one is
+        if not (rn or rm):
+            continue
+        right_defined += 1
+        if rn * m == n * rm:
+            right_agrees_solver += 1
+        else:
+            right_solver_mismatches.append(_rendered(HYPERBOLA, pair))
+        if not (ln or lm):
             continue
         both_defined += 1
-        if sides_equal:
+        if ln * rm == rn * lm:
             agree += 1
         elif len(disagreement_witnesses) < 5:
-            disagreement_witnesses.append(render_identity_audit(record))
+            disagreement_witnesses.append(_rendered(HYPERBOLA, pair))
+    pairs = len(points) ** 2
     return {
         "height": bound,
         "points": len(points),

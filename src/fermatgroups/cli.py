@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, cycle
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import format_pair, format_point, format_projective, format_rational, format_triple
@@ -91,8 +91,10 @@ def _lines(*lines) -> str:
 
 def _csv_text(header, rows) -> str:
     # every field is an integer, p/q, inf or space-separated integers, none of
-    # which CSV quotes, so the fields are joined as they are
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    # which CSV quotes, so each field is followed by its separator, "," or the
+    # row's closing newline, and all of them are joined at once
+    fields = map(str, chain(header, chain.from_iterable(rows)))
+    return "".join(chain.from_iterable(zip(fields, cycle("," * (len(header) - 1) + "\n"))))
 
 
 def _write_file(path, text: str) -> None:
@@ -404,13 +406,19 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     _emit(
         fmt,
         ("csv", csv_path),
-        text=lambda: _lines(
-            *(f"step {step}: {x},{y} height {h}" for step, x, y, h in rows),
-            f"period: {trajectory.period if trajectory.period is not None else 'none'}",
-        ),
+        text=lambda: _iterate_text(trajectory, rows),
         json=lambda: _iterate_json(trajectory, rows),
         csv=lambda: _csv_text(("step", "x", "y", "height"), rows),
     )
+
+
+def _iterate_text(trajectory, rows) -> str:
+    """The iterate text, a line "step S: X,Y height H" per row, joined once from the row strings."""
+    pieces = []
+    for step, x, y, h in rows:
+        pieces += ("step ", step, ": ", x, ",", y, " height ", h, "\n")
+    pieces.append(f"period: {trajectory.period if trajectory.period is not None else 'none'}\n")
+    return "".join(pieces)
 
 
 def _iterate_json(trajectory, rows) -> str:

@@ -20,8 +20,9 @@ lemma every curve point is (a/c, b/c) with a^2 + s*b^2 = c^2, kept as the
 reduced triple (a, b, c) with c > 0; a parameter n/m is the homogeneous pair
 (n : m), with inf = (1 : 0).  Two pairs are equal when their cross-products
 are, so the kernel never divides; `act_pair` is the one action of L(n : m)
-on a point.  The Fraction methods convert their arguments to triples and
-pairs, call the kernel, and convert back.
+on a point, which `identity_pairs` spells out inline for its solver check.
+The Fraction methods convert their arguments to triples and pairs, call
+the kernel, and convert back.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class DeltaIdentityAudit(NamedTuple):
     indeterminate (0 : 0).  The comparisons against the verified
     transitivity solver make the audit self-contained: `sides_equal` and the
     match flags are None whenever the corresponding side is undefined.  The
-    sweeps build one record per pair, so it is a tuple: a frozen dataclass
-    takes longer to build than the kernel takes to fill it.
+    sweeps tally `identity_pairs` on its plain integers and build a record
+    only for a pair they print.
     """
 
     source: Point
@@ -248,26 +249,11 @@ class Conic:
         n0, m0 = source_chart
         solver = self.compose_pair(target_chart, (-n0, m0))
         if not self.carries_pair(solver, source, target):
-            texts = [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in (source, target)]
-            raise ArithmeticError("transitivity solve failed for {} -> {}".format(*texts))
+            raise _solve_failed(source, target)
         return solver
 
-    def right_pair(self, source, target) -> tuple[int, int]:
-        """The right-hand closed form on two triples, its ratio scaled by c0^2*c.
-
-        For source (x0, y0) and target (x, y) the form is
-
-            right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0)
-        """
-        a0, b0, c0 = source
-        a, b, c = target
-        return (
-            (a0 * b - a * b0 + b * c0 - b0 * c) * c0,
-            a0 * (a0 * c + a * c0) + self.s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
-        )
-
     def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
-        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `audit_pair`.
+        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `identity_pairs`.
 
         Both coordinates of a rational curve point share their denominator
         (the common-denominator lemma), so the triple is read off directly.
@@ -276,32 +262,68 @@ class Conic:
         triple = x.numerator, y.numerator, x.denominator
         return point, triple, self.chart_pair(*triple)
 
-    def audit_pair(self, source, target) -> DeltaIdentityAudit:
-        """The identity audit of one pair of curve points, each given as `charted` returns it.
+    def identity_pairs(self, sources, targets):
+        """The identity audit of every pair (source, target), on plain integers.
 
-        Both closed forms, the curve's `left_form` and `right_pair`, are
-        evaluated exactly, never reconciled, and compared against the
-        verified solver `solve_pair`.  Pairs with x = -x0 or y = -y0, where
-        a ratio can degenerate, are flagged as excluded.  A sweep charts
-        each point once and pairs the results, so no point is charted once
-        per pair.
+        `sources` and `targets` hold points as `charted` returns them, so a
+        sweep charts each point once.  For each pair, row by row, this
+        yields (source, target, left, right, solver): the curve's
+        `left_form` and the right-hand closed form
+
+            right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0),
+
+        scaled by c0^2*c, evaluated exactly and never reconciled, and the
+        solver, composed by `compose_pair` from the two charts and checked
+        by exact action as `solve_pair` checks it, inline.
         """
-        source_point, source_triple, source_chart = source
-        target_point, target_triple, target_chart = target
-        a0, b0, c0 = source_triple
-        a, b, c = target_triple
+        s = self.s
+        compose = self.compose_pair
+        left_form = self.left_form
+        for source in sources:
+            _, source_triple, (n0, m0) = source
+            a0, b0, c0 = source_triple
+            back = -n0, m0
+            for target in targets:
+                _, target_triple, target_chart = target
+                a, b, c = target_triple
+                solver = n, m = compose(target_chart, back)
+                # L(n : m) of `matrix_pair` carries (a0, b0, c0) to (a, b, c)
+                diagonal = m * m - s * n * n
+                lower = 2 * n * m
+                image_c = (m * m + s * n * n) * c0
+                if not (
+                    image_c
+                    and (diagonal * a0 - s * lower * b0) * c == a * image_c
+                    and (lower * a0 + diagonal * b0) * c == b * image_c
+                ):
+                    raise _solve_failed(source_triple, target_triple)
+                right = (
+                    (a0 * b - a * b0 + b * c0 - b0 * c) * c0,
+                    a0 * (a0 * c + a * c0) + s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
+                )
+                yield source, target, left_form(a0, b0, c0, a, b, c), right, solver
+
+    def identity_record(self, source, target, left, right, solver) -> DeltaIdentityAudit:
+        """The `DeltaIdentityAudit` of one pair `identity_pairs` yielded.
+
+        Pairs with x = -x0 or y = -y0, where a ratio can degenerate, are
+        flagged as excluded.
+        """
+        source_point, (a0, b0, c0), _ = source
+        target_point, (a, b, c), _ = target
         return DeltaIdentityAudit(
-            source_point,
-            target_point,
-            self.left_form(a0, b0, c0, a, b, c),
-            self.right_pair(source_triple, target_triple),
-            self.solve_pair(source_triple, source_chart, target_triple, target_chart),
-            a * c0 == -a0 * c or b * c0 == -b0 * c,
+            source_point, target_point, left, right, solver, a * c0 == -a0 * c or b * c0 == -b0 * c
         )
 
     def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
-        """Evaluate both closed forms for the parameter connecting two curve points (see `audit_pair`)."""
-        return self.audit_pair(self.charted(source), self.charted(target))
+        """Evaluate both closed forms for the parameter connecting two curve points (see `identity_pairs`)."""
+        (pair,) = self.identity_pairs([self.charted(source)], [self.charted(target)])
+        return self.identity_record(*pair)
+
+
+def _solve_failed(source, target) -> ArithmeticError:
+    texts = [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in (source, target)]
+    return ArithmeticError("transitivity solve failed for {} -> {}".format(*texts))
 
 
 def _element_class(conic: Conic, name: str) -> type:

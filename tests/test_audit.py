@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import conic_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermatgroups import audit, monomial, search
+from fermatgroups import audit, conic, monomial, search
 from fermatgroups.conic import CIRCLE, HYPERBOLA, Conic, _hyperbola_left_form
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError
@@ -167,7 +169,7 @@ class TestPairSweepAgainstFractionAudit:
     @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
     def test_every_pair_up_to_height_20(self, curve, points):
         points = points(20)
-        records = list(audit._pair_sweep(curve, points))
+        records = [curve.identity_record(*pair) for pair in audit._pair_sweep(curve, points)]
         assert len(records) == len(points) ** 2
         expected = [_oracle_rendering(curve, source, target) for source in points for target in points]
         assert [audit.render_identity_audit(record) for record in records] == expected
@@ -213,6 +215,24 @@ class TestPairSweepAgainstFractionAudit:
         assert len(calls) == 60 + 58 + 2
         assert len(set(calls)) == 118
 
+    def test_sweeps_build_a_record_only_for_what_they_print(self, monkeypatch):
+        built = []
+
+        class Counted(conic.DeltaIdentityAudit):
+            def __new__(cls, *fields):
+                built.append(fields[:2])
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(conic, "DeltaIdentityAudit", Counted)
+        circle_report = audit.circle_identity_sweep(50)
+        # the witness; no pair mismatches, and 3,600 pairs get no record
+        assert len(built) == 1 + len(circle_report["side_mismatches"]) + len(circle_report["solver_mismatches"]) == 1
+        built.clear()
+        hyperbola_report = audit.hyperbola_identity_sweep(50)
+        # the fixed witness and five disagreement witnesses, of 3,364 pairs
+        assert len(hyperbola_report["disagreement_witnesses"]) == 5
+        assert len(built) == 1 + 5 + len(hyperbola_report["right_solver_mismatches"]) == 6
+
     def test_sweeps_check_each_point_on_the_curve_once(self, monkeypatch):
         calls = []
         on_curve = Conic._on_curve
@@ -227,6 +247,90 @@ class TestPairSweepAgainstFractionAudit:
         # `charted` validates each of the 60 + 58 points, and the two points of
         # the fixed hyperbola witness, once
         assert len(calls) == 60 + 58 + 2
+
+
+def _oracle_circle_report(bound, points):
+    # the former circle sweep: a Fraction record per pair, its flags read as properties
+    records = [oracle.delta_identity_audit(CIRCLE, source, target) for source in points for target in points]
+    defined = [record for record in records if record.sides_equal is not None]
+    solver_mismatches = [r for r in defined if not (r.left_matches_solver and r.right_matches_solver)]
+    witness = next((record for record in defined if record.solver_delta != 0), None)
+    return {
+        "height": bound,
+        "points": len(points),
+        "pairs": len(records),
+        "both_defined": len(defined),
+        "sides_agree": sum(record.sides_equal for record in defined),
+        "undefined_pairs": len(records) - len(defined),
+        "side_mismatches": [audit.render_identity_audit(r) for r in defined if not r.sides_equal],
+        "solver_mismatches": list(map(audit.render_identity_audit, solver_mismatches)),
+        "identity_holds": all(r.sides_equal for r in defined) and not solver_mismatches,
+        "witness": None if witness is None else audit.render_identity_audit(witness),
+    }
+
+
+def _oracle_hyperbola_report(bound, points):
+    # the former hyperbola sweep, over the same Fraction records
+    records = [oracle.delta_identity_audit(HYPERBOLA, source, target) for source in points for target in points]
+    defined = [record for record in records if record.sides_equal is not None]
+    right_defined = [record for record in records if record.right_matches_solver is not None]
+    agree = sum(record.sides_equal for record in defined)
+    right_agrees = sum(record.right_matches_solver for record in right_defined)
+    witness = oracle.delta_identity_audit(HYPERBOLA, (Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3)))
+    return {
+        "height": bound,
+        "points": len(points),
+        "pairs": len(records),
+        "both_defined": len(defined),
+        "sides_agree": agree,
+        "sides_disagree": len(defined) - agree,
+        "undefined_pairs": len(records) - len(defined),
+        "right_defined": len(right_defined),
+        "right_agrees_solver": right_agrees,
+        "right_solver_mismatches": [
+            audit.render_identity_audit(r) for r in right_defined if not r.right_matches_solver
+        ],
+        "right_form_tracks_solver": right_agrees == len(right_defined),
+        "left_form_discrepant": len(defined) > agree,
+        "witness": audit.render_identity_audit(witness),
+        "disagreement_witnesses": [audit.render_identity_audit(r) for r in defined if not r.sides_equal][:5],
+    }
+
+
+@st.composite
+def curve_points(draw, curve):
+    """Points reached from (1, 0) by drawn parameters, after (1, 0) and (-1, 0).
+
+    (1, 0) and (-1, 0) give pairs with an indeterminate side on both curves,
+    and (-1, 0), like every parameter |Delta| > 1, lies on the hyperbola's
+    other branch.
+    """
+    finite = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+    if curve.s < 0:
+        finite = finite.filter(lambda delta: abs(delta) != 1)
+    deltas = draw(st.lists(st.one_of(st.just(INF), finite), max_size=5))
+    return [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))] + [
+        oracle.rotation_matrix(curve, delta).apply(1, 0) for delta in deltas
+    ]
+
+
+SWEEPS = [
+    (CIRCLE, "circle_points", audit.circle_identity_sweep, _oracle_circle_report),
+    (HYPERBOLA, "hyperbola_points", audit.hyperbola_identity_sweep, _oracle_hyperbola_report),
+]
+
+
+@pytest.mark.parametrize("curve, points_name, sweep, former", SWEEPS, ids=["circle", "hyperbola"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_loop_equals_the_fraction_audit(curve, points_name, sweep, former, data):
+    points = data.draw(curve_points(curve))
+    rendered = [audit._rendered(curve, pair) for pair in audit._pair_sweep(curve, points)]
+    assert rendered == [_oracle_rendering(curve, source, target) for source in points for target in points]
+    assert any(entry["sides_equal"] is None for entry in rendered)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, points_name, lambda bound: points)
+        assert sweep(7) == former(7, points)
 
 
 class TestPathsRealDataNeverReaches:

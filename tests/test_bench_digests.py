@@ -1,12 +1,15 @@
-"""The benchmark's recorded stdout digests replay for every op that reads the search scan or the monomial group.
+"""The benchmark's recorded stdout digests replay for every op that reads the search scan, the monomial group or a conic payload printer.
 
 `bench/digests.json` maps the argv of each benchmark op, over seeds 0-9, to
 the sha256 of its stdout.  `search`, `coverage` and the `--height` sweeps of
-`circle audit-exy` and `hyper audit` all read `search._scan`, and every
+`circle audit-exy` and `hyper audit` all read `search._scan`; every
 `kgroup` op (`orbit`, `rational` and `orbit-rational`, the whole `orbit`
-workload) reads the monomial group's index tables.  Replaying their argvs
-here fails the suite when a kernel or printer change moves one byte of
-their output, not only the benchmark's share of passing ops.
+workload) reads the monomial group's index tables; and `iterate`, `audit
+--seed` and `triples`, the long ops of the `conic` workload, print through
+the integer identity sweeps, the law sample and the joined text, CSV and
+JSON payloads.  Replaying their argvs here fails the suite when a kernel or
+printer change moves one byte of their output, not only the benchmark's
+share of passing ops.
 """
 
 import hashlib
@@ -25,8 +28,8 @@ DIGESTS = json.loads(
 
 
 def command(argv):
-    """The command of an argv that reads the search scan or the monomial group, else None."""
-    if argv[0] in ("search", "coverage"):
+    """The command of an argv replayed here, else None."""
+    if argv[0] in ("search", "coverage", "iterate", "audit", "triples"):
         return argv[0]
     if argv[:2] in (["circle", "audit-exy"], ["hyper", "audit"]) and "--height" in argv:
         return " ".join(argv[:2])
@@ -39,6 +42,8 @@ SCAN_COMMANDS = {"search", "coverage", "circle audit-exy", "hyper audit"}
 KGROUP_COMMANDS = {"kgroup orbit", "kgroup rational", "kgroup orbit-rational"}
 SCAN_OPS = sorted(key for key in DIGESTS if command(key.split()) in SCAN_COMMANDS)
 KGROUP_OPS = sorted(key for key in DIGESTS if command(key.split()) in KGROUP_COMMANDS)
+CONIC_COMMANDS = {"iterate": 19, "audit": 10, "triples": 23}
+CONIC_OPS = sorted(key for key in DIGESTS if command(key.split()) in CONIC_COMMANDS)
 
 
 def test_every_scan_command_is_recorded():
@@ -50,7 +55,14 @@ def test_every_kgroup_op_is_replayed():
     assert len(KGROUP_OPS) == len([key for key in DIGESTS if key.startswith("kgroup ")]) == 319
 
 
-@pytest.mark.parametrize("key", SCAN_OPS + KGROUP_OPS)
+def test_every_conic_payload_op_is_replayed():
+    recorded = {name: sum(key.split()[0] == name for key in DIGESTS) for name in CONIC_COMMANDS}
+    assert recorded == CONIC_COMMANDS
+    assert len(CONIC_OPS) == sum(CONIC_COMMANDS.values())
+    assert all(key.startswith("audit --seed ") for key in CONIC_OPS if key.startswith("audit"))
+
+
+@pytest.mark.parametrize("key", SCAN_OPS + KGROUP_OPS + CONIC_OPS)
 def test_stdout_matches_the_recorded_digest(key):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):

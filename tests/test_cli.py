@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -506,6 +507,46 @@ def test_iterate_as_wide_as_the_digit_limit_prints_and_one_digit_wider_exits_thr
     assert at_limit_out.splitlines()[-2].endswith(f" height {53**steps}")
     assert past_limit == 3
     assert capsys.readouterr().out == ""
+
+
+def _iterate_former_text_and_csv(delta, start, steps) -> tuple[str, str]:
+    # the former printers: an f-string per row and csv.writer, over the Fraction points
+    trajectory = stroboscope.iterate(parse_projective(delta), parse_point(start), steps)
+    rows = [
+        (step, f"{x.numerator}/{x.denominator}", f"{y.numerator}/{y.denominator}", height)
+        for step, ((x, y), height) in enumerate(zip(trajectory.points, trajectory.heights), start=1)
+    ]
+    period = trajectory.period if trajectory.period is not None else "none"
+    text = "".join(f"step {step}: {x},{y} height {h}\n" for step, x, y, h in rows) + f"period: {period}\n"
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows([("step", "x", "y", "height"), *rows])
+    return text, table.getvalue()
+
+
+ITERATE_DELTAS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "inf"]),  # the periodic parameters
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(lambda d: f"{d.numerator}/{d.denominator}"),
+)
+# the zero coordinates step through Decimal products that can be -0
+ITERATE_STARTS = st.sampled_from(["1/1,0/1", "0,1", "-1,0", "0,-1", "3/5,-4/5", "-5/13,12/13"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=ITERATE_DELTAS, start=ITERATE_STARTS, steps=st.integers(0, 30))
+@example(delta="1", start="0,1", steps=0)
+@example(delta="-1", start="0,-1", steps=1)
+@example(delta="inf", start="-1,0", steps=4)
+def test_iterate_text_and_csv_equal_the_former_printers(delta, start, steps):
+    text, table = _iterate_former_text_and_csv(delta, start, steps)
+    argv = ["iterate", "--delta", delta, "--start", start, "--steps", str(steps)]
+    with tempfile.TemporaryDirectory() as folder:
+        side = Path(folder) / "trajectory.csv"
+        for fmt, expected in (("text", text), ("csv", table)):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main([*argv, "--format", fmt, "--csv", str(side)]) == 0
+            assert out.getvalue() == expected
+            assert side.read_text(encoding="utf-8") == table
 
 
 class TestAuditCommand:

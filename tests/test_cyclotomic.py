@@ -404,3 +404,47 @@ class TestAgainstSympy:
         deg = _divide_monic(divided, divisor)
         assert deg == len(divisor) - 1
         assert (as_poly(divided[deg:]), as_poly(divided[:deg])) == (quotient, remainder)
+
+
+def _primitive_root(p: int) -> int:
+    factors = {q for q in range(2, p) if (p - 1) % q == 0 and all(q % r for r in range(2, q))}
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _jacobi_sum_and_conjugate(k, p, i, j):
+    """J(chi^i, chi^j) = sum over a of chi^i(a)*chi^j(1 - a), and its complex conjugate, in Q(omega_k).
+
+    chi is the character of order k mod p sending a primitive root g to
+    omega_k, so chi^i(g^t) = omega_k^(i*t), and chi(0) = 0 drops a = 0 and 1.
+    """
+    g = _primitive_root(p)
+    index = {pow(g, t, p): t for t in range(p - 1)}
+    counts = [0] * k
+    for a in range(2, p):
+        counts[(i * index[a] + j * index[(1 - a) % p]) % k] += 1
+    roots = [CyclotomicNumber.root_of_unity(k, e) for e in range(k)]
+    jacobi = sum(count * roots[e] for e, count in enumerate(counts))
+    conjugate = sum(count * roots[-e % k] for e, count in enumerate(counts))
+    return jacobi, conjugate
+
+
+JACOBI_CASES = [
+    (k, p)
+    for k in range(3, 7)
+    for p in range(3, 100)
+    if p % k == 1 and all(p % d for d in range(2, p))
+]
+
+
+class TestJacobiSums:
+    # |J(chi^i, chi^j)|^2 = p whenever chi^i, chi^j and chi^(i+j) are all
+    # nontrivial: an identity of the field arithmetic the library never uses
+    @pytest.mark.parametrize("k, p", JACOBI_CASES, ids=[f"k{k}-p{p}" for k, p in JACOBI_CASES])
+    def test_norm_is_p(self, k, p):
+        for i in range(1, k):
+            for j in range(1, k):
+                if (i + j) % k:
+                    jacobi, conjugate = _jacobi_sum_and_conjugate(k, p, i, j)
+                    # p is not a square, so J itself is irrational
+                    assert jacobi.is_rational() is None
+                    assert (jacobi * conjugate).is_rational() == p
