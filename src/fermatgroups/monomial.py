@@ -3,11 +3,9 @@
 For k >= 3 the linear symmetries of the form are generalized permutation
 matrices whose nonzero entries are k-th roots of unity: row i holds
 omega^(l_i) in column sigma(i).  An element is therefore the pair
-(sigma, l).  The group law is one permutation composition: (sigma, l)
-permutes the n*k lines omega^e * e_i (fewer when every exponent lies in a
-subgroup of Z_k), so products and inverses are taken on those permutations
-and read back as pairs; dense cyclotomic matrices appear solely in
-verification oracles.  The resulting group has order k^n * n!.  k = 2 is
+(sigma, l), and products and inverses are taken on the pairs; dense
+cyclotomic matrices appear solely in verification oracles.  The resulting
+group has order k^n * n!.  k = 2 is
 excluded: the quadratic form has an infinite symmetry group and belongs to
 the circle and hyperbola modules.
 
@@ -22,8 +20,6 @@ them, and check the cap on k^n * n! before any component is lifted, since
 lifting computes Phi_k.  All three read one table of the components' twists
 omega^l * v_j, told apart by index, so no element is applied to the vector
 and no two cyclotomic numbers are compared.
-A product or inverse of elements is taken on up to 10**6 lines, or more
-when the cap allows.
 Counts k^n * n! are built one factor at a time and abandoned once they pass
 the cap, or the int-to-str digit limit, so a huge n is refused at once.
 """
@@ -159,31 +155,23 @@ class MonomialMatrix:
             )
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Matrix product self·other: one composition of the two line permutations.
+        """Matrix product self·other: (sigma, l)(tau, t) = (tau o sigma, l + t o sigma mod k).
 
         Row i of the product reaches column other.sigma(self.sigma(i)) with
-        entry omega^(self.l_i + other.l_(self.sigma(i))), which is what
-        `_times` gives on the lines, read back as a pair.
+        entry omega^(self.l_i + other.l_(self.sigma(i))).
         """
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         self._require_compatible(other)
-        k, m = self._k, self._line_modulus(self._exps + other._exps)
-        product = _times(_lines(k, m, self._perm, self._exps))(_lines(k, m, other._perm, other._exps))
-        return MonomialMatrix._make(k, *_pair(k, m, product))
+        k, sigma, t = self._k, self._perm, other._exps
+        perm = tuple(map(other._perm.__getitem__, sigma))
+        return MonomialMatrix._make(k, perm, tuple([(l + t[j]) % k for l, j in zip(self._exps, sigma)]))
 
     def inverse(self) -> "MonomialMatrix":
-        """The inverse matrix: the inverse permutation of the lines, read back as a pair."""
-        k, m = self._k, self._line_modulus(self._exps)
-        return MonomialMatrix._make(k, *_pair(k, m, _inverse(_lines(k, m, self._perm, self._exps))))
-
-    def _line_modulus(self, exponents: tuple[int, ...]) -> int:
-        # the line form holds all n*m lines: past the default cap they must
-        # pass the element cap too, which only then is read
-        n, m = len(self._perm), _modulus(self._k, exponents)
-        if n * m > DEFAULT_ELEMENT_LIMIT and n * m > (cap := element_limit()):
-            raise ResourceLimitError(f"line form of {n} * {m} lines exceeds the element cap {cap}")
-        return m
+        """The inverse matrix: (sigma^-1, -l o sigma^-1 mod k)."""
+        k, l = self._k, self._exps
+        inverse = tuple(sorted(range(len(self._perm)), key=self._perm.__getitem__))
+        return MonomialMatrix._make(k, inverse, tuple([-l[j] % k for j in inverse]))
 
     def apply(self, vector: Sequence[CyclotomicNumber]) -> CyclotomicVector:
         """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
@@ -267,34 +255,6 @@ def _check_cap(base: int, n: int, limit, what: str) -> None:
         count = _count(base, n, int_digit_limit()[1])
         shown = f"{base}^{n} * {n}!" if count is None else count
         raise ResourceLimitError(f"{what} {shown} exceeds the element cap {cap}")
-
-
-def _modulus(k: int, exponents: Iterable[int]) -> int:
-    """Order m of the subgroup of Z_k that the exponents generate.
-
-    Exponents that are all multiples of k/m stay so under products and
-    inverses, so the line form needs only the n*m lines omega^(e*k/m) * e_i.
-    That is two lines per axis for the rational subgroup of an even k and
-    one for an odd k, whatever k is.
-    """
-    return k // gcd(k, *exponents)
-
-
-def _lines(k: int, m: int, perm: Sequence[int], exps: Sequence[int]) -> Lines:
-    """The permutation (sigma, l) induces on the n*m lines, exponents multiples of k/m.
-
-    Line i*m + e stands for omega^(e*k/m) * e_i, and it goes to line
-    sigma(i)*m + (e + l_i*m/k) mod m.  This is C_m wr S_n acting on n*m
-    points, so the map from pairs to line permutations is one-to-one.
-    """
-    step = k // m
-    return tuple([j * m + (e + l // step) % m for j, l in zip(perm, exps) for e in range(m)])
-
-
-def _pair(k: int, m: int, lines: Lines) -> Pair:
-    """The (perm, exponents) pair of a line permutation: line i*m goes to sigma(i)*m + l_i*m/k."""
-    heads, step = lines[::m], k // m
-    return tuple([x // m for x in heads]), tuple([x % m * step for x in heads])
 
 
 def _times(lines: Lines) -> Callable[[Lines], Lines]:
@@ -517,15 +477,27 @@ class RationalSubgroupReport:
 def _line_forms(k: int, pairs: Sequence[Pair]) -> list[Lines]:
     """The line permutation of each pair, all over the lines their exponents need.
 
+    The listed exponents generate the subgroup of Z_k of order m = k / gcd(k, l...),
+    and multiples of k/m stay so under products and inverses, so the forms
+    need only n*m lines: two per axis for the rational subgroup of an even k
+    and one for an odd k, whatever k is.  Line i*m + e stands for
+    omega^(e*k/m) * e_i, and (sigma, l) sends it to line
+    sigma(i)*m + (e + l_i*m/k) mod m.  This is C_m wr S_n acting on n*m
+    points, so the map from pairs to line permutations is one-to-one.
+
     Position i of (sigma, l) sends its m lines to a block that depends only
     on the column sigma(i) and the exponent l_i, so each such block is
-    encoded once, by `_lines`, and a pair's form is its blocks joined.
+    encoded once, and a pair's form is its blocks joined.
     """
     if not pairs:
         return []
     exponents = set(itertools.chain.from_iterable(exps for _, exps in pairs))
-    m = _modulus(k, exponents)
-    blocks = {(j, l): _lines(k, m, (j,), (l,)) for j in range(len(pairs[0][0])) for l in exponents}
+    m = k // gcd(k, *exponents)
+    blocks = {
+        (j, l): tuple([j * m + (e + l * m // k) % m for e in range(m)])
+        for j in range(len(pairs[0][0]))
+        for l in exponents
+    }
     chain = itertools.chain.from_iterable
     return [tuple(chain(map(blocks.__getitem__, zip(perm, exps)))) for perm, exps in pairs]
 
@@ -542,7 +514,7 @@ def _closed_under_product(lines: Sequence[Lines]) -> bool:
     the set is that subgroup.  By Lagrange each generator at least doubles
     `reached`, so this takes about |S|·log2|S| products, not |S|^2.
 
-    Products are `_times`, the law of `MonomialMatrix.__mul__`: a whole
+    Products are `_times`, the line encoding of `__mul__`'s law: a whole
     frontier is multiplied by one generator at a time, and the new products
     are checked against the members by one subset test.  Members are valid
     elements with exponents reduced mod k, so a product that matches one is

@@ -35,8 +35,8 @@ class TestMonomialLawSample:
 
     def test_reports_a_broken_law(self, monkeypatch):
         # the law composed in the reverse order: f·g taken as g·f
-        times = monomial._times
-        monkeypatch.setattr(monomial, "_times", lambda first: lambda second: times(second)(first))
+        mul = monomial.MonomialMatrix.__mul__
+        monkeypatch.setattr(monomial.MonomialMatrix, "__mul__", lambda first, second: mul(second, first))
         report = audit.monomial_law_sample(random.Random(0), 60)
         assert report["holds"] is False
         assert report["mismatches"]

@@ -430,8 +430,8 @@ def _jacobi_sum_and_conjugate(k, p, i, j):
 
 JACOBI_CASES = [
     (k, p)
-    for k in range(3, 7)
-    for p in range(3, 100)
+    for k in range(3, 9)
+    for p in range(3, 200)
     if p % k == 1 and all(p % d for d in range(2, p))
 ]
 

@@ -1,11 +1,13 @@
 """Monomial groups: product law vs dense matrices, orbits, rational subgroups."""
 
+import ast
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 from math import ceil, factorial, log2
 from operator import itemgetter
+from pathlib import Path
 
 import monomial_oracle
 import pytest
@@ -621,37 +623,51 @@ class TestClosureCertificate:
         assert elapsed < 2.0
 
 
+def assert_line_law_is_the_pair_law(k, elements):
+    """The line forms of `elements` are distinct permutations, and `_times` on them is `*` on the pairs."""
+    forms = monomial._line_forms(k, pairs(elements))
+    lines = list(range(len(forms[0])))
+    for form in forms:
+        assert sorted(form) == lines
+    form_of = dict(zip(elements, forms))
+    assert len(form_of) == len(set(forms)) == len(elements)
+    for a, form in form_of.items():
+        assert list(map(monomial._times(form), forms)) == [form_of[a * b] for b in elements]
+
+
 class TestLineForm:
+    """The closure certificate's line encoding: one-to-one, and multiplying as `MonomialMatrix.__mul__` does."""
+
     @pytest.mark.parametrize("k", range(3, 7))
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_decode_inverts_encode(self, k, n):
-        identity = tuple(range(n * k))
-        assert monomial._lines(k, k, range(n), (0,) * n) == identity
-        for element in monomial.enumerate_group(k, n):
-            pair = (element.perm, element.exponents)
-            lines = monomial._lines(k, k, *pair)
-            assert sorted(lines) == list(identity)
-            assert monomial._pair(k, k, lines) == pair
-            # over the lines of the subgroup of Z_k its exponents generate
-            m = monomial._modulus(k, element.exponents)
-            assert monomial._pair(k, m, monomial._lines(k, m, *pair)) == pair
+        # over all of Z_k line i*k goes to sigma(i)*k + l_i, so the pair reads back from its form
+        listed = pairs(monomial.enumerate_group(k, n))
+        for pair, form in zip(listed, monomial._line_forms(k, listed)):
+            heads = form[::k]
+            assert (tuple([x // k for x in heads]), tuple([x % k for x in heads])) == pair
 
-    def test_lines_past_the_cap_are_refused(self, monkeypatch):
-        # 2 * 10**12 lines are refused before any is built
-        monkeypatch.delenv(monomial.ENV_LIMIT, raising=False)
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_line_law_is_the_pair_law(self, k, n):
+        # exponents over all of Z_k: n*k lines
+        assert_line_law_is_the_pair_law(k, monomial.enumerate_group(k, n))
+
+    @pytest.mark.parametrize("k", (3, 4, 10**12))
+    def test_rational_line_law_is_the_pair_law(self, k):
+        # exponents 0 and k/2: one line per axis for odd k, two for even k
+        elements = monomial.rational_elements(k, 3).elements
+        assert len(monomial._line_forms(k, pairs(elements))[0]) == 3 * (2 - k % 2)
+        assert_line_law_is_the_pair_law(k, elements)
+
+    def test_huge_k_multiplies_on_pairs(self, monkeypatch):
+        # `*` and `inverse` read no cap: k = 10**12 is two 2-tuples, not 2 * 10**12 lines
+        monkeypatch.setenv(monomial.ENV_LIMIT, "1")
         k = 10**12
         element = MonomialMatrix(k, (1, 0), (1, 0))
-        message = r"^line form of 2 \* 1000000000000 lines exceeds the element cap 1000000$"
-        for operation in (lambda: element * element, element.inverse):
-            with pytest.raises(ResourceLimitError, match=message):
-                operation()
-        # past the default the cap decides, and a lowered cap leaves small forms alone
-        monkeypatch.setenv(monomial.ENV_LIMIT, str(10**7))
-        with pytest.raises(ResourceLimitError, match=r"exceeds the element cap 10000000$"):
-            element * element
-        monkeypatch.setenv(monomial.ENV_LIMIT, "1")
+        assert element * element == MonomialMatrix(k, (0, 1), (1, 1))
+        assert element.inverse() == MonomialMatrix(k, (1, 0), (0, k - 1))
         assert MonomialMatrix(3, (1, 0), (1, 0)).inverse() == MonomialMatrix(3, (1, 0), (0, 2))
-        # exponents 0 and k/2 need two lines per axis, whatever k is
         half = MonomialMatrix(k, (1, 0), (0, k // 2))
         assert half * half == MonomialMatrix(k, (0, 1), (k // 2, k // 2))
         assert half.inverse() == MonomialMatrix(k, (1, 0), (k // 2, 0))
@@ -700,8 +716,7 @@ class TestRationalSubgroup:
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5, 6) for n in (1, 2, 3)])
     def test_inverse_pair_is_the_matrix_inverse(self, k, n):
-        # the inverse check of `rational_elements` is `MonomialMatrix.inverse`'s
-        # inverse line permutation, so the check is on dense matrices
+        # `MonomialMatrix.inverse` on the pair against the dense matrix inverse
         identity = dense(MonomialMatrix.identity(k, n))
         for element in monomial.enumerate_group(k, n):
             assert dense_mul(dense(element), dense(element.inverse())) == identity
@@ -812,3 +827,30 @@ class TestSerialization:
     def test_from_dict_rejects_non_integer_entries(self, payload):
         with pytest.raises(InvalidArgumentError, match="must be integers"):
             MonomialMatrix.from_dict(3, payload)
+
+
+LINE_FORM_HELPERS = {"_line_forms", "_times", "_inverse"}
+
+
+def _line_form_sites():
+    """(scope, name) for every reference to a line-form helper in the module; a method's scope is Class.method."""
+    path = Path(monomial.__file__)
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(statement, ast.ClassDef):
+            scopes = [(f"{statement.name}.{getattr(node, 'name', '<body>')}", node) for node in statement.body]
+        else:
+            scopes = [(getattr(statement, "name", "<module>"), statement)]
+        for scope, tree in scopes:
+            for node in ast.walk(tree):
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if isinstance(node, (ast.Attribute, ast.Name)) and name in LINE_FORM_HELPERS:
+                    yield scope, name
+
+
+def test_elements_multiply_and_invert_without_the_line_form():
+    # the line form is the closure certificate's batch encoding: `*` and
+    # `inverse` work on the pairs, so no method of an element encodes one
+    sites = set(_line_form_sites())
+    assert [site for site in sites if site[0].startswith("MonomialMatrix.")] == []
+    # the law and the inverse on lines serve the certificate alone, and the scan sees them
+    assert {scope for scope, name in sites if name != "_line_forms"} == {"_closed_under_product", "rational_elements"}
