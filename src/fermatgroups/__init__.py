@@ -15,30 +15,4 @@ own answer before returning, and the audit module re-derives each identity
 by an independent route.
 """
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
-from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import (
-    INF,
-    Infinity,
-    Mat2,
-    ProjectiveRational,
-    height,
-    rational,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CyclotomicNumber",
-    "INF",
-    "Infinity",
-    "InvalidArgumentError",
-    "Mat2",
-    "ProjectiveRational",
-    "ResourceLimitError",
-    "__version__",
-    "cyclotomic_polynomial",
-    "euler_phi",
-    "height",
-    "rational",
-]

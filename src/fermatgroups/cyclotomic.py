@@ -306,10 +306,12 @@ class CyclotomicNumber:
     @classmethod
     def from_dict(cls, payload: dict) -> "CyclotomicNumber":
         try:
-            k = payload["k"]
-            raw = payload["coeffs"]
+            k, raw = payload["k"], payload["coeffs"]
         except (TypeError, KeyError):
-            raise InvalidArgumentError(f"malformed cyclotomic payload: {payload!r}") from None
+            raw = None
+        # a JSON array only: a string, dict or number is not read entry by entry
+        if not isinstance(raw, list):
+            raise InvalidArgumentError(f"malformed cyclotomic payload: {payload!r}")
         # exact values only: a JSON float or bool is not a coefficient
         if any(type(c) not in (int, str) for c in raw):
             raise InvalidArgumentError(f'cyclotomic coefficients must be integers or "p/q" text: {raw!r}')

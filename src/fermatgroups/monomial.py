@@ -102,10 +102,13 @@ class MonomialMatrix:
     def __init__(self, k: int, perm: Sequence[int], exponents: Sequence[int]) -> None:
         self._k = _check_order(k)
         perm, exps = tuple(perm), tuple(exponents)
-        # a cheap type test, not int(): that truncated 0.5 and 7/2, and a float
-        # or bool passed the permutation test and reached the payloads
+        # plain ints, the elements the package builds, pass at once; any other
+        # entry meets the package's integer rule
         if not {*map(type, perm), *map(type, exps)} <= {int}:
-            raise InvalidArgumentError(f"permutation entries and exponents must be integers: {perm!r}, {exps!r}")
+            for value in perm:
+                integer(value, None, "permutation entry")
+            for value in exps:
+                integer(value, None, "exponent")
         n = len(perm)
         if n < 1 or sorted(perm) != list(range(n)):
             raise InvalidArgumentError(f"not a permutation of 0..{n - 1}: {perm!r}")
@@ -216,9 +219,13 @@ class MonomialMatrix:
     @classmethod
     def from_dict(cls, k: int, payload: dict) -> "MonomialMatrix":
         try:
-            return cls(k, payload["perm"], payload["exp"])
+            perm, exps = payload["perm"], payload["exp"]
         except (TypeError, KeyError):
-            raise InvalidArgumentError(f"malformed monomial payload: {payload!r}") from None
+            perm = exps = None
+        # JSON arrays only: a string, dict or number is not read entry by entry
+        if not (isinstance(perm, list) and isinstance(exps, list)):
+            raise InvalidArgumentError(f"malformed monomial payload: {payload!r}")
+        return cls(k, perm, exps)
 
 
 def _count(base: int, n: int, ceiling: "int | None") -> "int | None":

@@ -30,7 +30,6 @@ from decimal import (
 from fractions import Fraction
 from math import gcd, log
 
-from . import circle
 from .conic import CIRCLE
 from .errors import InvalidArgumentError
 from .rationals import ProjectiveRational, as_projective, integer, projective_pair
@@ -136,7 +135,7 @@ def power_parameter(delta, m: int) -> ProjectiveRational:
     delta = as_projective(delta)
     accumulated: ProjectiveRational = Fraction(0)
     for _ in range(m):
-        accumulated = circle.compose_delta(accumulated, delta)
+        accumulated = CIRCLE.compose_delta(accumulated, delta)
     return accumulated
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import fermatgroups
 from fermatgroups import cli as cli_module
 from fermatgroups import cyclotomic, monomial, stroboscope
-from fermatgroups.cli import main
+from fermatgroups.cli import COMMANDS, main
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import ResourceLimitError
 from fermatgroups.monomial import MonomialMatrix
@@ -881,16 +881,38 @@ def _python(code, *args):
 
 
 def test_start_up_loads_only_what_the_call_uses():
-    code = (
-        "import sys\n"
-        "import fermatgroups.cli as cli\n"
-        "print('click' in sys.modules)\n"
-        "cli.main(['kgroup', 'order', '--k', '3', '--n', '2'])\n"
-        "print(sorted(m for m in ('fermatgroups.audit', 'fermatgroups.stroboscope') if m in sys.modules))\n"
-    )
-    result = _python(code)
+    result = _python("import sys\nimport fermatgroups.cli\nprint('click' in sys.modules)\n")
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "False\n18\n[]\n"
+    assert result.stdout == "False\n"
+
+
+_CONIC = ("conic",)
+_AUDIT = ("audit", "conic", "cyclotomic", "monomial", "search")
+_KGROUP = ("cyclotomic", "monomial")
+_SEARCH = ("conic", "search")
+# command path -> (a small call, the package modules it loads past
+# fermatgroups, cli, errors and rationals, which every call loads)
+_MODULES_LOADED = {
+    ("circle", "compose"): (["--d1", "1/2", "--d2", "1/3"], _CONIC),
+    ("circle", "act"): (["--delta", "1/2", "--point", "1,0"], _CONIC),
+    ("circle", "solve"): (["--from", "1,0", "--to", "0,1"], _CONIC),
+    ("circle", "audit-exy"): (["--height", "3"], _AUDIT),
+    ("hyper", "compose"): (["--d1", "1/2", "--d2", "1/3"], _CONIC),
+    ("hyper", "act"): (["--delta", "1/2", "--point", "1,0"], _CONIC),
+    ("hyper", "solve"): (["--from", "1,0", "--to", "5/3,4/3"], _CONIC),
+    ("hyper", "audit"): (["--height", "3"], _AUDIT),
+    ("triples",): (["--height", "3"], ("circle", "conic")),
+    ("kgroup", "order"): (["--k", "3", "--n", "2"], _KGROUP),
+    ("kgroup", "enumerate"): (["--k", "3", "--n", "2"], _KGROUP),
+    ("kgroup", "orbit"): (["--k", "3", "--point", "1,0"], _KGROUP),
+    ("kgroup", "rational"): (["--k", "3", "--n", "2"], _KGROUP),
+    ("kgroup", "orbit-rational"): (["--k", "3"], _KGROUP),
+    ("search",): (["--k", "3", "--height", "5"], _SEARCH),
+    ("coverage",): (["--height", "5"], _SEARCH),
+    ("counterexample",): (["--k", "3", "--x1", "2/3"], _SEARCH),
+    ("iterate",): (["--delta", "1/2", "--steps", "3"], ("conic", "stroboscope")),
+    ("audit",): (["--height", "3", "--pairs", "20"], _AUDIT),
+}
 
 
 @pytest.mark.parametrize(
@@ -898,12 +920,11 @@ def test_start_up_loads_only_what_the_call_uses():
     [
         ["search", "--k", "3", "--height", "5"],
         ["search", "--n", "3", "--k", "3", "--height", "5"],
-        ["coverage", "--height", "5"],
     ],
 )
 def test_search_calls_load_only_the_search_modules(argv):
-    # start-up is part of every call's time: past the CLI import, a search
-    # loads its own module and the conic it solves on, and nothing else
+    # past the CLI import, a search at either exponent loads its own module
+    # and the conic it solves on, and nothing else
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -916,6 +937,29 @@ def test_search_calls_load_only_the_search_modules(argv):
     result = _python(code, *argv)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "0 ['fermatgroups.conic', 'fermatgroups.search']\n"
+
+
+def test_module_table_covers_every_command():
+    assert set(_MODULES_LOADED) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("path", list(_MODULES_LOADED), ids=" ".join)
+def test_each_call_loads_only_the_modules_its_handler_imports(path):
+    # start-up is part of every call's time: a call loads the package modules
+    # its handler imports and what those import, and nothing else
+    args, extra = _MODULES_LOADED[path]
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import fermatgroups.cli as cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'fermatgroups'))\n"
+    )
+    result = _python(code, *path, *args)
+    assert (result.returncode, result.stderr) == (0, "")
+    loaded = sorted(["fermatgroups", *(f"fermatgroups.{m}" for m in ("cli", "errors", "rationals", *extra))])
+    assert result.stdout == f"0 {loaded}\n"
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

@@ -234,9 +234,11 @@ class TestCyclotomicNumber:
 
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InvalidArgumentError):
-            CyclotomicNumber.from_dict({"k": 3})
-        with pytest.raises(InvalidArgumentError):
             CyclotomicNumber.from_dict({"k": 3, "coeffs": ["1/0"]})
+        # 5 was a bare TypeError; "12" was read as 1 + 2w and {"1": 2} as 1
+        for payload in ({"k": 3}, {"k": 3, "coeffs": 5}, {"k": 3, "coeffs": "12"}, {"k": 3, "coeffs": {"1": 2}}):
+            with pytest.raises(InvalidArgumentError, match="malformed cyclotomic payload"):
+                CyclotomicNumber.from_dict(payload)
 
     @pytest.mark.parametrize("coeff", [0.1, 1.0, True, None, Fraction(1, 3), [1]])
     def test_from_dict_rejects_inexact_coefficients(self, coeff):

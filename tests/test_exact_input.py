@@ -50,6 +50,8 @@ INTEGERS = {
     "element_limit override": lambda v: monomial.element_limit(v),
     "group order k": lambda v: monomial.group_order(v, 2),
     "group order n": lambda v: monomial.group_order(3, v),
+    "MonomialMatrix permutation entry": lambda v: monomial.MonomialMatrix(3, (v, 0), (0, 0)),
+    "MonomialMatrix exponent": lambda v: monomial.MonomialMatrix(3, (1, 0), (0, v)),
     "Mat2 power": lambda v: Mat2.identity() ** v,
     "height bound": lambda v: search.reduced_fractions(v),
     "rational_kth_root k": lambda v: search.rational_kth_root(Fraction(4), v),
@@ -67,7 +69,7 @@ INTEGERS = {
 }
 
 # integer parameters that take any int, negative ones too
-UNBOUNDED = {"root_of_unity exponent", "audit seed"}
+UNBOUNDED = {"root_of_unity exponent", "audit seed", "MonomialMatrix permutation entry", "MonomialMatrix exponent"}
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, "1/2", Decimal("0.5")], ids=repr)

@@ -809,8 +809,10 @@ class TestSerialization:
         assert MonomialMatrix.from_dict(5, element.as_dict()) == element
 
     def test_from_dict_rejects_garbage(self):
-        with pytest.raises(InvalidArgumentError):
-            MonomialMatrix.from_dict(3, {"perm": [0, 1]})
+        # a dict's keys were read as the permutation, here the identity
+        for payload in ({"perm": [0, 1]}, {"perm": {0: 1, 1: 0}, "exp": [0, 0]}):
+            with pytest.raises(InvalidArgumentError, match="malformed monomial payload"):
+                MonomialMatrix.from_dict(3, payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -825,7 +827,7 @@ class TestSerialization:
         ],
     )
     def test_from_dict_rejects_non_integer_entries(self, payload):
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match=r"^(permutation entry|exponent) must be an integer, got "):
             MonomialMatrix.from_dict(3, payload)
 
 
