@@ -290,13 +290,13 @@ class CyclotomicNumber:
         for exponent, text in enumerate(self.coefficient_texts()):
             if text == "0/1":
                 continue
-            # integer coefficients print bare, as in "-3 + 2*w"
+            # integer coefficients print bare, as in "-3 + 2*w", and -1 as a negated power, "-w"
             text = text.removesuffix("/1")
             if exponent == 0:
                 terms.append(text)
             else:
                 omega = "w" if exponent == 1 else f"w^{exponent}"
-                terms.append(omega if text == "1" else f"{text}*{omega}")
+                terms.append(omega if text == "1" else f"-{omega}" if text == "-1" else f"{text}*{omega}")
         return " + ".join(terms)
 
     def as_dict(self) -> dict:

@@ -276,14 +276,6 @@ def _times(lines: Lines) -> Callable[[Lines], Lines]:
     return itemgetter(*lines) if len(lines) > 1 else tuple
 
 
-def _inverse(lines: Lines) -> Lines:
-    """The inverse permutation."""
-    inverse = [0] * len(lines)
-    for point, image in enumerate(lines):
-        inverse[image] = point
-    return tuple(inverse)
-
-
 def _wrap(k: int, pairs: Iterable[Pair]) -> list[MonomialMatrix]:
     """The elements of pairs the module generated, wrapped without the constructor's checks."""
     make = MonomialMatrix._make
@@ -448,24 +440,22 @@ class RationalSubgroupReport:
     even, l = k/2 (value -1); the elements listed here are exactly those
     built from such exponents: every permutation in `permutations` with
     every vector in `exponent_vectors`, listed as in `enumerate_group`.
-    `elements` wraps those pairs as matrices when first read.  The
-    closure flags certify the subgroup
-    property on the elements' line permutations, two lines per axis for
-    even k and one for odd k: closure under product by growing the subgroup
-    the listed elements generate and checking that it is exactly the list,
-    closure under inverse by inverting every permutation and checking that
-    each inverse is listed.  `permutations_only` records whether
-    the subgroup is just the plain permutation matrices (true for odd k;
-    even k admits all sign changes as well).
+    `elements` wraps those pairs as matrices when first read.  `is_group`
+    is the one certificate, `_closed_under_product` on the elements' line
+    permutations, two lines per axis for even k and one for odd k: it grows
+    the subgroup the listed elements generate and checks that it is exactly
+    the list.  A finite set of permutations closed under composition holds
+    the identity and every inverse, since g^(ord g - 1) = g^-1, so no
+    second pass checks either.  `permutations_only` records whether the
+    subgroup is just the plain permutation matrices (true for odd k; even k
+    admits all sign changes as well).
     """
 
     k: int
     n: int
     permutations: tuple[tuple[int, ...], ...]
     exponent_vectors: tuple[tuple[int, ...], ...]
-    closed_under_product: bool
-    closed_under_inverse: bool
-    contains_identity: bool
+    is_group: bool
     permutations_only: bool
 
     @cached_property
@@ -475,10 +465,6 @@ class RationalSubgroupReport:
     @property
     def order(self) -> int:
         return len(self.permutations) * len(self.exponent_vectors)
-
-    @property
-    def is_group(self) -> bool:
-        return self.closed_under_product and self.closed_under_inverse and self.contains_identity
 
 
 def _line_forms(k: int, pairs: Sequence[Pair]) -> list[Lines]:
@@ -560,16 +546,12 @@ def rational_elements(k: int, n: int, limit: "int | None" = None) -> RationalSub
     # omega^l is rational exactly when it is 1 or -1, that is when 2l = 0 mod k
     rational_exps = [0, k // 2] if k % 2 == 0 else [0]
     permutations, vectors = _factors(n, rational_exps, limit, "rational subgroup size")
-    lines = _line_forms(k, list(itertools.product(permutations, vectors)))
-    members = set(lines)
     return RationalSubgroupReport(
         k=k,
         n=n,
         permutations=permutations,
         exponent_vectors=vectors,
-        closed_under_product=_closed_under_product(lines),
-        closed_under_inverse=set(map(_inverse, members)) <= members,
-        contains_identity=tuple(range(n)) in permutations and (0,) * n in vectors,
+        is_group=_closed_under_product(_line_forms(k, list(itertools.product(permutations, vectors)))),
         permutations_only=not any(map(any, vectors)),
     )
 

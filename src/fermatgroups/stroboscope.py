@@ -2,17 +2,20 @@
 
 Applying L(Delta) repeatedly to a rational start point visits only rational
 points, each computed bit-exactly, so the sampled dynamics carry no rounding
-artifacts.  Among rational parameters only Delta in {0, 1, -1, inf} generate
-periodic orbits (their rotation angles are 0, 90, -90, 180 degrees; every
-other rational Delta gives an angle that is an irrational fraction of a
-turn), so generic trajectories never return and their coordinate heights
-grow geometrically.  The height profile stands in for a divergence
-diagnostic: exact arithmetic has no Lyapunov noise floor.
+artifacts.  With Delta = n/m in lowest terms (inf = 1/0), a step multiplies
+the point's Gaussian integer by w/conj(w), w = m + n*i.  As w is primitive,
+each prime p = 1 (mod 4) of m^2 + n^2 divides w through only one of its two
+Gaussian factors, and 2 contributes only the unit (1 + i)/(1 - i) = i, so
+from (1, 0) the heights are exactly growth^s, growth the odd part of
+m^2 + n^2.  It is 1, and the orbit periodic, exactly for Delta in
+{0, 1, -1, inf}; every other rational Delta turns by an irrational fraction
+of a turn.  The height profile stands in for a divergence diagnostic: exact
+arithmetic has no Lyapunov noise floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -28,7 +31,7 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from math import gcd, log
+from math import gcd
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError
@@ -158,31 +161,26 @@ def period_check(delta, limit: int) -> "int | None":
 
 @dataclass
 class HeightProfile:
-    """Growth statistics of a trajectory's coordinate heights.
+    """A trajectory's heights, their successive quotients and the exact growth.
 
-    `ratios` are the exact successive height quotients; `log_slope` is the
-    least-squares slope of log(height) against the step index, which is 0.0
-    by definition for periodic trajectories.
+    `growth` is the odd part of m^2 + n^2 (module docstring): from (1, 0)
+    the heights are growth^s, and from a start of height c the `ratios`
+    equal growth once 2^s > c.
     """
 
     heights: list[int]
-    ratios: list[Fraction] = field(default_factory=list)
-    log_slope: float = 0.0
+    ratios: list[Fraction]
+    growth: int
 
 
 def height_profile(trajectory: Trajectory) -> HeightProfile:
     """Summarize height growth along a recorded trajectory."""
-    heights = list(trajectory.heights)
+    heights = trajectory.heights
     if not heights:
         raise InvalidArgumentError("height profile of an empty trajectory")
-    ratios = [Fraction(heights[i + 1], heights[i]) for i in range(len(heights) - 1)]
-    if trajectory.period is not None or len(heights) < 2:
-        slope = 0.0
-    else:
-        xs = range(1, len(heights) + 1)
-        ys = [log(h) for h in heights]
-        x_mean = sum(xs) / len(heights)
-        y_mean = sum(ys) / len(heights)
-        denom = sum((x - x_mean) ** 2 for x in xs)
-        slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / denom
-    return HeightProfile(heights=heights, ratios=ratios, log_slope=slope)
+    ratios = [Fraction(later, earlier) for earlier, later in zip(heights, heights[1:])]
+    n, m = projective_pair(trajectory.delta)
+    scale = m * m + n * n
+    # a primitive pair's m^2 + n^2 is 1 or 2 mod 4, so its odd part drops one factor 2 at most
+    growth = scale // 2 if scale % 2 == 0 else scale
+    return HeightProfile(heights=heights, ratios=ratios, growth=growth)

@@ -194,13 +194,18 @@ class CyclotomicNumber:
         for exponent, c in enumerate(self._coeffs):
             if not c:
                 continue
-            # integer coefficients print bare, as in "-3 + 2*w"
+            # integer coefficients print bare, as in "-3 + 2*w", and -1 as a negated power, "-w"
             text = format_rational(c).removesuffix("/1")
             if exponent == 0:
                 terms.append(text)
             else:
                 power = "w" if exponent == 1 else f"w^{exponent}"
-                terms.append(power if c == 1 else f"{text}*{power}")
+                if c == 1:
+                    terms.append(power)
+                elif c == -1:
+                    terms.append(f"-{power}")
+                else:
+                    terms.append(f"{text}*{power}")
         return " + ".join(terms)
 
     def as_dict(self) -> dict:

@@ -133,6 +133,10 @@ class TestCircleElement:
 
 
 class TestChartAndSolve:
+    def test_a_scalar_is_not_a_planar_point(self):
+        with pytest.raises(InvalidArgumentError, match=r"^not a planar point: 5$"):
+            circle.on_circle(5)
+
     def test_chart_values(self):
         assert circle.chart((Fraction(3, 5), Fraction(4, 5))) == Fraction(1, 2)
         assert circle.chart((Fraction(5, 13), Fraction(12, 13))) == Fraction(2, 3)

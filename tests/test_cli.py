@@ -667,6 +667,10 @@ class TestLimitsAndRanges:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_text_after_a_coefficient_list_is_malformed(self, capsys):
+        assert main(["kgroup", "orbit", "--k", "3", "--point", "[1,2]3"]) == 2
+        assert capsys.readouterr().err == "error: malformed cyclotomic component: '[1,2]3'\n"
+
     def test_negative_audit_pairs_exits_two(self):
         assert main(["audit", "--pairs", "-5"]) == 2
 

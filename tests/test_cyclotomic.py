@@ -95,6 +95,25 @@ class TestCyclotomicNumber:
         assert total == 0
         assert not total
 
+    @pytest.mark.parametrize(
+        "k,texts",
+        [
+            # w, -w, 1 - w, w^2, -w^2 on the power basis of Q(omega_k)
+            (3, ["w", "-w", "1 + -w", "-1 + -w", "1 + w"]),
+            (4, ["w", "-w", "1 + -w", "-1", "1"]),
+            (6, ["w", "-w", "1 + -w", "-1 + w", "1 + -w"]),
+        ],
+    )
+    def test_str_prints_a_minus_one_coefficient_as_a_negated_power(self, k, texts):
+        omega, one = CyclotomicNumber.root_of_unity(k, 1), CyclotomicNumber.one(k)
+        values = [omega, -omega, one - omega, omega * omega, -(omega * omega)]
+        assert [str(value) for value in values] == texts
+
+    def test_str_keeps_every_other_coefficient_as_a_product(self):
+        assert str(CyclotomicNumber(5, [0, -1, -2, -1])) == "-w + -2*w^2 + -w^3"
+        assert str(CyclotomicNumber(5, [0, Fraction(-1, 2), 1, -3])) == "-1/2*w + w^2 + -3*w^3"
+        assert str(CyclotomicNumber(7, [-1, 0, -1])) == "-1 + -w^2"
+
     def test_i_squared_is_minus_one(self):
         i = CyclotomicNumber.root_of_unity(4, 1)
         assert i * i == -1

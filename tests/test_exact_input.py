@@ -7,6 +7,7 @@ as a binary fraction.
 """
 
 import ast
+import operator
 import random
 import re
 from decimal import Decimal
@@ -79,6 +80,25 @@ def test_coercion_sites_take_only_ints_and_fractions(site, value):
         COERCIONS[site](value)
 
 
+# one value of each arithmetic type, each with +, - and * defined on its own kind
+OPERANDS = {
+    "CyclotomicNumber": CyclotomicNumber.one(3),
+    "MonomialMatrix": monomial.MonomialMatrix.identity(3, 2),
+    "Mat2": Mat2.identity(),
+}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("kind", OPERANDS)
+def test_arithmetic_refuses_text_operands(kind, op):
+    # text is never parsed as a number, on either side of the operator
+    value = OPERANDS[kind]
+    with pytest.raises(TypeError):
+        op(value, "1")
+    with pytest.raises(TypeError):
+        op("1", value)
+
+
 @pytest.mark.parametrize("value", [True, 1.0, Fraction(1), "1"], ids=repr)
 @pytest.mark.parametrize("site", INTEGERS)
 def test_integer_parameters_take_only_ints(site, value):
@@ -128,13 +148,9 @@ def test_integer_names_the_parameter_and_its_minimum():
         integer(1.0, None, "seed")
 
 
-# the diagnostics allowed a float: the height profile's log-slope and the law
-# sample's seeded draw; no scope may read a clock
-INEXACT_SCOPES = {
-    "stroboscope.height_profile",
-    "stroboscope.HeightProfile",
-    "audit._random_pair",
-}
+# the one diagnostic allowed a float: the law sample's seeded draw; no scope
+# may read a clock
+INEXACT_SCOPES = {"audit._random_pair"}
 INEXACT_CALLS = {
     "float", "log", "log2", "log10", "sqrt", "exp",
     "perf_counter", "perf_counter_ns", "time", "time_ns", "monotonic", "monotonic_ns", "process_time",

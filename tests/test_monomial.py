@@ -217,6 +217,24 @@ class TestProductLaw:
         with pytest.raises(InvalidArgumentError):
             element.apply((CyclotomicNumber.one(4),))
 
+    def test_apply_rejects_a_vector_of_the_wrong_length(self):
+        element = MonomialMatrix(3, (1, 0), (0, 1))
+        with pytest.raises(InvalidArgumentError, match=r"^vector length 1 does not match dimension 2$"):
+            element.apply((CyclotomicNumber.one(3),))
+
+    def test_apply_rejects_a_component_that_is_not_cyclotomic(self):
+        element = MonomialMatrix(3, (1, 0), (0, 1))
+        with pytest.raises(InvalidArgumentError, match=r"^vector components must be cyclotomic, got 1$"):
+            element.apply((CyclotomicNumber.one(3), 1))
+
+    def test_cyclo_vector_rejects_a_component_of_another_order(self):
+        with pytest.raises(InvalidArgumentError, match=r"^order mismatch: expected k=3, component has k=4$"):
+            monomial.cyclo_vector(3, [1, CyclotomicNumber.one(4)])
+
+    def test_cyclo_vector_rejects_an_empty_vector(self):
+        with pytest.raises(InvalidArgumentError, match=r"^vector must have at least one component$"):
+            monomial.cyclo_vector(3, [])
+
 
 class TestEnumeration:
     @pytest.mark.parametrize(
@@ -721,7 +739,7 @@ class TestRationalSubgroup:
         for element in monomial.enumerate_group(k, n):
             assert dense_mul(dense(element), dense(element.inverse())) == identity
 
-    def test_a_set_missing_an_inverse_is_not_closed_under_inverse(self, monkeypatch):
+    def test_a_set_missing_an_inverse_is_not_a_group(self, monkeypatch):
         # (1 2 0) with exponents (1, 0, 0) has order 9 at k=3; listed with the
         # identity as a product of two permutations and two vectors, its
         # inverse is left out
@@ -731,10 +749,16 @@ class TestRationalSubgroup:
         report = monomial.rational_elements(3, 3)
         assert {MonomialMatrix.identity(3, 3), element} <= set(report.elements)
         assert element.inverse() not in report.elements
-        assert report.contains_identity
-        assert not report.closed_under_inverse
-        assert not report.closed_under_product
         assert not report.is_group
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(3, 9) for n in (1, 2, 3)] + [(4, 4)])
+    def test_every_listed_element_has_its_inverse_listed(self, k, n):
+        # `inverse` works on the pairs and shares no code with the line forms
+        # that certify `is_group`, so this checks the certificate's inverse argument
+        report = monomial.rational_elements(k, n)
+        listed = set(report.elements)
+        assert report.is_group
+        assert all(element.inverse() in listed for element in listed)
 
 
 class TestOrbitRationalPoints:
@@ -831,7 +855,7 @@ class TestSerialization:
             MonomialMatrix.from_dict(3, payload)
 
 
-LINE_FORM_HELPERS = {"_line_forms", "_times", "_inverse"}
+LINE_FORM_HELPERS = {"_line_forms", "_times"}
 
 
 def _line_form_sites():
@@ -854,5 +878,5 @@ def test_elements_multiply_and_invert_without_the_line_form():
     # `inverse` work on the pairs, so no method of an element encodes one
     sites = set(_line_form_sites())
     assert [site for site in sites if site[0].startswith("MonomialMatrix.")] == []
-    # the law and the inverse on lines serve the certificate alone, and the scan sees them
-    assert {scope for scope, name in sites if name != "_line_forms"} == {"_closed_under_product", "rational_elements"}
+    # the law on lines serves the certificate alone, and the scan sees it
+    assert {scope for scope, name in sites if name != "_line_forms"} == {"_closed_under_product"}

@@ -81,6 +81,9 @@ class TestInfinity:
     def test_singleton(self):
         assert Infinity() is INF
 
+    def test_repr(self):
+        assert repr(INF) == "inf"
+
     def test_not_equal_to_fractions(self):
         assert INF != Fraction(0) and INF != 10**9
 
@@ -152,6 +155,10 @@ class TestHeight:
     def test_empty_point_rejected(self):
         with pytest.raises(InvalidArgumentError):
             height(())
+
+    def test_value_without_components_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="^height undefined for <object object"):
+            height(object())
 
 
 class TestTextCodec:

@@ -9,7 +9,7 @@ import stroboscope_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatgroups import circle, stroboscope
+from fermatgroups import circle, search, stroboscope
 from fermatgroups.conic import CIRCLE
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.rationals import INF, Mat2, height, projective_pair
@@ -282,20 +282,63 @@ class TestPeriodCheck:
         assert stroboscope.period_check(Fraction(0), 0) is None
 
 
+# every Delta = n/m in lowest terms with |n| <= 12 and 0 <= m <= 12; m = 0 is inf
+SMALL_DELTAS = [INF] + [Fraction(n, m) for m in range(1, 13) for n in range(-12, 13) if math.gcd(n, m) == 1]
+
+
+def odd_part(value: int) -> int:
+    while value % 2 == 0:
+        value //= 2
+    return value
+
+
 class TestHeightProfile:
     def test_geometric_growth_for_half(self):
         trajectory = stroboscope.iterate(Fraction(1, 2), (1, 0), 6)
         profile = stroboscope.height_profile(trajectory)
         assert profile.heights == [5, 25, 125, 625, 3125, 15625]
         assert profile.ratios == [Fraction(5)] * 5
-        import math
+        assert profile.growth == 5
 
-        assert abs(profile.log_slope - math.log(5)) < 1e-9
-
-    def test_periodic_trajectory_has_zero_slope(self):
+    def test_periodic_trajectory_has_unit_growth(self):
         trajectory = stroboscope.iterate(Fraction(1), (1, 0), 8)
         profile = stroboscope.height_profile(trajectory)
-        assert profile.log_slope == 0.0
+        assert profile.growth == 1
+        assert profile.ratios == [Fraction(1)] * 7
+
+    def test_heights_from_one_zero_are_powers_of_the_growth(self):
+        # the growth is |w|^2 = m^2 + n^2 of the Gaussian integer w = m + n*i, with the prime 2 dropped
+        for delta in SMALL_DELTAS:
+            n, m = projective_pair(delta)
+            profile = stroboscope.height_profile(stroboscope.iterate(delta, (1, 0), 12))
+            assert type(profile.growth) is int
+            assert profile.growth == odd_part(m * m + n * n), delta
+            assert profile.heights == [profile.growth**s for s in range(1, 13)], delta
+
+    def test_growth_is_one_exactly_at_the_periodic_parameters(self):
+        # the module docstring's periodicity claim: growth 1 means bounded heights,
+        # and period_check finds a return for exactly those parameters
+        unit = {
+            delta for delta in SMALL_DELTAS
+            if stroboscope.height_profile(stroboscope.iterate(delta, (1, 0), 1)).growth == 1
+        }
+        assert unit == {Fraction(0), Fraction(1), Fraction(-1), INF}
+        assert {delta for delta in SMALL_DELTAS if stroboscope.period_check(delta, 8) is not None} == unit
+
+    def test_ratios_settle_to_the_growth_from_every_small_point(self):
+        # from a start of height c, each prime of c cancels against the step's
+        # factor for at most log_5 c steps, so the ratio is the growth once 2^s > c
+        points = search.circle_points(60)
+        for start in points:
+            c = height(start)
+            settled = c.bit_length()  # the least s with 2^s > c
+            for delta in SMALL_DELTAS:
+                trajectory = stroboscope.iterate(delta, start, settled + 3)
+                profile = stroboscope.height_profile(trajectory)
+                heights = [c] + profile.heights
+                assert all(
+                    heights[s + 1] == heights[s] * profile.growth for s in range(settled, len(heights) - 1)
+                ), (start, delta)
 
     def test_heights_strictly_increase_for_generic_parameters(self):
         from fermatgroups.search import reduced_fractions
