@@ -31,7 +31,7 @@ from itertools import chain, cycle
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import format_pair, format_point, format_projective, format_rational, format_triple
-from .rationals import parse_point, parse_projective, parse_rational
+from .rationals import parse_point, parse_point_pairs, parse_projective, parse_projective_pair, parse_rational
 
 __all__ = ["COMMANDS", "main"]
 
@@ -113,30 +113,35 @@ def _conic_group(group, name, motion, domain, audit_verb, audit_help) -> None:
         from . import conic
         return getattr(conic, name.upper())
 
+    # the point commands run the conic kernel on the parsed pairs, and their
+    # texts, "p/q" or "inf", need no JSON escaping, so the JSON is joined directly
     @_command(f"{group} compose", f"Parameter of the product {motion} L(d1)·L(d2).",
               Option("--d1", "d1_text", required=True, help=f"First parameter ({domain})."),
               Option("--d2", "d2_text", required=True, help=f"Second parameter ({domain})."), _TJ)
     def compose_cmd(d1_text: str, d2_text: str, fmt: str) -> None:
-        result = format_projective(curve().compose_delta(parse_projective(d1_text), parse_projective(d2_text)))
-        _emit(fmt, text=lambda: f"{result}\n", json=lambda: _json(result))
+        d1, d2 = parse_projective_pair(d1_text), parse_projective_pair(d2_text)
+        result = format_pair(*curve().product_pair(d1, d2))
+        _emit(fmt, text=lambda: f"{result}\n", json=lambda: f'"{result}"\n')
 
     @_command(f"{group} act", f"Exact image of a {name} point under a group element.",
               Option("--delta", "delta_text", required=True, help=f"{motion.capitalize()} parameter."),
               Option("--reflect", "reflect", bool, False, help=f"Apply the reflection diag(1,-1) after the {motion}."),
               Option("--point", "point_text", required=True, help=f"{name.capitalize()} point x,y."), _TJ)
     def act_cmd(delta_text: str, reflect: bool, point_text: str, fmt: str) -> None:
-        element = curve().element(parse_projective(delta_text), reflect)
-        image = element.act(parse_point(point_text))
-        _emit(fmt, text=lambda: f"{format_point(image)}\n", json=lambda: _json([format_rational(c) for c in image]))
+        conic = curve()
+        delta = conic.valid_pair(*parse_projective_pair(delta_text))
+        a, b, c = conic.image(delta, conic.point_triple(*parse_point_pairs(point_text)), reflect)
+        x, y = format_pair(a, c), format_pair(b, c)
+        _emit(fmt, text=lambda: f"{x},{y}\n", json=lambda: f'["{x}","{y}"]\n')
 
     @_command(f"{group} solve", f"{motion.capitalize()} parameter carrying one {name} point to another (verified).",
               Option("--from", "from_text", required=True, help="Start point x,y."),
               Option("--to", "to_text", required=True, help="Target point x,y."), _TJ)
     def solve_cmd(from_text: str, to_text: str, fmt: str) -> None:
-        source, target = parse_point(from_text), parse_point(to_text)
-        element = curve().solve_delta(source, target)
-        delta = format_projective(element.delta)
-        _emit(fmt, text=lambda: f"{delta}\n", json=lambda: _json({"delta": delta, "reflected": element.reflected}))
+        conic = curve()
+        source, target = parse_point_pairs(from_text), parse_point_pairs(to_text)
+        delta = format_pair(*conic.solve_triples(conic.point_triple(*source), conic.point_triple(*target)))
+        _emit(fmt, text=lambda: f"{delta}\n", json=lambda: f'{{"delta":"{delta}","reflected":false}}\n')
 
     @_command(f"{group} {audit_verb}", f"Audit the two closed forms for the {name}'s connecting parameter. {audit_help}",
               Option("--height", "bound", int, help="Sweep all point pairs up to this height (default 12)."),
@@ -283,10 +288,9 @@ _VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     from . import monomial
     vector = _parse_vector(point_text)
+    # the indices follow the components' coefficient vectors, so the sorted
+    # int tuples sort as the points print; each component is formatted once
     components, points, stabilizer_order = monomial.orbit_census(vector, k, limit)
-    # the indices follow the components' coefficient vectors, so the int
-    # tuples sort as the points print; each component is formatted once
-    points = sorted(points)
     group_order = monomial.group_order(k, len(vector))
 
     def as_json() -> str:
@@ -403,21 +407,33 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
     rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
+    period = trajectory.period if trajectory.period is not None else "none"
     _emit(
         fmt,
         ("csv", csv_path),
-        text=lambda: _iterate_text(trajectory, rows),
+        text=lambda: _iterate_table(rows, _ROW_TEXT, "", f"period: {period}\n"),
         json=lambda: _iterate_json(trajectory, rows),
-        csv=lambda: _csv_text(("step", "x", "y", "height"), rows),
+        csv=lambda: _iterate_table(rows, _ROW_CSV, "step,x,y,height\n", ""),
     )
 
 
-def _iterate_text(trajectory, rows) -> str:
-    """The iterate text, a line "step S: X,Y height H" per row, joined once from the row strings."""
-    pieces = []
-    for step, x, y, h in rows:
-        pieces += ("step ", step, ": ", x, ",", y, " height ", h, "\n")
-    pieces.append(f"period: {trajectory.period if trajectory.period is not None else 'none'}\n")
+# how the text and the CSV print an iterate row (step, a, b, h): the text
+# before the step, after it, between the points a/h and b/h, and before h
+_ROW_TEXT = "step ", ": ", ",", " height "
+_ROW_CSV = "", ",", ",", ","
+
+
+def _iterate_table(rows, form, head: str, tail: str) -> str:
+    """The iterate text or CSV: `head`, a line per row in `form`, then `tail`, joined once.
+
+    A coordinate a/h is joined from a, "/" and h, so no per-row string is
+    built and the coordinates, megabytes of digits, are copied once.
+    """
+    before, after_step, middle, before_height = form
+    pieces = [head]
+    for step, a, b, h in rows:
+        pieces += (before, step, after_step, a, "/", h, middle, b, "/", h, before_height, h, "\n")
+    pieces.append(tail)
     return "".join(pieces)
 
 
@@ -426,14 +442,14 @@ def _iterate_json(trajectory, rows) -> str:
 
     A p/q string and a decimal integer need no JSON escaping, so joining them
     gives json.dumps's bytes without converting each height to decimal again.
-    The coordinates, megabytes of digits, are copied once, by the final join.
+    Each coordinate a/h is joined from a, "/" and h, as in `_iterate_table`.
     """
     head = _json({
         "delta": format_projective(trajectory.delta), "start": format_point(trajectory.start), "period": trajectory.period
     })
     pieces = [head[:-2], ',"points":[']
-    for i, (_, x, y, _) in enumerate(rows):
-        pieces += (',["' if i else '["', x, '","', y, '"]')
+    for i, (_, a, b, h) in enumerate(rows):
+        pieces += (',["' if i else '["', a, "/", h, '","', b, "/", h, '"]')
     pieces += ('],"heights":[', ",".join(h for *_, h in rows), "]}\n")
     return "".join(pieces)
 

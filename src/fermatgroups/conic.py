@@ -21,26 +21,31 @@ reduced triple (a, b, c) with c > 0; a parameter n/m is the homogeneous pair
 (n : m), with inf = (1 : 0).  Two pairs are equal when their cross-products
 are, so the kernel never divides; `act_pair` is the one action of L(n : m)
 on a point, which `identity_pairs` spells out inline for its solver check.
-The Fraction methods convert their arguments to triples and pairs, call
-the kernel, and convert back.
+
+The checks live on the integers too: `valid_pair` excludes |Delta| = 1 on
+the hyperbola, `point_triple` tests a point given as two reduced pairs
+against the curve, and `lowest_terms` reduces an image or a parameter with
+a positive scale; `product_pair`, `image` and `solve_triples` join them to
+the formulas.  The CLI's `compose`, `act` and `solve` go straight from the
+parsed pairs to these entry points and print with `format_pair`; the
+Fraction methods convert their arguments to triples and pairs, call the
+same entry points, and convert back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .rationals import (
-    Infinity,
     Mat2,
     ProjectiveRational,
     as_projective,
     exact,
     format_pair,
-    format_point,
-    format_projective,
     pr_neg,
     projective_pair,
     projective_ratio,
@@ -54,6 +59,7 @@ __all__ = [
     "HYPERBOLA",
     "HyperbolicElement",
     "REFLECTION",
+    "lowest_terms",
 ]
 
 Point = tuple[Fraction, Fraction]
@@ -68,6 +74,18 @@ def _as_point(point) -> Point:
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"not a planar point: {point!r}") from None
     return (Fraction(exact(x)), Fraction(exact(y)))
+
+
+def lowest_terms(*values: int) -> tuple[int, ...]:
+    """Integers, not all zero, over their gcd, signed so that the last one, the scale, is positive.
+
+    A reduced triple (a, b, c) has c > 0 and a parameter pair (n : m) has
+    m >= 0, with inf = (1 : 0).
+    """
+    g = gcd(*values)
+    if values[-1] < 0 or not values[-1] and values[0] < 0:
+        g = -g
+    return tuple([value // g for value in values])
 
 
 def _same(first: tuple[int, int], second: tuple[int, int]) -> "bool | None":
@@ -140,30 +158,41 @@ class Conic:
         self.left_form = left_form
         self.element = _element_class(self, element_name)
 
-    def _on_curve(self, x: Fraction, y: Fraction) -> bool:
+    def _on_curve(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
         # the common-denominator lemma: for s = 1 or -1, (a/c, b/d) in lowest
         # terms lies on the curve exactly when d = c and a^2 + s*b^2 = c^2
-        c = x.denominator
-        return y.denominator == c and x.numerator**2 + self.s * y.numerator**2 == c * c
+        (a, c), (b, d) = x, y
+        return d == c and a * a + self.s * b * b == c * c
 
     def on_curve(self, point) -> bool:
         """Exact membership test for x^2 + s*y^2 = 1 (both hyperbola branches)."""
-        return self._on_curve(*_as_point(point))
+        return self._on_curve(*map(projective_pair, _as_point(point)))
 
     def require_on_curve(self, point) -> Point:
-        x, y = _as_point(point)
+        return self.charted(point)[0]
+
+    def point_triple(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
+        """The reduced triple (a, b, c) of the curve point (a/c, b/c), given as the reduced pairs of x and y.
+
+        Both pairs have positive denominators, as `parse_pair` returns them;
+        a point off the curve raises `require_on_curve`'s error.
+        """
         if not self._on_curve(x, y):
-            raise InvalidArgumentError(f"point {format_point((x, y))} is not on the unit {self.name}")
-        return (x, y)
+            raise InvalidArgumentError(f"point {format_pair(*x)},{format_pair(*y)} is not on the unit {self.name}")
+        (a, c), (b, _) = x, y
+        return a, b, c
 
     def require_valid_delta(self, delta) -> ProjectiveRational:
         """Coerce onto the projective line; when s = -1, reject |Delta| = 1 (degenerate matrix)."""
         delta = as_projective(delta)
-        if self.s < 0 and not isinstance(delta, Infinity) and (delta == 1 or delta == -1):
-            raise InvalidArgumentError(
-                f"hyperbolic parameter {format_projective(delta)} is excluded (|Delta| = 1)"
-            )
+        self.valid_pair(*projective_pair(delta))
         return delta
+
+    def valid_pair(self, n: int, m: int) -> tuple[int, int]:
+        """`require_valid_delta` of the reduced pair (n : m), m >= 0: the pair itself, unless excluded."""
+        if self.s < 0 and m and (n == m or n == -m):
+            raise InvalidArgumentError(f"hyperbolic parameter {format_pair(n, m)} is excluded (|Delta| = 1)")
+        return n, m
 
     def compose_delta(self, d1, d2) -> ProjectiveRational:
         """Parameter of the product: L(result) = L(d1)·L(d2).
@@ -201,8 +230,12 @@ class Conic:
         Works through the chart, across the hyperbola's branches too; the
         result is verified by exact action before it is returned.
         """
-        solver = self.solve_pair(*self.charted(source)[1:], *self.charted(target)[1:])
-        return self.element(projective_ratio(*solver))
+        return self.element(projective_ratio(*self.solve_triples(self.triple(source), self.triple(target))))
+
+    def solve_triples(self, source, target) -> tuple[int, int]:
+        """`solve_delta` of two reduced triples: the checked parameter as a reduced, valid pair."""
+        solver = self.solve_pair(source, self.chart_pair(*source), target, self.chart_pair(*target))
+        return self.valid_pair(*lowest_terms(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
         """The reduced triple (a, b, c) of the curve point (a/c, b/c), as `charted` reads it off."""
@@ -223,6 +256,10 @@ class Conic:
         (n1, m1), (n2, m2) = first, second
         return n1 * m2 + n2 * m1, m1 * m2 - self.s * n1 * n2
 
+    def product_pair(self, first: tuple[int, int], second: tuple[int, int]) -> tuple[int, int]:
+        """`compose_delta` of two reduced pairs: both checked by `valid_pair`, the product in lowest terms."""
+        return lowest_terms(*self.compose_pair(self.valid_pair(*first), self.valid_pair(*second)))
+
     def matrix_pair(self, n: int, m: int) -> tuple[tuple[int, int, int, int], int]:
         """L(n : m) as integer entries (a11, a12, a21, a22) and their scale m^2 + s*n^2."""
         diagonal = m * m - self.s * n * n
@@ -237,6 +274,11 @@ class Conic:
         (a11, a12, a21, a22), scale = self.matrix_pair(*delta)
         a, b, c = triple
         return a11 * a + a12 * b, a21 * a + a22 * b, scale * c
+
+    def image(self, delta: tuple[int, int], triple, reflected: bool) -> tuple[int, int, int]:
+        """The reduced triple of the image of a triple under L(delta), reflected by R = diag(1, -1) when flagged."""
+        a, b, c = lowest_terms(*self.act_pair(delta, triple))
+        return a, -b if reflected else b, c
 
     def carries_pair(self, delta: tuple[int, int], source, target) -> bool:
         """Whether L(delta) sends the triple `source` to the triple `target`, by exact action."""
@@ -258,8 +300,8 @@ class Conic:
         Both coordinates of a rational curve point share their denominator
         (the common-denominator lemma), so the triple is read off directly.
         """
-        x, y = point = self.require_on_curve(point)
-        triple = x.numerator, y.numerator, x.denominator
+        point = _as_point(point)
+        triple = self.point_triple(*map(projective_pair, point))
         return point, triple, self.chart_pair(*triple)
 
     def identity_pairs(self, sources, targets):
@@ -374,9 +416,8 @@ def _element_class(conic: Conic, name: str) -> type:
 
         def act(self, point) -> Point:
             """Exact image of a curve point; rejects points off the curve."""
-            # R = diag(1, -1) negates B; Fraction normalises a negative scale
-            a, b, c = conic.act_pair(projective_pair(self.delta), conic.triple(point))
-            return Fraction(a, c), Fraction(-b if self.reflected else b, c)
+            a, b, c = conic.image(projective_pair(self.delta), conic.triple(point), self.reflected)
+            return Fraction(a, c), Fraction(b, c)
 
     Element.__name__ = Element.__qualname__ = name
     Element.__doc__ = f"A group element: the {conic.motion} L(delta), reflected first when flagged."

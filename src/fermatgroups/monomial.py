@@ -386,15 +386,18 @@ def _twist_table(vector, k, limit) -> tuple[int, list[CyclotomicNumber], list[li
 
 def orbit_census(
     vector, k: "int | None" = None, limit: "int | None" = None
-) -> tuple[list[CyclotomicNumber], set[tuple[int, ...]], int]:
-    """The orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
+) -> tuple[list[CyclotomicNumber], list[tuple[int, ...]], int]:
+    """The sorted orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
 
     Every component of every image is a twist of some v_j, numbered by
     `_twist_table`, so index tuples sort as their points' coefficient
     vectors do.  Row j of the table holds the indices of v_j's twists, and
     the orbit is the union over sigma of the products of the rows' distinct
     indices in sigma's order: n*k field elements are built, not k^n * n!
-    images, and the points are tuples of small ints.
+    images, and the points are tuples of small ints.  Two rows hold equal
+    or disjoint sets, both being orbits of the k-th roots of unity, so the
+    products of distinct arrangements of the rows are disjoint, and each is
+    a sorted run: one sort merges the runs, and no point is hashed.
 
     The stabilizer has sum over sigma of prod over i of |fixing[i][sigma(i)]|
     elements, so no element is built, and the order is counted rather than
@@ -402,9 +405,11 @@ def orbit_census(
     order = group order a check.
     """
     _, components, table, fixing = _twist_table(vector, k, limit)
-    points: set[tuple[int, ...]] = set()
-    for perm in itertools.permutations(map(set, table)):
-        points.update(itertools.product(*perm))
+    rows = [tuple(sorted(set(row))) for row in table]
+    points: list[tuple[int, ...]] = []
+    for arrangement in dict.fromkeys(itertools.permutations(rows)):
+        points += itertools.product(*arrangement)
+    points.sort()
     sizes = [list(map(len, row)) for row in fixing]
     stabilizer_order = sum(
         prod(map(list.__getitem__, sizes, perm)) for perm in itertools.permutations(range(len(sizes)))

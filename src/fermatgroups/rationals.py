@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Union
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -40,8 +41,11 @@ __all__ = [
     "height",
     "int_digit_limit",
     "integer",
+    "parse_pair",
     "parse_point",
+    "parse_point_pairs",
     "parse_projective",
+    "parse_projective_pair",
     "parse_rational",
     "power",
     "pr_neg",
@@ -156,7 +160,12 @@ def height(value) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (integers, q != 0) into a reduced fraction.
+    """Parse "p" or "p/q" (integers, q != 0) into a reduced fraction: `parse_pair` as a Fraction."""
+    return Fraction(*parse_pair(text))
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """Parse "p" or "p/q" (integers, q != 0) into the reduced pair (p : q) with q > 0.
 
     CPython refuses to read an integer longer than its int-from-str digit
     limit; such a token raises ResourceLimitError, naming the limit and
@@ -177,7 +186,8 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidArgumentError(f"malformed rational: {text!r}") from None
     if den == 0:
         raise InvalidArgumentError(f"malformed rational (zero denominator): {text!r}")
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def format_rational(value: "Fraction | int") -> str:
@@ -202,17 +212,18 @@ def format_pair(num: int, den: int) -> str:
 
 
 def format_triple(a: Decimal, b: Decimal, c: Decimal) -> tuple[str, str, str]:
-    """`format_rational` of a/c and b/c for a reduced triple of integral Decimals (c > 0), and c, with c printed once.
+    """The decimal texts of a reduced triple of integral Decimals (c > 0).
 
-    A Decimal prints in time linear in its digits, where an int takes
+    `format_rational` of a/c is a's text, "/" and c's text, so a printer
+    joins the point (a/c, b/c) from these pieces with c printed once.  A
+    Decimal prints in time linear in its digits, where an int takes
     quadratic time.  The int-to-str digit limit bounds these strings as it
     bounds an int's: a component with more digits raises ResourceLimitError.
     """
     limit = sys.get_int_max_str_digits()
     if limit and max(a.adjusted(), b.adjusted(), c.adjusted()) + 1 > limit:
         raise _print_limit_error()
-    c_text = str(c)
-    return f"{a!s}/{c_text}", f"{b!s}/{c_text}", c_text
+    return str(a), str(b), str(c)
 
 
 def int_digit_limit() -> tuple[int, "int | None"]:
@@ -238,9 +249,14 @@ def _print_limit_error() -> ResourceLimitError:
 
 def parse_projective(text: str) -> ProjectiveRational:
     """Parse "p/q", "p", or "inf"."""
+    return projective_ratio(*parse_projective_pair(text))
+
+
+def parse_projective_pair(text: str) -> tuple[int, int]:
+    """`parse_pair`, extended by "inf" = (1 : 0)."""
     if text.strip() == "inf":
-        return INF
-    return parse_rational(text)
+        return 1, 0
+    return parse_pair(text)
 
 
 def format_projective(value: ProjectiveRational) -> str:
@@ -251,10 +267,16 @@ def format_projective(value: ProjectiveRational) -> str:
 
 def parse_point(text: str) -> tuple[Fraction, Fraction]:
     """Parse "x,y" with rational components."""
+    x, y = parse_point_pairs(text)
+    return Fraction(*x), Fraction(*y)
+
+
+def parse_point_pairs(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Parse "x,y" into the reduced pairs of its components, as `parse_pair` reads them."""
     parts = text.split(",")
     if len(parts) != 2:
         raise InvalidArgumentError(f"malformed point (need two components): {text!r}")
-    return parse_rational(parts[0]), parse_rational(parts[1])
+    return parse_pair(parts[0]), parse_pair(parts[1])
 
 
 def format_point(point) -> str:

@@ -1,6 +1,7 @@
 """The former `monomial.orbit` and `kgroup orbit` printer: oracles of the index-tuple orbit.
 
-`orbit` builds the orbit as a set of CyclotomicNumber tuples, and
+`orbit` builds the orbit as a set of CyclotomicNumber tuples,
+`orbit_indices` as the set of index tuples the census once built, and
 `kgroup_orbit_json` prints it as the command printed it before its points
 became tuples of component indices: the distinct components ranked by their
 coefficient vectors, the points sorted by those ranks, and the payload
@@ -28,6 +29,14 @@ def orbit(vector):
         for perm in itertools.permutations(range(len(vector)))
         for point in itertools.product(*(rows[j] for j in perm))
     }
+
+
+def orbit_indices(table):
+    """The former census orbit: the set union, over every order of the rows of a twist table, of their products."""
+    points = set()
+    for perm in itertools.permutations(map(set, table)):
+        points.update(itertools.product(*perm))
+    return points
 
 
 def _payload(component):

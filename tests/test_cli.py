@@ -414,13 +414,13 @@ class TestIterate:
 
     def test_csv_format_and_file_build_the_text_once(self, run, monkeypatch, tmp_path):
         calls = []
-        csv_text = cli_module._csv_text
+        iterate_table = cli_module._iterate_table
 
-        def counted(header, rows):
-            calls.append(header)
-            return csv_text(header, rows)
+        def counted(rows, form, head, tail):
+            calls.append(head)
+            return iterate_table(rows, form, head, tail)
 
-        monkeypatch.setattr(cli_module, "_csv_text", counted)
+        monkeypatch.setattr(cli_module, "_iterate_table", counted)
         path = tmp_path / "trajectory.csv"
         result = run("iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
         assert len(calls) == 1
@@ -704,6 +704,13 @@ def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli_module, "_csv_text", recording_csv_text)
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0
+    if argv[0] == "iterate":
+        # joined from each coordinate's numerator, "/" and height, not through
+        # `_csv_text`: the file is what csv.writer writes of the former rows
+        options = dict(zip(argv[1::2], argv[2::2]))
+        _, table = _iterate_former_text_and_csv(options["--delta"], options.get("--start", "1/1,0/1"), int(options["--steps"]))
+        assert (tmp_path / options["--csv"]).read_text(encoding="utf-8") == table
+        return
     if argv[:2] == ("kgroup", "enumerate"):
         # joined from the permutation and vector texts, not row by row: the
         # rows are those of every element the library enumerates

@@ -7,8 +7,16 @@ manifest lie the recorded bytes: `<name>.stdout`, `<name>.stderr` and
 `<name>.<file>` for each file the call writes into its working directory.
 
 Calls run in-process through `fermatgroups.cli.main`, as the installed
-`fermatgroups` script runs them.  After an intended change of output,
-re-record the bytes of the calls it changes, named as in the manifest:
+`fermatgroups` script runs them.  To replay every call through the script
+itself, each in a fresh temporary directory, run from outside the checkout
+with the package installed and no PYTHONPATH:
+
+    python /path/to/tests/test_golden.py --replay fermatgroups
+
+which prints the name of each call whose exit code, stdout, stderr or
+written files differ and exits 1 if there is one.  After an intended change
+of output, re-record the bytes of the calls it changes, named as in the
+manifest:
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
@@ -21,6 +29,7 @@ commit the new files with the manifest.
 
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -84,6 +93,27 @@ def test_every_command_format_has_a_case():
     assert missing == []
 
 
+def replay(command) -> int:
+    """Run every call through the command line `command` in a fresh directory; print each that differs, return 1 if any."""
+    differing = []
+    for case in CASES:
+        name = case["name"]
+        with tempfile.TemporaryDirectory() as scratch:
+            result = subprocess.run([*command, *case["argv"]], cwd=scratch, capture_output=True)
+            files = {path.name: path.read_bytes() for path in sorted(Path(scratch).iterdir())}
+        if (
+            result.returncode != case["exit"]
+            or result.stdout != (GOLDEN / f"{name}.stdout").read_bytes()
+            or result.stderr != (GOLDEN / f"{name}.stderr").read_bytes()
+            or sorted(files) != case["files"]
+            or any(data != (GOLDEN / f"{name}.{filename}").read_bytes() for filename, data in files.items())
+        ):
+            differing.append(name)
+            print(f"differs: {name}")
+    print(f"{len(CASES) - len(differing)} of {len(CASES)} golden calls replay through {' '.join(command)}")
+    return 1 if differing else 0
+
+
 def record(names=()) -> None:
     """Re-run the named calls of the manifest, or all of them, and rewrite their exit codes and bytes."""
     unknown = set(names) - {case["name"] for case in CASES}
@@ -106,4 +136,6 @@ def record(names=()) -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--replay"]:
+        sys.exit(replay(sys.argv[2:]))
     record(sys.argv[1:])

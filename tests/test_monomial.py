@@ -431,6 +431,14 @@ class TestOrbitRanks:
         assert [c.coeffs for c in components] == sorted(c.coeffs for c in components)
         assert all(type(i) is int for point in points for i in point)
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_is_the_sorted_set_union(self, data):
+        k = data.draw(st.integers(3, 8))
+        vector = data.draw(orbit_vectors(k, data.draw(st.integers(1, 4))))
+        _, _, table, _ = monomial._twist_table(vector, None, None)
+        assert monomial.orbit_census(vector)[1] == sorted(monomial_oracle.orbit_indices(table))
+
     def test_a_twist_shared_by_two_positions_has_one_index(self):
         omega = CyclotomicNumber.root_of_unity(6, 1)
         vector = monomial.cyclo_vector(6, (1, omega, omega))
