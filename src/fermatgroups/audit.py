@@ -2,11 +2,13 @@
 
 Each audit function re-derives one family of identities by an independent
 route (matrix products against parameter composition, dense cyclotomic
-products against the permutation-exponent law, closed forms against the
-verified transitivity solver, orbit sizes against the orbit-stabilizer
-count) and reports exact counts plus concrete witnesses.  `run_audit_suite`
-bundles them into one JSON-able dict whose content depends only on the seed
-and the stated bounds, so repeated runs are byte-identical.
+products against the permutation-exponent law, closed forms on the integer
+triples of `search` against the verified transitivity solver, orbit sizes
+against the orbit-stabilizer count) and reports exact counts plus concrete
+witnesses, the identity audits printed from integers with no Fraction.
+`run_audit_suite` bundles them into one JSON-able dict whose content
+depends only on the seed and the stated bounds, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from itertools import chain
 from math import factorial, gcd
 
 from . import monomial, search
-from .conic import CIRCLE, HYPERBOLA
+from .conic import CIRCLE, HYPERBOLA, DeltaIdentityAudit, lowest_terms
 from .cyclotomic import CyclotomicNumber
-from .rationals import INF, format_pair, format_point, format_projective, integer, projective_pair
+from .rationals import INF, format_pair, integer, projective_pair
 
 __all__ = [
     "circle_identity_sweep",
@@ -36,22 +38,25 @@ SPECIAL_DELTAS = (Fraction(0), Fraction(1), Fraction(-1), INF)
 _SPECIAL_PAIRS = tuple(map(projective_pair, SPECIAL_DELTAS))
 
 
+def _side(pair: tuple[int, int]) -> "str | None":
+    # the indeterminate (0 : 0) prints as None
+    return format_pair(*lowest_terms(*pair)) if any(pair) else None
+
+
 def render_identity_audit(audit) -> dict:
+    """The report entry of a `DeltaIdentityAudit` or of a pair `Conic.identity_pairs` yields; it builds no Fraction."""
+    record = DeltaIdentityAudit(*audit)
+    (a0, b0, c0), (a, b, c) = record.source_triple, record.target_triple
     return {
-        "pair": f"({format_point(audit.source)}) -> ({format_point(audit.target)})",
-        "left": None if audit.left is None else format_projective(audit.left),
-        "right": None if audit.right is None else format_projective(audit.right),
-        "solver": format_projective(audit.solver_delta),
-        "sides_equal": audit.sides_equal,
-        "left_matches_solver": audit.left_matches_solver,
-        "right_matches_solver": audit.right_matches_solver,
-        "excluded_case": audit.excluded_case,
+        "pair": f"({format_pair(a0, c0)},{format_pair(b0, c0)}) -> ({format_pair(a, c)},{format_pair(b, c)})",
+        "left": _side(record.left_pair),
+        "right": _side(record.right_pair),
+        "solver": _side(record.solver_pair),
+        "sides_equal": record.sides_equal,
+        "left_matches_solver": record.left_matches_solver,
+        "right_matches_solver": record.right_matches_solver,
+        "excluded_case": record.excluded_case,
     }
-
-
-def _rendered(curve, pair) -> dict:
-    """`render_identity_audit` of one pair `_pair_sweep` yielded."""
-    return render_identity_audit(curve.identity_record(*pair))
 
 
 def _random_pair(rng: random.Random, span: int = 30) -> tuple[int, int]:
@@ -163,16 +168,6 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     }
 
 
-def _pair_sweep(curve, points):
-    """`curve.identity_pairs` over every ordered pair of curve points, each point charted once.
-
-    The pairs are yielded one at a time as plain integers, so no per-pair
-    list or record is held.
-    """
-    charted = [curve.charted(point) for point in points]
-    return curve.identity_pairs(charted, charted)
-
-
 def circle_identity_sweep(bound: int = 50) -> dict:
     """Evaluate both circle closed forms on every pair of bounded points.
 
@@ -180,14 +175,14 @@ def circle_identity_sweep(bound: int = 50) -> dict:
     every pair where both are defined; pairs with an indeterminate side are
     counted separately.  The returned witness is the smallest nontrivial
     point pair in the sweep order.  The pairs are tallied by cross-products,
-    and a record is built only for a pair the report prints.
+    and only a pair the report prints is rendered.
     """
-    points = search.circle_points(bound)
+    points = search.circle_triples(bound)
     both_defined = agree = 0
     side_mismatches: list[dict] = []
     solver_mismatches: list[dict] = []
     witness = None
-    for pair in _pair_sweep(CIRCLE, points):
+    for pair in CIRCLE.identity_pairs(points, points):
         _, _, (ln, lm), (rn, rm), (n, m) = pair
         # (0 : 0) is an indeterminate side
         if not (ln or lm) or not (rn or rm):
@@ -196,11 +191,11 @@ def circle_identity_sweep(bound: int = 50) -> dict:
         if ln * rm == rn * lm:
             agree += 1
         else:
-            side_mismatches.append(_rendered(CIRCLE, pair))
+            side_mismatches.append(render_identity_audit(pair))
         if ln * m != n * lm or rn * m != n * rm:
-            solver_mismatches.append(_rendered(CIRCLE, pair))
+            solver_mismatches.append(render_identity_audit(pair))
         if witness is None and n:
-            witness = _rendered(CIRCLE, pair)
+            witness = render_identity_audit(pair)
     pairs = len(points) ** 2
     return {
         "height": bound,
@@ -223,17 +218,15 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
     left-hand form does not: the sweep counts how often the two sides agree
     and preserves the first disagreements verbatim, because the mismatch is
     itself the finding.  As in `circle_identity_sweep`, only printed pairs
-    get a record.
+    are rendered.
     """
-    points = search.hyperbola_points(bound)
+    points = search.hyperbola_triples(bound)
     both_defined = agree = 0
     right_defined = right_agrees_solver = 0
     disagreement_witnesses: list[dict] = []
     right_solver_mismatches: list[dict] = []
-    witness = render_identity_audit(
-        HYPERBOLA.delta_identity_audit((Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(4, 3)))
-    )
-    for pair in _pair_sweep(HYPERBOLA, points):
+    witness = render_identity_audit(next(HYPERBOLA.identity_pairs([(5, 3, 4)], [(5, 4, 3)])))
+    for pair in HYPERBOLA.identity_pairs(points, points):
         _, _, (ln, lm), (rn, rm), (n, m) = pair
         # (0 : 0) is an indeterminate side; both sides are defined only where the right one is
         if not (rn or rm):
@@ -242,14 +235,14 @@ def hyperbola_identity_sweep(bound: int = 50) -> dict:
         if rn * m == n * rm:
             right_agrees_solver += 1
         else:
-            right_solver_mismatches.append(_rendered(HYPERBOLA, pair))
+            right_solver_mismatches.append(render_identity_audit(pair))
         if not (ln or lm):
             continue
         both_defined += 1
         if ln * rm == rn * lm:
             agree += 1
         elif len(disagreement_witnesses) < 5:
-            disagreement_witnesses.append(_rendered(HYPERBOLA, pair))
+            disagreement_witnesses.append(render_identity_audit(pair))
     pairs = len(points) ** 2
     return {
         "height": bound,

@@ -154,8 +154,10 @@ def _conic_group(group, name, motion, domain, audit_verb, audit_help) -> None:
         if from_text is not None:
             if bound is not None:
                 raise UsageError("give either --height or a --from/--to pair, not both")
-            source, target = parse_point(from_text), parse_point(to_text)
-            payload = audit.render_identity_audit(curve().delta_identity_audit(source, target))
+            conic = curve()
+            source, target = parse_point_pairs(from_text), parse_point_pairs(to_text)
+            (pair,) = conic.identity_pairs([conic.point_triple(*source)], [conic.point_triple(*target)])
+            payload = audit.render_identity_audit(pair)
         else:
             payload = getattr(audit, f"{name}_identity_sweep")(12 if bound is None else bound)
         _emit(fmt, text=lambda: json.dumps(payload, indent=2) + "\n", json=lambda: _json(payload))

@@ -26,10 +26,10 @@ The checks live on the integers too: `valid_pair` excludes |Delta| = 1 on
 the hyperbola, `point_triple` tests a point given as two reduced pairs
 against the curve, and `lowest_terms` reduces an image or a parameter with
 a positive scale; `product_pair`, `image` and `solve_triples` join them to
-the formulas.  The CLI's `compose`, `act` and `solve` go straight from the
-parsed pairs to these entry points and print with `format_pair`; the
-Fraction methods convert their arguments to triples and pairs, call the
-same entry points, and convert back.
+the formulas.  The CLI's `compose`, `act`, `solve` and pair audits go
+straight from the parsed pairs to these entry points and `identity_pairs`;
+the Fraction methods convert their arguments to triples and pairs, call
+the same entry points, and convert back.
 """
 
 from __future__ import annotations
@@ -97,23 +97,36 @@ def _same(first: tuple[int, int], second: tuple[int, int]) -> "bool | None":
 
 
 class DeltaIdentityAudit(NamedTuple):
-    """Exact evaluation of two closed forms for the connecting parameter.
+    """Exact evaluation of two closed forms for the connecting parameter, as `Conic.identity_pairs` yields it.
 
-    Each side is a ratio of polynomial expressions in the two points, kept
-    as the integer pair of the kernel; a side is None when its pair is the
-    indeterminate (0 : 0).  The comparisons against the verified
-    transitivity solver make the audit self-contained: `sides_equal` and the
-    match flags are None whenever the corresponding side is undefined.  The
-    sweeps tally `identity_pairs` on its plain integers and build a record
-    only for a pair they print.
+    The points are reduced triples and each side, a ratio of polynomial
+    expressions in the two points, is an integer pair; `source`, `target`,
+    `left`, `right` and `solver_delta` build their Fractions on access, and
+    a side is None when its pair is the indeterminate (0 : 0).  The flags
+    compare with the verified transitivity solver and are None where a side
+    is; `excluded_case` marks x = -x0 or y = -y0, where a ratio can degenerate.
     """
 
-    source: Point
-    target: Point
+    source_triple: tuple[int, int, int]
+    target_triple: tuple[int, int, int]
     left_pair: tuple[int, int]
     right_pair: tuple[int, int]
     solver_pair: tuple[int, int]
-    excluded_case: bool
+
+    @property
+    def source(self) -> Point:
+        a, b, c = self.source_triple
+        return Fraction(a, c), Fraction(b, c)
+
+    @property
+    def target(self) -> Point:
+        a, b, c = self.target_triple
+        return Fraction(a, c), Fraction(b, c)
+
+    @property
+    def excluded_case(self) -> bool:
+        (a0, b0, c0), (a, b, c) = self.source_triple, self.target_triple
+        return a * c0 == -a0 * c or b * c0 == -b0 * c
 
     @property
     def left(self) -> "ProjectiveRational | None":
@@ -169,7 +182,8 @@ class Conic:
         return self._on_curve(*map(projective_pair, _as_point(point)))
 
     def require_on_curve(self, point) -> Point:
-        return self.charted(point)[0]
+        self.triple(point)  # raises off the curve
+        return _as_point(point)
 
     def point_triple(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
         """The reduced triple (a, b, c) of the curve point (a/c, b/c), given as the reduced pairs of x and y.
@@ -222,7 +236,7 @@ class Conic:
         chart never takes the excluded values |Delta| = 1.  Points off the
         curve are rejected.
         """
-        return projective_ratio(*self.charted(point)[2])
+        return projective_ratio(*self.chart_pair(*self.triple(point)))
 
     def solve_delta(self, source, target):
         """The unique rotation or boost carrying one rational point to another.
@@ -238,8 +252,8 @@ class Conic:
         return self.valid_pair(*lowest_terms(*solver))
 
     def triple(self, point) -> tuple[int, int, int]:
-        """The reduced triple (a, b, c) of the curve point (a/c, b/c), as `charted` reads it off."""
-        return self.charted(point)[1]
+        """The reduced triple (a, b, c) of the curve point (a/c, b/c), read off by `point_triple`."""
+        return self.point_triple(*map(projective_pair, _as_point(point)))
 
     def chart_pair(self, a: int, b: int, c: int) -> tuple[int, int]:
         """`chart` of the curve point (a/c, b/c) as a pair: (b : a + c), inf at (-1, 0).
@@ -294,23 +308,13 @@ class Conic:
             raise _solve_failed(source, target)
         return solver
 
-    def charted(self, point) -> tuple[Point, tuple[int, int, int], tuple[int, int]]:
-        """A curve point with its reduced triple and its chart pair, the operands of `solve_pair` and `identity_pairs`.
-
-        Both coordinates of a rational curve point share their denominator
-        (the common-denominator lemma), so the triple is read off directly.
-        """
-        point = _as_point(point)
-        triple = self.point_triple(*map(projective_pair, point))
-        return point, triple, self.chart_pair(*triple)
-
     def identity_pairs(self, sources, targets):
-        """The identity audit of every pair (source, target), on plain integers.
+        """The identity audit of every pair (source, target) of two lists of reduced triples, on plain integers.
 
-        `sources` and `targets` hold points as `charted` returns them, so a
-        sweep charts each point once.  For each pair, row by row, this
-        yields (source, target, left, right, solver): the curve's
-        `left_form` and the right-hand closed form
+        Each distinct point is checked by `point_triple` and charted once, so
+        a sweep passes one list as both.  Row by row, this yields the fields
+        of a `DeltaIdentityAudit`, (source, target, left, right, solver):
+        the curve's `left_form` and the right-hand closed form
 
             right = (x0*y - x*y0 + y - y0) / (x0*(x0 + x) + s*y0*(y0 + y) + x + x0),
 
@@ -318,16 +322,18 @@ class Conic:
         solver, composed by `compose_pair` from the two charts and checked
         by exact action as `solve_pair` checks it, inline.
         """
+        points = dict.fromkeys([*sources, *targets])  # each distinct point once, sources first
+        charts = {(a, b, c): self.chart_pair(*self.point_triple((a, c), (b, c))) for a, b, c in points}
+        targets = [(target, charts[target]) for target in targets]
         s = self.s
         compose = self.compose_pair
         left_form = self.left_form
         for source in sources:
-            _, source_triple, (n0, m0) = source
-            a0, b0, c0 = source_triple
+            a0, b0, c0 = source
+            n0, m0 = charts[source]
             back = -n0, m0
-            for target in targets:
-                _, target_triple, target_chart = target
-                a, b, c = target_triple
+            for target, target_chart in targets:
+                a, b, c = target
                 solver = n, m = compose(target_chart, back)
                 # L(n : m) of `matrix_pair` carries (a0, b0, c0) to (a, b, c)
                 diagonal = m * m - s * n * n
@@ -338,29 +344,17 @@ class Conic:
                     and (diagonal * a0 - s * lower * b0) * c == a * image_c
                     and (lower * a0 + diagonal * b0) * c == b * image_c
                 ):
-                    raise _solve_failed(source_triple, target_triple)
+                    raise _solve_failed(source, target)
                 right = (
                     (a0 * b - a * b0 + b * c0 - b0 * c) * c0,
                     a0 * (a0 * c + a * c0) + s * b0 * (b0 * c + b * c0) + c0 * (a * c0 + a0 * c),
                 )
                 yield source, target, left_form(a0, b0, c0, a, b, c), right, solver
 
-    def identity_record(self, source, target, left, right, solver) -> DeltaIdentityAudit:
-        """The `DeltaIdentityAudit` of one pair `identity_pairs` yielded.
-
-        Pairs with x = -x0 or y = -y0, where a ratio can degenerate, are
-        flagged as excluded.
-        """
-        source_point, (a0, b0, c0), _ = source
-        target_point, (a, b, c), _ = target
-        return DeltaIdentityAudit(
-            source_point, target_point, left, right, solver, a * c0 == -a0 * c or b * c0 == -b0 * c
-        )
-
     def delta_identity_audit(self, source, target) -> DeltaIdentityAudit:
         """Evaluate both closed forms for the parameter connecting two curve points (see `identity_pairs`)."""
-        (pair,) = self.identity_pairs([self.charted(source)], [self.charted(target)])
-        return self.identity_record(*pair)
+        (pair,) = self.identity_pairs([self.triple(source)], [self.triple(target)])
+        return DeltaIdentityAudit(*pair)
 
 
 def _solve_failed(source, target) -> ArithmeticError:

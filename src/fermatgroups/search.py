@@ -29,7 +29,10 @@ Each scan returns the distinct coordinates of its solutions once, sorted by
 the integer key p*H^2 // q, and each solution as a row of indices into that
 list.  Two distinct fractions of height <= H differ by at least 1/H^2, so
 the keys order the coordinates as the fractions are ordered, and the rows,
-sorted as plain int tuples, sort as the tuples of fractions.
+sorted as plain int tuples, sort as the tuples of fractions.  At n = k = 2
+the rows are read as the triples (a, b, c) of the circle points (a/c, b/c):
+`circle_triples` is the one point list of `coverage` and of both identity
+sweeps, and `circle_points` and `hyperbola_points` are Fraction views.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ __all__ = [
     "DEFAULT_SEARCH_BUDGET",
     "SearchReport",
     "circle_points",
+    "circle_triples",
     "hyperbola_points",
+    "hyperbola_triples",
     "is_trivial_tuple",
     "n_counterexample",
     "rational_kth_root",
@@ -437,20 +442,17 @@ class CoverageReport:
 def verify_orbit_coverage(bound: int) -> CoverageReport:
     """Solve (1, 0) -> p for every circle point p of height <= bound.
 
-    The points come as triples from the budgeted scan of the quadratic
-    search.  Each is solved by `CIRCLE.solve_pair`, which checks its pair
-    by exact action, and a point is missed exactly where that check fails,
-    so a full-coverage report is a machine check that the rational
-    rotations act transitively within the bound.
+    The points come as triples from `circle_triples`, the budgeted scan of
+    the quadratic search.  Each is solved by `CIRCLE.solve_pair`, which
+    checks its pair by exact action, and a point is missed exactly where
+    that check fails, so a full-coverage report is a machine check that the
+    rational rotations act transitively within the bound.
     """
     base = (1, 0, 1)
     base_chart = CIRCLE.chart_pair(*base)
     reached = []
     missed = []
-    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET)
-    for i, j in rows:
-        (a, c), (b, _) = coordinates[i], coordinates[j]
-        triple = (a, b, c)
+    for triple in circle_triples(bound):
         try:
             # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
             n, m = CIRCLE.solve_pair(base, base_chart, triple, CIRCLE.chart_pair(*triple))
@@ -468,17 +470,28 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     )
 
 
-def circle_points(bound: int) -> list[Point]:
-    """All rational points of x^2 + y^2 = 1 with height <= bound, sorted, within the search budget."""
+def circle_triples(bound: int) -> list[tuple[int, int, int]]:
+    """The reduced triples (a, b, c) of the circle points (a/c, b/c) of height <= bound, sorted as the points."""
     coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET)
-    values = [Fraction(p, q) for p, q in coordinates]
-    return [(values[i], values[j]) for i, j in rows]
+    return [(coordinates[i][0], coordinates[j][0], coordinates[i][1]) for i, j in rows]
 
 
-def hyperbola_points(bound: int) -> list[Point]:
-    """All rational points of x^2 - y^2 = 1 with height <= bound, sorted, within the search budget.
+def hyperbola_triples(bound: int) -> list[tuple[int, int, int]]:
+    """`circle_triples` for x^2 - y^2 = 1, sorted by the `_coordinate_key` of x, (c, a), then of y, (b, a).
 
     (x, y) -> (1/x, y/x) carries the circle points with x != 0 onto the
     hyperbola: (a/c, b/c) goes to (c/a, b/a), the same three integers.
     """
-    return sorted((1 / x, y / x) for x, y in circle_points(bound) if x)
+    key = _coordinate_key(bound)
+    triples = [(c, b, a) if a > 0 else (-c, -b, -a) for a, b, c in circle_triples(bound) if a]
+    return sorted(triples, key=lambda t: (key(t[::2]), key(t[1:])))
+
+
+def circle_points(bound: int) -> list[Point]:
+    """`circle_triples` as Fraction points."""
+    return [(Fraction(a, c), Fraction(b, c)) for a, b, c in circle_triples(bound)]
+
+
+def hyperbola_points(bound: int) -> list[Point]:
+    """`hyperbola_triples` as Fraction points."""
+    return [(Fraction(a, c), Fraction(b, c)) for a, b, c in hyperbola_triples(bound)]

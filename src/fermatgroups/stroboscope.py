@@ -64,11 +64,10 @@ class Trajectory:
     """Exact orbit samples after 1..steps applications of L(delta), as reduced triples.
 
     `decimal_triples` holds the triples (a, b, c), c > 0, as integral
-    Decimals, which print in time linear in their digits.  `triples`,
-    `points` (a/c, b/c) and `heights` c are built from them as ints and
-    Fractions on each access.  `period` is the smallest step index
-    returning exactly to the start, or None if no return happens within the
-    recorded steps.
+    Decimals, which print in time linear in their digits.  `points`
+    (a/c, b/c) and `heights` c are built from them as Fractions and ints on
+    each access.  `period` is the smallest step index returning exactly to
+    the start, or None if no return happens within the recorded steps.
     """
 
     delta: ProjectiveRational
@@ -77,12 +76,8 @@ class Trajectory:
     period: "int | None" = None
 
     @property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return [(int(a), int(b), int(c)) for a, b, c in self.decimal_triples]
-
-    @property
     def points(self) -> list[Point]:
-        return [(Fraction(a, c), Fraction(b, c)) for a, b, c in self.triples]
+        return [(Fraction(int(a), c), Fraction(int(b), c)) for (a, b, _), c in zip(self.decimal_triples, self.heights)]
 
     @property
     def heights(self) -> list[int]:
@@ -112,7 +107,8 @@ def iterate(delta, start, steps: int) -> Trajectory:
     """
     integer(steps, 0, "step count")
     delta = as_projective(delta)
-    start, start_triple, _ = CIRCLE.charted(start)
+    start = CIRCLE.require_on_curve(start)
+    start_triple = CIRCLE.triple(start)
     delta_pair = n, m = projective_pair(delta)
     square = (m * m + n * n) ** 2
     triples: list[tuple[Decimal, Decimal, Decimal]] = []

@@ -4,9 +4,9 @@ These are the library's former Fraction implementations, kept verbatim in
 substance: composition with its pole cases spelled out, L(Delta) from
 Fraction entries, the action through `Mat2.apply`, the two-branch chart,
 a solver verified through `Mat2.apply`, and the identity audit evaluated
-at z0 = z = 1.  Each takes
-the curve (`conic.CIRCLE` or `conic.HYPERBOLA`) for its sign s and its
-left-hand form, and shares no arithmetic with the kernel.
+at z0 = z = 1 with its own renderer.  Each takes the curve (`conic.CIRCLE`
+or `conic.HYPERBOLA`) for its sign s and its left-hand form, and shares no
+arithmetic and no printing with the kernel and `audit.render_identity_audit`.
 """
 
 from dataclasses import dataclass
@@ -73,7 +73,7 @@ def solve_delta(curve, source, target):
 
 @dataclass(frozen=True)
 class FractionAudit:
-    """The identity audit of one pair with Fraction sides, as `render_identity_audit` reads it."""
+    """The identity audit of one pair with Fraction points and sides."""
 
     source: tuple
     target: tuple
@@ -115,3 +115,22 @@ def delta_identity_audit(curve, source, target) -> FractionAudit:
         solver_delta=solve_delta(curve, (x0, y0), (x, y)),
         excluded_case=(x == -x0) or (y == -y0),
     )
+
+
+def _text(value):
+    return "inf" if isinstance(value, Infinity) else f"{value.numerator}/{value.denominator}"
+
+
+def render(audit: FractionAudit) -> dict:
+    """The report entry of one `FractionAudit`: the oracle for `audit.render_identity_audit`."""
+    source, target = (",".join(map(_text, point)) for point in (audit.source, audit.target))
+    return {
+        "pair": f"({source}) -> ({target})",
+        "left": None if audit.left is None else _text(audit.left),
+        "right": None if audit.right is None else _text(audit.right),
+        "solver": _text(audit.solver_delta),
+        "sides_equal": audit.sides_equal,
+        "left_matches_solver": audit.left_matches_solver,
+        "right_matches_solver": audit.right_matches_solver,
+        "excluded_case": audit.excluded_case,
+    }

@@ -1,9 +1,12 @@
 """Audit bundle: cross-checked identities, witnesses, and determinism."""
 
+import io
 import json
 import random
+import sys
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import conic_oracle as oracle
@@ -12,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatgroups import audit, conic, monomial, search
+from fermatgroups.cli import main
 from fermatgroups.conic import CIRCLE, HYPERBOLA, Conic, _hyperbola_left_form
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import InvalidArgumentError
-from fermatgroups.rationals import INF, Mat2, projective_pair
+from fermatgroups.rationals import INF, Mat2, format_projective, projective_pair
 
 
 class TestCircleLawSample:
@@ -158,21 +162,36 @@ class TestRunAuditSuite:
         assert json.loads(text) == small_report
 
 
-CURVES = [(CIRCLE, search.circle_points), (HYPERBOLA, search.hyperbola_points)]
+CURVES = [(CIRCLE, search.circle_triples), (HYPERBOLA, search.hyperbola_triples)]
 
 
 def _oracle_rendering(curve, source, target):
-    return audit.render_identity_audit(oracle.delta_identity_audit(curve, source, target))
+    return oracle.render(oracle.delta_identity_audit(curve, source, target))
+
+
+def _point(triple):
+    a, b, c = triple
+    return Fraction(a, c), Fraction(b, c)
+
+
+def _rendered_sweep(curve, triples):
+    """Every ordered pair of `triples` through `identity_pairs`, rendered by the package."""
+    return [audit.render_identity_audit(pair) for pair in curve.identity_pairs(triples, triples)]
+
+
+def _oracle_sweep(curve, triples):
+    """Every ordered pair of the same points through the Fraction oracle and its renderer."""
+    points = list(map(_point, triples))
+    return [_oracle_rendering(curve, source, target) for source in points for target in points]
 
 
 class TestPairSweepAgainstFractionAudit:
-    @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
-    def test_every_pair_up_to_height_20(self, curve, points):
-        points = points(20)
-        records = [curve.identity_record(*pair) for pair in audit._pair_sweep(curve, points)]
-        assert len(records) == len(points) ** 2
-        expected = [_oracle_rendering(curve, source, target) for source in points for target in points]
-        assert [audit.render_identity_audit(record) for record in records] == expected
+    @pytest.mark.parametrize("curve, triples", CURVES, ids=["circle", "hyperbola"])
+    def test_every_pair_up_to_height_20(self, curve, triples):
+        triples = triples(20)
+        rendered = _rendered_sweep(curve, triples)
+        assert len(rendered) == len(triples) ** 2
+        assert rendered == _oracle_sweep(curve, triples)
 
     def test_sweep_counts_at_height_50(self):
         started = time.perf_counter()
@@ -210,12 +229,13 @@ class TestPairSweepAgainstFractionAudit:
         monkeypatch.setattr(Conic, "chart_pair", counted)
         audit.circle_identity_sweep(50)
         audit.hyperbola_identity_sweep(50)
-        # 60 + 58 points charted once each, plus the two points of the fixed
-        # hyperbola witness, which the report solves on its own
+        # `identity_pairs` charts each of the 60 + 58 points once, plus the two
+        # points of the fixed hyperbola witness, which the report solves on its own
         assert len(calls) == 60 + 58 + 2
         assert len(set(calls)) == 118
 
     def test_sweeps_build_a_record_only_for_what_they_print(self, monkeypatch):
+        # `render_identity_audit` builds the record of each pair it prints
         built = []
 
         class Counted(conic.DeltaIdentityAudit):
@@ -223,7 +243,7 @@ class TestPairSweepAgainstFractionAudit:
                 built.append(fields[:2])
                 return super().__new__(cls, *fields)
 
-        monkeypatch.setattr(conic, "DeltaIdentityAudit", Counted)
+        monkeypatch.setattr(audit, "DeltaIdentityAudit", Counted)
         circle_report = audit.circle_identity_sweep(50)
         # the witness; no pair mismatches, and 3,600 pairs get no record
         assert len(built) == 1 + len(circle_report["side_mismatches"]) + len(circle_report["solver_mismatches"]) == 1
@@ -244,13 +264,14 @@ class TestPairSweepAgainstFractionAudit:
         monkeypatch.setattr(Conic, "_on_curve", counted)
         audit.circle_identity_sweep(50)
         audit.hyperbola_identity_sweep(50)
-        # `charted` validates each of the 60 + 58 points, and the two points of
-        # the fixed hyperbola witness, once
+        # `identity_pairs` checks each of the 60 + 58 points, and the two points
+        # of the fixed hyperbola witness, once
         assert len(calls) == 60 + 58 + 2
 
 
-def _oracle_circle_report(bound, points):
+def _oracle_circle_report(bound, triples):
     # the former circle sweep: a Fraction record per pair, its flags read as properties
+    points = list(map(_point, triples))
     records = [oracle.delta_identity_audit(CIRCLE, source, target) for source in points for target in points]
     defined = [record for record in records if record.sides_equal is not None]
     solver_mismatches = [r for r in defined if not (r.left_matches_solver and r.right_matches_solver)]
@@ -262,15 +283,16 @@ def _oracle_circle_report(bound, points):
         "both_defined": len(defined),
         "sides_agree": sum(record.sides_equal for record in defined),
         "undefined_pairs": len(records) - len(defined),
-        "side_mismatches": [audit.render_identity_audit(r) for r in defined if not r.sides_equal],
-        "solver_mismatches": list(map(audit.render_identity_audit, solver_mismatches)),
+        "side_mismatches": [oracle.render(r) for r in defined if not r.sides_equal],
+        "solver_mismatches": list(map(oracle.render, solver_mismatches)),
         "identity_holds": all(r.sides_equal for r in defined) and not solver_mismatches,
-        "witness": None if witness is None else audit.render_identity_audit(witness),
+        "witness": None if witness is None else oracle.render(witness),
     }
 
 
-def _oracle_hyperbola_report(bound, points):
+def _oracle_hyperbola_report(bound, triples):
     # the former hyperbola sweep, over the same Fraction records
+    points = list(map(_point, triples))
     records = [oracle.delta_identity_audit(HYPERBOLA, source, target) for source in points for target in points]
     defined = [record for record in records if record.sides_equal is not None]
     right_defined = [record for record in records if record.right_matches_solver is not None]
@@ -288,18 +310,58 @@ def _oracle_hyperbola_report(bound, points):
         "right_defined": len(right_defined),
         "right_agrees_solver": right_agrees,
         "right_solver_mismatches": [
-            audit.render_identity_audit(r) for r in right_defined if not r.right_matches_solver
+            oracle.render(r) for r in right_defined if not r.right_matches_solver
         ],
         "right_form_tracks_solver": right_agrees == len(right_defined),
         "left_form_discrepant": len(defined) > agree,
-        "witness": audit.render_identity_audit(witness),
-        "disagreement_witnesses": [audit.render_identity_audit(r) for r in defined if not r.sides_equal][:5],
+        "witness": oracle.render(witness),
+        "disagreement_witnesses": [oracle.render(r) for r in defined if not r.sides_equal][:5],
     }
 
 
+def _fraction_constructions(call) -> int:
+    """How many Fractions `call()` builds, counted as calls of the constructors of `fractions.Fraction`."""
+    constructors = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # the arithmetic's constructor from Python 3.12 on
+        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code in constructors
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def _pair_audit(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert main([*argv, "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: audit.circle_identity_sweep(50),
+        lambda: audit.hyperbola_identity_sweep(50),
+        lambda: _pair_audit("circle", "audit-exy", "--from", "3/5,4/5", "--to", "-5/13,12/13"),
+        lambda: _pair_audit("hyper", "audit", "--from", "5/4,3/4", "--to", "5/3,4/3"),
+    ],
+    ids=["circle-sweep", "hyperbola-sweep", "circle-pair", "hyperbola-pair"],
+)
+def test_identity_audit_builds_no_fraction(call):
+    # the count sees both Fractions built by name and those arithmetic returns
+    assert _fraction_constructions(lambda: Fraction(1, 2) + Fraction(1, 3)) == 3
+    assert _fraction_constructions(call) == 0
+
+
 @st.composite
-def curve_points(draw, curve):
-    """Points reached from (1, 0) by drawn parameters, after (1, 0) and (-1, 0).
+def curve_triples(draw, curve):
+    """The triples of points reached from (1, 0) by drawn parameters, after (1, 0) and (-1, 0).
 
     (1, 0) and (-1, 0) give pairs with an indeterminate side on both curves,
     and (-1, 0), like every parameter |Delta| > 1, lies on the hyperbola's
@@ -309,28 +371,30 @@ def curve_points(draw, curve):
     if curve.s < 0:
         finite = finite.filter(lambda delta: abs(delta) != 1)
     deltas = draw(st.lists(st.one_of(st.just(INF), finite), max_size=5))
-    return [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))] + [
-        oracle.rotation_matrix(curve, delta).apply(1, 0) for delta in deltas
-    ]
+    triples = [(1, 0, 1), (-1, 0, 1)]
+    for delta in deltas:
+        x, y = oracle.rotation_matrix(curve, delta).apply(1, 0)
+        triples.append((x.numerator, y.numerator, x.denominator))
+    return triples
 
 
 SWEEPS = [
-    (CIRCLE, "circle_points", audit.circle_identity_sweep, _oracle_circle_report),
-    (HYPERBOLA, "hyperbola_points", audit.hyperbola_identity_sweep, _oracle_hyperbola_report),
+    (CIRCLE, "circle_triples", audit.circle_identity_sweep, _oracle_circle_report),
+    (HYPERBOLA, "hyperbola_triples", audit.hyperbola_identity_sweep, _oracle_hyperbola_report),
 ]
 
 
-@pytest.mark.parametrize("curve, points_name, sweep, former", SWEEPS, ids=["circle", "hyperbola"])
+@pytest.mark.parametrize("curve, triples_name, sweep, former", SWEEPS, ids=["circle", "hyperbola"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_sweep_loop_equals_the_fraction_audit(curve, points_name, sweep, former, data):
-    points = data.draw(curve_points(curve))
-    rendered = [audit._rendered(curve, pair) for pair in audit._pair_sweep(curve, points)]
-    assert rendered == [_oracle_rendering(curve, source, target) for source in points for target in points]
+def test_sweep_loop_equals_the_fraction_audit(curve, triples_name, sweep, former, data):
+    triples = data.draw(curve_triples(curve))
+    rendered = _rendered_sweep(curve, triples)
+    assert rendered == _oracle_sweep(curve, triples)
     assert any(entry["sides_equal"] is None for entry in rendered)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, points_name, lambda bound: points)
-        assert sweep(7) == former(7, points)
+        patch.setattr(search, triples_name, lambda bound: triples)
+        assert sweep(7) == former(7, triples)
 
 
 class TestPathsRealDataNeverReaches:
@@ -347,8 +411,8 @@ class TestPathsRealDataNeverReaches:
             target = tuple(map(Fraction, target.split(",")))
             assert entry == _oracle_rendering(curve, source, target)
 
-    @pytest.mark.parametrize("curve, points", CURVES, ids=["circle", "hyperbola"])
-    def test_failed_action_check_raises(self, curve, points):
+    @pytest.mark.parametrize("curve, triples", CURVES, ids=["circle", "hyperbola"])
+    def test_failed_action_check_raises(self, curve, triples):
         class Broken(Conic):
             def compose_pair(self, first, second):
                 n, m = super().compose_pair(first, second)
@@ -356,7 +420,7 @@ class TestPathsRealDataNeverReaches:
 
         broken = Broken(curve.s, curve.name, curve.motion, "Broken", curve.left_form)
         with pytest.raises(ArithmeticError, match="transitivity solve failed"):
-            list(audit._pair_sweep(broken, points(10)))
+            list(broken.identity_pairs(triples(10), triples(10)))
 
     def test_law_sample_keeps_no_pair_list(self):
         audit.circle_law_sample(random.Random(0), 100)  # warm caches and imports
@@ -383,8 +447,8 @@ class TestPathsRealDataNeverReaches:
         assert peak < 100_000
 
     def test_off_curve_point_is_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            list(audit._pair_sweep(CIRCLE, [(Fraction(1), Fraction(1))]))
+        with pytest.raises(InvalidArgumentError, match="point 1/1,1/1 is not on the unit circle"):
+            list(CIRCLE.identity_pairs([(1, 1, 1)], [(1, 1, 1)]))
 
 
 SPECIAL_PAIRS = [(d1, d2) for d1 in audit.SPECIAL_DELTAS for d2 in audit.SPECIAL_DELTAS]
@@ -426,7 +490,7 @@ class TestIntegerMatrices:
         # the sample draws its pairs from the same seeded generator
         report = audit.circle_law_sample(random.Random(seed), 400)
         expected = [
-            (audit.format_projective(d1), audit.format_projective(d2))
+            (format_projective(d1), format_projective(d2))
             for d1, d2 in SPECIAL_PAIRS + _sampled_pairs(400 - len(SPECIAL_PAIRS), seed)
             if oracle.rotation_matrix(CIRCLE, oracle.compose_delta(CIRCLE, d1, d2))
             != oracle.rotation_matrix(CIRCLE, d1) * oracle.rotation_matrix(CIRCLE, d2)

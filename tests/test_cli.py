@@ -1,5 +1,6 @@
 """CLI: dispatch, exact payloads, file outputs, exit codes, determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -926,6 +927,19 @@ _MODULES_LOADED = {
 }
 
 
+def _named_imports(*names):
+    """The top-level modules that the import statements of the package modules `names` name, each with its C twin `_name`."""
+    package = Path(fermatgroups.__file__).resolve().parent
+    named = set()
+    for name in names:
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                named.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                named.add(node.module.partition(".")[0])
+    return named | {f"_{module}" for module in named}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -935,7 +949,9 @@ _MODULES_LOADED = {
 )
 def test_search_calls_load_only_the_search_modules(argv):
     # past the CLI import, a search at either exponent loads its own module
-    # and the conic it solves on, and nothing else
+    # and the conic it solves on, and nothing else of the package; of the
+    # stdlib it may load only what those two import by name (and its C
+    # twin, as bisect loads _bisect), which some Pythons load at start-up
     code = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -943,11 +959,17 @@ def test_search_calls_load_only_the_search_modules(argv):
         "before = set(sys.modules)\n"
         "with redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(code, sorted(set(sys.modules) - before))\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
     )
     result = _python(code, *argv)
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "0 ['fermatgroups.conic', 'fermatgroups.search']\n"
+    code, *loaded = result.stdout.split()
+    assert code == "0"
+    assert [name for name in loaded if name.partition(".")[0] == "fermatgroups"] == [
+        "fermatgroups.conic",
+        "fermatgroups.search",
+    ]
+    assert {name for name in loaded if name.partition(".")[0] != "fermatgroups"} <= _named_imports("search", "conic")
 
 
 def test_module_table_covers_every_command():

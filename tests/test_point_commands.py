@@ -1,13 +1,14 @@
-"""`circle`/`hyper` `compose`, `act` and `solve` against the former Fraction handlers, byte for byte.
+"""`circle`/`hyper` `compose`, `act`, `solve` and the pair audits against the former Fraction handlers, byte for byte.
 
 The commands parse each token into a reduced integer pair and run the conic
 kernel on pairs and triples.  The oracle here is the former route: each
 token read into a `Fraction` by the former `parse_rational`, the former
 checks on Fractions, and the arithmetic of `conic_oracle`, which shares no
-code with the kernel.  For every input, valid or not, the exit code, stdout
-and stderr must agree, so the same error wins: in `act` the parameter's
-errors come before the point's, in `solve` the errors of `--from` come
-before those of `--to`, and parse errors come before the checks.
+code with the kernel, printed by its own renderer for the audits.  For
+every input, valid or not, the exit code, stdout and stderr must agree, so
+the same error wins: in `act` the parameter's errors come before the
+point's, in `solve` and the pair audits the errors of `--from` come before
+those of `--to`, and parse errors come before the checks.
 """
 
 import io
@@ -94,6 +95,13 @@ def former_solve(curve, from_text, to_text, fmt):
     source, target = former_on_curve(curve, source), former_on_curve(curve, target)
     delta = format_projective(former_valid(curve, conic_oracle.solve_delta(curve, source, target)))
     return f"{delta}\n" if fmt == "text" else json.dumps({"delta": delta, "reflected": False}, separators=(",", ":")) + "\n"
+
+
+def former_pair_audit(curve, from_text, to_text, fmt):
+    source, target = former_point(from_text), former_point(to_text)
+    source, target = former_on_curve(curve, source), former_on_curve(curve, target)
+    payload = conic_oracle.render(conic_oracle.delta_identity_audit(curve, source, target))
+    return json.dumps(payload, indent=2) + "\n" if fmt == "text" else json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def former(handler, *args):
@@ -232,3 +240,32 @@ def test_pinned_inputs(argv, code, out, err):
     handler = {"compose": former_compose, "act": former_act, "solve": former_solve}[verb]
     args = argv[3::2] if verb != "act" else [argv[3], False, argv[5]]
     assert result == former(handler, GROUPS[group], *args, "text")
+
+
+AUDIT_VERBS = {"circle": "audit-exy", "hyper": "audit"}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pair_audit_matches_the_fraction_handler(group, data):
+    curve, verb = GROUPS[group], AUDIT_VERBS[group]
+    maybe_point = st.one_of(st.none(), points(curve.s), points(curve.s), points(curve.s))
+    source, target = data.draw(maybe_point), data.draw(maybe_point)
+    if source is None and target is None:
+        source = data.draw(points(curve.s))
+    bound, fmt = data.draw(st.one_of(st.none(), st.none(), st.integers(1, 5))), data.draw(FORMATS)
+    options = {"--from": source, "--to": target, "--height": None if bound is None else str(bound)}
+    argv = [group, verb, *(token for name, value in options.items() if value is not None for token in (name, value))]
+    # the former handler's usage checks, as `main` prints them
+    usage = None
+    if (source is None) != (target is None):
+        usage = "--from and --to must be given together"
+    elif bound is not None:
+        usage = "give either --height or a --from/--to pair, not both"
+    if usage is None:
+        expected = former(former_pair_audit, curve, source, target, fmt)
+    else:
+        command = f"fermatgroups {group} {verb}"
+        expected = 2, "", f"Usage: {command} [OPTIONS]\nTry '{command} --help' for help.\n\nError: {usage}\n"
+    assert run([*argv, "--format", fmt]) == expected
