@@ -30,7 +30,7 @@ from collections import namedtuple
 from itertools import chain, cycle
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import format_pair, format_point, format_projective, format_rational, format_triple
+from .rationals import check_digit_limit, format_pair, format_point, format_projective, format_rational
 from .rationals import parse_point, parse_point_pairs, parse_projective, parse_projective_pair, parse_rational
 
 __all__ = ["COMMANDS", "main"]
@@ -406,9 +406,13 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     from .stroboscope import iterate
     trajectory = iterate(parse_projective(delta_text), parse_point(start_text), steps)
+    triples = trajectory.decimal_triples
+    if triples:
+        # on the circle |a|, |b| <= c, so the largest height is the widest integer printed
+        check_digit_limit(max(c for _, _, c in triples))
     # every payload is built from these strings: each integer is converted to decimal
     # once, and a point's shared denominator, its height, is printed once
-    rows = [(str(step), *format_triple(*triple)) for step, triple in enumerate(trajectory.decimal_triples, start=1)]
+    rows = [(str(step), str(a), str(b), str(c)) for step, (a, b, c) in enumerate(triples, start=1)]
     period = trajectory.period if trajectory.period is not None else "none"
     _emit(
         fmt,

@@ -32,12 +32,12 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
+    "check_digit_limit",
     "exact",
     "format_pair",
     "format_point",
     "format_projective",
     "format_rational",
-    "format_triple",
     "height",
     "int_digit_limit",
     "integer",
@@ -211,19 +211,17 @@ def format_pair(num: int, den: int) -> str:
         raise _print_limit_error() from None
 
 
-def format_triple(a: Decimal, b: Decimal, c: Decimal) -> tuple[str, str, str]:
-    """The decimal texts of a reduced triple of integral Decimals (c > 0).
+def check_digit_limit(value: Decimal) -> None:
+    """Raise ResourceLimitError if the integral Decimal `value` has more digits than an int may print.
 
-    `format_rational` of a/c is a's text, "/" and c's text, so a printer
-    joins the point (a/c, b/c) from these pieces with c printed once.  A
-    Decimal prints in time linear in its digits, where an int takes
-    quadratic time.  The int-to-str digit limit bounds these strings as it
-    bounds an int's: a component with more digits raises ResourceLimitError.
+    A Decimal prints in time linear in its digits, where an int takes
+    quadratic time, and CPython's int-to-str digit limit does not bound
+    it; a printer of Decimals checks its widest value here instead, so a
+    printed Decimal is bounded as an int is.  The sign is not a digit.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and max(a.adjusted(), b.adjusted(), c.adjusted()) + 1 > limit:
+    if limit and value.adjusted() + 1 > limit:
         raise _print_limit_error()
-    return str(a), str(b), str(c)
 
 
 def int_digit_limit() -> tuple[int, "int | None"]:

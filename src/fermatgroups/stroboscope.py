@@ -7,7 +7,10 @@ the point's Gaussian integer by w/conj(w), w = m + n*i.  As w is primitive,
 each prime p = 1 (mod 4) of m^2 + n^2 divides w through only one of its two
 Gaussian factors, and 2 contributes only the unit (1 + i)/(1 - i) = i, so
 from (1, 0) the heights are exactly growth^s, growth the odd part of
-m^2 + n^2.  It is 1, and the orbit periodic, exactly for Delta in
+m^2 + n^2.  From a start of height c0 the step can cancel a prime of c0
+on at most log_5 c0 steps, and after them every step multiplies the
+height by growth; `iterate` looks for a common factor on those first
+steps only.  Growth is 1, and the orbit periodic, exactly for Delta in
 {0, 1, -1, inf}; every other rational Delta turns by an irrational fraction
 of a turn.  The height profile stands in for a divergence diagnostic: exact
 arithmetic has no Lyapunov noise floor.
@@ -87,45 +90,79 @@ class Trajectory:
 def iterate(delta, start, steps: int) -> Trajectory:
     """Record `steps` exact images of a circle point under L(delta).
 
-    The reduced triple is stepped by `Conic.act_pair` and reduced by one
-    gcd, with no Fraction: a prime dividing a and c divides b^2 = c^2 - a^2,
-    so gcd(a, c) divides b.  The circle's scale s = m^2 + n^2 keeps c > 0.
+    A step applies the primitive matrix of L(delta) (`_primitive_matrix`),
+    entries a11..a22 over the odd scale s, to the reduced triple (a, b, c)
+    inline: the image is A = a11*a + a12*b, B = a21*a + a22*b over
+    C = s*c > 0, and its content g = gcd(A, B, C) reduces it, with no
+    Fraction.  g divides s^2 and equals gcd(A mod s^2, s^2): a linear-time
+    remainder and a gcd of small integers, where gcd(A, C) takes time
+    quadratic in the digits.
 
-    That gcd is taken modulo s^2.  With delta = n/m (inf = 1/0) and
-    w = m + ni, the image of the triple (a, b, c) is A + Bi = (a + bi)*w^2
-    over C = c*s, and its content g = gcd(A, C) divides s^2: g divides B
-    too (B^2 = C^2 - A^2), hence (A + Bi)*conj(w)^2 = (a + bi)*s^2, so it
-    divides a*s^2 and b*s^2, whose gcd is s^2 since gcd(a, b) = 1.  So
-    g = gcd(A mod s^2, C mod s^2, s^2): two linear-time remainders and a
-    gcd of small integers, where gcd(A, C) takes time quadratic in the
-    digits.  A step with g = 1, nearly every one, divides nothing.
+    In Gaussian integers, with w = m + ni for delta = n/m (inf = 1/0), the
+    step multiplies a + bi by a unit times v^2, v = w, or w/(1 + i) when m
+    and n are both odd.  v is primitive with |v|^2 = s, so for each prime
+    p of s it holds one Gaussian factor pi of p, d_p = v_p(s) times.  Write
+    the reduced point as a unit times the product of (pi/conj(pi))^e_p over
+    the primes p = 1 (mod 4): its height c is the product of p^|e_p|, and
+    a + bi is a unit times the product of pi^(2 e_p), or conj(pi)^(2 |e_p|)
+    where e_p < 0.  Times v^2, the image has k_p = 2 min(|e_p|, d_p)
+    factors p where e_p < 0 and k_p = 0 elsewhere, and what is left at p is
+    a power of one Gaussian factor of p alone, or 1 where |e_p| = d_p.  So
+    v_p(g) = k_p <= 2 d_p.  A Gaussian integer divisible by just one factor
+    of p has a real part prime to p, so v_p(A) = k_p, except where
+    |e_p| = d_p, where v_p(A) >= k_p = 2 d_p: either way
+    v_p(gcd(A, s^2)) = k_p.
 
-    The triples are Decimals stepped in the `EXACT` context: a step only
-    multiplies by, adds, and divides by small integers, all linear in the
-    digits, and a Decimal prints in linear time where an int takes time
-    quadratic in its digits.
+    Only the first c0.bit_length() steps can have content, c0 the start's
+    height, so the test runs on those alone: a step has content at p
+    exactly while e_p < 0, and each step adds d_p to e_p, so that lasts at
+    most v_p(c0) <= log_5 c0 steps.  From (1, 0) no step has content.
+
+    The triples are Decimals stepped in the `EXACT` context, which raises
+    on any rounding: a step only multiplies by, adds and divides by small
+    integers, all linear in the digits, and a Decimal prints in linear
+    time where an int takes time quadratic in its digits.  The 800 steps
+    of 4/7 from (1, 0), 1,450-digit heights at the end, take about 2 ms
+    in-process (Python 3.11 on a 2-core VM).
     """
     integer(steps, 0, "step count")
     delta = as_projective(delta)
     start = CIRCLE.require_on_curve(start)
     start_triple = CIRCLE.triple(start)
-    delta_pair = n, m = projective_pair(delta)
-    square = (m * m + n * n) ** 2
+    transient = start_triple[2].bit_length()
+    entries, scale = _primitive_matrix(delta)
+    square = scale * scale
+    a11, a12, a21, a22, s, modulus = map(Decimal, (*entries, scale, square))
     triples: list[tuple[Decimal, Decimal, Decimal]] = []
     period = None
-    triple = start_triple = tuple(map(Decimal, start_triple))
+    a, b, c = start_triple = tuple(map(Decimal, start_triple))
     with localcontext(EXACT):
         for step in range(1, steps + 1):
-            a, b, c = CIRCLE.act_pair(delta_pair, triple)
-            g = gcd(int(a % square), int(c % square), square)
-            if g != 1:
-                a, b, c = a // g, b // g, c // g
+            a, b, c = a11 * a + a12 * b, a21 * a + a22 * b, s * c
+            if step <= transient:
+                g = gcd(int(a % modulus), square)
+                if g != 1:
+                    a, b, c = a // g, b // g, c // g
             # a zero product with a negative entry is Decimal('-0'), which prints as -0
             triple = a or ZERO, b or ZERO, c
             triples.append(triple)
             if period is None and triple == start_triple:
                 period = step
     return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period)
+
+
+def _primitive_matrix(delta: ProjectiveRational) -> tuple[tuple[int, int, int, int], int]:
+    """`Conic.matrix_pair` of L(delta) divided by its content: entries (a11, a12, a21, a22) and the odd scale.
+
+    For delta = n/m in lowest terms the entries m^2 - n^2, -2nm, 2nm,
+    m^2 - n^2 and the scale m^2 + n^2 share 2 when m and n are both odd
+    (then m^2 + n^2 = 2 mod 4) and nothing otherwise (a prime of m^2 + n^2
+    dividing 2nm would divide m and n), so the reduced scale is the odd
+    part of m^2 + n^2.
+    """
+    entries, scale = CIRCLE.matrix_pair(*projective_pair(delta))
+    content = gcd(*entries, scale)
+    return tuple(entry // content for entry in entries), scale // content
 
 
 def power_parameter(delta, m: int) -> ProjectiveRational:
@@ -175,8 +212,5 @@ def height_profile(trajectory: Trajectory) -> HeightProfile:
     if not heights:
         raise InvalidArgumentError("height profile of an empty trajectory")
     ratios = [Fraction(later, earlier) for earlier, later in zip(heights, heights[1:])]
-    n, m = projective_pair(trajectory.delta)
-    scale = m * m + n * n
-    # a primitive pair's m^2 + n^2 is 1 or 2 mod 4, so its odd part drops one factor 2 at most
-    growth = scale // 2 if scale % 2 == 0 else scale
+    _, growth = _primitive_matrix(trajectory.delta)
     return HeightProfile(heights=heights, ratios=ratios, growth=growth)

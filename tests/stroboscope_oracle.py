@@ -1,8 +1,10 @@
 """The int stepper of `stroboscope.iterate`: the oracle its Decimal stepping is tested against.
 
-This is the library's former implementation: the same step through
-`Conic.act_pair` and the same reduction modulo the squared scale, carried
-on Python ints, which print in time quadratic in their digits.
+This is the library's former stepper, kept as it was: one `Conic.act_pair`
+per step, over the full scale m^2 + n^2, and the content tested on every
+step modulo that scale squared, carried on Python ints, which print in
+time quadratic in their digits.  The library divides the matrix by its
+content once and tests the content on the first steps only.
 """
 
 from math import gcd

@@ -510,6 +510,22 @@ def test_iterate_as_wide_as_the_digit_limit_prints_and_one_digit_wider_exits_thr
     assert capsys.readouterr().out == ""
 
 
+def test_iterate_with_the_digit_limit_off_prints_every_height(capsys):
+    # the default limit stops 2/7 near step 2,500; with the limit off, the
+    # 3,000th height 53^3000 prints in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code = main(["iterate", "--delta", "2/7", "--steps", "3000"])
+        last = str(53**3000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 3001
+    assert lines[-2].startswith("step 3000: ") and lines[-2].endswith(f" height {last}")
+
+
 def _iterate_former_text_and_csv(delta, start, steps) -> tuple[str, str]:
     # the former printers: an f-string per row and csv.writer, over the Fraction points
     trajectory = stroboscope.iterate(parse_projective(delta), parse_point(start), steps)

@@ -16,11 +16,11 @@ from fermatgroups.rationals import (
     Infinity,
     Mat2,
     as_projective,
+    check_digit_limit,
     format_pair,
     format_point,
     format_projective,
     format_rational,
-    format_triple,
     height,
     parse_point,
     parse_projective,
@@ -208,15 +208,14 @@ class TestTextCodec:
         assert format_point(values).split(",") == [format_rational(v) for v in values]
 
     def test_components_share_a_denominator(self):
-        assert format_triple(Decimal(-3), Decimal(4), Decimal(5)) == ("-3", "4", "5")
         assert format_point([Fraction(-3, 5), Fraction(4, 5)]) == "-3/5,4/5"
         assert format_point([Fraction(1, 2), 3]) == "1/2,3/1"
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
-    def test_triple_matches_format_rational(self, a, b, c):
+    def test_decimal_triple_texts_match_format_rational(self, a, b, c):
         # a reduced triple: both coordinates in lowest terms over c > 0
         assume(gcd(a, c) == 1 and gcd(b, c) == 1)
-        a_text, b_text, c_text = format_triple(Decimal(a), Decimal(b), Decimal(c))
+        a_text, b_text, c_text = map(str, (Decimal(a), Decimal(b), Decimal(c)))
         # a printer joins a/c from a's text, "/" and c's text
         x, y = f"{a_text}/{c_text}", f"{b_text}/{c_text}"
         assert (x, y) == (format_rational(Fraction(a, c)), format_rational(Fraction(b, c)))
@@ -229,24 +228,27 @@ class TestTextCodec:
         with pytest.raises(ResourceLimitError, match="4300"):
             format_point(values)
 
-    @pytest.mark.parametrize("triple", [(1, 0, 10**4400), (10**4400 - 1, 1, 10**4400), (10**4400, 1, 1)])
-    def test_triple_past_int_str_limit_names_the_limit(self, triple):
+    @pytest.mark.parametrize("exponent, sign", [(4300, 1), (4400, 1), (4400, -1)])
+    def test_digit_check_past_int_str_limit_names_the_limit(self, exponent, sign):
         with pytest.raises(ResourceLimitError, match="4300"):
-            format_triple(*map(Decimal, triple))
+            check_digit_limit(Decimal(sign * 10**exponent))
 
     @pytest.mark.parametrize("digits", [640, 4300])
-    def test_triple_digit_check_agrees_with_int_printing(self, digits):
-        # a triple as wide as the limit prints as its ints do, one digit
-        # wider names the limit; neither counts the sign of a
+    def test_digit_check_agrees_with_int_printing(self, digits):
+        # a value as wide as the limit passes and prints as its int does,
+        # one digit wider names the limit; neither counts the sign
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(digits)
         try:
             c = 10**digits - 1
-            assert format_triple(Decimal(1 - c), Decimal(1), Decimal(c)) == (str(1 - c), "1", str(c))
-            with pytest.raises(ValueError):
-                str(1 - 10 * c)
-            with pytest.raises(ResourceLimitError, match=str(digits)):
-                format_triple(Decimal(1 - 10 * c), Decimal(1), Decimal(10 * c + 9))
+            for value in (c, 1 - c):
+                check_digit_limit(Decimal(value))
+                assert str(Decimal(value)) == str(value)
+            for value in (10 * c + 9, 1 - 10 * c):
+                with pytest.raises(ValueError):
+                    str(value)
+                with pytest.raises(ResourceLimitError, match=str(digits)):
+                    check_digit_limit(Decimal(value))
         finally:
             sys.set_int_max_str_digits(limit)
 

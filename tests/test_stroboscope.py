@@ -91,7 +91,9 @@ class TestIterate:
         assert trajectory.heights == [c for _, _, c in triples]
 
     def test_one_gcd_per_step(self, monkeypatch):
-        # the stepping builds no Fraction: one gcd reduces each new triple
+        # the stepping builds no Fraction, and only the first c0.bit_length()
+        # steps test their content, with one gcd each: from (1, 0), c0 = 1,
+        # one step is tested, next to the gcds of the parameter and the matrix
         calls = []
         gcd = math.gcd
 
@@ -103,7 +105,7 @@ class TestIterate:
         monkeypatch.setattr(stroboscope, "gcd", counted)
         trajectory = stroboscope.iterate(Fraction(4, 7), (1, 0), 100)
         assert len(trajectory.decimal_triples) == 100
-        assert len(calls) <= 101
+        assert len(calls) <= 3
 
     def test_matches_matrix_power(self):
         # independent route: a single exact matrix power per step count
@@ -117,33 +119,61 @@ class TestIterate:
     @pytest.mark.parametrize(
         "delta, start, first",
         [
-            # s = 10: the image (8, 6, 10) of (1, 0) has content 2
+            # m and n odd: L(1/3) over 10 is the primitive matrix over s = 5
             (Fraction(1, 3), (1, 0), (4, 3, 5)),
             # (3 - 4i)*(2 + i)^2 = 25 over 5*5: content 25
             (Fraction(1, 2), (Fraction(3, 5), Fraction(-4, 5)), (1, 0, 1)),
-            # both parameters odd: L(1) has content 2 on every triple
+            # both parameters odd: L(1) is the quarter turn over s = 1
             (Fraction(1), (Fraction(3, 5), Fraction(4, 5)), (-4, 3, 5)),
         ],
     )
     def test_first_step_reduces(self, delta, start, first):
         assert _int_triples(stroboscope.iterate(delta, start, 1)) == [first]
 
+    def test_matrix_content_is_two_exactly_when_m_and_n_are_odd(self):
+        for delta in SMALL_DELTAS:
+            n, m = projective_pair(delta)
+            entries, scale = CIRCLE.matrix_pair(n, m)
+            content = math.gcd(*entries, scale)
+            assert content == (2 if m % 2 == n % 2 == 1 else 1), delta
+            primitive, odd_scale = stroboscope._primitive_matrix(delta)
+            assert primitive == tuple(entry // content for entry in entries)
+            assert odd_scale == scale // content == odd_part(scale), delta
+
     def test_gcd_operands_stay_below_the_squared_scale(self, monkeypatch):
-        # 4/7 has s = 65; the 800th triple has about 1,450 digits, but no
-        # gcd sees more than s^2 = 4225
-        operands = []
+        # 4/7 has s = 65, and the start (conj(w)/w)^factors has height
+        # c0 = 65^factors: its first `factors` steps have content and step
+        # `factors` reaches (1, 0).  The 800th triple has about 1,450 digits,
+        # but no gcd sees more than s^2 = 4225, and the content test runs on
+        # the first c0.bit_length() steps only
+        calls = []
         gcd = math.gcd
 
         def recorded(*args):
-            operands.extend(args)
+            calls.append(args)
             return gcd(*args)
 
-        monkeypatch.setattr(math, "gcd", recorded)  # Fraction's constructor
         monkeypatch.setattr(stroboscope, "gcd", recorded)
-        trajectory = stroboscope.iterate(Fraction(4, 7), (1, 0), 800)
-        assert len(str(trajectory.heights[-1])) > 1400
-        assert len(operands) >= 800 * 3
-        assert max(abs(operand) for operand in operands) <= 65**2
+        for factors in (0, 3, 8):
+            start = _start_with_factors(Fraction(4, 7), 1, 0, factors)
+            c0 = height(start)
+            assert c0 == 65**factors
+            calls.clear()
+            trajectory = stroboscope.iterate(Fraction(4, 7), start, 800)
+            assert trajectory.heights[: factors + 1] == [65 ** abs(factors - s) for s in range(1, factors + 2)]
+            assert len(str(trajectory.heights[-1])) > 1400
+            assert max(abs(operand) for args in calls for operand in args) <= 65**2
+            tested = sum(args[-1] == 65**2 for args in calls)  # gcd(A mod s^2, s^2)
+            assert max(factors, 1) <= tested <= c0.bit_length()
+
+
+def _start_with_factors(delta, p, q, factors):
+    """The circle point z^2/|z|^2 of the Gaussian integer z = (p + qi)*conj(w)^factors, w = m + ni."""
+    n, m = projective_pair(delta)
+    for _ in range(factors):
+        p, q = p * m + q * n, q * m - p * n  # z -> z * conj(w)
+    real, imag, norm = p * p - q * q, 2 * p * q, p * p + q * q
+    return Fraction(real, norm), Fraction(imag, norm)
 
 
 def _deltas():
@@ -157,15 +187,11 @@ def _deltas():
 
 
 @st.composite
-def _start_for(draw, delta):
-    """A circle point z^2/|z|^2 whose Gaussian integer z often has factors of conj(w), w = m + ni."""
-    n, m = projective_pair(delta)
+def _start_for(draw, delta, most=2):
+    """A circle point z^2/|z|^2 whose Gaussian integer z often has up to `most` factors of conj(w), w = m + ni."""
     p = draw(st.integers(-12, 12))
     q = draw(st.integers(-12, 12).filter(lambda q: (p, q) != (0, 0)))
-    for _ in range(draw(st.integers(0, 2))):
-        p, q = p * m + q * n, q * m - p * n  # z -> z * conj(w)
-    real, imag, norm = p * p - q * q, 2 * p * q, p * p + q * q
-    return Fraction(real, norm), Fraction(imag, norm)
+    return _start_with_factors(delta, p, q, draw(st.integers(0, most)))
 
 
 def _full_width_triples(delta, start, steps):
@@ -189,16 +215,26 @@ def test_reduction_modulo_the_squared_scale_equals_full_width_gcd(data):
     assert _int_triples(trajectory) == _full_width_triples(delta, start, steps)
 
 
+def _scale(delta):
+    n, m = projective_pair(delta)
+    return m * m + n * n
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_decimal_stepping_equals_the_int_stepper(data):
     # the periodic parameters and the axis points, where a zero coordinate
-    # can come out of the Decimal products as -0, next to generic draws
+    # can come out of the Decimal products as -0, next to generic draws.
+    # Up to 6 factors of conj(w) give up to 6 steps with content, and 60
+    # steps pass c0.bit_length(), after which the content is not tested;
+    # the oracle tests it on every step.  m^2 + n^2 is even, and the
+    # matrix's content 2, exactly when m and n are both odd.
+    even = data.draw(st.booleans())
     periodic = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), INF])
-    delta = data.draw(st.one_of(periodic, _deltas()))
+    delta = data.draw(st.one_of(periodic, _deltas()).filter(lambda delta: _scale(delta) % 2 == even))
     axis = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    start = data.draw(st.one_of(axis, _start_for(delta)))
-    steps = data.draw(st.integers(0, 25))
+    start = data.draw(st.one_of(axis, _start_for(delta, most=6)))
+    steps = data.draw(st.integers(0, 60))
     trajectory = stroboscope.iterate(delta, start, steps)
     triples, period = oracle.iterate(delta, start, steps)
     assert _int_triples(trajectory) == triples
@@ -209,14 +245,32 @@ def test_decimal_stepping_equals_the_int_stepper(data):
     ]
 
 
+@pytest.mark.parametrize("delta", [Fraction(4, 7), Fraction(1, 3)])
+@pytest.mark.parametrize("factors", [0, 6])
+def test_decimal_stepping_equals_the_int_stepper_over_800_steps(delta, factors):
+    # 4/7 has m^2 + n^2 = 65 odd, 1/3 has 10 even; the last heights have
+    # about 1,450 and 560 digits
+    start = _start_with_factors(delta, 2, 1, factors)
+    trajectory = stroboscope.iterate(delta, start, 800)
+    triples, period = oracle.iterate(delta, start, 800)
+    assert period is None and trajectory.period is None
+    assert [tuple(map(str, triple)) for triple in trajectory.decimal_triples] == [
+        tuple(map(str, triple)) for triple in triples
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_content_of_one_step_divides_the_squared_scale(data):
     delta = data.draw(_deltas())
     n, m = projective_pair(delta)
-    a, b, c = CIRCLE.triple(data.draw(_start_for(delta)))
+    a, b, c = CIRCLE.triple(data.draw(_start_for(delta, most=6)))
     image_a, _, image_c = CIRCLE.act_pair((n, m), (a, b, c))
     assert (m * m + n * n) ** 2 % math.gcd(image_a, image_c) == 0
+    # through the primitive matrix over s, the content is gcd(A mod s^2, s^2)
+    (a11, a12, _, _), s = stroboscope._primitive_matrix(delta)
+    image_a, image_c = a11 * a + a12 * b, s * c
+    assert math.gcd(image_a, image_c) == math.gcd(image_a % s**2, s**2)
 
 
 class TestPowerParameter:
