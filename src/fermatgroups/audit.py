@@ -107,19 +107,20 @@ def circle_law_sample(rng: random.Random, pairs: int = 2000) -> dict:
     }
 
 
-def _dense_matrix(element: monomial.MonomialMatrix, powers) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-    # full cyclotomic matrix; only verification code ever materializes this.
-    # powers[l] is omega^l and powers[-1] is 0, both of order element.k
+def _dense_matrix(element: monomial.MonomialMatrix) -> tuple[tuple[int, ...], ...]:
+    # full matrix as indices; only verification code ever materializes this.
+    # index l stands for omega^l and -1 for 0, as in the table `monomial_law_sample` builds
     n = element.n
     rows = []
     for i in range(n):
-        row = [powers[-1]] * n
-        row[element.perm[i]] = powers[element.exponents[i]]
+        row = [-1] * n
+        row[element.perm[i]] = element.exponents[i]
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _dense_mul(a, b, zero: CyclotomicNumber):
+def _dense_mul(a, b, products, zero: CyclotomicNumber):
+    # the product of two index matrices as CyclotomicNumbers: products[l][m] is omega^l * omega^m
     n = len(a)
     out = []
     for i in range(n):
@@ -127,8 +128,8 @@ def _dense_mul(a, b, zero: CyclotomicNumber):
         for j in range(n):
             total = zero
             for m in range(n):
-                if a[i][m] and b[m][j]:
-                    total = total + a[i][m] * b[m][j]
+                if a[i][m] >= 0 and b[m][j] >= 0:
+                    total = total + products[a[i][m]][b[m][j]]
             row.append(total)
         out.append(tuple(row))
     return tuple(out)
@@ -137,14 +138,16 @@ def _dense_mul(a, b, zero: CyclotomicNumber):
 def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
     """Check the permutation-exponent product against dense matrix products.
 
-    The dense entries of order k come from one table [omega^0, ..., omega^(k-1), 0]
-    built per call; their products and sums are `CyclotomicNumber` arithmetic.
+    The dense matrices hold indices into one table [omega^0, ..., omega^(k-1), 0]
+    per order k, so -1 stands for 0.  With it comes the table of the k^2
+    products omega^l * omega^m, built by `CyclotomicNumber` multiplication;
+    the terms of a product entry are summed by `CyclotomicNumber` addition.
     """
     integer(pairs, 0, "law pairs")
-    powers = {
-        k: [CyclotomicNumber.root_of_unity(k, l) for l in range(k)] + [CyclotomicNumber.zero(k)]
-        for k in range(3, 7)
-    }
+    tables = {}
+    for k in range(3, 7):
+        powers = [CyclotomicNumber.root_of_unity(k, l) for l in range(k)]
+        tables[k] = powers + [CyclotomicNumber.zero(k)], [[x * y for y in powers] for x in powers]
     checked = 0
     mismatches = []
     for _ in range(pairs):
@@ -156,10 +159,10 @@ def monomial_law_sample(rng: random.Random, pairs: int = 300) -> dict:
             for _ in range(2)
         )
         law = first * second
-        table = powers[k]
-        dense = _dense_mul(_dense_matrix(first, table), _dense_matrix(second, table), table[-1])
+        powers, products = tables[k]
+        dense = _dense_mul(_dense_matrix(first), _dense_matrix(second), products, powers[-1])
         checked += 1
-        if _dense_matrix(law, table) != dense:
+        if tuple(tuple(map(powers.__getitem__, row)) for row in _dense_matrix(law)) != dense:
             mismatches.append({"first": first.as_dict(), "second": second.as_dict(), "k": k})
     return {
         "pairs_checked": checked,

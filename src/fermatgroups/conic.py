@@ -34,13 +34,13 @@ the same entry points, and convert back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .rationals import (
+    FrozenRecord,
     Mat2,
     ProjectiveRational,
     as_projective,
@@ -96,7 +96,7 @@ def _same(first: tuple[int, int], second: tuple[int, int]) -> "bool | None":
     return n1 * m2 == n2 * m1
 
 
-class DeltaIdentityAudit(NamedTuple):
+class DeltaIdentityAudit(namedtuple("DeltaIdentityAudit", "source_triple target_triple left_pair right_pair solver_pair")):
     """Exact evaluation of two closed forms for the connecting parameter, as `Conic.identity_pairs` yields it.
 
     The points are reduced triples and each side, a ratio of polynomial
@@ -107,11 +107,7 @@ class DeltaIdentityAudit(NamedTuple):
     is; `excluded_case` marks x = -x0 or y = -y0, where a ratio can degenerate.
     """
 
-    source_triple: tuple[int, int, int]
-    target_triple: tuple[int, int, int]
-    left_pair: tuple[int, int]
-    right_pair: tuple[int, int]
-    solver_pair: tuple[int, int]
+    __slots__ = ()
 
     @property
     def source(self) -> Point:
@@ -369,15 +365,14 @@ def _element_class(conic: Conic, name: str) -> type:
     its own `__dict__`, where bench/tracer.py finds and wraps them.
     """
 
-    @dataclass(frozen=True)
-    class Element:
-        delta: ProjectiveRational
-        reflected: bool = False
+    class Element(FrozenRecord):
+        __slots__ = __match_args__ = ("delta", "reflected")
 
-        def __post_init__(self) -> None:
-            object.__setattr__(self, "delta", conic.require_valid_delta(self.delta))
-            if type(self.reflected) is not bool:
-                raise InvalidArgumentError(f"reflected must be True or False, got {self.reflected!r}")
+        def __init__(self, delta: ProjectiveRational, reflected: bool = False) -> None:
+            object.__setattr__(self, "delta", conic.require_valid_delta(delta))
+            if type(reflected) is not bool:
+                raise InvalidArgumentError(f"reflected must be True or False, got {reflected!r}")
+            object.__setattr__(self, "reflected", reflected)
 
         @classmethod
         def identity(cls) -> "Element":

@@ -15,10 +15,10 @@ hashing agrees with Fraction for rational values.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable
 
 from .errors import InvalidArgumentError
 from .rationals import exact, format_pair, integer, parse_rational, power

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import int_digit_limit, integer
+from .rationals import FrozenRecord, int_digit_limit, integer
 
 __all__ = [
     "DEFAULT_ELEMENT_LIMIT",
@@ -437,8 +436,7 @@ def stabilizer(vector, k: "int | None" = None, limit: "int | None" = None) -> li
     ))
 
 
-@dataclass(frozen=True)
-class RationalSubgroupReport:
+class RationalSubgroupReport(FrozenRecord):
     """The subgroup of elements whose matrix entries are all rational.
 
     An entry omega^l is rational only for l = 0 (value 1) and, when k is
@@ -456,12 +454,13 @@ class RationalSubgroupReport:
     admits all sign changes as well).
     """
 
-    k: int
-    n: int
-    permutations: tuple[tuple[int, ...], ...]
-    exponent_vectors: tuple[tuple[int, ...], ...]
-    is_group: bool
-    permutations_only: bool
+    __match_args__ = ("k", "n", "permutations", "exponent_vectors", "is_group", "permutations_only")
+
+    def __init__(
+        self, k: int, n: int, permutations: tuple[tuple[int, ...], ...], exponent_vectors: tuple[tuple[int, ...], ...],
+        is_group: bool, permutations_only: bool,
+    ) -> None:
+        self.__dict__.update(zip(self.__match_args__, (k, n, permutations, exponent_vectors, is_group, permutations_only)))
 
     @cached_property
     def elements(self) -> tuple[MonomialMatrix, ...]:

@@ -16,12 +16,11 @@ being truncated or read as a binary fraction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Union
+from operator import attrgetter
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -73,7 +72,7 @@ class Infinity:
 INF = Infinity()
 
 #: A value on the projective rational line: a finite Fraction or INF.
-ProjectiveRational = Union[Fraction, Infinity]
+ProjectiveRational = Fraction | Infinity
 
 
 def exact(value: "int | Fraction") -> "int | Fraction":
@@ -281,18 +280,67 @@ def format_point(point) -> str:
     return ",".join(map(format_rational, point))
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Record:
+    """A value class that names its fields, in order, in `__match_args__` and writes its own `__init__`.
+
+    It gives what the dataclass decorator would, without importing
+    `dataclasses` and the `inspect` it loads on every call: instances of one
+    class are equal when their fields are, another class compares as
+    NotImplemented, `repr` reads `Name(field=value, ...)`, and an instance is
+    unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "__match_args__" in vars(cls):
+            cls._astuple = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._astuple(self))
+        return f"{self.__class__.__qualname__}({', '.join([f'{name}={value!r}' for name, value in fields])})"
+
+
+class FrozenRecord(Record):
+    """A `Record` whose `__init__` sets the fields past `__setattr__`, once, and whose instances hash their fields.
+
+    Assigning or deleting an attribute raises AttributeError, and copies and
+    pickles rebuild an instance through its `__init__`.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
+
+
+class Mat2(FrozenRecord):
     """Exact 2x2 rational matrix with rows (a11, a12), (a21, a22)."""
 
-    a11: Fraction
-    a12: Fraction
-    a21: Fraction
-    a22: Fraction
+    __slots__ = __match_args__ = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, Fraction(exact(getattr(self, name))))
+    def __init__(self, a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction) -> None:
+        # bench/tracer.py times the construction under this name
+        self.__post_init__(a11, a12, a21, a22)
+
+    def __post_init__(self, *entries) -> None:
+        for name, entry in zip(self.__match_args__, entries):
+            object.__setattr__(self, name, Fraction(exact(entry)))
 
     @classmethod
     def identity(cls) -> "Mat2":

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -47,7 +46,7 @@ from operator import itemgetter
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, exact, format_pair, integer, projective_ratio
+from .rationals import ProjectiveRational, Record, exact, format_pair, integer, projective_ratio
 
 __all__ = [
     "CoverageReport",
@@ -179,8 +178,7 @@ def _ranked(pairs, bound: int) -> tuple[list[Coordinate], dict[Coordinate, int]]
     return coordinates, {pair: rank for rank, pair in enumerate(coordinates)}
 
 
-@dataclass
-class SearchReport:
+class SearchReport(Record):
     """Outcome of one exhaustive bounded-height scan.
 
     `coordinates` lists the distinct reduced pairs (p, q), q > 0, of the
@@ -192,13 +190,19 @@ class SearchReport:
     `payload()` is the JSON-able form.
     """
 
-    k: int
-    n: int
-    height_bound: int
-    coordinates: list[Coordinate]
-    ranks: list[RankRow]
-    trivial_count: int
-    nontrivial_count: int
+    __match_args__ = ("k", "n", "height_bound", "coordinates", "ranks", "trivial_count", "nontrivial_count")
+
+    def __init__(
+        self, k: int, n: int, height_bound: int, coordinates: list[Coordinate], ranks: list[RankRow],
+        trivial_count: int, nontrivial_count: int,
+    ) -> None:
+        self.k = k
+        self.n = n
+        self.height_bound = height_bound
+        self.coordinates = coordinates
+        self.ranks = ranks
+        self.trivial_count = trivial_count
+        self.nontrivial_count = nontrivial_count
 
     def _through(self, values: list) -> list[tuple]:
         return [tuple(map(values.__getitem__, row)) for row in self.ranks]
@@ -403,8 +407,7 @@ def n_counterexample(k: int, x1) -> tuple[Fraction, Fraction, Fraction]:
     return witness
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(Record):
     """Reachability of every height-bounded rational circle point from (1, 0).
 
     `reached` pairs the reduced triple (a, b, c) of each point (a/c, b/c)
@@ -415,11 +418,17 @@ class CoverageReport:
     build the Fraction forms on access; the coverage ratio is exact.
     """
 
-    height_bound: int
-    total: int
-    covered: int
-    reached: list[tuple[tuple[int, int, int], tuple[int, int]]]
-    missed: list[tuple[int, int, int]]
+    __slots__ = __match_args__ = ("height_bound", "total", "covered", "reached", "missed")
+
+    def __init__(
+        self, height_bound: int, total: int, covered: int,
+        reached: list[tuple[tuple[int, int, int], tuple[int, int]]], missed: list[tuple[int, int, int]],
+    ) -> None:
+        self.height_bound = height_bound
+        self.total = total
+        self.covered = covered
+        self.reached = reached
+        self.missed = missed
 
     @property
     def entries(self) -> list[tuple[Point, ProjectiveRational]]:

@@ -18,7 +18,6 @@ arithmetic has no Lyapunov noise floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -38,7 +37,7 @@ from math import gcd
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError
-from .rationals import ProjectiveRational, as_projective, integer, projective_pair
+from .rationals import ProjectiveRational, Record, as_projective, integer, projective_pair
 
 __all__ = [
     "EXACT",
@@ -62,8 +61,7 @@ EXACT = Context(
 ZERO = Decimal(0)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Exact orbit samples after 1..steps applications of L(delta), as reduced triples.
 
     `decimal_triples` holds the triples (a, b, c), c > 0, as integral
@@ -73,10 +71,16 @@ class Trajectory:
     the start, or None if no return happens within the recorded steps.
     """
 
-    delta: ProjectiveRational
-    start: Point
-    decimal_triples: list[tuple[Decimal, Decimal, Decimal]]
-    period: "int | None" = None
+    __slots__ = __match_args__ = ("delta", "start", "decimal_triples", "period")
+
+    def __init__(
+        self, delta: ProjectiveRational, start: Point, decimal_triples: list[tuple[Decimal, Decimal, Decimal]],
+        period: "int | None" = None,
+    ) -> None:
+        self.delta = delta
+        self.start = start
+        self.decimal_triples = decimal_triples
+        self.period = period
 
     @property
     def points(self) -> list[Point]:
@@ -192,8 +196,7 @@ def period_check(delta, limit: int) -> "int | None":
     return None
 
 
-@dataclass
-class HeightProfile:
+class HeightProfile(Record):
     """A trajectory's heights, their successive quotients and the exact growth.
 
     `growth` is the odd part of m^2 + n^2 (module docstring): from (1, 0)
@@ -201,9 +204,12 @@ class HeightProfile:
     equal growth once 2^s > c.
     """
 
-    heights: list[int]
-    ratios: list[Fraction]
-    growth: int
+    __slots__ = __match_args__ = ("heights", "ratios", "growth")
+
+    def __init__(self, heights: list[int], ratios: list[Fraction], growth: int) -> None:
+        self.heights = heights
+        self.ratios = ratios
+        self.growth = growth
 
 
 def height_profile(trajectory: Trajectory) -> HeightProfile:

@@ -896,11 +896,11 @@ def test_usage_errors_exit_two_and_print_nothing(argv, capsys, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-def _python(code, *args):
-    """Run `code` in a fresh interpreter with the package on its path; return the finished process."""
+def _python(code, *args, flags=()):
+    """Run `code` in a fresh interpreter, given the interpreter `flags`, with the package on its path; return the finished process."""
     source = Path(fermatgroups.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(source)},
@@ -992,10 +992,16 @@ def test_module_table_covers_every_command():
     assert set(_MODULES_LOADED) == set(COMMANDS)
 
 
+# stdlib modules that no call loads: `dataclasses`, the `inspect` it imports
+# with `ast`, `dis` and `tokenize`, and `typing`
+_NEVER_LOADED = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
+
+
 @pytest.mark.parametrize("path", list(_MODULES_LOADED), ids=" ".join)
 def test_each_call_loads_only_the_modules_its_handler_imports(path):
     # start-up is part of every call's time: a call loads the package modules
-    # its handler imports and what those import, and nothing else
+    # its handler imports and what those import, and nothing else; with `site`
+    # off (-S), nothing has loaded a module of _NEVER_LOADED before the call
     args, extra = _MODULES_LOADED[path]
     code = (
         "import io, sys\n"
@@ -1004,11 +1010,12 @@ def test_each_call_loads_only_the_modules_its_handler_imports(path):
         "with redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
         "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'fermatgroups'))\n"
+        f"print(sorted(set({_NEVER_LOADED}) & set(sys.modules)))\n"
     )
-    result = _python(code, *path, *args)
+    result = _python(code, *path, *args, flags=["-S"])
     assert (result.returncode, result.stderr) == (0, "")
     loaded = sorted(["fermatgroups", *(f"fermatgroups.{m}" for m in ("cli", "errors", "rationals", *extra))])
-    assert result.stdout == f"0 {loaded}\n"
+    assert result.stdout == f"0 {loaded}\n[]\n"
 
 
 def test_closed_stdout_exits_one_without_a_traceback():
