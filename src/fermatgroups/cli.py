@@ -272,16 +272,6 @@ def _component_json(component) -> str:
     return '{"k":%d,"coeffs":["%s"]}' % (component.k, '","'.join(texts))
 
 
-def _points_text(texts, points, sep: str, joiner: str) -> str:
-    """The points, index tuples into `texts`, each joined by `sep` and all by `joiner`.
-
-    The indices run as one flat stream, and zipping n copies of one iterator
-    cuts it back into points, so no Python code runs per point.
-    """
-    flat = map(texts.__getitem__, chain.from_iterable(points))
-    return joiner.join(map(sep.join, zip(*[flat] * len(points[0]))))
-
-
 _VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]", comma separated.'
 
 
@@ -290,21 +280,29 @@ _VECTOR = 'Vector: components "p/q" or cyclotomic coefficient lists "[c0,c1,...]
 def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     from . import monomial
     vector = _parse_vector(point_text)
-    # the indices follow the components' coefficient vectors, so the sorted
-    # int tuples sort as the points print; each component is formatted once
-    components, points, stabilizer_order = monomial.orbit_census(vector, k, limit)
+    # the indices follow the components' coefficient vectors, so the points
+    # come out of `sorted_orbit` in the order they print; each component is
+    # formatted once
+    components, rows, stabilizer_order = monomial.orbit_rows(vector, k, limit)
     group_order = monomial.group_order(k, len(vector))
 
+    def orbit_text(texts, sep: str, joiner: str) -> "tuple[int, str]":
+        # the number of points, and the points each joined by `sep` and all by
+        # `joiner`: each first text's run is joined at once behind it
+        runs = monomial.sorted_orbit(rows, [sep + text for text in texts], [""])
+        body = joiner.join([texts[i] + (joiner + texts[i]).join(run) for i, run in runs])
+        return sum(len(run) for _, run in runs), body
+
     def as_json() -> str:
-        head = _json({"k": k, "n": len(vector), "orbit_size": len(points),
-                      "stabilizer_order": stabilizer_order, "group_order": group_order})
         # a component's JSON is the same fragment wherever it appears
-        body = _points_text(list(map(_component_json, components)), points, ",", "],[")
+        size, body = orbit_text(list(map(_component_json, components)), ",", "],[")
+        head = _json({"k": k, "n": len(vector), "orbit_size": size,
+                      "stabilizer_order": stabilizer_order, "group_order": group_order})
         return f'{head[:-2]},"points":[[{body}]]}}\n'
 
     def as_text() -> str:
-        head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {group_order}"
-        return _lines(head, _points_text(list(map(str, components)), points, " | ", "\n"))
+        size, body = orbit_text(list(map(str, components)), " | ", "\n")
+        return _lines(f"orbit size {size}, stabilizer order {stabilizer_order}, group order {group_order}", body)
 
     _emit(fmt, text=as_text, json=as_json)
 

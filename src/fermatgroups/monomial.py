@@ -34,7 +34,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import FrozenRecord, int_digit_limit, integer
 
@@ -52,7 +52,9 @@ __all__ = [
     "orbit",
     "orbit_census",
     "orbit_rational_points",
+    "orbit_rows",
     "rational_elements",
+    "sorted_orbit",
     "stabilizer",
 ]
 
@@ -350,14 +352,14 @@ def _twist_table(vector, k, limit) -> tuple[int, list[CyclotomicNumber], list[li
     """k, the distinct twists omega^l * v_j of a vector's components, their index table and the fixing exponents.
 
     Element (sigma, l) sends v to (omega^(l_i) * v[sigma(i)])_i, so every
-    component of every image is a twist omega^l * v_j, taken by the
-    coefficient shift `apply` uses.  Each distinct twist is numbered once,
-    across all positions, so a twist that two positions share has one index,
-    and the indices follow the twists' coefficient vectors upward.
-    `table[j][l]` is the index of omega^l * v_j, so `table[i][0]` is v_i's.
-    (sigma, l) fixes v exactly when omega^(l_i) * v[sigma(i)] = v_i at every
-    position i, so `fixing[i][j]` lists, ascending, the exponents l with
-    omega^l * v_j = v_i, read off the indices.
+    component of every image is a twist omega^l * v_j.  Each distinct twist
+    is numbered once, across all positions, so a twist that two positions
+    share has one index, and the indices follow the twists' coefficient
+    vectors upward.  `table[j][l]` is the index of omega^l * v_j, so
+    `table[i][0]` is v_i's.  (sigma, l) fixes v exactly when
+    omega^(l_i) * v[sigma(i)] = v_i at every position i, so `fixing[i][j]`
+    lists, ascending, the exponents l with omega^l * v_j = v_i, read off
+    the indices.
 
     k and n are known unlifted, so the group passes the element cap before
     any component is lifted, which computes Phi_k.
@@ -369,34 +371,40 @@ def _twist_table(vector, k, limit) -> tuple[int, list[CyclotomicNumber], list[li
     # of all positions each twist is an integer vector: equal vectors are
     # equal values, and they order as the coefficient vectors do
     scale = lcm(*(component._den for component in vec))
-    by_key, rows = {}, []
+    # omega^phi(k) = -(the lower coefficients of the monic Phi_k), so omega * v
+    # moves the numerators up one place and subtracts the top one times those
+    lower = cyclotomic_polynomial(k)[:-1]
+    above = lower[1:]
+    dens, rows = {}, []
     for component in vec:
-        twists = [component._rotated(l) for l in range(k)]
-        m = scale // component._den
-        keys = [tuple([x * m for x in twist._nums]) for twist in twists]
-        by_key.update(zip(keys, twists))
+        key = tuple([x * (scale // component._den) for x in component._nums])
+        keys = [key]
+        for _ in range(k - 1):
+            top = key[-1]
+            key = (-top * lower[0], *[x - top * p for x, p in zip(key, above)]) if top else (0, *key[:-1])
+            keys.append(key)
+        dens.update(dict.fromkeys(keys, component._den))
         rows.append(keys)
-    order = sorted(by_key)
-    index = {key: i for i, key in enumerate(order)}
+    # the keys are distinct, so the pairs sort by key
+    twists = sorted(dens.items())
+    index = {key: i for i, (key, _) in enumerate(twists)}
     table = [[index[key] for key in keys] for keys in rows]
     fixing = [[[l for l, i in enumerate(row) if i == target[0]] for row in table] for target in table]
-    return k, [by_key[key] for key in order], table, fixing
+    make = CyclotomicNumber._make
+    return k, [make(k, tuple([x // (scale // den) for x in key]), den) for key, den in twists], table, fixing
 
 
-def orbit_census(
+def orbit_rows(
     vector, k: "int | None" = None, limit: "int | None" = None
 ) -> tuple[list[CyclotomicNumber], list[tuple[int, ...]], int]:
-    """The sorted orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
+    """The distinct twists of a vector's components, each position's row of their indices and the order of its stabilizer.
 
     Every component of every image is a twist of some v_j, numbered by
     `_twist_table`, so index tuples sort as their points' coefficient
-    vectors do.  Row j of the table holds the indices of v_j's twists, and
-    the orbit is the union over sigma of the products of the rows' distinct
-    indices in sigma's order: n*k field elements are built, not k^n * n!
-    images, and the points are tuples of small ints.  Two rows hold equal
-    or disjoint sets, both being orbits of the k-th roots of unity, so the
-    products of distinct arrangements of the rows are disjoint, and each is
-    a sorted run: one sort merges the runs, and no point is hashed.
+    vectors do.  Row j holds, ascending, the distinct indices of v_j's
+    twists, and the orbit is the union over sigma of the products of the
+    rows in sigma's order, which `sorted_orbit` lists: n*k field elements
+    are built, not k^n * n! images.
 
     The stabilizer has sum over sigma of prod over i of |fixing[i][sigma(i)]|
     elements, so no element is built, and the order is counted rather than
@@ -404,15 +412,62 @@ def orbit_census(
     order = group order a check.
     """
     _, components, table, fixing = _twist_table(vector, k, limit)
-    rows = [tuple(sorted(set(row))) for row in table]
-    points: list[tuple[int, ...]] = []
-    for arrangement in dict.fromkeys(itertools.permutations(rows)):
-        points += itertools.product(*arrangement)
-    points.sort()
     sizes = [list(map(len, row)) for row in fixing]
     stabilizer_order = sum(
         prod(map(list.__getitem__, sizes, perm)) for perm in itertools.permutations(range(len(sizes)))
     )
+    return components, [tuple(sorted(set(row))) for row in table], stabilizer_order
+
+
+def sorted_orbit(rows: Sequence[tuple[int, ...]], heads: Sequence, empty: list) -> list[tuple[int, list]]:
+    """The sorted orbit of `orbit_rows`' rows, as runs: each first index, ascending, with the points that follow it.
+
+    Two rows hold equal or disjoint index sets, both being orbits of the
+    k-th roots of unity, so the points that start with index i are i
+    followed by the sorted orbit of the other rows: the multiset of rows
+    with one copy of i's row removed.  The first indices run up the union
+    of the distinct rows, so the orbit comes out sorted, with no sort and
+    no point hashed.  Each multiset of rows left is built once, and there
+    are at most 2^n of them.
+
+    A point is built as `heads[i] + rest`, from the `empty` point up: with
+    1-tuples (i,) and [()] the points are index tuples, and with strings
+    "sep + text" and [""] they are the texts of the points after their
+    first component.  The first index's run is left to the caller, so a
+    printer can join each run at once.
+    """
+    kinds = sorted(set(rows))
+    firsts = sorted((i, r) for r, row in enumerate(kinds) for i in row)
+    memo = {(0,) * len(kinds): empty}
+
+    def runs(counts):
+        rests = {
+            r: points((*counts[:r], count - 1, *counts[r + 1:])) for r, count in enumerate(counts) if count
+        }
+        return [(i, rests[r]) for i, r in firsts if r in rests]
+
+    def points(counts):
+        if counts not in memo:
+            out = memo[counts] = []
+            for i, run in runs(counts):
+                out += map(heads[i].__add__, run)
+        return memo[counts]
+
+    return runs(tuple(map(rows.count, kinds)))
+
+
+def orbit_census(
+    vector, k: "int | None" = None, limit: "int | None" = None
+) -> tuple[list[CyclotomicNumber], list[tuple[int, ...]], int]:
+    """The sorted orbit of a vector as tuples of indices into its distinct components, and the order of its stabilizer.
+
+    `orbit_rows` numbers the components and counts the stabilizer, and
+    `sorted_orbit` lists the points in order as tuples of small ints.
+    """
+    components, rows, stabilizer_order = orbit_rows(vector, k, limit)
+    heads = [(i,) for i in range(len(components))]
+    runs = sorted_orbit(rows, heads, [()])
+    points = list(itertools.chain.from_iterable(map(heads[i].__add__, run) for i, run in runs))
     return components, points, stabilizer_order
 
 

@@ -1,19 +1,52 @@
-"""The former `monomial.orbit` and `kgroup orbit` printer: oracles of the index-tuple orbit.
+"""The former `monomial.orbit` and `kgroup orbit` printers: oracles of the index-tuple orbit.
 
 `orbit` builds the orbit as a set of CyclotomicNumber tuples,
 `orbit_indices` as the set of index tuples the census once built, and
-`kgroup_orbit_json` prints it as the command printed it before its points
-became tuples of component indices: the distinct components ranked by their
-coefficient vectors, the points sorted by those ranks, and the payload
-encoded by one `json.dumps`.
+`orbit_census` as the sorted list the census built next, one product per
+arrangement of the rows merged by one sort.  `kgroup_orbit_json` prints the
+orbit as the command printed it before its points became tuples of
+component indices: the distinct components ranked by their coefficient
+vectors, the points sorted by those ranks, and the payload encoded by one
+`json.dumps`.  `kgroup_orbit_text` prints the census's points as the text
+printer did before the orbit came out sorted from its rows: `points_text`
+formats each point from the component texts.  `orbit_vectors` draws the
+vectors these oracles are compared on.
 """
 
 import itertools
 import json
+from math import prod
+
+from hypothesis import strategies as st
 
 from fermatgroups import monomial
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.rationals import format_rational
+
+
+def twist(value, l):
+    # omega^l * value as a field product, independent of the shift in `apply`
+    return CyclotomicNumber.root_of_unity(value.k, l) * value
+
+
+def orbit_vectors(k, n):
+    """Vectors of n components drawn from rational and cyclotomic bases, their twists and negatives, and zero."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    bases = st.lists(
+        st.one_of(
+            small.map(lambda value: CyclotomicNumber.from_rational(k, value)),
+            st.lists(small, min_size=1, max_size=k).map(lambda coeffs: CyclotomicNumber(k, coeffs)),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+
+    def component(base):
+        zero = st.just(CyclotomicNumber.zero(k))
+        turned = st.tuples(st.sampled_from(base), st.integers(0, k - 1), st.booleans())
+        return st.one_of(zero, turned.map(lambda c: (-1 if c[2] else 1) * twist(c[0], c[1])))
+
+    return bases.flatmap(lambda base: st.lists(component(base), min_size=n, max_size=n).map(tuple))
 
 
 def orbit(vector):
@@ -37,6 +70,35 @@ def orbit_indices(table):
     for perm in itertools.permutations(map(set, table)):
         points.update(itertools.product(*perm))
     return points
+
+
+def orbit_census(vector, k):
+    """The former `monomial.orbit_census`: the products of every distinct arrangement of the rows, merged by one sort."""
+    _, components, table, fixing = monomial._twist_table(vector, k, None)
+    rows = [tuple(sorted(set(row))) for row in table]
+    points = []
+    for arrangement in dict.fromkeys(itertools.permutations(rows)):
+        points += itertools.product(*arrangement)
+    points.sort()
+    sizes = [list(map(len, row)) for row in fixing]
+    stabilizer_order = sum(
+        prod(map(list.__getitem__, sizes, perm)) for perm in itertools.permutations(range(len(sizes)))
+    )
+    return components, points, stabilizer_order
+
+
+def points_text(texts, points, sep, joiner):
+    """The points, index tuples into `texts`, each joined by `sep` and all by `joiner`, as the former printer joined them."""
+    flat = map(texts.__getitem__, itertools.chain.from_iterable(points))
+    return joiner.join(map(sep.join, zip(*[flat] * len(points[0]))))
+
+
+def kgroup_orbit_text(k, vector):
+    """The stdout of `kgroup orbit --format text` for a parsed vector."""
+    components, points, stabilizer_order = orbit_census(vector, k)
+    head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {monomial.group_order(k, len(vector))}"
+    body = points_text(list(map(str, components)), points, " | ", "\n")
+    return f"{head}\n{body}\n"
 
 
 def _payload(component):

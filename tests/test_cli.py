@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -242,21 +243,47 @@ class TestKgroupPayloads:
         assert json.loads(result.output) == [["0/1", "1/1"], ["1/1", "0/1"]]
 
 
-@pytest.mark.parametrize(
-    "k, vector",
-    [
-        (5, "5/7"),  # n = 1
-        (3, "0,0"),  # the zero vector, an orbit of one point
-        (4, "1,1,0"),  # repeated components
-        (6, "1,[0,1],[0,1]"),  # a twist shared by all three positions
-        (6, "[1,1],0,[0,-1/2]"),  # cyclotomic components
-        (12, "[1/2,0,-1/3,0,0,5/7],2/5"),
-    ],
-)
-def test_orbit_json_equals_json_dumps_of_the_former_payload(k, vector, capsys):
-    assert main(["kgroup", "orbit", "--k", str(k), "--point", vector, "--format", "json"]) == 0
-    expected = monomial_oracle.kgroup_orbit_json(k, monomial.cyclo_vector(k, cli_module._parse_vector(vector)))
-    assert capsys.readouterr().out == expected
+def _point_text(vector):
+    """The `--point` text of a cyclotomic vector: a rational component as "p/q", any other as its coefficient list."""
+    return ",".join(
+        str(value) if (value := c.is_rational()) is not None else f"[{','.join(c.coefficient_texts())}]"
+        for c in vector
+    )
+
+
+@st.composite
+def orbit_calls(draw):
+    # k^n * n! stays within 2,000 elements, so that the oracles stay fast
+    k = draw(st.integers(3, 9))
+    n = draw(st.integers(1, 4).filter(lambda n: monomial.group_order(k, n) <= 2000))
+    return k, _point_text(draw(monomial_oracle.orbit_vectors(k, n)))
+
+
+_FORMER_ORBIT_PRINTERS = {"json": monomial_oracle.kgroup_orbit_json, "text": monomial_oracle.kgroup_orbit_text}
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=orbit_calls(), fmt=st.sampled_from(("text", "json")))
+@example(call=(5, "5/7"), fmt="json")  # n = 1
+@example(call=(3, "0,0"), fmt="text")  # the zero vector, an orbit of one point
+@example(call=(4, "1,1,0"), fmt="json")  # repeated components
+@example(call=(6, "1,[0,1],[0,1]"), fmt="text")  # a twist shared by all three positions
+@example(call=(6, "[1,1],0,[0,-1/2]"), fmt="json")  # cyclotomic components
+@example(call=(12, "[1/2,0,-1/3,0,0,5/7],2/5"), fmt="text")
+@example(call=(3, "1,2,3,4,5"), fmt="text")  # 29,160 points, the group order
+@example(call=(3, "1,2,3,4,5"), fmt="json")
+def test_orbit_prints_as_the_former_printers(call, fmt):
+    k, point = call
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["kgroup", "orbit", "--k", str(k), "--point", point, "--limit", "29160", "--format", fmt]) == 0
+    printed = out.getvalue()
+    expected = _FORMER_ORBIT_PRINTERS[fmt](k, monomial.cyclo_vector(k, cli_module._parse_vector(point)))
+    if printed != expected:
+        # pytest's own diff of two texts of megabytes would take minutes
+        at = len(os.path.commonprefix([printed, expected]))
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"first difference at {at}: {printed[near]!r} != {expected[near]!r}")
 
 
 @pytest.mark.parametrize("k", range(3, 7))
@@ -771,6 +798,42 @@ def test_only_the_chosen_format_is_built(argv, owner, name, monkeypatch, capsys)
     assert main(argv) == 0
     assert capsys.readouterr().out
     assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_orbit_twists_by_omega_steps_without_a_rotation(fmt, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, CyclotomicNumber, "_rotated")
+    assert main(["kgroup", "orbit", "--k", "5", "--point", "[0,1,-1/2],2,0", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+
+
+class _ByteCount(io.TextIOBase):
+    """A stdout that keeps no text, only the count of what was written (every payload is ASCII)."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+# tracemalloc peak over stdout bytes for 29,160 points: 3.18 (text) and 2.49
+# (JSON); the former product-and-sort printer read 6.52 and 3.16
+@pytest.mark.parametrize("fmt, bound", [("text", 4.5), ("json", 2.8)])
+def test_large_orbit_peak_memory_per_output_byte(fmt, bound, monkeypatch):
+    out = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(["kgroup", "orbit", "--k", "3", "--point", "1,2,3,4,5", "--format", fmt]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.count > 900_000
+    assert peak / out.count < bound
 
 
 def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_path, capsys):

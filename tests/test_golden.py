@@ -13,6 +13,7 @@ with the package installed and no PYTHONPATH:
 
     python /path/to/tests/test_golden.py --replay fermatgroups
 
+or through the module entry point with `--replay python -m fermatgroups`,
 which prints the name of each call whose exit code, stdout, stderr or
 written files differ and exits 1 if there is one.  After an intended change
 of output, re-record the bytes of the calls it changes, named as in the

@@ -13,6 +13,7 @@ import monomial_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from monomial_oracle import orbit_vectors, twist
 
 from fermatgroups import cyclotomic, monomial
 from fermatgroups.cyclotomic import CyclotomicNumber
@@ -85,11 +86,6 @@ def all_pairs_closed(k, pairs):
             if product not in members:
                 return False
     return True
-
-
-def twist(value, l):
-    # omega^l * value as a field product, independent of the shift in `apply`
-    return CyclotomicNumber.root_of_unity(value.k, l) * value
 
 
 def shaped_vectors(k, n):
@@ -390,26 +386,6 @@ class TestOrbits:
         assert monomial.stabilizer(vector) == stabilizer
 
 
-def orbit_vectors(k, n):
-    """Vectors of n components drawn from rational and cyclotomic bases, their twists and negatives, and zero."""
-    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    bases = st.lists(
-        st.one_of(
-            small.map(lambda value: CyclotomicNumber.from_rational(k, value)),
-            st.lists(small, min_size=1, max_size=k).map(lambda coeffs: CyclotomicNumber(k, coeffs)),
-        ),
-        min_size=1,
-        max_size=2,
-    )
-
-    def component(base):
-        zero = st.just(CyclotomicNumber.zero(k))
-        turned = st.tuples(st.sampled_from(base), st.integers(0, k - 1), st.booleans())
-        return st.one_of(zero, turned.map(lambda c: (-1 if c[2] else 1) * twist(c[0], c[1])))
-
-    return bases.flatmap(lambda base: st.lists(component(base), min_size=n, max_size=n).map(tuple))
-
-
 class TestStabilizerOrder:
     @pytest.mark.parametrize("k", range(3, 9))
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -437,7 +413,10 @@ class TestOrbitRanks:
         k = data.draw(st.integers(3, 8))
         vector = data.draw(orbit_vectors(k, data.draw(st.integers(1, 4))))
         _, _, table, _ = monomial._twist_table(vector, None, None)
-        assert monomial.orbit_census(vector)[1] == sorted(monomial_oracle.orbit_indices(table))
+        census = monomial.orbit_census(vector)
+        assert census[1] == sorted(monomial_oracle.orbit_indices(table))
+        # the former census: the products of the rows' arrangements merged by one sort
+        assert census == monomial_oracle.orbit_census(vector, None)
 
     def test_a_twist_shared_by_two_positions_has_one_index(self):
         omega = CyclotomicNumber.root_of_unity(6, 1)
@@ -453,6 +432,22 @@ class TestOrbitRanks:
         components, points, _ = monomial.orbit_census(vector)
         assert components == [CyclotomicNumber(4, c) for c in ((-1,), (0, -1), (0,), (0, 1), (1,))]
         assert len(points) == 48
+
+
+class TestTwists:
+    @pytest.mark.parametrize("k", range(3, 41))  # phi(30) = 8 and phi(32) = 16 lie far below k
+    def test_omega_steps_equal_the_rotation_and_the_field_product(self, k):
+        rng = random.Random(k)
+        cyclotomic_component = CyclotomicNumber(
+            k, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(2, k))]
+        )
+        vector = monomial.cyclo_vector(k, (0, Fraction(-5, 3), cyclotomic_component))
+        _, twists, table, _ = monomial._twist_table(vector, None, None)
+        for component, row in zip(vector, table):
+            for l, index in enumerate(row):
+                assert twists[index] == component._rotated(l) == CyclotomicNumber.root_of_unity(k, l) * component
+        # each twist is listed once, and the indices follow the coefficient vectors
+        assert [t.coeffs for t in twists] == sorted({t.coeffs for t in twists})
 
 
 class TestCaps:
