@@ -289,7 +289,7 @@ def kgroup_orbit_cmd(k: int, point_text: str, limit, fmt: str) -> None:
     def orbit_text(texts, sep: str, joiner: str) -> "tuple[int, str]":
         # the number of points, and the points each joined by `sep` and all by
         # `joiner`: each first text's run is joined at once behind it
-        runs = monomial.sorted_orbit(rows, [sep + text for text in texts], [""])
+        runs = monomial.sorted_orbit(rows, [sep + text for text in texts])
         body = joiner.join([texts[i] + (joiner + texts[i]).join(run) for i, run in runs])
         return sum(len(run) for _, run in runs), body
 

@@ -77,6 +77,25 @@ def _reduce_mod_phi(k: int, folded: list[int]) -> list[int]:
     return folded[:_divide_monic(folded, cyclotomic_polynomial(k))]
 
 
+def _omega_steps(k: int, nums: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """The power-basis numerators of v, omega * v, ..., omega^(count - 1) * v, from those of v.
+
+    omega^phi(k) is minus the lower coefficients of the monic Phi_k, so
+    omega * v moves the numerators up one place and subtracts the top one
+    times those: O(phi(k)) per step.  omega is a unit of the ring
+    Z[omega], whose integer basis is the power basis, so the numerators
+    keep their gcd with any denominator.
+    """
+    lower = cyclotomic_polynomial(k)[:-1]
+    above = lower[1:]
+    steps = [nums]
+    for _ in range(count - 1):
+        top = nums[-1]
+        nums = (-top * lower[0], *[x - top * p for x, p in zip(nums, above)]) if top else (0, *nums[:-1])
+        steps.append(nums)
+    return steps
+
+
 def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     # divide numerators and a positive denominator by their common gcd
     common = gcd(den, *nums)
@@ -184,17 +203,8 @@ class CyclotomicNumber:
         return None
 
     def _rotated(self, shift: int) -> "CyclotomicNumber":
-        """omega^shift times this value, for 0 <= shift < k, without a field product.
-
-        On the power basis the numerators move up `shift` places, wrap
-        around mod k and are reduced by Phi_k.  omega^shift is a unit of the
-        ring Z[omega], whose integer basis is the power basis, so the
-        numerators keep their gcd with den and need no new reduction.
-        """
-        k = self._k
-        padded = list(self._nums) + [0] * (k - len(self._nums))
-        folded = padded[k - shift:] + padded[:k - shift]
-        return CyclotomicNumber._make(k, tuple(_reduce_mod_phi(k, folded)), self._den)
+        """omega^shift times this value, for 0 <= shift < k, by `shift` omega steps rather than a field product."""
+        return CyclotomicNumber._make(self._k, _omega_steps(self._k, self._nums, shift + 1)[-1], self._den)
 
     def __add__(self, other):
         rhs = self._coerce(other)

@@ -34,7 +34,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .cyclotomic import CyclotomicNumber, _omega_steps
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import FrozenRecord, int_digit_limit, integer
 
@@ -180,9 +180,8 @@ class MonomialMatrix:
     def apply(self, vector: Sequence[CyclotomicNumber]) -> CyclotomicVector:
         """Image of a cyclotomic vector: component i is omega^(l_i) * v[sigma(i)].
 
-        On the power basis, multiplying by omega^l moves every coefficient up
-        l places, folded mod k and reduced by Phi_k on the integer
-        numerators, so no field product is needed.
+        Multiplying by omega^l is l omega steps on the integer numerators,
+        so no field product is needed.
         """
         vec = tuple(vector)
         if len(vec) != len(self._perm):
@@ -371,18 +370,10 @@ def _twist_table(vector, k, limit) -> tuple[int, list[CyclotomicNumber], list[li
     # of all positions each twist is an integer vector: equal vectors are
     # equal values, and they order as the coefficient vectors do
     scale = lcm(*(component._den for component in vec))
-    # omega^phi(k) = -(the lower coefficients of the monic Phi_k), so omega * v
-    # moves the numerators up one place and subtracts the top one times those
-    lower = cyclotomic_polynomial(k)[:-1]
-    above = lower[1:]
     dens, rows = {}, []
     for component in vec:
-        key = tuple([x * (scale // component._den) for x in component._nums])
-        keys = [key]
-        for _ in range(k - 1):
-            top = key[-1]
-            key = (-top * lower[0], *[x - top * p for x, p in zip(key, above)]) if top else (0, *key[:-1])
-            keys.append(key)
+        # each twist is one omega step on the numerators past the one before
+        keys = _omega_steps(k, tuple([x * (scale // component._den) for x in component._nums]), k)
         dens.update(dict.fromkeys(keys, component._den))
         rows.append(keys)
     # the keys are distinct, so the pairs sort by key
@@ -419,7 +410,7 @@ def orbit_rows(
     return components, [tuple(sorted(set(row))) for row in table], stabilizer_order
 
 
-def sorted_orbit(rows: Sequence[tuple[int, ...]], heads: Sequence, empty: list) -> list[tuple[int, list]]:
+def sorted_orbit(rows: Sequence[tuple[int, ...]], heads: Sequence) -> list[tuple[int, list]]:
     """The sorted orbit of `orbit_rows`' rows, as runs: each first index, ascending, with the points that follow it.
 
     Two rows hold equal or disjoint index sets, both being orbits of the
@@ -430,15 +421,15 @@ def sorted_orbit(rows: Sequence[tuple[int, ...]], heads: Sequence, empty: list) 
     no point hashed.  Each multiset of rows left is built once, and there
     are at most 2^n of them.
 
-    A point is built as `heads[i] + rest`, from the `empty` point up: with
-    1-tuples (i,) and [()] the points are index tuples, and with strings
-    "sep + text" and [""] they are the texts of the points after their
-    first component.  The first index's run is left to the caller, so a
+    A point is built as `heads[i] + rest`, from the empty head `heads[0][:0]`
+    up: with 1-tuples (i,) the points are index tuples, and with strings
+    "sep + text" they are the texts of the points after their first
+    component.  The first index's run is left to the caller, so a
     printer can join each run at once.
     """
     kinds = sorted(set(rows))
     firsts = sorted((i, r) for r, row in enumerate(kinds) for i in row)
-    memo = {(0,) * len(kinds): empty}
+    memo = {(0,) * len(kinds): [heads[0][:0]]}
 
     def runs(counts):
         rests = {
@@ -466,7 +457,7 @@ def orbit_census(
     """
     components, rows, stabilizer_order = orbit_rows(vector, k, limit)
     heads = [(i,) for i in range(len(components))]
-    runs = sorted_orbit(rows, heads, [()])
+    runs = sorted_orbit(rows, heads)
     points = list(itertools.chain.from_iterable(map(heads[i].__add__, run) for i, run in runs))
     return components, points, stabilizer_order
 

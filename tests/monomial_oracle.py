@@ -3,14 +3,15 @@
 `orbit` builds the orbit as a set of CyclotomicNumber tuples,
 `orbit_indices` as the set of index tuples the census once built, and
 `orbit_census` as the sorted list the census built next, one product per
-arrangement of the rows merged by one sort.  `kgroup_orbit_json` prints the
-orbit as the command printed it before its points became tuples of
-component indices: the distinct components ranked by their coefficient
-vectors, the points sorted by those ranks, and the payload encoded by one
-`json.dumps`.  `kgroup_orbit_text` prints the census's points as the text
-printer did before the orbit came out sorted from its rows: `points_text`
-formats each point from the component texts.  `orbit_vectors` draws the
-vectors these oracles are compared on.
+arrangement of the rows merged by one sort.  `ranked_orbit` ranks the
+distinct components of `orbit`'s points by their coefficient vectors and
+sorts the points by those ranks.  On its points, `kgroup_orbit_json` prints
+the orbit as the command printed it before its points became tuples of
+component indices, the payload encoded by one `json.dumps`, and
+`kgroup_orbit_text` as the text printer did before the orbit came out
+sorted from its rows: `points_text` formats each point from the component
+texts.  Neither printer oracle reads the census's twist table.
+`orbit_vectors` draws the vectors these oracles are compared on.
 """
 
 import itertools
@@ -93,9 +94,18 @@ def points_text(texts, points, sep, joiner):
     return joiner.join(map(sep.join, zip(*[flat] * len(points[0]))))
 
 
+def ranked_orbit(vector):
+    """The distinct components of `orbit`'s points ranked by their coefficient vectors, and the points as rank tuples, sorted."""
+    points = orbit(vector)
+    components = sorted({c for point in points for c in point}, key=lambda c: c.coeffs)
+    rank = {c: i for i, c in enumerate(components)}
+    return components, sorted(tuple(map(rank.__getitem__, point)) for point in points)
+
+
 def kgroup_orbit_text(k, vector):
     """The stdout of `kgroup orbit --format text` for a parsed vector."""
-    components, points, stabilizer_order = orbit_census(vector, k)
+    components, points = ranked_orbit(vector)
+    stabilizer_order = len(monomial.stabilizer(vector))
     head = f"orbit size {len(points)}, stabilizer order {stabilizer_order}, group order {monomial.group_order(k, len(vector))}"
     body = points_text(list(map(str, components)), points, " | ", "\n")
     return f"{head}\n{body}\n"
@@ -116,17 +126,14 @@ def component_json(component):
 
 def kgroup_orbit_json(k, vector):
     """The stdout of `kgroup orbit --format json` for a parsed vector."""
-    points = orbit(vector)
-    components = sorted({c for point in points for c in point}, key=lambda c: c.coeffs)
-    rank = {c: i for i, c in enumerate(components)}
-    points = sorted(points, key=lambda point: tuple(map(rank.__getitem__, point)))
+    components, points = ranked_orbit(vector)
     payload = {
         "k": k,
         "n": len(vector),
         "orbit_size": len(points),
         "stabilizer_order": len(monomial.stabilizer(vector)),
         "group_order": monomial.group_order(k, len(vector)),
-        "points": [[_payload(c) for c in point] for point in points],
+        "points": [[_payload(components[i]) for i in point] for point in points],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
