@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
-from itertools import chain, cycle
+from itertools import chain
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .rationals import check_digit_limit, format_pair, format_point, format_projective, format_rational
@@ -90,11 +90,12 @@ def _lines(*lines) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    # every field is an integer, p/q, inf or space-separated integers, none of
-    # which CSV quotes, so each field is followed by its separator, "," or the
-    # row's closing newline, and all of them are joined at once
-    fields = map(str, chain(header, chain.from_iterable(rows)))
-    return "".join(chain.from_iterable(zip(fields, cycle("," * (len(header) - 1) + "\n"))))
+    """The CSV text of the header and the rows, each a sequence of strings.
+
+    Every field is an integer, p/q, inf or space-separated integers, none of
+    which CSV quotes, so a line is its fields joined by ",".
+    """
+    return _lines(",".join(header), *map(",".join, rows))
 
 
 def _write_file(path, text: str) -> None:
@@ -180,7 +181,7 @@ def triples_cmd(bound: int, fmt: str) -> None:
         fmt,
         text=lambda: _lines(*(f"{a} {b} {c}" for a, b, c in triples)),
         json=lambda: _json([list(t) for t in triples]),
-        csv=lambda: _csv_text(("a", "b", "c"), triples),
+        csv=lambda: _csv_text(("a", "b", "c"), [(str(a), str(b), str(c)) for a, b, c in triples]),
     )
 
 
@@ -350,17 +351,32 @@ def kgroup_orbit_rational_cmd(k: int, limit, fmt: str) -> None:
 def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     from .search import search_n
     report = search_n(k, n, bound)
-    # every format prints the report's "p/q" strings, each formatted once
+    # each coordinate is formatted once; a format reads the rows through these names
+    names = [format_pair(p, q) for p, q in report.coordinates]
+
+    def rows(texts):
+        # every solution's texts, read in one pass over all the indices and cut
+        # into rows of n
+        return zip(*[map(texts.__getitem__, chain.from_iterable(report.ranks))] * n)
+
+    def as_json() -> str:
+        # a "p/q" text needs no JSON escaping, so each row is joined from the
+        # quoted names; the unit vectors are solutions, so there is a row
+        body = "],[".join(map(",".join, rows([f'"{name}"' for name in names])))
+        head = _json({"k": report.k, "n": report.n, "height": report.height_bound, "count": len(report.ranks),
+                      "trivial": report.trivial_count, "nontrivial": report.nontrivial_count})
+        return f'{head[:-2]},"solutions":[[{body}]]}}\n'
+
     _emit(
         fmt,
         ("json", json_path),
         text=lambda: _lines(
             f"k={report.k} n={report.n} height={report.height_bound}: {len(report.ranks)} solutions "
             f"({report.trivial_count} trivial, {report.nontrivial_count} nontrivial)",
-            *map(",".join, report.texts),
+            *map(",".join, rows(names)),
         ),
-        json=lambda: _json(report.payload()),
-        csv=lambda: _csv_text(tuple(f"x{i}" for i in range(1, n + 1)), report.texts),
+        json=as_json,
+        csv=lambda: _csv_text([f"x{i}" for i in range(1, n + 1)], rows(names)),
     )
 
 
@@ -370,18 +386,22 @@ def coverage_cmd(bound: int, fmt: str) -> None:
     from .search import verify_orbit_coverage
     report = verify_orbit_coverage(bound)
     rows = [(format_pair(a, c), format_pair(b, c), format_pair(*delta)) for (a, b, c), delta in report.reached]
+
+    def as_json() -> str:
+        # "p/q" texts need no JSON escaping, so both lists are joined from them
+        unreachable = ",".join([f'"{format_pair(a, c)},{format_pair(b, c)}"' for a, b, c in report.missed])
+        entries = ",".join([f'{{"point":"{x},{y}","delta":"{delta}"}}' for x, y, delta in rows])
+        head = _json({"height": report.height_bound, "total": report.total, "covered": report.covered,
+                      "coverage": format_rational(report.coverage)})
+        return f'{head[:-2]},"unreachable":[{unreachable}],"entries":[{entries}]}}\n'
+
     _emit(
         fmt,
         text=lambda: _lines(
             f"covered {report.covered}/{report.total} (coverage {format_rational(report.coverage)})",
-            *(f"{x},{y} <- delta {delta}" for x, y, delta in rows),
+            *[f"{x},{y} <- delta {delta}" for x, y, delta in rows],
         ),
-        json=lambda: _json({
-            "height": report.height_bound, "total": report.total, "covered": report.covered,
-            "coverage": format_rational(report.coverage),
-            "unreachable": [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in report.missed],
-            "entries": [{"point": f"{x},{y}", "delta": delta} for x, y, delta in rows],
-        }),
+        json=as_json,
         csv=lambda: _csv_text(("x", "y", "delta"), rows),
     )
 

@@ -29,10 +29,12 @@ Each scan returns the distinct coordinates of its solutions once, sorted by
 the integer key p*H^2 // q, and each solution as a row of indices into that
 list.  Two distinct fractions of height <= H differ by at least 1/H^2, so
 the keys order the coordinates as the fractions are ordered, and the rows,
-sorted as plain int tuples, sort as the tuples of fractions.  At n = k = 2
-the rows are read as the triples (a, b, c) of the circle points (a/c, b/c):
-`circle_triples` is the one point list of `coverage` and of both identity
-sweeps, and `circle_points` and `hyperbola_points` are Fraction views.
+sorted as plain int tuples, sort as the tuples of fractions; `search`
+formats each coordinate once and prints the rows through the indices.  At
+n = k = 2 the rows are read as the triples (a, b, c) of the circle points
+(a/c, b/c): `circle_triples` is the one point list of `coverage` and of
+both identity sweeps, and `circle_points` and `hyperbola_points` are
+Fraction views.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
 from .conic import CIRCLE
 from .errors import InvalidArgumentError, ResourceLimitError
-from .rationals import ProjectiveRational, Record, exact, format_pair, integer, projective_ratio
+from .rationals import ProjectiveRational, Record, exact, integer, projective_ratio
 
 __all__ = [
     "CoverageReport",
@@ -185,9 +186,9 @@ class SearchReport(Record):
     solutions within the bound, sorted as the fractions p/q sort; `ranks`
     is the complete list of solutions, each a tuple of indices into
     `coordinates`, sorted as int tuples and so as the tuples of fractions.
-    `rows` (the pairs), `solutions` (the Fractions) and `texts` (the "p/q"
-    strings, each coordinate formatted once) are read through the indices;
-    `payload()` is the JSON-able form.
+    `rows` (the pairs) and `solutions` (the Fractions) are read through the
+    indices, as `search` reads its printed "p/q" strings, each coordinate
+    formatted once.
     """
 
     __match_args__ = ("k", "n", "height_bound", "coordinates", "ranks", "trivial_count", "nontrivial_count")
@@ -214,22 +215,6 @@ class SearchReport(Record):
     @property
     def solutions(self) -> list[tuple[Fraction, ...]]:
         return self._through([Fraction(p, q) for p, q in self.coordinates])
-
-    @cached_property
-    def texts(self) -> list[list[str]]:
-        names = [format_pair(p, q) for p, q in self.coordinates]
-        return [list(map(names.__getitem__, row)) for row in self.ranks]
-
-    def payload(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "height": self.height_bound,
-            "count": len(self.ranks),
-            "trivial": self.trivial_count,
-            "nontrivial": self.nontrivial_count,
-            "solutions": self.texts,
-        }
 
 
 def _base_triples(k: int, bound: int) -> list[tuple[int, int, int]]:
@@ -314,12 +299,11 @@ def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], li
     powers = sorted(by_power)
     total = scale**k
     multisets = []
-    for head in itertools.combinations_with_replacement(range(len(powers)), n - 2):
-        values = [powers[i] for i in head]
-        rest = total - sum(values)
-        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - values[-1])]
+    for head in itertools.combinations_with_replacement(powers, n - 2):
+        rest = total - sum(head)
+        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - head[-1])]
         for smaller in by_power.keys() & map(rest.__sub__, larger):
-            multisets.append((*values, smaller, rest - smaller))
+            multisets.append((*head, smaller, rest - smaller))
     found = {value for values in multisets for value in values}
     coordinates, rank = _ranked([pair for value in found for pair in by_power[value]], bound)
     by_rank = {value: [rank[pair] for pair in by_power[value]] for value in found}
@@ -329,9 +313,9 @@ def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], li
         pattern = tuple(map(int.__eq__, values, values[1:]))
         if pattern not in by_pattern:
             by_pattern[pattern] = _orderings(pattern)
-        choices = list(itertools.product(*map(by_rank.__getitem__, values)))
-        for ordering in by_pattern[pattern]:
-            rows.extend(map(ordering, choices))
+        orderings = by_pattern[pattern]
+        choices = itertools.product(*map(by_rank.__getitem__, values))
+        rows += [ordering(choice) for choice in choices for ordering in orderings]
     return coordinates, rows
 
 

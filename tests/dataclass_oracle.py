@@ -19,7 +19,7 @@ from functools import cached_property
 
 from fermatgroups.errors import InvalidArgumentError
 from fermatgroups.monomial import _wrap
-from fermatgroups.rationals import exact, format_pair
+from fermatgroups.rationals import exact
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class SearchReport:
     ranks: list[RankRow]
     trivial_count: int
     nontrivial_count: int
-
-    @cached_property
-    def texts(self) -> list[list[str]]:
-        names = [format_pair(p, q) for p, q in self.coordinates]
-        return [list(map(names.__getitem__, row)) for row in self.ranks]
 
 
 @dataclass

@@ -17,18 +17,18 @@ from types import SimpleNamespace
 
 import monomial_oracle
 import pytest
+import search_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fermatgroups
 from fermatgroups import cli as cli_module
-from fermatgroups import cyclotomic, monomial, stroboscope
+from fermatgroups import circle, cyclotomic, monomial, search, stroboscope
 from fermatgroups.cli import COMMANDS, main
 from fermatgroups.cyclotomic import CyclotomicNumber
 from fermatgroups.errors import ResourceLimitError
 from fermatgroups.monomial import MonomialMatrix
 from fermatgroups.rationals import format_point, format_projective, format_rational, parse_point, parse_projective
-from fermatgroups.search import SearchReport
 
 
 @pytest.fixture()
@@ -416,6 +416,57 @@ class TestSearchCommands:
         assert captured.err.endswith("the budget 5000000\n")
 
 
+# the largest height drawn at each n: every call stays near a millisecond
+_SEARCH_HEIGHTS = {2: 40, 3: 8, 4: 3}
+
+
+@st.composite
+def search_calls(draw):
+    n = draw(st.integers(2, 4))
+    return draw(st.integers(2, 7)), n, draw(st.integers(1, _SEARCH_HEIGHTS[n]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=search_calls(), fmt=st.sampled_from(("text", "json", "csv")))
+@example(call=(2, 2, 1), fmt="json")  # the four trivial points only
+@example(call=(3, 3, 6), fmt="text")  # (1/2, 2/3, 5/6) and its orderings
+@example(call=(5, 3, 8), fmt="csv")
+@example(call=(3, 4, 3), fmt="json")
+def test_search_prints_as_the_former_printers(call, fmt):
+    k, n, bound = call
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, redirect_stdout(out):
+        path = Path(directory) / "report.json"
+        argv = ["search", "--k", str(k), "--n", str(n), "--height", str(bound), "--json", str(path), "--format", fmt]
+        assert main(argv) == 0
+        side = path.read_text(encoding="utf-8")
+    assert out.getvalue() == search_oracle.search_stdout(k, n, bound, fmt)
+    assert side == search_oracle.search_stdout(k, n, bound, "json")
+
+
+@settings(max_examples=30, deadline=None)
+@given(bound=st.integers(1, 60), fmt=st.sampled_from(("text", "json", "csv")))
+@example(bound=101, fmt="json")
+def test_coverage_prints_as_the_former_printers(bound, fmt):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["coverage", "--height", str(bound), "--format", fmt]) == 0
+    assert out.getvalue() == search_oracle.coverage_stdout(bound, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+def test_coverage_with_refused_points_prints_as_the_former_printers(fmt, monkeypatch, capsys):
+    from fermatgroups.conic import CIRCLE
+
+    carries_pair = CIRCLE.carries_pair
+    refused = {(0, 1, 1), (-3, 4, 5)}
+    monkeypatch.setattr(
+        CIRCLE, "carries_pair", lambda delta, source, target: target not in refused and carries_pair(delta, source, target)
+    )
+    assert main(["coverage", "--height", "5", "--format", fmt]) == 0
+    assert capsys.readouterr().out == search_oracle.coverage_stdout(5, fmt)
+
+
 class TestIterate:
     def test_csv_file(self, run, tmp_path):
         out = tmp_path / "trajectory.csv"
@@ -740,18 +791,38 @@ def _csv_writer_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("argv", CSV_ARGVS, ids=" ".join)
+def _library_csv_rows(argv):
+    """The header and the rows that a CSV call of `triples`, `kgroup`, `search` or `coverage` prints, read from the library."""
+    option = dict(zip(argv[1:], argv[2:]))
+    if argv[0] == "triples":
+        return ("a", "b", "c"), circle.primitive_triples(int(option["--height"]))
+    if argv[:2] == ("kgroup", "enumerate"):
+        elements = monomial.enumerate_group(int(option["--k"]), int(option["--n"]))
+        return ("perm", "exp"), [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in elements]
+    if argv[:2] == ("kgroup", "orbit-rational"):
+        points = sorted(monomial.orbit_rational_points(int(option["--k"])))
+        return ("x", "y"), [(format_rational(x), format_rational(y)) for x, y in points]
+    if argv[0] == "search":
+        report = search.search_n(int(option["--k"]), int(option.get("--n", 2)), int(option["--height"]))
+        return [f"x{i}" for i in range(1, report.n + 1)], [list(map(format_rational, row)) for row in report.solutions]
+    report = search.verify_orbit_coverage(int(option["--height"]))
+    return ("x", "y", "delta"), [(format_rational(x), format_rational(y), format_projective(d)) for (x, y), d in report.entries]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *CSV_ARGVS,
+        ("search", "--n", "3", "--k", "3", "--height", "8", "--format", "csv"),
+        ("search", "--n", "4", "--k", "2", "--height", "3", "--format", "csv"),
+        ("coverage", "--height", "30", "--format", "csv"),
+        ("kgroup", "orbit-rational", "--k", "6", "--format", "csv"),
+    ],
+    ids=" ".join,
+)
 def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path, capsys):
-    # the CLI joins CSV fields itself; csv.writer would quote none of them
-    calls = []
-    csv_text = cli_module._csv_text
-
-    def recording_csv_text(header, rows):
-        rows = list(rows)
-        calls.append((header, rows))
-        return csv_text(header, rows)
-
-    monkeypatch.setattr(cli_module, "_csv_text", recording_csv_text)
+    # the CLI joins CSV fields itself; csv.writer, which shares no code with
+    # it, writes the same bytes of the rows the library reports, quoting none
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0
     if argv[0] == "iterate":
@@ -761,16 +832,7 @@ def test_csv_text_equals_csv_writer(argv, monkeypatch, tmp_path, capsys):
         _, table = _iterate_former_text_and_csv(options["--delta"], options.get("--start", "1/1,0/1"), int(options["--steps"]))
         assert (tmp_path / options["--csv"]).read_text(encoding="utf-8") == table
         return
-    if argv[:2] == ("kgroup", "enumerate"):
-        # joined from the permutation and vector texts, not row by row: the
-        # rows are those of every element the library enumerates
-        k, n = int(argv[argv.index("--k") + 1]), int(argv[argv.index("--n") + 1])
-        rows = [(" ".join(map(str, e.perm)), " ".join(map(str, e.exponents))) for e in monomial.enumerate_group(k, n)]
-        calls.append((("perm", "exp"), rows))
-        assert capsys.readouterr().out == _csv_writer_text(*calls[0])
-    assert calls
-    for header, rows in calls:
-        assert csv_text(header, rows) == _csv_writer_text(header, rows)
+    assert capsys.readouterr().out == _csv_writer_text(*_library_csv_rows(argv))
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -794,8 +856,10 @@ def _count_calls(monkeypatch, owner, name):
         (["kgroup", "rational", "--k", "4", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
         (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "text"], MonomialMatrix, "as_dict"),
         (["kgroup", "enumerate", "--k", "3", "--n", "2", "--format", "csv"], MonomialMatrix, "as_dict"),
-        (["search", "--k", "2", "--height", "5", "--format", "text"], SearchReport, "payload"),
-        (["search", "--k", "2", "--height", "5", "--format", "csv"], SearchReport, "payload"),
+        (["search", "--k", "2", "--height", "5", "--format", "text"], cli_module, "_json"),
+        (["search", "--k", "2", "--height", "5", "--format", "csv"], cli_module, "_json"),
+        (["coverage", "--height", "5", "--format", "text"], cli_module, "_json"),
+        (["coverage", "--height", "5", "--format", "csv"], cli_module, "_json"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -844,11 +908,20 @@ def test_large_orbit_peak_memory_per_output_byte(fmt, bound, monkeypatch):
 
 
 def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_path, capsys):
-    calls = _count_calls(monkeypatch, SearchReport, "payload")
+    calls = _count_calls(monkeypatch, cli_module, "_json")
     path = tmp_path / "report.json"
     assert main(["search", "--k", "3", "--height", "6", "--json", str(path), "--format", "json"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+def test_search_formats_each_coordinate_once(fmt, monkeypatch, tmp_path, capsys):
+    # the --json file and the chosen format read the same names
+    calls = _count_calls(monkeypatch, cli_module, "format_pair")
+    assert main(["search", "--n", "3", "--k", "3", "--height", "6", "--json", str(tmp_path / "r.json"), "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert sorted(calls) == sorted(search.search_n(3, 3, 6).coordinates)
 
 
 class _CountingStdout(io.StringIO):
@@ -1062,9 +1135,10 @@ def test_module_table_covers_every_command():
     assert set(_MODULES_LOADED) == set(COMMANDS)
 
 
-# stdlib modules that no call loads: `dataclasses`, the `inspect` it imports
-# with `ast`, `dis` and `tokenize`, and `typing`
-_NEVER_LOADED = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
+# stdlib modules that no call loads: `csv`, since the CLI joins its CSV
+# itself, `dataclasses`, the `inspect` it imports with `ast`, `dis` and
+# `tokenize`, and `typing`
+_NEVER_LOADED = ("ast", "csv", "dataclasses", "dis", "inspect", "tokenize", "typing")
 
 
 @pytest.mark.parametrize("path", list(_MODULES_LOADED), ids=" ".join)

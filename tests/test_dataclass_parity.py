@@ -190,7 +190,7 @@ def test_element_errors_keep_their_precedence(curve, name, delta, reflected):
     assert str(refused.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("name, attribute", [("SearchReport", "texts"), ("RationalSubgroupReport", "elements")])
+@pytest.mark.parametrize("name, attribute", [("RationalSubgroupReport", "elements")])
 def test_cached_properties_compute_once(name, attribute):
     for instance, expected in _pairs(name):
         first = getattr(instance, attribute)

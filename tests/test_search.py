@@ -1,6 +1,7 @@
 """Bounded-height search: roots, exhaustive scans, coverage, counterexamples."""
 
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,12 +9,13 @@ from math import factorial, gcd
 from time import perf_counter
 
 import pytest
+import search_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatgroups import circle, search
 from fermatgroups.errors import InvalidArgumentError, ResourceLimitError
-from fermatgroups.rationals import INF, format_pair, height
+from fermatgroups.rationals import INF, format_rational, height
 
 fractions_st = st.fractions(max_denominator=30)
 
@@ -282,12 +284,14 @@ class TestSearchSolutions:
             search.search_n(3, 1, 5)
 
     def test_payload_is_json_ready(self):
+        # the JSON that `search` prints is the former payload, which the oracle keeps
         report = search.search_solutions(3, 3)
-        payload = report.payload()
+        payload = search_oracle.payload(report)
         assert payload.keys() == {"k", "n", "height", "count", "trivial", "nontrivial", "solutions"}
         assert payload["k"] == 3 and payload["n"] == 2 and payload["height"] == 3
         assert payload["count"] == len(report.solutions)
-        assert all(isinstance(row, list) for row in payload["solutions"])
+        assert payload["solutions"] == [[format_rational(x) for x in row] for row in report.solutions]
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestSearchN:
@@ -514,8 +518,8 @@ class TestCoordinateKey:
         assert all(first < second for first, second in zip(values, values[1:]))
         assert {rank for row in report.ranks for rank in row} == set(range(len(values)))
         assert report.ranks == sorted(report.ranks)
-        for row, texts in zip(report.rows, report.texts, strict=True):
-            assert texts == [format_pair(*pair) for pair in row]
+        for solution, texts in zip(report.solutions, search_oracle.texts(report), strict=True):
+            assert texts == [format_rational(x) for x in solution]
 
 
 class TestNCounterexample:
