@@ -21,16 +21,21 @@ integer P = (p * lcm(1..H)/q)^k.  A prefix of n - 2 coordinates leaves the
 rest R = D - sum P, which the last two coordinates close exactly when R - P
 and P are both in the table of scaled powers.  Taking P as the larger of the
 two, from R/2 up, where the powers are sparse, that is one set intersection
-per sorted prefix over a short slice of the table, with no gcd; each hit
-then expands into its distinct orderings, built once per pattern of equal
-powers.
+per sorted prefix over a short slice of the table, with no gcd; the hits
+are grouped by their pattern of equal powers, and each group expands into
+its distinct orderings, built once per pattern.
 
-Each scan returns the distinct coordinates of its solutions once, sorted by
-the integer key p*H^2 // q, and each solution as a row of indices into that
-list.  Two distinct fractions of height <= H differ by at least 1/H^2, so
-the keys order the coordinates as the fractions are ordered, and the rows,
-sorted as plain int tuples, sort as the tuples of fractions; `search`
-formats each coordinate once and prints the rows through the indices.  At
+Each scan returns the distinct coordinates of its solutions once, in
+increasing order, and each solution as a row of indices into that list, so
+the rows, sorted as plain int tuples, sort as the tuples of fractions;
+`search` formats each coordinate once and prints the rows through the
+indices.  At n = 2 the coordinates found are sorted by the integer key
+p*H^2 // q: two distinct fractions of height <= H differ by at least
+1/H^2, so the keys order them as the fractions are ordered.  At n >= 3 the
+table of scaled powers is built from the Farey-ordered list of all reduced
+pairs within the bound (`_farey_pairs`, by the next-term recurrence of the
+Farey sequence), so the positions of the pairs found, sorted as ints, are
+already in the order of the fractions and give the ranks with no key.  At
 n = k = 2 the rows are read as the triples (a, b, c) of the circle points
 (a/c, b/c): `circle_triples` is the one point list of `coverage` and of
 both identity sweeps, and `circle_points` and `hyperbola_points` are
@@ -78,20 +83,28 @@ Row = tuple[Coordinate, ...]
 RankRow = tuple[int, ...]
 
 
-def _reduced_pairs(bound: int) -> list[tuple[int, int]]:
-    # (p, q) for every reduced p/q with max(|p|, q) <= bound, unordered
-    return [
-        (num, den)
-        for den in range(1, bound + 1)
-        for num in range(-bound, bound + 1)
-        if gcd(num, den) == 1
-    ]
+def _farey_pairs(bound: int) -> list[Coordinate]:
+    """(p, q) for every reduced p/q with max(|p|, q) <= bound, in increasing order of p/q.
+
+    The Farey sequence of order `bound` lists the reduced p/q in [0, 1] in
+    order by its next-term recurrence: after a/b < c/d comes (j*c - a)/(j*d - b)
+    with j = (bound + b) // d.  Its reciprocals in reverse are the p/q above 1,
+    and the negatives mirror the positives, so the whole list needs no sort.
+    """
+    unit = [(0, 1)]
+    a, b, c, d = 0, 1, 1, bound
+    while c <= bound:
+        unit.append((c, d))
+        j = (bound + b) // d
+        a, b, c, d = c, d, j * c - a, j * d - b
+    positive = unit + [(q, p) for p, q in unit[-2:0:-1]]
+    return [(-p, q) for p, q in positive[:0:-1]] + positive
 
 
 def reduced_fractions(bound: int) -> list[Fraction]:
     """All reduced p/q with max(|p|, q) <= bound, in increasing order."""
     integer(bound, 1, "height bound")
-    return sorted(Fraction(num, den) for num, den in _reduced_pairs(bound))
+    return [Fraction(p, q) for p, q in _farey_pairs(bound)]
 
 
 def _totient_sum(bound: int) -> int:
@@ -279,44 +292,56 @@ def _orderings(pattern: tuple[bool, ...]) -> list[itemgetter]:
 
 
 def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], list[RankRow]]:
-    """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted, ranked by `_ranked`.
+    """Every n-tuple of height <= bound with x_1^k + ... + x_n^k = 1, unsorted, ranked by table position.
 
     Coordinates with one scaled power (p/q and -p/q for even k) share an
-    entry of the table.  The form is symmetric, so each multiset of powers
-    is found once, as a sorted head and a closing pair no smaller than its
-    largest power: for the rest R the larger power P of the pair runs from
-    R/2 up to R less the head's largest, where the table is sparsest, and
-    R - P is looked up.  Only then are the coordinates of the powers found
-    ranked.  The distinct orderings of a multiset depend only on which of
-    its sorted entries are equal, so they are built once per such pattern
-    as position getters, and each maps every choice of coordinate ranks to
-    a row.
+    entry of the table, which maps each power to the positions of its
+    pairs in the Farey-ordered list of `_farey_pairs`.  The form is
+    symmetric, so each multiset of powers is found once, as a sorted head
+    and a closing pair no smaller than its largest power: for the rest R
+    the larger power P of the pair runs from R/2 up to R less the head's
+    largest, where the table is sparsest, and R - P is looked up.  The
+    sorted positions of the powers found are the coordinates' ranks, with
+    no sort of the pairs.  The distinct orderings of a multiset depend only
+    on which of its sorted entries are equal, so the multisets are grouped
+    by that pattern, and each group expands in one pass through the
+    pattern's position getters, which map every choice of coordinate ranks
+    to a row.
     """
+    pairs = _farey_pairs(bound)
     scale = lcm(*range(1, bound + 1))
-    by_power: dict[int, list[Coordinate]] = {}
-    for p, q in _reduced_pairs(bound):
-        by_power.setdefault((p * (scale // q)) ** k, []).append((p, q))
-    powers = sorted(by_power)
+    positions: dict[int, list[int]] = {}
+    for position, (p, q) in enumerate(pairs):
+        positions.setdefault((p * (scale // q)) ** k, []).append(position)
+    powers = sorted(positions)
     total = scale**k
-    multisets = []
-    for head in itertools.combinations_with_replacement(powers, n - 2):
-        rest = total - sum(head)
-        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - head[-1])]
-        for smaller in by_power.keys() & map(rest.__sub__, larger):
-            multisets.append((*head, smaller, rest - smaller))
-    found = {value for values in multisets for value in values}
-    coordinates, rank = _ranked([pair for value in found for pair in by_power[value]], bound)
-    by_rank = {value: [rank[pair] for pair in by_power[value]] for value in found}
-    by_pattern: dict[tuple[bool, ...], list[itemgetter]] = {}
+    by_pattern: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
+    heads = powers if n == 3 else itertools.combinations_with_replacement(powers, n - 2)
+    for head in heads:
+        if n == 3:
+            rest, largest = total - head, head
+        else:
+            rest, largest = total - sum(head), head[-1]
+        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - largest)]
+        if not larger:
+            continue
+        for smaller in positions.keys() & map(rest.__sub__, larger):
+            values = (head, smaller, rest - smaller) if n == 3 else (*head, smaller, rest - smaller)
+            by_pattern.setdefault(tuple(map(int.__eq__, values, values[1:])), []).append(values)
+    found = set(itertools.chain.from_iterable(itertools.chain.from_iterable(by_pattern.values())))
+    used = sorted(itertools.chain.from_iterable(map(positions.__getitem__, found)))
+    rank = dict(zip(used, itertools.count()))
+    by_rank = {value: [rank[position] for position in positions[value]] for value in found}
     rows = []
-    for values in multisets:
-        pattern = tuple(map(int.__eq__, values, values[1:]))
-        if pattern not in by_pattern:
-            by_pattern[pattern] = _orderings(pattern)
-        orderings = by_pattern[pattern]
-        choices = itertools.product(*map(by_rank.__getitem__, values))
-        rows += [ordering(choice) for choice in choices for ordering in orderings]
-    return coordinates, rows
+    for pattern, group in by_pattern.items():
+        orderings = _orderings(pattern)
+        rows += [
+            ordering(choice)
+            for values in group
+            for choice in itertools.product(*map(by_rank.__getitem__, values))
+            for ordering in orderings
+        ]
+    return list(map(pairs.__getitem__, used)), rows
 
 
 def _check_scan(n: int, bound: int, budget: int) -> None:

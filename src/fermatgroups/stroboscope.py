@@ -128,6 +128,12 @@ def iterate(delta, start, steps: int) -> Trajectory:
     time where an int takes time quadratic in its digits.  The 800 steps
     of 4/7 from (1, 0), 1,450-digit heights at the end, take about 2 ms
     in-process (Python 3.11 on a 2-core VM).
+
+    Stepping stops at the first return to the start, and the remaining
+    steps repeat the cycle found: the step is a map of reduced triples, so
+    a trajectory that returns to its start repeats.  Only delta in
+    {0, 1, -1, inf}, of growth 1, returns; `iterate(1, (1, 0), 100000)`
+    takes about 1 ms in-process, where stepping all of it took about 70 ms.
     """
     integer(steps, 0, "step count")
     delta = as_projective(delta)
@@ -150,8 +156,12 @@ def iterate(delta, start, steps: int) -> Trajectory:
             # a zero product with a negative entry is Decimal('-0'), which prints as -0
             triple = a or ZERO, b or ZERO, c
             triples.append(triple)
-            if period is None and triple == start_triple:
+            if triple == start_triple:
+                # a map that returns to its start repeats: the rest is the cycle found
                 period = step
+                quotient, remainder = divmod(steps, period)
+                triples = triples * quotient + triples[:remainder]
+                break
     return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period)
 
 

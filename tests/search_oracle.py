@@ -1,4 +1,11 @@
-"""The former `search` and `coverage` printers: oracles of the joined-string printers.
+"""The former n >= 3 kernel and the former `search` and `coverage` printers: test oracles.
+
+`common_scale_rows` is the former `search._common_scale_rows` on its own
+route: the reduced pairs of the bound unordered, by a gcd per pair, and
+the coordinates of the powers it found sorted by the integer key
+p*H^2 // q, each multiset's distinct orderings taken from a set of
+permutations.  It is the oracle of the kernel that reads its ranks off
+the Farey-ordered table.
 
 `texts` is the former `SearchReport.texts`, each solution as a list of
 "p/q" strings, and `payload` the former `SearchReport.payload()`, the
@@ -10,10 +17,59 @@ CSV through `csv_text`.
 """
 
 import json
-from itertools import chain, cycle
+from bisect import bisect_left, bisect_right
+from itertools import chain, combinations_with_replacement, cycle, permutations, product
+from math import gcd, lcm
 
 from fermatgroups.rationals import format_pair, format_rational
 from fermatgroups.search import search_n, verify_orbit_coverage
+
+
+def reduced_pairs(bound: int) -> list[tuple[int, int]]:
+    """(p, q) for every reduced p/q with max(|p|, q) <= bound, unordered."""
+    return [
+        (num, den)
+        for den in range(1, bound + 1)
+        for num in range(-bound, bound + 1)
+        if gcd(num, den) == 1
+    ]
+
+
+def ranked(pairs, bound: int):
+    """The distinct `pairs` sorted as fractions by p*bound^2 // q, and the index of each in that list."""
+    square = bound * bound
+    coordinates = sorted(set(pairs), key=lambda pair: pair[0] * square // pair[1])
+    return coordinates, {pair: rank for rank, pair in enumerate(coordinates)}
+
+
+def common_scale_rows(k: int, n: int, bound: int):
+    """The coordinates and the unsorted rank rows of every n-tuple (n >= 3) of height <= bound.
+
+    Every coordinate p/q goes on the scale D = lcm(1..H)^k as the power
+    (p * lcm(1..H)/q)^k; each sorted head of n - 2 powers leaves the rest
+    R = D - sum, closed by a pair of powers whose larger runs from R/2 up
+    to R less the head's largest.
+    """
+    scale = lcm(*range(1, bound + 1))
+    by_power = {}
+    for p, q in reduced_pairs(bound):
+        by_power.setdefault((p * (scale // q)) ** k, []).append((p, q))
+    powers = sorted(by_power)
+    total = scale**k
+    multisets = []
+    for head in combinations_with_replacement(powers, n - 2):
+        rest = total - sum(head)
+        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - head[-1])]
+        for smaller in by_power.keys() & map(rest.__sub__, larger):
+            multisets.append((*head, smaller, rest - smaller))
+    found = {value for values in multisets for value in values}
+    coordinates, rank = ranked([pair for value in found for pair in by_power[value]], bound)
+    by_rank = {value: [rank[pair] for pair in by_power[value]] for value in found}
+    rows = []
+    for values in multisets:
+        for ordering in set(permutations(values)):
+            rows += product(*map(by_rank.__getitem__, ordering))
+    return coordinates, rows
 
 
 def texts(report) -> list[list[str]]:

@@ -15,7 +15,9 @@ with the package installed and no PYTHONPATH:
 
 or through the module entry point with `--replay python -m fermatgroups`,
 which prints the name of each call whose exit code, stdout, stderr or
-written files differ and exits 1 if there is one.  After an intended change
+written files differ and exits 1 if there is one.  Each call inherits the
+environment, so `PYTHONHASHSEED=0` (or any fixed seed) before the command
+replays the corpus under that string hash seed.  After an intended change
 of output, re-record the bytes of the calls it changes, named as in the
 manifest:
 

@@ -10,7 +10,7 @@ from time import perf_counter
 
 import pytest
 import search_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatgroups import circle, search
@@ -78,6 +78,11 @@ def common_denominator_scan(k, bound, sign=1):
     return points
 
 
+def brute_pairs(bound):
+    """(p, q) for every reduced p/q with max(|p|, q) <= bound, unordered: one gcd per pair."""
+    return [(num, den) for den in range(1, bound + 1) for num in range(-bound, bound + 1) if gcd(num, den) == 1]
+
+
 def power_table_scan(k, n, bound):
     """Differential oracle: the gcd loop the common-scale kernel replaced.
 
@@ -87,7 +92,7 @@ def power_table_scan(k, n, bound):
     bound (p >= 0 for even k, whose hits also yield -p/q).
     """
     even = k % 2 == 0
-    powers = [(num, den, num**k, den**k) for num, den in search._reduced_pairs(bound)]
+    powers = [(num, den, num**k, den**k) for num, den in brute_pairs(bound)]
     roots = {(pk, qk): Fraction(num, den) for num, den, pk, qk in powers if not even or num >= 0}
     solutions = []
     for head in itertools.product(powers, repeat=n - 2):
@@ -153,9 +158,14 @@ class TestReducedFractions:
             search.reduced_fractions(0)
 
     def test_count_formula(self):
-        # 4 * sum_{q <= H} phi(q) - 1, the count behind the budget check
-        for bound in range(1, 81):
-            assert search._reduced_fraction_count(bound) == len(search.reduced_fractions(bound))
+        # 4 * sum_{q <= H} phi(q) - 1, the count behind the budget check, is
+        # the length of the table the n >= 3 scan builds: the two cannot drift apart
+        for bound in range(1, 301):
+            assert search._reduced_fraction_count(bound) == len(search._farey_pairs(bound)), bound
+
+    def test_farey_pairs_are_the_sorted_brute_force(self):
+        for bound in range(1, 61):
+            assert search._farey_pairs(bound) == sorted(brute_pairs(bound), key=lambda pair: Fraction(*pair)), bound
 
 
 class TestRationalKthRoot:
@@ -455,6 +465,24 @@ class TestKernelsAgainstFormerKernels:
         # expand into every distinct ordering of their multisets
         for n, bound in [(4, 4), (5, 1), (5, 2), (5, 3), (6, 1), (10, 1)]:
             assert search.search_n(k, n, bound).rows == as_rows(power_table_scan(k, n, bound)), (n, bound)
+
+
+#: Every n >= 3 shape under the default budget: heights to 42, 11 and 6 at n = 3, 4 and 5.
+under_the_budget = st.sampled_from([3, 4, 5]).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value={3: 42, 4: 11, 5: 6}[n]))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=2, max_value=7), shape=under_the_budget)
+@example(k=3, shape=(3, 42))
+def test_common_scale_kernel_against_the_former_kernel(k, shape):
+    # the coordinates and the ranks, which the kernel reads off its Farey-ordered table
+    n, bound = shape
+    coordinates, rows = search_oracle.common_scale_rows(k, n, bound)
+    report = search.search_n(k, n, bound)
+    assert report.coordinates == coordinates
+    assert report.ranks == sorted(rows)
 
 
 class TestPrimitiveTriples:

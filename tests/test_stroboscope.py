@@ -259,6 +259,20 @@ def test_decimal_stepping_equals_the_int_stepper_over_800_steps(delta, factors):
     ]
 
 
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), Fraction(-1), INF])
+@pytest.mark.parametrize("start", [(1, 0), (0, -1), (Fraction(-5, 13), Fraction(12, 13))])
+def test_periodic_trajectories_repeat_the_cycle_found(delta, start):
+    # stepping stops at the first return to the start and repeats the cycle
+    # for the remaining steps; the oracle steps every one of them
+    for steps in [*range(9), 100_003]:
+        trajectory = stroboscope.iterate(delta, start, steps)
+        triples, period = oracle.iterate(delta, start, steps)
+        assert trajectory.period == period, steps
+        assert [tuple(map(str, triple)) for triple in trajectory.decimal_triples] == [
+            tuple(map(str, triple)) for triple in triples
+        ], steps
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_content_of_one_step_divides_the_squared_scale(data):
