@@ -316,17 +316,13 @@ def _common_scale_rows(k: int, n: int, bound: int) -> tuple[list[Coordinate], li
     powers = sorted(positions)
     total = scale**k
     by_pattern: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
-    heads = powers if n == 3 else itertools.combinations_with_replacement(powers, n - 2)
-    for head in heads:
-        if n == 3:
-            rest, largest = total - head, head
-        else:
-            rest, largest = total - sum(head), head[-1]
-        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - largest)]
+    for head in itertools.combinations_with_replacement(powers, n - 2):
+        rest = total - sum(head)
+        larger = powers[bisect_left(powers, -(-rest // 2)) : bisect_right(powers, rest - head[-1])]
         if not larger:
             continue
         for smaller in positions.keys() & map(rest.__sub__, larger):
-            values = (head, smaller, rest - smaller) if n == 3 else (*head, smaller, rest - smaller)
+            values = (*head, smaller, rest - smaller)
             by_pattern.setdefault(tuple(map(int.__eq__, values, values[1:])), []).append(values)
     found = set(itertools.chain.from_iterable(itertools.chain.from_iterable(by_pattern.values())))
     used = sorted(itertools.chain.from_iterable(map(positions.__getitem__, found)))

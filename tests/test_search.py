@@ -78,11 +78,6 @@ def common_denominator_scan(k, bound, sign=1):
     return points
 
 
-def brute_pairs(bound):
-    """(p, q) for every reduced p/q with max(|p|, q) <= bound, unordered: one gcd per pair."""
-    return [(num, den) for den in range(1, bound + 1) for num in range(-bound, bound + 1) if gcd(num, den) == 1]
-
-
 def power_table_scan(k, n, bound):
     """Differential oracle: the gcd loop the common-scale kernel replaced.
 
@@ -92,7 +87,7 @@ def power_table_scan(k, n, bound):
     bound (p >= 0 for even k, whose hits also yield -p/q).
     """
     even = k % 2 == 0
-    powers = [(num, den, num**k, den**k) for num, den in brute_pairs(bound)]
+    powers = [(num, den, num**k, den**k) for num, den in search_oracle.reduced_pairs(bound)]
     roots = {(pk, qk): Fraction(num, den) for num, den, pk, qk in powers if not even or num >= 0}
     solutions = []
     for head in itertools.product(powers, repeat=n - 2):
@@ -165,7 +160,7 @@ class TestReducedFractions:
 
     def test_farey_pairs_are_the_sorted_brute_force(self):
         for bound in range(1, 61):
-            assert search._farey_pairs(bound) == sorted(brute_pairs(bound), key=lambda pair: Fraction(*pair)), bound
+            assert search._farey_pairs(bound) == sorted(search_oracle.reduced_pairs(bound), key=lambda pair: Fraction(*pair)), bound
 
 
 class TestRationalKthRoot:
