@@ -16,7 +16,6 @@ being truncated or read as a binary fraction.
 from __future__ import annotations
 
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -31,7 +30,6 @@ __all__ = [
     "Mat2",
     "ProjectiveRational",
     "as_projective",
-    "check_digit_limit",
     "exact",
     "format_pair",
     "format_point",
@@ -48,6 +46,7 @@ __all__ = [
     "parse_rational",
     "power",
     "pr_neg",
+    "print_limit_error",
     "projective_pair",
     "projective_ratio",
     "rational",
@@ -207,20 +206,7 @@ def format_pair(num: int, den: int) -> str:
     try:
         return f"{num}/{den}"
     except ValueError:
-        raise _print_limit_error() from None
-
-
-def check_digit_limit(value: Decimal) -> None:
-    """Raise ResourceLimitError if the integral Decimal `value` has more digits than an int may print.
-
-    A Decimal prints in time linear in its digits, where an int takes
-    quadratic time, and CPython's int-to-str digit limit does not bound
-    it; a printer of Decimals checks its widest value here instead, so a
-    printed Decimal is bounded as an int is.  The sign is not a digit.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and value.adjusted() + 1 > limit:
-        raise _print_limit_error()
+        raise print_limit_error() from None
 
 
 def int_digit_limit() -> tuple[int, "int | None"]:
@@ -237,7 +223,7 @@ def _digit_limit(digits: int) -> tuple[int, "int | None"]:
     return digits, (10**digits - 1 if digits else None)
 
 
-def _print_limit_error() -> ResourceLimitError:
+def print_limit_error() -> ResourceLimitError:
     return ResourceLimitError(
         f"cannot print a rational with more than {sys.get_int_max_str_digits()} digits"
         " (Python's int-to-str conversion limit)"

@@ -415,36 +415,37 @@ def n_counterexample(k: int, x1) -> tuple[Fraction, Fraction, Fraction]:
 class CoverageReport(Record):
     """Reachability of every height-bounded rational circle point from (1, 0).
 
-    `reached` pairs the reduced triple (a, b, c) of each point (a/c, b/c)
-    with the verified rotation parameter reaching it, as a reduced pair
-    (n, m) with m >= 0 and inf = (1, 0); `missed` holds the triples of the
-    points no verified parameter reached, and stays empty whenever the
+    `coordinates` are the scan's sorted reduced pairs (p, q), as in
+    `SearchReport`, and a point (a/c, b/c) is the index pair (i, j) of its
+    coordinates (a, c) and (b, c).  `reached` holds (i, j, (n, m)) for each
+    point, with the verified rotation parameter reaching it as a reduced
+    pair, m >= 0 and inf = (1, 0); `missed` holds the (i, j) of the points
+    no verified parameter reached, and stays empty whenever the
     transitivity solver succeeds everywhere.  `entries` and `unreachable`
     build the Fraction forms on access; the coverage ratio is exact.
     """
 
-    __slots__ = __match_args__ = ("height_bound", "total", "covered", "reached", "missed")
+    __slots__ = __match_args__ = ("height_bound", "total", "covered", "coordinates", "reached", "missed")
 
     def __init__(
-        self, height_bound: int, total: int, covered: int,
-        reached: list[tuple[tuple[int, int, int], tuple[int, int]]], missed: list[tuple[int, int, int]],
+        self, height_bound: int, total: int, covered: int, coordinates: list[Coordinate],
+        reached: list[tuple[int, int, tuple[int, int]]], missed: list[tuple[int, int]],
     ) -> None:
         self.height_bound = height_bound
         self.total = total
         self.covered = covered
+        self.coordinates = coordinates
         self.reached = reached
         self.missed = missed
 
     @property
     def entries(self) -> list[tuple[Point, ProjectiveRational]]:
-        return [
-            ((Fraction(a, c), Fraction(b, c)), projective_ratio(n, m))
-            for (a, b, c), (n, m) in self.reached
-        ]
+        xs = self.coordinates
+        return [((Fraction(*xs[i]), Fraction(*xs[j])), projective_ratio(n, m)) for i, j, (n, m) in self.reached]
 
     @property
     def unreachable(self) -> list[Point]:
-        return [(Fraction(a, c), Fraction(b, c)) for a, b, c in self.missed]
+        return [(Fraction(*self.coordinates[i]), Fraction(*self.coordinates[j])) for i, j in self.missed]
 
     @property
     def coverage(self) -> Fraction:
@@ -456,8 +457,8 @@ class CoverageReport(Record):
 def verify_orbit_coverage(bound: int) -> CoverageReport:
     """Solve (1, 0) -> p for every circle point p of height <= bound.
 
-    The points come as triples from `circle_triples`, the budgeted scan of
-    the quadratic search.  Each is solved by `CIRCLE.solve_pair`, which
+    The points come from the budgeted scan of the quadratic search, as in
+    `circle_triples`.  Each is solved by `CIRCLE.solve_pair`, which
     checks its pair by exact action, and a point is missed exactly where
     that check fails, so a full-coverage report is a machine check that the
     rational rotations act transitively within the bound.
@@ -466,22 +467,18 @@ def verify_orbit_coverage(bound: int) -> CoverageReport:
     base_chart = CIRCLE.chart_pair(*base)
     reached = []
     missed = []
-    for triple in circle_triples(bound):
+    coordinates, rows = _scan(2, 2, bound, DEFAULT_SEARCH_BUDGET)
+    for i, j in rows:
+        triple = coordinates[i][0], coordinates[j][0], coordinates[i][1]
         try:
             # the pair is (2b : 2(a + c)), or (2 : 0) at (-1, 0): m >= 0 on the circle
             n, m = CIRCLE.solve_pair(base, base_chart, triple, CIRCLE.chart_pair(*triple))
         except ArithmeticError:
-            missed.append(triple)
+            missed.append((i, j))
             continue
         g = gcd(n, m)
-        reached.append((triple, (n // g, m // g)))
-    return CoverageReport(
-        height_bound=bound,
-        total=len(reached) + len(missed),
-        covered=len(reached),
-        reached=reached,
-        missed=missed,
-    )
+        reached.append((i, j, (n // g, m // g)))
+    return CoverageReport(bound, len(reached) + len(missed), len(reached), coordinates, reached, missed)
 
 
 def circle_triples(bound: int) -> list[tuple[int, int, int]]:

@@ -7,13 +7,12 @@ the point's Gaussian integer by w/conj(w), w = m + n*i.  As w is primitive,
 each prime p = 1 (mod 4) of m^2 + n^2 divides w through only one of its two
 Gaussian factors, and 2 contributes only the unit (1 + i)/(1 - i) = i, so
 from (1, 0) the heights are exactly growth^s, growth the odd part of
-m^2 + n^2.  From a start of height c0 the step can cancel a prime of c0
-on at most log_5 c0 steps, and after them every step multiplies the
-height by growth; `iterate` looks for a common factor on those first
-steps only.  Growth is 1, and the orbit periodic, exactly for Delta in
-{0, 1, -1, inf}; every other rational Delta turns by an irrational fraction
-of a turn.  The height profile stands in for a divergence diagnostic: exact
-arithmetic has no Lyapunov noise floor.
+m^2 + n^2; from any start each step multiplies the height by growth after
+the first few (`walk`).  Growth is 1, and the orbit periodic, exactly for
+Delta in {0, 1, -1, inf}, of periods 1, 4, 4 and 2; every other rational
+Delta turns by an irrational fraction of a turn, so an orbit returns to
+its start within four steps or never.  The height profile stands in for a
+divergence diagnostic: exact arithmetic has no Lyapunov noise floor.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .conic import CIRCLE
@@ -43,10 +43,12 @@ __all__ = [
     "EXACT",
     "HeightProfile",
     "Trajectory",
+    "extent",
     "height_profile",
     "iterate",
     "period_check",
     "power_parameter",
+    "walk",
 ]
 
 Point = tuple[Fraction, Fraction]
@@ -59,6 +61,7 @@ EXACT = Context(
     traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow, Underflow],
 )
 ZERO = Decimal(0)
+_BATCH = 64  # steps per list `walk` yields
 
 
 class Trajectory(Record):
@@ -92,77 +95,94 @@ class Trajectory(Record):
 
 
 def iterate(delta, start, steps: int) -> Trajectory:
-    """Record `steps` exact images of a circle point under L(delta).
+    """Record `steps` exact images of a circle point under L(delta): the triples of `walk`, listed."""
+    triples = list(chain.from_iterable(walk(delta, start, steps)))
+    delta, start = as_projective(delta), CIRCLE.require_on_curve(start)
+    return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period_check(delta, min(steps, 4)))
+
+
+def walk(delta, start, steps: int):
+    """Yield the reduced triples (a, b, c), c > 0, of the first `steps` images of a circle point, in lists of up to 64.
 
     A step applies the primitive matrix of L(delta) (`_primitive_matrix`),
-    entries a11..a22 over the odd scale s, to the reduced triple (a, b, c)
-    inline: the image is A = a11*a + a12*b, B = a21*a + a22*b over
-    C = s*c > 0, and its content g = gcd(A, B, C) reduces it, with no
-    Fraction.  g divides s^2 and equals gcd(A mod s^2, s^2): a linear-time
-    remainder and a gcd of small integers, where gcd(A, C) takes time
-    quadratic in the digits.
+    entries a11..a22 over the odd scale s, to the reduced triple inline:
+    the image is A = a11*a + a12*b, B = a21*a + a22*b over C = s*c, and its
+    content g = gcd(A, B, C) reduces it, with no Fraction.  g divides s^2
+    and equals gcd(A mod s^2, s^2), a linear-time remainder and a gcd of
+    small integers, where gcd(A, C) takes time quadratic in the digits.
 
     In Gaussian integers, with w = m + ni for delta = n/m (inf = 1/0), the
     step multiplies a + bi by a unit times v^2, v = w, or w/(1 + i) when m
-    and n are both odd.  v is primitive with |v|^2 = s, so for each prime
-    p of s it holds one Gaussian factor pi of p, d_p = v_p(s) times.  Write
-    the reduced point as a unit times the product of (pi/conj(pi))^e_p over
-    the primes p = 1 (mod 4): its height c is the product of p^|e_p|, and
-    a + bi is a unit times the product of pi^(2 e_p), or conj(pi)^(2 |e_p|)
-    where e_p < 0.  Times v^2, the image has k_p = 2 min(|e_p|, d_p)
-    factors p where e_p < 0 and k_p = 0 elsewhere, and what is left at p is
-    a power of one Gaussian factor of p alone, or 1 where |e_p| = d_p.  So
-    v_p(g) = k_p <= 2 d_p.  A Gaussian integer divisible by just one factor
-    of p has a real part prime to p, so v_p(A) = k_p, except where
-    |e_p| = d_p, where v_p(A) >= k_p = 2 d_p: either way
-    v_p(gcd(A, s^2)) = k_p.
+    and n are both odd; v is primitive with |v|^2 = s, so it holds one
+    Gaussian factor pi of each prime p of s, d_p = v_p(s) times.  Write the
+    point as a unit times the product of (pi/conj(pi))^e_p: its height is
+    the product of p^|e_p|, and a + bi is a unit times the product of
+    pi^(2 e_p), or conj(pi)^(2 |e_p|) where e_p < 0.  Times v^2, the image
+    has k_p = 2 min(|e_p|, d_p) factors p where e_p < 0 and none elsewhere,
+    and what is left at p is a power of one factor of p alone, or 1 where
+    |e_p| = d_p.  So v_p(g) = k_p <= 2 d_p; a Gaussian integer divisible by
+    one factor of p alone has a real part prime to p, so v_p(A) = k_p, or
+    v_p(A) >= k_p = 2 d_p where |e_p| = d_p: either way v_p(gcd(A, s^2))
+    = k_p.  Each step adds d_p to e_p, so only the first c0.bit_length()
+    steps can have content, c0 the start's height, and the test runs on
+    those alone; after them each step multiplies the height by s exactly.
 
-    Only the first c0.bit_length() steps can have content, c0 the start's
-    height, so the test runs on those alone: a step has content at p
-    exactly while e_p < 0, and each step adds d_p to e_p, so that lasts at
-    most v_p(c0) <= log_5 c0 steps.  From (1, 0) no step has content.
-
-    The triples are Decimals stepped in the `EXACT` context, which raises
-    on any rounding: a step only multiplies by, adds and divides by small
-    integers, all linear in the digits, and a Decimal prints in linear
-    time where an int takes time quadratic in its digits.  The 800 steps
-    of 4/7 from (1, 0), 1,450-digit heights at the end, take about 2 ms
-    in-process (Python 3.11 on a 2-core VM).
-
-    Stepping stops at the first return to the start, and the remaining
-    steps repeat the cycle found: the step is a map of reduced triples, so
-    a trajectory that returns to its start repeats.  Only delta in
-    {0, 1, -1, inf}, of growth 1, returns; `iterate(1, (1, 0), 100000)`
-    takes about 1 ms in-process, where stepping all of it took about 70 ms.
+    The triples are Decimals, which print in time linear in their digits
+    (an int takes quadratic time), stepped in the `EXACT` context, which
+    raises on any rounding.  An orbit returns to its start within four
+    steps or never (module docstring); a periodic walk steps one cycle and
+    repeats it, so `walk(1, (1, 0), 100000)` steps four times.
     """
     integer(steps, 0, "step count")
     delta = as_projective(delta)
-    start = CIRCLE.require_on_curve(start)
-    start_triple = CIRCLE.triple(start)
+    start_triple = CIRCLE.triple(CIRCLE.require_on_curve(start))
     transient = start_triple[2].bit_length()
     entries, scale = _primitive_matrix(delta)
     square = scale * scale
     a11, a12, a21, a22, s, modulus = map(Decimal, (*entries, scale, square))
-    triples: list[tuple[Decimal, Decimal, Decimal]] = []
-    period = None
-    a, b, c = start_triple = tuple(map(Decimal, start_triple))
-    with localcontext(EXACT):
-        for step in range(1, steps + 1):
-            a, b, c = a11 * a + a12 * b, a21 * a + a22 * b, s * c
-            if step <= transient:
-                g = gcd(int(a % modulus), square)
-                if g != 1:
-                    a, b, c = a // g, b // g, c // g
-            # a zero product with a negative entry is Decimal('-0'), which prints as -0
-            triple = a or ZERO, b or ZERO, c
-            triples.append(triple)
-            if triple == start_triple:
-                # a map that returns to its start repeats: the rest is the cycle found
-                period = step
-                quotient, remainder = divmod(steps, period)
-                triples = triples * quotient + triples[:remainder]
-                break
-    return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period)
+    a, b, c = map(Decimal, start_triple)
+    period = period_check(delta, min(steps, 4))
+    count = steps if period is None else period
+    for first in range(0, count, _BATCH):
+        batch = []
+        with localcontext(EXACT):
+            for step in range(first + 1, min(first + _BATCH, count) + 1):
+                a, b, c = a11 * a + a12 * b, a21 * a + a22 * b, s * c
+                if step <= transient:
+                    g = gcd(int(a % modulus), square)
+                    if g != 1:
+                        a, b, c = a // g, b // g, c // g
+                # a zero product with a negative entry is Decimal('-0'), which prints as -0
+                batch.append((a or ZERO, b or ZERO, c))
+        yield batch
+    if period is not None:
+        cycle = batch * (_BATCH // period)  # the one list holds the cycle, and 1, 2 and 4 divide _BATCH
+        yield from (cycle[: steps - done] for done in range(period, steps, _BATCH))
+
+
+def extent(delta, start, steps: int, limit: "tuple[int, int | None]" = (0, None)) -> "tuple[int | None, bool]":
+    """The period of `iterate(delta, start, steps)`, and whether its heights fit `limit`, as `int_digit_limit` gives it.
+
+    `limit` is a digit count and the largest integer of that many digits;
+    (0, None) admits any height.  Only the transient is stepped: after it
+    each step multiplies the height by growth (`walk`), so the widest height
+    is the transient's widest or the last, c * growth**r for its last c,
+    built only when bit lengths cannot settle it: a refusal steps no further.
+    """
+    integer(steps, 0, "step count")
+    delta, start = as_projective(delta), CIRCLE.require_on_curve(start)
+    period, (_, growth), (digits, ceiling) = period_check(delta, min(steps, 4)), _primitive_matrix(delta), limit
+    head = min(steps, CIRCLE.triple(start)[2].bit_length())
+    for batch in walk(delta, start, head):
+        # c has more than `digits` digits exactly when c >= 10**digits
+        if digits and max(c for _, _, c in batch).adjusted() >= digits:
+            return period, False
+    if not digits or head == steps:
+        return period, True
+    rest, last, bits = steps - head, int(batch[-1][2]), ceiling.bit_length()
+    # 2**low <= last * growth**rest < 2**high, and 2**(bits - 1) <= ceiling < 2**bits
+    low, high = last.bit_length() - 1 + rest * (growth.bit_length() - 1), last.bit_length() + rest * growth.bit_length()
+    return period, high < bits or low < bits and last * growth**rest <= ceiling
 
 
 def _primitive_matrix(delta: ProjectiveRational) -> tuple[tuple[int, int, int, int], int]:

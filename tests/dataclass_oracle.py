@@ -67,8 +67,9 @@ class CoverageReport:
     height_bound: int
     total: int
     covered: int
-    reached: list[tuple[tuple[int, int, int], tuple[int, int]]]
-    missed: list[tuple[int, int, int]]
+    coordinates: list[tuple[int, int]]
+    reached: list[tuple[int, int, tuple[int, int]]]
+    missed: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)

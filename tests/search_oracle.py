@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, combinations_with_replacement, cycle, permutations, product
 from math import gcd, lcm
 
-from fermatgroups.rationals import format_pair, format_rational
+from fermatgroups.rationals import format_pair, format_projective, format_rational
 from fermatgroups.search import search_n, verify_orbit_coverage
 
 
@@ -120,12 +120,12 @@ def search_stdout(k: int, n: int, bound: int, fmt: str) -> str:
 def coverage_stdout(bound: int, fmt: str) -> str:
     """What `coverage --height bound --format fmt` printed."""
     report = verify_orbit_coverage(bound)
-    rows = [(format_pair(a, c), format_pair(b, c), format_pair(*delta)) for (a, b, c), delta in report.reached]
+    rows = [(format_rational(x), format_rational(y), format_projective(delta)) for (x, y), delta in report.entries]
     if fmt == "json":
         return _json({
             "height": report.height_bound, "total": report.total, "covered": report.covered,
             "coverage": format_rational(report.coverage),
-            "unreachable": [f"{format_pair(a, c)},{format_pair(b, c)}" for a, b, c in report.missed],
+            "unreachable": [f"{format_rational(x)},{format_rational(y)}" for x, y in report.unreachable],
             "entries": [{"point": f"{x},{y}", "delta": delta} for x, y, delta in rows],
         })
     if fmt == "csv":

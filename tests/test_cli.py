@@ -497,18 +497,10 @@ class TestIterate:
     def test_off_curve_start_rejected(self):
         assert main(["iterate", "--delta", "1/2", "--steps", "2", "--start", "1,1"]) == 2
 
-    def test_csv_format_and_file_build_the_text_once(self, run, monkeypatch, tmp_path):
-        calls = []
-        iterate_table = cli_module._iterate_table
-
-        def counted(rows, form, head, tail):
-            calls.append(head)
-            return iterate_table(rows, form, head, tail)
-
-        monkeypatch.setattr(cli_module, "_iterate_table", counted)
+    def test_csv_format_and_file_print_the_same_text(self, run, tmp_path):
+        # each is written by its own run of the CSV builder
         path = tmp_path / "trajectory.csv"
         result = run("iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
-        assert len(calls) == 1
         assert result.output == path.read_text(encoding="utf-8")
 
 
@@ -907,11 +899,92 @@ def test_large_orbit_peak_memory_per_output_byte(fmt, bound, monkeypatch):
     assert peak / out.count < bound
 
 
-def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_path, capsys):
-    calls = _count_calls(monkeypatch, cli_module, "_json")
+def _traced_peak(argv):
+    """The exit code and the tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+# `iterate --steps 2000` prints 15-18 MB; the former printers, which joined
+# the whole text before one write, peaked at 2.14 (json) and 1.92 (text,
+# csv) times the bytes printed
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_iterate_peak_memory_is_below_half_its_output(fmt, monkeypatch):
+    out = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", out)
+    code, peak = _traced_peak(["iterate", "--delta", "4/7", "--steps", "2000", "--format", fmt])
+    assert code == 0
+    assert out.count > 15_000_000
+    assert peak < out.count / 2
+
+
+@pytest.mark.parametrize("start", ["1/1,0/1", "3/5,-4/5"])
+def test_iterate_refuses_before_it_steps(start, capsys):
+    # the heights of 40,000 steps of 4/7 reach 72,500 digits, and stepping them
+    # all before the check held 1.78 GB; the refusal reads the transient alone.
+    # From 3/5,-4/5 the transient lowers the heights first
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, peak = _traced_peak(["iterate", "--delta", "4/7", "--steps", "40000", "--start", start])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: cannot print a rational with more than 4300 digits (Python's int-to-str conversion limit)\n"
+    assert peak < 5_000_000
+
+
+def test_iterate_default_digit_limit_falls_between_2371_and_2372_steps(monkeypatch):
+    # from (1, 0) the heights of 4/7 are 65^s: 65^2371 has 4,299 digits, 65^2372 has 4,301
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    out = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        assert main(["iterate", "--delta", "4/7", "--steps", "2371"]) == 0
+        printed = out.count
+        assert main(["iterate", "--delta", "4/7", "--steps", "2372"]) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed > 20_000_000 and out.count == printed
+
+
+# every recorded call of the commands whose output comes in many pieces
+CHUNKED_CASES = [
+    case for case in GOLDEN_CASES
+    if case["argv"][0] in ("search", "coverage", "triples", "iterate")
+    or case["argv"][:2] in (["kgroup", "orbit"], ["kgroup", "rational"], ["kgroup", "enumerate"])
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("case", CHUNKED_CASES, ids=lambda case: case["name"])
+def test_golden_bytes_do_not_depend_on_the_chunk_size(case, chunk, monkeypatch, tmp_path):
+    # a chunk of 1 writes every piece alone, and one of 7 joins a few at a time
+    monkeypatch.setattr(cli_module, "_CHUNK", chunk)
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(list(case["argv"])) == case["exit"]
+    golden = Path(__file__).parent / "golden"
+    assert out.getvalue().encode() == (golden / f"{case['name']}.stdout").read_bytes()
+    assert err.getvalue().encode() == (golden / f"{case['name']}.stderr").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == case["files"]
+    for name in case["files"]:
+        assert (tmp_path / name).read_bytes() == (golden / f"{case['name']}.{name}").read_bytes()
+
+
+def test_search_json_file_and_format_print_the_same_payload(tmp_path, capsys):
+    # each is written by its own run of the JSON builder
     path = tmp_path / "report.json"
     assert main(["search", "--k", "3", "--height", "6", "--json", str(path), "--format", "json"]) == 0
-    assert len(calls) == 1
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
@@ -944,13 +1017,14 @@ class _CountingStdout(io.StringIO):
 @pytest.mark.parametrize(
     "case", [case for case in GOLDEN_CASES if case["exit"] == 0], ids=lambda case: case["name"]
 )
-def test_one_stdout_write_per_call(case, monkeypatch, tmp_path):
+def test_an_output_within_one_chunk_is_one_write(case, monkeypatch, tmp_path):
+    # the printer joins pieces into writes of up to `_CHUNK` characters
     monkeypatch.chdir(tmp_path)
     out = _CountingStdout()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         assert main(list(case["argv"])) == 0
     assert out.getvalue()
-    assert out.writes <= 1
+    assert out.writes <= 1 or len(out.getvalue()) > cli_module._CHUNK
 
 
 # Every command path with the options its --help names.

@@ -35,7 +35,7 @@ CASES = {
     "CoverageReport": (
         search.CoverageReport,
         oracle.CoverageReport,
-        [(5, 2, 2, [((1, 0, 1), (0, 1)), ((-1, 0, 1), (1, 0))], []), (5, 2, 2, [], [(3, 4, 5)])],
+        [(5, 2, 2, [(-1, 1), (0, 1), (1, 1)], [(2, 1, (0, 1)), (0, 1, (1, 0))], []), (5, 2, 2, [], [], [(3, 4)])],
     ),
     "RationalSubgroupReport": (
         monomial.RationalSubgroupReport,

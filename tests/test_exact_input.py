@@ -231,7 +231,8 @@ def _output_sites():
 
 
 def test_only_emit_writes_stdout_or_a_side_file():
-    # one writer keeps every payload one write, after its side file, so a failing call prints nothing
+    # one writer, with its helpers, writes every payload in chunks after its side file,
+    # and every refusal comes before it, so a failing call prints nothing
     sites = list(_output_sites())
     assert [site for site in sites if site[0] != "cli._emit"] == []
     # the scan sees the writer itself

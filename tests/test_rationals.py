@@ -1,7 +1,6 @@
 """Projective rational line, heights, text codec, and exact 2x2 matrices."""
 
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -16,7 +15,6 @@ from fermatgroups.rationals import (
     Infinity,
     Mat2,
     as_projective,
-    check_digit_limit,
     format_pair,
     format_point,
     format_projective,
@@ -227,30 +225,6 @@ class TestTextCodec:
     def test_components_past_int_str_limit_name_the_limit(self, values):
         with pytest.raises(ResourceLimitError, match="4300"):
             format_point(values)
-
-    @pytest.mark.parametrize("exponent, sign", [(4300, 1), (4400, 1), (4400, -1)])
-    def test_digit_check_past_int_str_limit_names_the_limit(self, exponent, sign):
-        with pytest.raises(ResourceLimitError, match="4300"):
-            check_digit_limit(Decimal(sign * 10**exponent))
-
-    @pytest.mark.parametrize("digits", [640, 4300])
-    def test_digit_check_agrees_with_int_printing(self, digits):
-        # a value as wide as the limit passes and prints as its int does,
-        # one digit wider names the limit; neither counts the sign
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(digits)
-        try:
-            c = 10**digits - 1
-            for value in (c, 1 - c):
-                check_digit_limit(Decimal(value))
-                assert str(Decimal(value)) == str(value)
-            for value in (10 * c + 9, 1 - 10 * c):
-                with pytest.raises(ValueError):
-                    str(value)
-                with pytest.raises(ResourceLimitError, match=str(digits)):
-                    check_digit_limit(Decimal(value))
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     @given(projective_st)
     def test_pair_matches_format_projective(self, value):

@@ -615,7 +615,7 @@ class TestOrbitCoverage:
         )
         report = search.verify_orbit_coverage(5)
         assert (report.total, report.covered) == (12, 11)
-        assert report.missed == [(0, 1, 1)]
+        assert [tuple(report.coordinates[i] for i in point) for point in report.missed] == [((0, 1), (1, 1))]
         assert report.unreachable == [(Fraction(0), Fraction(1))]
         assert report.coverage == Fraction(11, 12)
         assert (Fraction(0), Fraction(1)) not in [point for point, _ in report.entries]

@@ -275,6 +275,46 @@ def test_periodic_trajectories_repeat_the_cycle_found(delta, start):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
+def test_extent_agrees_with_the_listed_trajectory(data):
+    # the period, and whether every height has at most `digits` digits, read
+    # off the listed trajectory; up to 6 factors of conj(w) make the heights
+    # fall before they grow, so the widest height need not be the last
+    delta = data.draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), INF]), _deltas()))
+    start = data.draw(st.one_of(st.sampled_from([(1, 0), (0, -1)]), _start_for(delta, most=6)))
+    steps = data.draw(st.integers(0, 40))
+    trajectory = stroboscope.iterate(delta, start, steps)
+    widest = max((len(str(h)) for h in trajectory.heights), default=0)
+    for digits in {1, max(widest - 1, 1), widest, widest + 1}:
+        assert stroboscope.extent(delta, start, steps, (digits, 10**digits - 1)) == (trajectory.period, widest <= digits)
+    assert stroboscope.extent(delta, start, steps) == (trajectory.period, True)
+
+
+@pytest.mark.parametrize("delta, digits", [(Fraction(4, 7), 4300), (Fraction(2, 7), 640), (Fraction(1, 3), 100)])
+def test_extent_moves_with_the_last_height_from_one_zero(delta, digits):
+    # from (1, 0) the last height growth^steps is the widest: the last step count
+    # whose height fits passes and one more refuses, and a million steps refuse too
+    _, growth = stroboscope._primitive_matrix(delta)
+    steps = next(m for m in range(1, 10**4) if growth ** (m + 1) >= 10**digits)
+    assert delta != Fraction(4, 7) or steps == 2371
+    limit = digits, 10**digits - 1
+    assert stroboscope.extent(delta, (1, 0), steps, limit) == (None, True)
+    assert stroboscope.extent(delta, (1, 0), steps + 1, limit) == (None, False)
+    assert stroboscope.extent(delta, (1, 0), 10**6, limit) == (None, False)
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), INF, Fraction(4, 7)])
+def test_walk_lists_at_most_64_steps(delta):
+    # the lists hold the oracle's trajectory; a periodic one steps its cycle
+    # alone, in the first list, and repeats it in full lists
+    start = (Fraction(3, 5), Fraction(-4, 5))
+    batches = list(stroboscope.walk(delta, start, 200))
+    triples, period = oracle.iterate(delta, start, 200)
+    assert [len(batch) for batch in batches] == ([64, 64, 64, 8] if period is None else [period, 64, 64, 64, 8 - period])
+    assert [tuple(map(int, triple)) for batch in batches for triple in batch] == triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
 def test_content_of_one_step_divides_the_squared_scale(data):
     delta = data.draw(_deltas())
     n, m = projective_pair(delta)
