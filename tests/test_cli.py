@@ -883,9 +883,10 @@ class _ByteCount(io.TextIOBase):
 
 
 # tracemalloc peak over stdout bytes for 29,160 points, on CPython 3.10 to
-# 3.13: 3.07-3.20 (text) and 2.47-2.49 (JSON); the former product-and-sort
-# printer read 6.26-6.53 and 3.10-3.16
-@pytest.mark.parametrize("fmt, bound", [("text", 4.5), ("json", 2.8)])
+# 3.13: 1.39-1.57 (text) and 0.68-0.71 (JSON); the one-write printer read
+# 3.07-3.20 and 2.47-2.49, the former product-and-sort printer 6.26-6.53
+# and 3.10-3.16
+@pytest.mark.parametrize("fmt, bound", [("text", 2.0), ("json", 1.2)])
 def test_large_orbit_peak_memory_per_output_byte(fmt, bound, monkeypatch):
     out = _ByteCount()
     monkeypatch.setattr(sys, "stdout", out)
