@@ -10,9 +10,9 @@ Every command prints through `_emit`, the only function that writes stdout
 or a file: it passes one builder per format it accepts, each returning its
 output as pieces, a head and then rows joined a batch at a time.  Only the
 chosen format's builder runs, and that of a --csv or --json side file when
-one is asked for.  The side file is written first, then stdout, a piece or
-a few at a time (`_write`), so no command holds its whole output as one
-string.  Every refusal comes before `_emit`, so a failing call prints nothing.
+one is asked for: written first, and read back as stdout when in its format.
+Output goes a chunk at a time (`_write`), never as one whole string.  Every
+refusal comes before `_emit`, so a failing call prints nothing.
 
 `COMMANDS` maps each command path to its handler, its help line and its
 options; `_parse` reads a call's arguments against the options.  An
@@ -25,6 +25,7 @@ loads only those.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import namedtuple
 from itertools import chain, islice, starmap
@@ -73,24 +74,27 @@ _BATCH = 4096  # items `_joined` joins into one piece
 def _emit(fmt: str, side_file: "tuple[str, str | None]" = ("", None), **builders) -> None:
     """Write the chosen format's pieces to stdout, after those of `side_file`, a format and a path, when the path is given."""
     side, path = side_file
-    if path is not None:
-        _write_file(path, builders[side]())
-    _write(sys.stdout, builders[fmt]())
-    # flushed inside the command, so that a closed stdout pipe raises
-    # BrokenPipeError inside `main` (exit 1) instead of failing at interpreter exit
+    size = None if path is None else _write_file(path, builders[side]())
+    # stdout in the format of a readable regular side file is read back from it, so it is built once
+    if side == fmt and size is not None and os.path.isfile(path) and os.access(path, os.R_OK):
+        with open(path, encoding="utf-8", newline="") as handle:
+            _write(sys.stdout, (handle.read(min(_CHUNK, size - done)) for done in range(0, size, _CHUNK)))
+    else:
+        _write(sys.stdout, builders[fmt]())
+    # flushed here, so that a closed stdout pipe raises BrokenPipeError in `main` (exit 1), not at interpreter exit
     sys.stdout.flush()
 
 
-def _write(stream, pieces) -> None:
-    """Write the pieces to `stream`, joined into writes of at most `_CHUNK` characters; a longer piece is written alone."""
-    chunk, size = [], 0
+def _write(stream, pieces) -> int:
+    """Write the pieces to `stream` in writes of at most `_CHUNK` characters, a longer piece alone; return the count."""
+    chunk, size, written = [], 0, 0
     for piece in pieces:
         if size + len(piece) > _CHUNK and chunk:
-            stream.write("".join(chunk))
+            written += stream.write("".join(chunk))
             chunk, size = [], 0
         chunk.append(piece)
         size += len(piece)
-    stream.write("".join(chunk))
+    return written + stream.write("".join(chunk))
 
 
 def _json(payload, last: str = "") -> str:
@@ -113,11 +117,11 @@ def _lines(lines):
     return _joined(chain(lines, [""]), "\n")
 
 
-def _write_file(path, pieces) -> None:
-    """Write a --csv or --json file; a path that cannot be written is an invalid argument."""
+def _write_file(path, pieces) -> int:
+    """Write a --csv or --json file and return its length; a path that cannot be written is an invalid argument."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write(handle, pieces)
+            return _write(handle, pieces)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -368,8 +372,7 @@ def search_cmd(k: int, bound: int, n: int, json_path, fmt: str) -> None:
     names = [format_pair(p, q) for p, q in report.coordinates]
 
     def rows(texts):
-        # every solution's texts, read in one pass over all the indices and cut
-        # into rows of n
+        # every solution's texts, read in one pass over all the indices and cut into rows of n
         return zip(*[map(texts.__getitem__, chain.from_iterable(report.ranks))] * n)
 
     fields = {"k": report.k, "n": report.n, "height": report.height_bound, "count": len(report.ranks),
@@ -433,8 +436,7 @@ def counterexample_cmd(k: int, x1_text: str, fmt: str) -> None:
 def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str) -> None:
     from .stroboscope import extent, walk
     delta, start = parse_projective(delta_text), parse_point(start_text)
-    # on the circle |a|, |b| <= c, so the largest height is the widest integer
-    # printed; it and the period come from the transient, before any step is printed
+    # |a|, |b| <= c on the circle: `extent` reads the widest height and the period off the transient
     period, fits = extent(delta, start, steps, int_digit_limit())
     if not fits:
         raise print_limit_error()
@@ -444,7 +446,7 @@ def iterate_cmd(delta_text: str, steps: int, start_text: str, csv_path, fmt: str
         # once, joined a list of steps at a time, then `tail`: a coordinate a/h is pieces a, "/", h
         yield head
         step = 0
-        for batch in walk(delta, start, steps):
+        for batch in walk(delta, start, steps, period):
             pieces = []
             for a, b, c in batch:
                 step += 1

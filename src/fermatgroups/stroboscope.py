@@ -76,10 +76,8 @@ class Trajectory(Record):
 
     __slots__ = __match_args__ = ("delta", "start", "decimal_triples", "period")
 
-    def __init__(
-        self, delta: ProjectiveRational, start: Point, decimal_triples: list[tuple[Decimal, Decimal, Decimal]],
-        period: "int | None" = None,
-    ) -> None:
+    def __init__(self, delta: ProjectiveRational, start: Point, decimal_triples: list[tuple[Decimal, Decimal, Decimal]],
+                 period: "int | None" = None) -> None:
         self.delta = delta
         self.start = start
         self.decimal_triples = decimal_triples
@@ -96,12 +94,17 @@ class Trajectory(Record):
 
 def iterate(delta, start, steps: int) -> Trajectory:
     """Record `steps` exact images of a circle point under L(delta): the triples of `walk`, listed."""
-    triples = list(chain.from_iterable(walk(delta, start, steps)))
-    delta, start = as_projective(delta), CIRCLE.require_on_curve(start)
-    return Trajectory(delta=delta, start=start, decimal_triples=triples, period=period_check(delta, min(steps, 4)))
+    delta, start, period = _checked(delta, start, steps)
+    return Trajectory(delta, start, list(chain.from_iterable(walk(delta, start, steps, period))), period)
 
 
-def walk(delta, start, steps: int):
+def _checked(delta, start, steps: int):
+    """`delta` on the projective line, `start` on the circle and the period, if `steps` reach it: four or fewer."""
+    integer(steps, 0, "step count")
+    return as_projective(delta), CIRCLE.require_on_curve(start), period_check(delta, min(steps, 4))
+
+
+def walk(delta, start, steps: int, period: "int | None"):
     """Yield the reduced triples (a, b, c), c > 0, of the first `steps` images of a circle point, in lists of up to 64.
 
     A step applies the primitive matrix of L(delta) (`_primitive_matrix`),
@@ -131,18 +134,16 @@ def walk(delta, start, steps: int):
     (an int takes quadratic time), stepped in the `EXACT` context, which
     raises on any rounding.  An orbit returns to its start within four
     steps or never (module docstring); a periodic walk steps one cycle and
-    repeats it, so `walk(1, (1, 0), 100000)` steps four times.
+    repeats it, so `walk(1, (1, 0), 100000, 4)` steps four times.  The
+    arguments, `period` too, are those `_checked` returns.
     """
-    integer(steps, 0, "step count")
-    delta = as_projective(delta)
-    start_triple = CIRCLE.triple(CIRCLE.require_on_curve(start))
+    start_triple = CIRCLE.triple(start)
     transient = start_triple[2].bit_length()
     entries, scale = _primitive_matrix(delta)
     square = scale * scale
     a11, a12, a21, a22, s, modulus = map(Decimal, (*entries, scale, square))
     a, b, c = map(Decimal, start_triple)
-    period = period_check(delta, min(steps, 4))
-    count = steps if period is None else period
+    count = steps if period is None else min(period, steps)
     for first in range(0, count, _BATCH):
         batch = []
         with localcontext(EXACT):
@@ -169,11 +170,10 @@ def extent(delta, start, steps: int, limit: "tuple[int, int | None]" = (0, None)
     is the transient's widest or the last, c * growth**r for its last c,
     built only when bit lengths cannot settle it: a refusal steps no further.
     """
-    integer(steps, 0, "step count")
-    delta, start = as_projective(delta), CIRCLE.require_on_curve(start)
-    period, (_, growth), (digits, ceiling) = period_check(delta, min(steps, 4)), _primitive_matrix(delta), limit
+    delta, start, period = _checked(delta, start, steps)
+    (_, growth), (digits, ceiling) = _primitive_matrix(delta), limit
     head = min(steps, CIRCLE.triple(start)[2].bit_length())
-    for batch in walk(delta, start, head):
+    for batch in walk(delta, start, head, period):
         # c has more than `digits` digits exactly when c >= 10**digits
         if digits and max(c for _, _, c in batch).adjusted() >= digits:
             return period, False

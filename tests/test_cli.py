@@ -497,11 +497,31 @@ class TestIterate:
     def test_off_curve_start_rejected(self):
         assert main(["iterate", "--delta", "1/2", "--steps", "2", "--start", "1,1"]) == 2
 
-    def test_csv_format_and_file_print_the_same_text(self, run, tmp_path):
-        # each is written by its own run of the CSV builder
+    def test_csv_format_and_file_build_the_text_once(self, run, monkeypatch, tmp_path):
+        # `extent` walks the one-step transient, and the CSV builder walks the three steps
+        # once: stdout is read back from the file
+        calls = _count_calls(monkeypatch, stroboscope, "walk")
         path = tmp_path / "trajectory.csv"
         result = run("iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv")
+        assert [args[2] for args in calls] == [1, 3]
         assert result.output == path.read_text(encoding="utf-8")
+
+    def test_csv_file_that_stdout_appends_to_is_read_back_once(self, monkeypatch, tmp_path):
+        # stdout appends to the file as it is read back, 7 characters at a time, and
+        # the reading stops at the file's own length, as the former printer did
+        monkeypatch.setattr(cli_module, "_CHUNK", 7)
+        path = tmp_path / "trajectory.csv"
+        with open(path, "a", encoding="utf-8", newline="") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["iterate", "--delta", "1/2", "--steps", "3", "--csv", str(path), "--format", "csv"]) == 0
+        text = "step,x,y,height\n1,3/5,4/5,5\n2,-7/25,24/25,25\n3,-117/125,44/125,125\n"
+        assert path.read_text(encoding="utf-8") == 2 * text
+
+    def test_csv_format_with_a_device_as_file_is_built_again(self, run):
+        # a side file that is not a regular file cannot be read back
+        result = run("iterate", "--delta", "1/2", "--steps", "3", "--csv", os.devnull, "--format", "csv")
+        assert result.output == run("iterate", "--delta", "1/2", "--steps", "3", "--format", "csv").output
+        assert result.output.count("\n") == 4
 
 
 def _iterate_payload_json(delta, start, steps) -> str:
@@ -982,10 +1002,11 @@ def test_golden_bytes_do_not_depend_on_the_chunk_size(case, chunk, monkeypatch, 
         assert (tmp_path / name).read_bytes() == (golden / f"{case['name']}.{name}").read_bytes()
 
 
-def test_search_json_file_and_format_print_the_same_payload(tmp_path, capsys):
-    # each is written by its own run of the JSON builder
+def test_search_json_file_and_format_build_the_payload_once(monkeypatch, tmp_path, capsys):
+    calls = _count_calls(monkeypatch, cli_module, "_json")
     path = tmp_path / "report.json"
     assert main(["search", "--k", "3", "--height", "6", "--json", str(path), "--format", "json"]) == 0
+    assert len(calls) == 1
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 

@@ -307,7 +307,7 @@ def test_walk_lists_at_most_64_steps(delta):
     # the lists hold the oracle's trajectory; a periodic one steps its cycle
     # alone, in the first list, and repeats it in full lists
     start = (Fraction(3, 5), Fraction(-4, 5))
-    batches = list(stroboscope.walk(delta, start, 200))
+    batches = list(stroboscope.walk(delta, start, 200, stroboscope.period_check(delta, 4)))
     triples, period = oracle.iterate(delta, start, 200)
     assert [len(batch) for batch in batches] == ([64, 64, 64, 8] if period is None else [period, 64, 64, 64, 8 - period])
     assert [tuple(map(int, triple)) for batch in batches for triple in batch] == triples
